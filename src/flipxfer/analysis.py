@@ -100,10 +100,8 @@ def positive_flips(
         )
     if teacher_logits.shape[0] != labels.shape[0]:
         raise AnalysisError("labels do not align with logits")
-    c = teacher_logits.shape[1]
     flags = (predictions(teacher_logits) == labels) & (predictions(student_logits) != labels)
-    counts = np.bincount(labels[flags], minlength=c).astype(np.int64)
-    return FlipStats(flags, counts, float(flags.mean()))
+    return flip_stats_from_flags(flags, labels, teacher_logits.shape[1])
 
 
 def flip_stats_from_flags(flags: np.ndarray, labels: np.ndarray, num_classes: int) -> FlipStats:

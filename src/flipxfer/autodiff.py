@@ -2,7 +2,7 @@
 
 The op set is deliberately small: affine, relu, 3x3 conv (stride 1 or 2,
 zero same-padding), global average pooling, seeded train-mode dropout,
-log_softmax, mean/weighted reductions, plus a few glue ops the loss
+log_softmax, a weighted reduction, plus a few glue ops the loss
 functions need (scale, add, gather, row normalization, gram matrix).
 Everything runs on numpy in float64; a Tape records ops in creation order,
 which is already topological, and one backward sweep visits each node once.
@@ -10,6 +10,7 @@ which is already topological, and one backward sweep visits each node once.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -34,7 +35,6 @@ __all__ = [
     "global_avg_pool",
     "dropout",
     "log_softmax",
-    "mean",
     "weighted_sum",
     "gather_cols",
     "l2_normalize_rows",
@@ -341,16 +341,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out_data, (x,), bwd)
 
 
-def mean(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    size = x.data.size
-
-    def bwd(g):
-        _accum(x, np.full(x.data.shape, float(g) / size))
-
-    return _record(x.data.mean(), (x,), bwd)
-
-
 def weighted_sum(x: Tensor, weights: np.ndarray, bias: float = 0.0) -> Tensor:
     """Scalar sum(weights * x) + bias with constant weights."""
     x = _as_tensor(x)
@@ -432,12 +422,15 @@ class SgdState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("lr", "momentum", "weight_decay"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+            raise ValueError(f"lr must be nonnegative, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0,1)")
+            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: SgdState) -> None:

@@ -18,13 +18,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from .analysis import (
     NoFlipsError,
-    PairReport,
     binned_top_quartile_delta,
     flip_entropy,
     positive_flips,
@@ -34,9 +33,18 @@ from .analysis import (
 )
 from .data import DataError, Dataset, SyntheticConfig, generate_synthetic, load_idx, stratified_subsample
 from .models import CheckpointError, ModelSpec, predict_logits, save
-from .multiteacher import MultiTeacherPlan, parallel_transfer, sequential_transfer, soup_transfer
+from .multiteacher import (
+    MODES,
+    ORDERS,
+    PLAN_METHODS,
+    MultiTeacherPlan,
+    parallel_transfer,
+    sequential_transfer,
+    soup_transfer,
+)
 from .transfer import (
     METHODS,
+    EpochTrace,
     TransferDivergedError,
     TransferError,
     TransferHyperparams,
@@ -159,16 +167,7 @@ def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
     """Returns (transfer/train set after subsampling, validation set)."""
     if "synthetic" in resolved:
         s = resolved["synthetic"]
-        common = dict(
-            classes=s["classes"],
-            dims=s["dims"],
-            image_size=s["image_size"],
-            modes_per_class=s["modes_per_class"],
-            label_noise=s["label_noise"],
-            sigma=s["sigma"],
-            anchor_scale=s["anchor_scale"],
-            anchor_seed=s["anchor_seed"],
-        )
+        common = {k: v for k, v in s.items() if k not in ("train", "val")}
         try:
             train = generate_synthetic(
                 SyntheticConfig(samples=s["train"]["samples"], seed=s["train"]["seed"], **common)
@@ -187,17 +186,8 @@ def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
     return train, val
 
 
-_TRAIN_KEYS = {
-    "epochs": 20,
-    "batch_size": 64,
-    "lr": 0.05,
-    "momentum": 0.9,
-    "weight_decay": 1e-3,
-    "augment_noise": 0.0,
-    "init_seed": 0,
-    "order_seed": 0,
-    "plateau_patience": None,
-}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_HYPERPARAM_KEYS = {f.name for f in fields(TransferHyperparams)}
 
 
 def _resolve_zoo(d: dict) -> dict:
@@ -215,8 +205,11 @@ def _resolve_zoo(d: dict) -> dict:
             raise ConfigError(f"{path}: duplicate model name {name!r}")
         names.add(name)
         train = dict(m.get("train", {}))
-        _check_keys(train, set(_TRAIN_KEYS), f"{path}.train")
-        resolved_train = {k: train.get(k, v) for k, v in _TRAIN_KEYS.items()}
+        _check_keys(train, _TRAIN_KEYS, f"{path}.train")
+        try:
+            resolved_train = asdict(TrainConfig(**train))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}.train: {e}") from e
         out.append(
             {
                 "name": name,
@@ -232,23 +225,7 @@ def _resolve_zoo(d: dict) -> dict:
 
 
 def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None, path: str) -> dict:
-    _check_keys(
-        overrides,
-        {
-            "lr",
-            "temperature",
-            "lam",
-            "epochs",
-            "batch_size",
-            "seed",
-            "momentum",
-            "weight_decay",
-            "mcl_tau",
-            "mcl_every",
-            "topk",
-        },
-        path,
-    )
+    _check_keys(overrides, _HYPERPARAM_KEYS, path)
     try:
         hp = default_hyperparams(method, **overrides)
     except (TransferError, TypeError) as e:
@@ -261,13 +238,9 @@ def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None
 
 def _resolve_filter(d: dict | None, path: str) -> dict:
     d = d or {}
-    _check_keys(d, {"delta_acc_min", "delta_acc_max", "teacher_family", "student_family"}, path)
-    return {
-        "delta_acc_min": d.get("delta_acc_min"),
-        "delta_acc_max": d.get("delta_acc_max"),
-        "teacher_family": d.get("teacher_family"),
-        "student_family": d.get("student_family"),
-    }
+    keys = [f.name for f in fields(PairFilter)]
+    _check_keys(d, keys, path)
+    return {k: d.get(k) for k in keys}
 
 
 def _write_json(path, doc) -> None:
@@ -446,10 +419,6 @@ def cmd_flips(cfg: dict, args) -> int:
     return 0
 
 
-def _hp_from_dict(d: dict) -> TransferHyperparams:
-    return TransferHyperparams(**d)
-
-
 def cmd_transfer(cfg: dict, args) -> int:
     _check_keys(cfg, {"manifest", "dataset", "transfer", "out"}, "config")
     t = _require(cfg, "transfer", "config")
@@ -467,15 +436,22 @@ def cmd_transfer(cfg: dict, args) -> int:
             "transfer.multi",
         )
         mode = str(_require(t["multi"], "mode", "transfer.multi"))
-        if mode not in ("sequential", "parallel", "soup"):
-            raise ConfigError(f"transfer.multi.mode: unknown mode {mode!r}")
+        if mode not in MODES:
+            raise ConfigError(f"transfer.multi.mode: unknown mode {mode!r}; valid: {', '.join(MODES)}")
+        order = str(t["multi"].get("order", "ascending"))
+        if order not in ORDERS:
+            raise ConfigError(f"transfer.multi.order: unknown order {order!r}; valid: {', '.join(ORDERS)}")
+        if method not in PLAN_METHODS:
+            raise ConfigError(
+                f"transfer.method: multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {method!r}"
+            )
         teachers = _require(t["multi"], "teachers", "transfer.multi")
         if not isinstance(teachers, list) or not teachers:
             raise ConfigError("transfer.multi.teachers: need a non-empty list of zoo names")
         multi = {
             "mode": mode,
             "teachers": [str(x) for x in teachers],
-            "order": str(t["multi"].get("order", "ascending")),
+            "order": order,
             "retain_original_reference": bool(t["multi"].get("retain_original_reference", False)),
         }
     resolved = {
@@ -495,22 +471,21 @@ def cmd_transfer(cfg: dict, args) -> int:
     resolved["out"] = out_dir
     manifest = _load_zoo(resolved)
     transfer_set, val = _build_datasets(resolved["dataset"])
-    hp = _hp_from_dict(resolved["transfer"]["hyperparams"])
+    hp = TransferHyperparams(**resolved["transfer"]["hyperparams"])
     student_name = resolved["transfer"]["student"]
     student = manifest.load_checkpoint(student_name)
 
-    report_doc: dict
-    per_epoch_rows: list = []
+    sequential = multi is not None and multi["mode"] == "sequential"
     if multi is None:
         teacher_name = str(resolved["transfer"]["teacher"])
         teacher = manifest.load_checkpoint(teacher_name)
-        res = run_transfer(
-            student, teacher, method, hp, transfer_set, val,
-            teacher_name=teacher_name, student_name=student_name,
-        )
-        report_doc = _result_doc(res)
-        per_epoch_rows = _epoch_rows(res, stage=None)
-        save(res.student_after, os.path.join(out_dir, "student_after.ckpt"))
+        results = [
+            run_transfer(
+                student, teacher, method, hp, transfer_set, val,
+                teacher_name=teacher_name, student_name=student_name,
+            )
+        ]
+        report_doc = _result_doc(results[0])
     else:
         teachers = [manifest.load_checkpoint(n) for n in multi["teachers"]]
         plan = MultiTeacherPlan(
@@ -521,7 +496,7 @@ def cmd_transfer(cfg: dict, args) -> int:
             retain_original_reference=multi["retain_original_reference"],
             teacher_names=tuple(multi["teachers"]),
         )
-        if multi["mode"] == "sequential":
+        if sequential:
             results = sequential_transfer(student, plan, hp, transfer_set, val, student_name)
             report_doc = {
                 "mode": "sequential",
@@ -530,27 +505,22 @@ def cmd_transfer(cfg: dict, args) -> int:
                     results[-1].extras.get("cumulative_delta_transf") if results else 0.0
                 ),
             }
-            for i, r in enumerate(results):
-                per_epoch_rows.extend(_epoch_rows(r, stage=i))
-            if results:
-                save(results[-1].student_after, os.path.join(out_dir, "student_after.ckpt"))
-        elif multi["mode"] == "parallel":
-            res = parallel_transfer(student, plan, hp, transfer_set, val, student_name)
-            report_doc = _result_doc(res)
-            report_doc["mode"] = "parallel"
-            per_epoch_rows = _epoch_rows(res, stage=None)
-            save(res.student_after, os.path.join(out_dir, "student_after.ckpt"))
         else:
-            res = soup_transfer(student, plan, hp, transfer_set, val, student_name)
-            report_doc = _result_doc(res)
-            report_doc["mode"] = "soup"
-            save(res.student_after, os.path.join(out_dir, "student_after.ckpt"))
+            run = parallel_transfer if multi["mode"] == "parallel" else soup_transfer
+            results = [run(student, plan, hp, transfer_set, val, student_name)]
+            report_doc = {**_result_doc(results[0]), "mode": multi["mode"]}
+    if results:
+        save(results[-1].student_after, os.path.join(out_dir, "student_after.ckpt"))
     _write_json(os.path.join(out_dir, "report.json"), report_doc)
-    header = [
-        "stage", "epoch", "train_loss", "val_accuracy", "gain", "loss",
-        "mask_teacher_share", "fast_val_accuracy",
-    ]
-    _write_csv(os.path.join(out_dir, "per_epoch.csv"), header, per_epoch_rows)
+    _write_csv(
+        os.path.join(out_dir, "per_epoch.csv"),
+        ["stage", "epoch", *(f.name for f in fields(EpochTrace))],
+        [
+            (i if sequential else None, epoch, *astuple(trace))
+            for i, r in enumerate(results)
+            for epoch, trace in enumerate(r.per_epoch)
+        ],
+    )
     _emit(out_dir, resolved, report_doc, args.json)
     return 0
 
@@ -577,37 +547,16 @@ def _result_doc(res) -> dict:
             "overall": res.rate["overall"],
             "by_top_share": {str(k): v for k, v in res.rate["by_top_share"].items()},
         }
-    if "failed" in res.extras:
-        doc["failed"] = res.extras["failed"]
-    if "cumulative_delta_transf" in res.extras:
-        doc["cumulative_delta_transf"] = res.extras["cumulative_delta_transf"]
-    if "branch_deltas" in res.extras:
-        doc["branch_deltas"] = res.extras["branch_deltas"]
-    if "source_share" in res.extras:
-        doc["source_share"] = res.extras["source_share"]
+    for key in ("failed", "cumulative_delta_transf", "branch_deltas", "source_share"):
+        if key in res.extras:
+            doc[key] = res.extras[key]
     return doc
-
-
-def _epoch_rows(res, stage) -> list:
-    return [
-        (
-            stage,
-            i,
-            tr.train_loss,
-            tr.val_accuracy,
-            tr.gain,
-            tr.loss,
-            tr.mask_teacher_share,
-            tr.fast_val_accuracy,
-        )
-        for i, tr in enumerate(res.per_epoch)
-    ]
 
 
 def _sweep_task(task):
     teacher_ck, student_ck, method, hp_dict, transfer_set, val_set, tname, sname = task
     res = run_transfer(
-        student_ck, teacher_ck, method, _hp_from_dict(hp_dict), transfer_set, val_set,
+        student_ck, teacher_ck, method, TransferHyperparams(**hp_dict), transfer_set, val_set,
         teacher_name=tname, student_name=sname,
     )
     rate_top2 = None
@@ -626,6 +575,7 @@ def _sweep_task(task):
         "knowledge_loss": res.report.knowledge_loss,
         "transfer_rate_overall": rate_all,
         "transfer_rate_top2": rate_top2,
+        "report": res.report,
     }
 
 
@@ -712,18 +662,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     bins = resolved["sweep"]["bins"]
     summary: dict = {"pairs": len(pairs), "methods": {}}
     for m in resolved["sweep"]["methods"]:
-        reports = [
-            PairReport(
-                teacher=row["teacher"],
-                student=row["student"],
-                delta_acc=row["delta_acc"],
-                delta_transf=row["delta_transf"],
-                knowledge_gain=row["knowledge_gain"],
-                knowledge_loss=row["knowledge_loss"],
-            )
-            for row in rows
-            if row["method"] == m
-        ]
+        reports = [row["report"] for row in rows if row["method"] == m]
         binned = binned_top_quartile_delta(reports, bins)
         summary["methods"][m] = {
             "success_rate": success_rate(reports),

@@ -222,33 +222,22 @@ def as_tensors(ck: Checkpoint, requires_grad: bool = False) -> dict[str, Tensor]
     return {k: Tensor(v.copy(), requires_grad=requires_grad) for k, v in ck.params.items()}
 
 
-def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
+def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[Tensor, Tensor]:
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[1:] != spec.input_shape:
-        raise ShapeError("predict(batch)", batch.shape[1:], spec.input_shape)
-    return batch
+    if batch.shape[1:] != ck.spec.input_shape:
+        raise ShapeError("predict(batch)", batch.shape[1:], ck.spec.input_shape)
+    params = {k: Tensor(v) for k, v in ck.params.items()}
+    return model_forward(ck.spec, params, Tensor(batch), train=False)
 
 
 def predict_logits(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
     """Eval-mode logits (n x num_classes); no softmax, no dropout."""
-    batch = _check_batch(ck.spec, batch)
-    params = {k: Tensor(v) for k, v in ck.params.items()}
-    logits, _ = model_forward(ck.spec, params, Tensor(batch), train=False)
-    return logits.data
+    return _predict(ck, batch)[0].data
 
 
 def predict_features(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
     """Eval-mode pre-head features (n x feature_width)."""
-    batch = _check_batch(ck.spec, batch)
-    params = {k: Tensor(v) for k, v in ck.params.items()}
-    _, feats = model_forward(ck.spec, params, Tensor(batch), train=False)
-    return feats.data
-
-
-def accuracy(ck: Checkpoint, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy; argmax ties break toward the lowest class index."""
-    preds = np.argmax(predict_logits(ck, inputs), axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    return _predict(ck, batch)[1].data
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +278,15 @@ def load(path) -> Checkpoint:
         header = json.loads(raw[9 : 9 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise HeaderMismatchError(f"{path}: unreadable header ({e})") from e
-    spec = ModelSpec.from_dict(header["spec"])
-    names = header["names"]
-    shapes = {k: tuple(v) for k, v in header["shapes"].items()}
+    try:
+        spec = ModelSpec.from_dict(header["spec"])
+        names = list(header["names"])
+        shapes = {k: tuple(v) for k, v in header["shapes"].items()}
+        meta = dict(header.get("meta", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise HeaderMismatchError(f"{path}: malformed header ({type(e).__name__}: {e})") from e
     expected = spec.param_shapes()
-    if set(names) != set(expected):
+    if set(names) != set(expected) or set(shapes) != set(expected):
         raise HeaderMismatchError(f"{path}: parameter names disagree with spec")
     for name in names:
         if shapes[name] != expected[name]:
@@ -313,4 +306,4 @@ def load(path) -> Checkpoint:
         arr = np.frombuffer(payload, dtype="<f8", count=cnt, offset=off).astype(np.float64)
         params[name] = arr.reshape(shapes[name])
         off += 8 * cnt
-    return Checkpoint(spec, params, header.get("meta", {}))
+    return Checkpoint(spec, params, meta)

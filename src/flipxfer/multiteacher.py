@@ -10,13 +10,14 @@ uniform elementwise parameter average).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import correct_flags, flip_stats_from_flags, per_class_gain, predictions, transfer_rate, PairReport
-from .autodiff import SgdState, Tape, Tensor, backward, sgd_step
-from .data import Dataset, epoch_permutation
+from .analysis import PairReport, correct_flags
+from .autodiff import SgdState, Tensor
+from .data import Dataset
 from .models import Checkpoint, as_tensors, model_forward, predict_logits
 from .transfer import (
     EpochTrace,
@@ -24,17 +25,21 @@ from .transfer import (
     TransferError,
     TransferHyperparams,
     TransferResult,
-    _eval_checkpoint,
-    _gain_loss,
-    _soft_target_kl,
-    _temper,
+    ValBaseline,
+    check_teacher,
+    checkpoint_of,
+    confidence_winner,
     run_transfer,
+    sgd_epochs,
+    soft_target_kl,
+    winner_logprobs,
 )
-from .autodiff import np_log_softmax, np_softmax
 
 __all__ = ["MultiTeacherPlan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
 
 MODES = ("sequential", "parallel", "soup")
+ORDERS = ("ascending", "descending", "given")  # by teacher val accuracy, or as given
+PLAN_METHODS = ("kl_dp_sup", "kl_dp_unsup", "kl")
 
 
 @dataclass(frozen=True)
@@ -42,19 +47,21 @@ class MultiTeacherPlan:
     teachers: tuple[Checkpoint, ...]
     mode: str
     method: str = "kl_dp_sup"
-    order: str = "ascending"  # by teacher val accuracy; or "descending" / "given"
+    order: str = "ascending"
     retain_original_reference: bool = False
     teacher_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise TransferError(f"unknown multi-teacher mode {self.mode!r}; valid: {', '.join(MODES)}")
-        if self.order not in ("ascending", "descending", "given"):
-            raise TransferError(f"unknown teacher order {self.order!r}")
+        if self.order not in ORDERS:
+            raise TransferError(f"unknown teacher order {self.order!r}; valid: {', '.join(ORDERS)}")
         if self.mode in ("parallel", "soup") and len(self.teachers) < 1:
             raise TransferError(f"{self.mode} transfer needs at least one teacher")
-        if self.method not in ("kl_dp_sup", "kl_dp_unsup", "kl"):
-            raise TransferError(f"multi-teacher transfer supports kl/kl_dp methods, not {self.method!r}")
+        if self.method not in PLAN_METHODS:
+            raise TransferError(
+                f"multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {self.method!r}"
+            )
         names = self.teacher_names or tuple(
             ck.meta.get("name", f"t{i}") for i, ck in enumerate(self.teachers)
         )
@@ -135,106 +142,40 @@ def parallel_transfer(
     # tie-breaking uses the plan's given teacher sequence, so no reordering here
     teachers = list(zip(plan.teacher_names, plan.teachers))
     for name, t in teachers:
-        if t.spec.num_classes != spec.num_classes:
-            raise TransferError(f"teacher {name}: class-count mismatch")
-        if t.spec.input_shape != spec.input_shape:
-            raise TransferError(f"teacher {name}: input-shape mismatch")
-    supervised = plan.method == "kl_dp_sup"
+        check_teacher(spec, t, name)
 
-    x_tr, y_tr = transfer_set.inputs, transfer_set.labels
-    x_val, y_val = val_set.inputs, val_set.labels
-    n = transfer_set.n
+    x_tr = transfer_set.inputs
     temp = hp.temperature
-
-    st_ck = student_ck.copy()
-    source_logits = [predict_logits(st_ck, x_tr)] + [predict_logits(t, x_tr) for _, t in teachers]
-    probs = [np_softmax(z) for z in source_logits]
-    if supervised:
-        conf = np.stack([p[np.arange(n), y_tr] for p in probs])  # (K+1, n)
-    else:
-        conf = np.stack([p.max(axis=1) for p in probs])
-    winner = np.argmax(conf, axis=0)  # ties resolve to f_st, then lowest teacher index
-    target_logprobs = np.empty((n, spec.num_classes))
-    for s, z in enumerate(source_logits):
-        rows = winner == s
-        if rows.any():
-            target_logprobs[rows] = np_log_softmax(_temper(z[rows], temp))
-    source_share = np.bincount(winner, minlength=len(source_logits)) / n
-
-    val_student_before = predict_logits(student_ck, x_val)
-    before_correct = correct_flags(val_student_before, y_val)
-    acc_before = float(before_correct.mean())
-    val_teacher_logits = [predict_logits(t, x_val) for _, t in teachers]
-    teacher_accs = [float(correct_flags(z, y_val).mean()) for z in val_teacher_logits]
-    any_teacher_correct = np.zeros(val_set.n, dtype=bool)
-    for z in val_teacher_logits:
-        any_teacher_correct |= predictions(z) == y_val
-    union_flips = flip_stats_from_flags(
-        any_teacher_correct & ~before_correct, y_val, spec.num_classes
-    )
+    source_logits = [predict_logits(student_ck, x_tr)] + [predict_logits(t, x_tr) for _, t in teachers]
+    # ties resolve to f_st, then the lowest teacher index; kl compares max probabilities
+    winner = confidence_winner(source_logits, transfer_set.labels if plan.method == "kl_dp_sup" else None)
+    target_logprobs = winner_logprobs(winner, source_logits, temp)
+    source_share = np.bincount(winner, minlength=len(source_logits)) / transfer_set.n
+    baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)
 
     params = as_tensors(student_ck, requires_grad=True)
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
     drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
-    per_epoch: list[EpochTrace] = []
-    for epoch in range(hp.epochs):
-        perm = epoch_permutation(n, hp.seed, epoch)
-        losses = []
-        for step, b in enumerate(
-            perm[start : start + hp.batch_size] for start in range(0, n, hp.batch_size)
-        ):
-            with np.errstate(all="ignore"), Tape() as tape:
-                logits, _ = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
-                loss = _soft_target_kl(logits, target_logprobs[b], temp)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TransferDivergedError("parallel", epoch, step, value)
-            losses.append(value)
-            backward(tape, loss)
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            sgd_step({k: params[k] for k in grads}, grads, opt)
-        eval_ck = _eval_checkpoint(spec, params, student_ck)
-        now_correct = correct_flags(predict_logits(eval_ck, x_val), y_val)
-        gain, loss_share = _gain_loss(before_correct, now_correct, union_flips)
-        per_epoch.append(
-            EpochTrace(
-                train_loss=float(np.mean(losses)) if losses else float("nan"),
-                val_accuracy=float(now_correct.mean()),
-                gain=gain,
-                loss=loss_share,
-                mask_teacher_share=float(1.0 - source_share[0]),
-            )
-        )
 
-    student_after = _eval_checkpoint(spec, params, student_ck)
-    after_correct = correct_flags(predict_logits(student_after, x_val), y_val)
-    acc_after = float(after_correct.mean())
-    gain, loss_share = _gain_loss(before_correct, after_correct, union_flips)
-    rate = transfer_rate(union_flips, after_correct, y_val) if union_flips.total else None
+    def loss_fn(b):
+        logits, _ = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
+        return soft_target_kl(logits, target_logprobs[b], temp)
+
+    per_epoch: list[EpochTrace] = [
+        baseline.epoch_trace(losses, checkpoint_of(student_ck, params), float(1.0 - source_share[0]))
+        for losses in sgd_epochs(
+            params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
+            functools.partial(TransferDivergedError, "parallel"),
+        )
+    ]
     names = "+".join(name for name, _ in teachers)
-    report = PairReport(
-        teacher=f"parallel[{names}]",
-        student=student_name,
-        delta_acc=max(teacher_accs) - acc_before,
-        delta_transf=acc_after - acc_before,
-        knowledge_gain=gain,
-        knowledge_loss=loss_share,
-        per_class_gain=tuple(float(v) for v in per_class_gain(union_flips, after_correct, y_val)),
-    )
-    student_after.meta.update({"val_accuracy": acc_after, "transfer_method": "parallel"})
-    return TransferResult(
-        method=plan.method,
-        hyperparams=hp,
-        report=report,
-        per_epoch=per_epoch,
-        student_after=student_after,
-        rate=rate,
+    return baseline.result(
+        plan.method, hp, per_epoch, checkpoint_of(student_ck, params), f"parallel[{names}]", student_name,
+        meta={"transfer_method": "parallel"},
         extras={
-            "acc_before": acc_before,
-            "teacher_accs": teacher_accs,
+            "teacher_accs": baseline.teacher_accs,
             "source_share": [float(s) for s in source_share],
             "winner": winner,
-            "rho_pos": union_flips.rho_pos,
         },
     )
 
@@ -277,47 +218,12 @@ def soup_transfer(
             for name in student_ck.params
         }
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
-
-    x_val, y_val = val_set.inputs, val_set.labels
-    before_correct = correct_flags(predict_logits(student_ck, x_val), y_val)
-    acc_before = float(before_correct.mean())
-    teacher_accs = [
-        float(correct_flags(predict_logits(t, x_val), y_val).mean()) for t in plan.teachers
-    ]
-    any_teacher_correct = np.zeros(val_set.n, dtype=bool)
-    for t in plan.teachers:
-        any_teacher_correct |= predictions(predict_logits(t, x_val)) == y_val
-    union_flips = flip_stats_from_flags(
-        any_teacher_correct & ~before_correct, y_val, student_ck.spec.num_classes
-    )
-    after_correct = correct_flags(predict_logits(student_after, x_val), y_val)
-    acc_after = float(after_correct.mean())
-    gain, loss_share = _gain_loss(before_correct, after_correct, union_flips)
-    names = "+".join(plan.teacher_names)
-    report = PairReport(
-        teacher=f"soup[{names}]",
-        student=student_name,
-        delta_acc=max(teacher_accs) - acc_before,
-        delta_transf=acc_after - acc_before,
-        knowledge_gain=gain,
-        knowledge_loss=loss_share,
-        per_class_gain=tuple(
-            float(v) for v in per_class_gain(union_flips, after_correct, y_val)
-        ),
-    )
-    student_after.meta.update({"val_accuracy": acc_after, "transfer_method": "soup"})
-    rate = transfer_rate(union_flips, after_correct, y_val) if union_flips.total else None
-    return TransferResult(
-        method=plan.method,
-        hyperparams=hp,
-        report=report,
-        per_epoch=[],
-        student_after=student_after,
-        rate=rate,
+    baseline = ValBaseline.measure(student_ck, plan.teachers, val_set)
+    return baseline.result(
+        plan.method, hp, [], student_after, f"soup[{'+'.join(plan.teacher_names)}]", student_name,
+        meta={"transfer_method": "soup"},
         extras={
-            "acc_before": acc_before,
-            "teacher_accs": teacher_accs,
+            "teacher_accs": baseline.teacher_accs,
             "branch_deltas": [r.report.delta_transf for r in branches],
-            "rho_pos": union_flips.rho_pos,
         },
     )

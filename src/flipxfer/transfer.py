@@ -1,4 +1,4 @@
-"""Transfer objectives and the single-teacher transfer loop.
+"""Transfer objectives, the shared SGD loop, and the single-teacher transfer.
 
 The base objective is temperature-scaled soft-target distillation: the
 frozen source's tempered softmax is the target distribution and the
@@ -13,10 +13,17 @@ matrices of pre-head features.
 
 Every objective is assembled from tape ops, so analytic gradients flow to
 the adapting student only; frozen sources enter as constants.
+
+Zoo training, single-teacher and multi-teacher transfer all run the one
+minibatch-SGD loop here (``sgd_epochs``), pick per-sample sources with the
+one confidence rule (``confidence_winner``), and build their before/after
+report with ``ValBaseline``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +33,9 @@ from .analysis import (
     FlipStats,
     PairReport,
     correct_flags,
+    flip_stats_from_flags,
     knowledge_gain_loss,
     per_class_gain,
-    positive_flips,
     transfer_rate,
 )
 from .autodiff import (
@@ -58,17 +65,23 @@ __all__ = [
     "PartitionMask",
     "EpochTrace",
     "TransferResult",
+    "ValBaseline",
     "default_hyperparams",
-    "soft_targets",
+    "soft_target_kl",
     "kl_loss",
     "xe_loss",
     "xe_kl_loss",
     "mcl_interpolate",
+    "confidence_winner",
+    "winner_logprobs",
     "dp_masks_supervised",
     "dp_masks_unsupervised",
     "dp_loss",
     "topk_restricted_kl",
     "cd_loss",
+    "check_teacher",
+    "checkpoint_of",
+    "sgd_epochs",
     "run_transfer",
 ]
 
@@ -104,6 +117,10 @@ class TransferHyperparams:
     topk: int | None = None
 
     def __post_init__(self):
+        try:
+            SgdState(lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
+        except ValueError as e:
+            raise TransferError(str(e)) from e
         if self.temperature <= 0:
             raise TransferError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.lam <= 1.0:
@@ -191,18 +208,11 @@ def _temper(z: np.ndarray, temperature: float) -> np.ndarray:
     return z * (1.0 / temperature)
 
 
-def soft_targets(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Tempered softmax rows of a frozen source."""
-    if temperature <= 0:
-        raise TransferError(f"temperature must be positive, got {temperature}")
-    return np_softmax(_temper(np.asarray(logits, dtype=np.float64), temperature))
-
-
 def _as_student(student_logits) -> Tensor:
     return student_logits if isinstance(student_logits, Tensor) else Tensor(student_logits)
 
 
-def _soft_target_kl(student_logits: Tensor, target_logprobs: np.ndarray, temperature: float) -> Tensor:
+def soft_target_kl(student_logits: Tensor, target_logprobs: np.ndarray, temperature: float) -> Tensor:
     """(T^2/n) * sum_i KL(target_i || student_i) with a constant target.
 
     The shared arithmetic path for plain, partitioned, and multi-source
@@ -226,7 +236,7 @@ def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> Tensor:
         raise TransferError(f"temperature must be positive, got {temperature}")
     if student.data.shape != teacher.shape:
         raise ad.ShapeError("kl_loss", student.data.shape, teacher.shape)
-    return _soft_target_kl(student, np_log_softmax(_temper(teacher, temperature)), temperature)
+    return soft_target_kl(student, np_log_softmax(_temper(teacher, temperature)), temperature)
 
 
 def xe_loss(student_logits, labels) -> Tensor:
@@ -267,37 +277,48 @@ def mcl_interpolate(state: MclState, iteration: int) -> None:
             state.slow[name] = state.tau * slow + (1.0 - state.tau) * fast
 
 
+def confidence_winner(source_logits, labels=None) -> np.ndarray:
+    """Per sample, the index of the most confident frozen source: the one
+    putting the highest probability on the ground-truth class when labels
+    are given, else the one with the highest maximum probability.  Ties go to
+    the lowest index, so callers put the frozen student first."""
+    probs = [np_softmax(z) for z in source_logits]
+    if labels is None:
+        conf = np.stack([p.max(axis=1) for p in probs])
+    else:
+        rows = np.arange(probs[0].shape[0])
+        conf = np.stack([p[rows, labels] for p in probs])
+    return np.argmax(conf, axis=0)
+
+
+def winner_logprobs(winner: np.ndarray, source_logits, temperature: float) -> np.ndarray:
+    """Per sample, the tempered log-probabilities of the source that won it."""
+    out = np.empty(source_logits[0].shape)
+    for s, z in enumerate(source_logits):
+        rows = winner == s
+        if rows.any():
+            out[rows] = np_log_softmax(_temper(z[rows], temperature))
+    return out
+
+
+def _teacher_partition(op: str, teacher_logits, st_logits, labels=None) -> PartitionMask:
+    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
+    st_logits = np.asarray(st_logits, dtype=np.float64)
+    if teacher_logits.shape != st_logits.shape:
+        raise ad.ShapeError(op, teacher_logits.shape, st_logits.shape)
+    m_t = confidence_winner([st_logits, teacher_logits], labels) == 1
+    return PartitionMask(m_t, ~m_t)
+
+
 def dp_masks_supervised(teacher_logits, st_logits, labels) -> PartitionMask:
     """Assign each sample to whichever frozen model puts the higher
     probability on its ground-truth class; ties retain the student-teacher."""
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    st_logits = np.asarray(st_logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if teacher_logits.shape != st_logits.shape:
-        raise ad.ShapeError("dp_masks_supervised", teacher_logits.shape, st_logits.shape)
-    rows = np.arange(teacher_logits.shape[0])
-    p_t = np_softmax(teacher_logits)[rows, labels]
-    p_st = np_softmax(st_logits)[rows, labels]
-    m_t = p_t > p_st
-    return PartitionMask(m_t, ~m_t)
+    return _teacher_partition("dp_masks_supervised", teacher_logits, st_logits, np.asarray(labels))
 
 
 def dp_masks_unsupervised(teacher_logits, st_logits) -> PartitionMask:
     """Label-free variant: compare maximum prediction probabilities."""
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    st_logits = np.asarray(st_logits, dtype=np.float64)
-    if teacher_logits.shape != st_logits.shape:
-        raise ad.ShapeError("dp_masks_unsupervised", teacher_logits.shape, st_logits.shape)
-    m_t = np_softmax(teacher_logits).max(axis=1) > np_softmax(st_logits).max(axis=1)
-    return PartitionMask(m_t, ~m_t)
-
-
-def _select_target_logprobs(
-    mask: PartitionMask, teacher_logits: np.ndarray, st_logits: np.ndarray, temperature: float
-) -> np.ndarray:
-    lt = np_log_softmax(_temper(teacher_logits, temperature))
-    lst = np_log_softmax(_temper(st_logits, temperature))
-    return np.where(mask.m_t[:, None], lt, lst)
+    return _teacher_partition("dp_masks_unsupervised", teacher_logits, st_logits)
 
 
 def dp_loss(student_logits, teacher_logits, st_logits, mask: PartitionMask, temperature: float = 1.0) -> Tensor:
@@ -312,8 +333,8 @@ def dp_loss(student_logits, teacher_logits, st_logits, mask: PartitionMask, temp
         raise ad.ShapeError("dp_loss", student.data.shape, teacher_logits.shape)
     if mask.m_t.shape[0] != teacher_logits.shape[0]:
         raise TransferError("mask length does not match the batch")
-    targets = _select_target_logprobs(mask, teacher_logits, st_logits, temperature)
-    return _soft_target_kl(student, targets, temperature)
+    targets = winner_logprobs(mask.m_t.astype(np.intp), [st_logits, teacher_logits], temperature)
+    return soft_target_kl(student, targets, temperature)
 
 
 def topk_restricted_kl(student_logits, teacher_logits, temperature: float, k: int) -> Tensor:
@@ -361,6 +382,8 @@ def cd_loss(student_feats, teacher_feats) -> Tensor:
     # same einsum path as the student-side gram op, so equal features give
     # bit-equal similarity matrices and an exactly zero loss
     target_logprobs = np_log_softmax(ad._mm_nt(unit_t, unit_t))
+    if np.any(np.linalg.norm(student.data, axis=1) == 0.0):
+        raise TransferError("cd_loss: zero-norm student feature")
     sim_s = gram(l2_normalize_rows(student))
     ls = log_softmax(sim_s)
     weights = -np.exp(target_logprobs) / n
@@ -369,26 +392,131 @@ def cd_loss(student_feats, teacher_feats) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# transfer loop
+# the shared training loop and before/after report
 
 
-def _eval_checkpoint(spec, params: dict[str, Tensor], base: Checkpoint) -> Checkpoint:
-    arrays = {k: params[k].data.copy() for k in base.params}
-    return Checkpoint(spec, arrays, dict(base.meta))
+def check_teacher(student_spec, teacher_ck: Checkpoint, name: str) -> None:
+    """Reject a teacher whose classes or input shape differ from the student's."""
+    if teacher_ck.spec.num_classes != student_spec.num_classes:
+        raise TransferError(
+            f"teacher {name}: class-count mismatch: teacher {teacher_ck.spec.num_classes}, "
+            f"student {student_spec.num_classes}"
+        )
+    if teacher_ck.spec.input_shape != student_spec.input_shape:
+        raise TransferError(f"teacher {name}: input-shape mismatch")
 
 
-def _gain_loss(before_correct, after_correct, flips: FlipStats) -> tuple[float, float]:
-    """Per-run gain/loss; gain is 0 when there is nothing to transfer."""
-    if flips.total == 0:
-        lost = float((before_correct & ~after_correct).sum())
-        total_before = float(before_correct.sum())
-        return 0.0, lost / total_before if total_before else 0.0
-    return knowledge_gain_loss(before_correct, after_correct, flips.per_sample_flags)
+def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, batch_size: int,
+               seed: int, loss_fn, diverged, after_step=None):
+    """Minibatch SGD over ``epochs`` seeded shuffles of ``n`` samples; yields
+    each epoch's step losses so the caller can do its per-epoch work (or stop).
+
+    ``loss_fn(b)`` builds the loss of the batch with sample indices ``b``
+    under an active tape.  A non-finite loss raises ``diverged(epoch, step,
+    value)``.  ``after_step()``, when given, runs after every update.
+    """
+    for epoch in range(epochs):
+        perm = epoch_permutation(n, seed, epoch)
+        losses = []
+        for step, start in enumerate(range(0, n, batch_size)):
+            # overflow in a diverging run surfaces as a non-finite loss below
+            with np.errstate(all="ignore"), Tape() as tape:
+                loss = loss_fn(perm[start : start + batch_size])
+            value = loss.item()
+            if not np.isfinite(value):
+                raise diverged(epoch, step, value)
+            losses.append(value)
+            backward(tape, loss)
+            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+            sgd_step({k: params[k] for k in grads}, grads, opt)
+            if after_step is not None:
+                after_step()
+        yield losses
 
 
-def _batches(perm: np.ndarray, batch_size: int):
-    for start in range(0, perm.size, batch_size):
-        yield perm[start : start + batch_size]
+def checkpoint_of(base: Checkpoint, params: dict[str, Tensor]) -> Checkpoint:
+    """A checkpoint of base's parameters, valued from the trained tensors."""
+    return Checkpoint(base.spec, {k: params[k].data.copy() for k in base.params}, dict(base.meta))
+
+
+@dataclass
+class ValBaseline:
+    """A student's validation standing before transfer from one or more
+    teachers.  The flips are the union of the teachers' positive flips (for a
+    single teacher, its own)."""
+
+    val_set: Dataset
+    before_correct: np.ndarray
+    teacher_accs: list[float]
+    flips: FlipStats
+
+    @classmethod
+    def measure(cls, student_ck: Checkpoint, teachers, val_set: Dataset) -> "ValBaseline":
+        y = val_set.labels
+        before = correct_flags(predict_logits(student_ck, val_set.inputs), y)
+        any_teacher_correct = np.zeros(val_set.n, dtype=bool)
+        accs = []
+        for t in teachers:
+            correct = correct_flags(predict_logits(t, val_set.inputs), y)
+            accs.append(float(correct.mean()))
+            any_teacher_correct |= correct
+        flips = flip_stats_from_flags(any_teacher_correct & ~before, y, student_ck.spec.num_classes)
+        return cls(val_set, before, accs, flips)
+
+    @property
+    def acc_before(self) -> float:
+        return float(self.before_correct.mean())
+
+    def correct(self, ck: Checkpoint) -> np.ndarray:
+        return correct_flags(predict_logits(ck, self.val_set.inputs), self.val_set.labels)
+
+    def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
+        """Per-run gain/loss; gain is 0 when there is nothing to transfer."""
+        if self.flips.total == 0:
+            lost = float((self.before_correct & ~after_correct).sum())
+            total_before = float(self.before_correct.sum())
+            return 0.0, lost / total_before if total_before else 0.0
+        return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
+
+    def epoch_trace(self, losses: list[float], ck: Checkpoint, share: float | None = None) -> EpochTrace:
+        now = self.correct(ck)
+        gain, loss_share = self.gain_loss(now)
+        return EpochTrace(
+            train_loss=float(np.mean(losses)) if losses else float("nan"),
+            val_accuracy=float(now.mean()),
+            gain=gain,
+            loss=loss_share,
+            mask_teacher_share=share,
+        )
+
+    def result(self, method: str, hp: TransferHyperparams, per_epoch: list[EpochTrace],
+               student_after: Checkpoint, teacher: str, student: str, meta: dict,
+               extras: dict) -> TransferResult:
+        """Evaluate the transferred student and report it against the baseline;
+        ``meta`` goes into its checkpoint, ``extras`` into the result."""
+        y = self.val_set.labels
+        after_correct = self.correct(student_after)
+        acc_after = float(after_correct.mean())
+        gain, loss_share = self.gain_loss(after_correct)
+        report = PairReport(
+            teacher=teacher,
+            student=student,
+            delta_acc=max(self.teacher_accs) - self.acc_before,
+            delta_transf=acc_after - self.acc_before,
+            knowledge_gain=gain,
+            knowledge_loss=loss_share,
+            per_class_gain=tuple(float(v) for v in per_class_gain(self.flips, after_correct, y)),
+        )
+        student_after.meta.update({"val_accuracy": acc_after, **meta})
+        return TransferResult(
+            method=method,
+            hyperparams=hp,
+            report=report,
+            per_epoch=per_epoch,
+            student_after=student_after,
+            rate=transfer_rate(self.flips, after_correct, y) if self.flips.total else None,
+            extras={"acc_before": self.acc_before, **extras, "rho_pos": self.flips.rho_pos},
+        )
 
 
 class _CdContext:
@@ -442,19 +570,11 @@ def run_transfer(
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     spec = student_ck.spec
-    if teacher_ck.spec.num_classes != spec.num_classes:
-        raise TransferError(
-            f"class-count mismatch: teacher {teacher_ck.spec.num_classes}, "
-            f"student {spec.num_classes}"
-        )
-    if teacher_ck.spec.input_shape != spec.input_shape:
-        raise TransferError("teacher and student disagree on input shape")
+    check_teacher(spec, teacher_ck, teacher_name)
     if transfer_set.num_classes != spec.num_classes or val_set.num_classes != spec.num_classes:
         raise TransferError("dataset class count does not match the models")
 
     x_tr, y_tr = transfer_set.inputs, transfer_set.labels
-    x_val, y_val = val_set.inputs, val_set.labels
-    n = transfer_set.n
 
     # frozen sources, cached on the full transfer set
     # f_st: frozen retention reference; by default a copy of the initial student
@@ -469,20 +589,14 @@ def run_transfer(
         mask = dp_masks_unsupervised(z_teacher, z_st)
 
     cd_ctx = _CdContext(student_ck, teacher_ck, x_tr, hp.seed) if method == "cd" else None
-
-    # pre-transfer baselines on the validation set
-    val_student_before = predict_logits(student_ck, x_val)
-    val_teacher = predict_logits(teacher_ck, x_val)
-    before_correct = correct_flags(val_student_before, y_val)
-    acc_before = float(before_correct.mean())
-    acc_teacher = float(correct_flags(val_teacher, y_val).mean())
-    flips_before = positive_flips(val_teacher, val_student_before, y_val)
+    baseline = ValBaseline.measure(student_ck, [teacher_ck], val_set)
 
     params = as_tensors(student_ck, requires_grad=True)
     if cd_ctx is not None:
         cd_ctx.attach(params)
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
     mcl = None
+    after_step = None
     if method == "xe_kl_mcl":
         mcl = MclState(
             slow={k: v.copy() for k, v in student_ck.params.items()},
@@ -490,99 +604,46 @@ def run_transfer(
             tau=hp.mcl_tau,
             every=hp.mcl_every,
         )
+        iterations = itertools.count(1)
+        after_step = lambda: mcl_interpolate(mcl, next(iterations))
     drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
     temp = hp.temperature
-    iteration = 0
+
+    def loss_fn(b):
+        logits, feats = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
+        if method == "kl":
+            if hp.topk is not None:
+                return topk_restricted_kl(logits, z_teacher[b], temp, hp.topk)
+            return kl_loss(logits, z_teacher[b], temp)
+        if method in ("xe_kl", "xe_kl_mcl"):
+            return xe_kl_loss(logits, z_teacher[b], y_tr[b], hp.lam, temp)
+        if method in ("kl_dp_sup", "kl_dp_unsup"):
+            return dp_loss(logits, z_teacher[b], z_st[b], mask.slice(b), temp)
+        xe = xe_loss(logits, y_tr[b])  # cd
+        if b.size < 2:
+            return scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
+        cd = cd_loss(cd_ctx.student_side(feats, params), cd_ctx.teacher_feats[b])
+        return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
+
+    def trained_params() -> dict[str, Tensor]:
+        return {k: Tensor(v) for k, v in mcl.slow.items()} if mcl is not None else params
+
     per_epoch: list[EpochTrace] = []
-
-    for epoch in range(hp.epochs):
-        perm = epoch_permutation(n, hp.seed, epoch)
-        losses = []
-        for step, b in enumerate(_batches(perm, hp.batch_size)):
-            xb = Tensor(x_tr[b])
-            # overflow in a diverging run surfaces as a non-finite loss below
-            with np.errstate(all="ignore"), Tape() as tape:
-                logits, feats = model_forward(spec, params, xb, train=True, dropout_rng=drop_rng)
-                if method == "kl":
-                    if hp.topk is not None:
-                        loss = topk_restricted_kl(logits, z_teacher[b], temp, hp.topk)
-                    else:
-                        loss = kl_loss(logits, z_teacher[b], temp)
-                elif method in ("xe_kl", "xe_kl_mcl"):
-                    loss = xe_kl_loss(logits, z_teacher[b], y_tr[b], hp.lam, temp)
-                elif method in ("kl_dp_sup", "kl_dp_unsup"):
-                    loss = dp_loss(logits, z_teacher[b], z_st[b], mask.slice(b), temp)
-                else:  # cd
-                    xe = xe_loss(logits, y_tr[b])
-                    if b.size >= 2:
-                        cd = cd_loss(cd_ctx.student_side(feats, params), cd_ctx.teacher_feats[b])
-                        loss = ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
-                    else:
-                        loss = scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TransferDivergedError(method, epoch, step, value)
-            losses.append(value)
-            backward(tape, loss)
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            sgd_step({k: params[k] for k in grads}, grads, opt)
-            iteration += 1
-            if mcl is not None:
-                mcl_interpolate(mcl, iteration)
-
-        eval_params = (
-            {k: Tensor(v) for k, v in mcl.slow.items()} if mcl is not None else params
-        )
-        eval_ck = _eval_checkpoint(spec, eval_params, student_ck)
-        val_logits = predict_logits(eval_ck, x_val)
-        now_correct = correct_flags(val_logits, y_val)
-        gain, loss_share = _gain_loss(before_correct, now_correct, flips_before)
-        trace = EpochTrace(
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            val_accuracy=float(now_correct.mean()),
-            gain=gain,
-            loss=loss_share,
-            mask_teacher_share=mask.teacher_share if mask is not None else None,
+    for losses in sgd_epochs(
+        params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
+        functools.partial(TransferDivergedError, method), after_step,
+    ):
+        trace = baseline.epoch_trace(
+            losses,
+            checkpoint_of(student_ck, trained_params()),
+            mask.teacher_share if mask is not None else None,
         )
         if mcl is not None:
-            fast_ck = _eval_checkpoint(spec, params, student_ck)
-            trace.fast_val_accuracy = float(
-                correct_flags(predict_logits(fast_ck, x_val), y_val).mean()
-            )
+            trace.fast_val_accuracy = float(baseline.correct(checkpoint_of(student_ck, params)).mean())
         per_epoch.append(trace)
 
-    final_params = {k: Tensor(v) for k, v in mcl.slow.items()} if mcl is not None else params
-    student_after = _eval_checkpoint(spec, {k: final_params[k] for k in student_ck.params}, student_ck)
-    val_after = predict_logits(student_after, x_val)
-    after_correct = correct_flags(val_after, y_val)
-    acc_after = float(after_correct.mean())
-    gain, loss_share = _gain_loss(before_correct, after_correct, flips_before)
-    rate = (
-        transfer_rate(flips_before, after_correct, y_val) if flips_before.total > 0 else None
-    )
-    pcg = per_class_gain(flips_before, after_correct, y_val)
-    report = PairReport(
-        teacher=teacher_name,
-        student=student_name,
-        delta_acc=acc_teacher - acc_before,
-        delta_transf=acc_after - acc_before,
-        knowledge_gain=gain,
-        knowledge_loss=loss_share,
-        per_class_gain=tuple(float(v) for v in pcg),
-    )
-    student_after.meta.update(
-        {"val_accuracy": acc_after, "transfer_method": method, "teacher": teacher_name}
-    )
-    return TransferResult(
-        method=method,
-        hyperparams=hp,
-        report=report,
-        per_epoch=per_epoch,
-        student_after=student_after,
-        rate=rate,
-        extras={
-            "acc_before": acc_before,
-            "acc_teacher": acc_teacher,
-            "rho_pos": flips_before.rho_pos,
-        },
+    return baseline.result(
+        method, hp, per_epoch, checkpoint_of(student_ck, trained_params()), teacher_name, student_name,
+        meta={"transfer_method": method, "teacher": teacher_name},
+        extras={"acc_teacher": baseline.teacher_accs[0]},
     )

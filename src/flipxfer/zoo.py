@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import SgdState, Tape, Tensor, backward, sgd_step
-from .data import Dataset, augment_batch, epoch_permutation
+from .autodiff import SgdState, Tensor
+from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits, save
-from .transfer import xe_loss
+from .transfer import checkpoint_of, sgd_epochs, xe_loss
 from .analysis import correct_flags
 
 __all__ = [
@@ -52,6 +52,13 @@ class TrainConfig:
     init_seed: int = 0
     order_seed: int = 0
     plateau_patience: int | None = None
+
+    def __post_init__(self):
+        SgdState(lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError(
+                f"epochs must be nonnegative and batch_size positive, got {self.epochs} and {self.batch_size}"
+            )
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -105,32 +112,26 @@ def train_model(
     opt = SgdState(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     drop_rng = np.random.default_rng(np.random.SeedSequence([cfg.order_seed, 0xD1]))
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.order_seed, 0xA6]))
+
+    def loss_fn(b):
+        xb = augment_batch(train.inputs[b], cfg.augment_noise, aug_rng)
+        logits, _ = model_forward(spec, params, Tensor(xb), train=True, dropout_rng=drop_rng)
+        return xe_loss(logits, train.labels[b])
+
     best_acc, stale = -1.0, 0
-    for epoch in range(cfg.epochs):
-        perm = epoch_permutation(train.n, cfg.order_seed, epoch)
-        for start in range(0, train.n, cfg.batch_size):
-            b = perm[start : start + cfg.batch_size]
-            xb = augment_batch(train.inputs[b], cfg.augment_noise, aug_rng)
-            # overflow in a diverging run surfaces as a non-finite loss below
-            with np.errstate(all="ignore"), Tape() as tape:
-                logits, _ = model_forward(spec, params, Tensor(xb), train=True, dropout_rng=drop_rng)
-                loss = xe_loss(logits, train.labels[b])
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergedError(name, epoch, value)
-            backward(tape, loss)
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            sgd_step({k: params[k] for k in grads}, grads, opt)
+    for _ in sgd_epochs(
+        params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn,
+        lambda epoch, step, value: TrainingDivergedError(name, epoch, value),
+    ):
         if cfg.plateau_patience is not None:
-            snapshot = Checkpoint(spec, {k: v.data.copy() for k, v in params.items()}, {})
-            acc = float(correct_flags(predict_logits(snapshot, val.inputs), val.labels).mean())
+            acc = float(correct_flags(predict_logits(checkpoint_of(ck, params), val.inputs), val.labels).mean())
             if acc > best_acc + 1e-12:
                 best_acc, stale = acc, 0
             else:
                 stale += 1
                 if stale >= cfg.plateau_patience:
                     break
-    out = Checkpoint(spec, {k: v.data.copy() for k, v in params.items()}, {})
+    out = checkpoint_of(ck, params)
     val_acc = float(correct_flags(predict_logits(out, val.inputs), val.labels).mean())
     out.meta = {
         "seed": cfg.init_seed,
@@ -159,35 +160,22 @@ def pretrain_zoo(
         raise ValueError("model names must be unique and match the spec list")
     entries: list[ZooEntry] = []
     for name, (spec, cfg) in zip(names, specs):
-        fname = f"{name}.ckpt"
+        entry = ZooEntry(
+            name=name,
+            path=f"{name}.ckpt",
+            spec_digest=spec.digest(),
+            family=spec.family,
+            train_config=asdict(cfg),
+            val_accuracy=float("nan"),
+            seed=cfg.init_seed,
+        )
         try:
             ck = train_model(spec, cfg, train, val, name=name)
-            save(ck, os.path.join(out_dir, fname))
-            entries.append(
-                ZooEntry(
-                    name=name,
-                    path=fname,
-                    spec_digest=spec.digest(),
-                    family=spec.family,
-                    train_config=asdict(cfg),
-                    val_accuracy=ck.meta["val_accuracy"],
-                    seed=cfg.init_seed,
-                )
-            )
+            save(ck, os.path.join(out_dir, entry.path))
+            entry.val_accuracy = ck.meta["val_accuracy"]
         except TrainingDivergedError as e:
-            entries.append(
-                ZooEntry(
-                    name=name,
-                    path=fname,
-                    spec_digest=spec.digest(),
-                    family=spec.family,
-                    train_config=asdict(cfg),
-                    val_accuracy=float("nan"),
-                    seed=cfg.init_seed,
-                    failed=True,
-                    error=str(e),
-                )
-            )
+            entry.failed, entry.error = True, str(e)
+        entries.append(entry)
     entries.sort(key=lambda e: (e.family, e.val_accuracy if not e.failed else -1.0, e.name))
     manifest = ZooManifest(entries=entries, root=str(out_dir))
     save_manifest(manifest, os.path.join(out_dir, "manifest.json"))

@@ -148,11 +148,6 @@ def test_grad_log_softmax():
     check_op(lambda: ad.weighted_sum(ad.log_softmax(x), wts), {"x": x})
 
 
-def test_grad_mean():
-    x = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
-    check_op(lambda: ad.mean(x), {"x": x})
-
-
 def test_grad_gather_cols():
     x = Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
     idx = np.stack([RNG.permutation(6)[:3] for _ in range(4)])

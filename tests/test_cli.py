@@ -255,6 +255,45 @@ def test_transfer_unknown_method_exits_2(zoo_dir, tmp_path, capsys):
     assert "kl_dp_sup" in err and "xe_kl_mcl" in err  # lists valid methods
 
 
+def _bad_zoo_train(**train):
+    def make(zoo_dir, out):
+        doc = _zoo_config(out)
+        doc["zoo"]["models"][1]["train"].update(train)
+        return "zoo", doc
+    return make
+
+
+def _bad_transfer(method="kl_dp_sup", multi=None, **hp):
+    def make(zoo_dir, out):
+        doc = _transfer_config(zoo_dir, out, method=method, **hp)
+        if multi is not None:
+            doc["transfer"]["teacher"] = None
+            doc["transfer"]["multi"] = {"teachers": ["wide", "mid"], **multi}
+        return "transfer", doc
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (_bad_transfer(lr=-1), "lr"),
+        (_bad_transfer(lr="x"), "lr"),
+        (_bad_transfer(momentum=1.5), "momentum"),
+        (_bad_zoo_train(lr=-1), "lr"),
+        (_bad_zoo_train(batch_size=0), "batch_size"),
+        (_bad_transfer(multi={"mode": "parallel", "order": "sideways"}), "order"),
+        (_bad_transfer(method="xe_kl", multi={"mode": "soup"}), "xe_kl"),
+    ],
+    ids=["hp_lr_negative", "hp_lr_string", "hp_momentum", "zoo_lr_negative", "zoo_batch_size_zero",
+         "multi_order", "multi_method"],
+)
+def test_bad_config_value_exits_2_naming_key(zoo_dir, tmp_path, capsys, make, key):
+    command, doc = make(zoo_dir, tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_transfer_rerun_from_resolved_config_identical_bytes(zoo_dir, tmp_path):
     out = tmp_path / "tr"
     cfg = tmp_path / "tr.json"

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -122,20 +125,42 @@ def test_truncated_payload_detected(tmp_path):
     assert "declares" in str(exc.value)
 
 
-def test_header_shape_disagreement_detected(tmp_path):
-    import json
-    import struct
-
-    path = tmp_path / "model.ckpt"
+def _rewrite_header(path, edit):
+    """Save a checkpoint, then replace its JSON header with edit(header)."""
     save(build(MLP, seed=0), path)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[5:9])
-    header = json.loads(raw[9 : 9 + hlen])
-    header["shapes"]["fc1.w"] = [32, 15]
-    blob = json.dumps(header, sort_keys=True).encode()
+    blob = json.dumps(edit(json.loads(raw[9 : 9 + hlen])), sort_keys=True).encode()
     path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+
+
+def test_header_shape_disagreement_detected(tmp_path):
+    def edit(header):
+        header["shapes"]["fc1.w"] = [32, 15]
+        return header
+
+    _rewrite_header(tmp_path / "model.ckpt", edit)
     with pytest.raises(HeaderMismatchError):
-        load(path)
+        load(tmp_path / "model.ckpt")
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _family(name):
+    return lambda header: {**header, "spec": {**header["spec"], "family": name}}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_without("spec"), _without("shapes"), lambda header: [header], _family("transformer")],
+    ids=["no_spec", "no_shapes", "json_list", "unknown_family"],
+)
+def test_malformed_header_is_header_mismatch(tmp_path, edit):
+    _rewrite_header(tmp_path / "model.ckpt", edit)
+    with pytest.raises(HeaderMismatchError, match="malformed header"):
+        load(tmp_path / "model.ckpt")
 
 
 def test_empty_file_rejected(tmp_path):
