@@ -1,8 +1,10 @@
 """Command-line entry point: zoo / flips / transfer / sweep.
 
-Every command takes a JSON config (``--config``), rejects unknown keys,
-fills defaults, and writes the fully-resolved config beside its outputs so
-any run can be reproduced byte-for-byte from ``config.resolved.json``.
+Every command takes a JSON config (``--config``). One resolver checks each
+section against the dataclass that consumes it: it rejects unknown keys,
+fills defaults and types every value by one rule (``_typed``). The
+fully-resolved config is written beside the outputs so any run can be
+reproduced byte-for-byte from ``config.resolved.json``.
 Logging goes to stderr; stdout stays silent unless ``--json`` asks for the
 machine-readable summary.  Exit codes: 0 ok, 2 config error, 3 runtime
 failure.
@@ -14,15 +16,19 @@ emitted JSON/CSV (0.01 = one accuracy point).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, fields
+from dataclasses import MISSING, asdict, astuple, fields
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .analysis import (
+    AnalysisError,
     NoFlipsError,
     binned_top_quartile_delta,
     flip_entropy,
@@ -31,13 +37,11 @@ from .analysis import (
     success_rate,
     top_share_classes,
 )
-from .data import DataError, Dataset, SyntheticConfig, generate_synthetic, load_idx, stratified_subsample
+from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, predict_logits, save
 from .multiteacher import (
-    MODES,
-    ORDERS,
-    PLAN_METHODS,
     MultiTeacherPlan,
+    check_plan,
     parallel_transfer,
     sequential_transfer,
     soup_transfer,
@@ -91,76 +95,91 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _check_keys(obj: dict, allowed, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
+REQUIRED = MISSING  # the default of a key that must be given
+_field_types = functools.cache(get_type_hints)  # evaluates annotations once per dataclass
+
+
+def _typed(value, hint, key: str):
+    """The one rule that turns a JSON value into a field's type.
+
+    An int takes a JSON integer (never a boolean), a float any JSON number,
+    stored as float, a str a string, a bool a boolean and a dict an object;
+    a list or tuple of T takes a JSON list of T, and ``T | None`` also takes
+    null. Anything else is a ConfigError naming the dotted ``key``.
+    """
+    base = hint
+    if get_origin(hint) in (Union, UnionType):
+        if value is None:
+            return None
+        (base,) = (a for a in get_args(hint) if a is not type(None))
+    if get_origin(base) in (list, tuple) and type(value) is list:
+        item = get_args(base)[0]
+        return get_origin(base)(_typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+    if base is float and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    elif type(value) is base:
+        return value
+    raise ConfigError(f"{key}: expected {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
+
+
+def _resolve(section, path: str, consumer=None, *, skip=(), **keys) -> dict:
+    """Check one config section; return every key typed, defaults filled.
+
+    The allowed keys are the fields of ``consumer`` -- the dataclass that
+    takes the section, or an instance of it whose values replace the field
+    defaults -- less ``skip``, the fields the CLI fills in itself, plus
+    ``keys``: ``name=(type, default)`` for keys no dataclass takes. Unknown
+    keys are rejected and a key whose default is REQUIRED must be given.
+    ``path`` is the section's dotted key, "" for the top level.
+    """
+    if consumer is not None:
+        hints = _field_types(consumer if isinstance(consumer, type) else type(consumer))
+        keys = {
+            f.name: (hints[f.name], getattr(consumer, f.name, REQUIRED))
+            for f in fields(consumer)
+            if f.name not in skip
+        } | keys
+    where = path or "config"
+    if type(section) is not dict:
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj or obj[key] is None:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return obj[key]
-
-
-def _resolve_synthetic(d: dict) -> dict:
-    _check_keys(
-        d,
-        {
-            "classes",
-            "dims",
-            "image_size",
-            "modes_per_class",
-            "label_noise",
-            "sigma",
-            "anchor_scale",
-            "anchor_seed",
-            "train",
-            "val",
-        },
-        "dataset.synthetic",
-    )
-    train = _require(d, "train", "dataset.synthetic")
-    val = _require(d, "val", "dataset.synthetic")
-    for name, section in (("train", train), ("val", val)):
-        _check_keys(section, {"samples", "seed"}, f"dataset.synthetic.{name}")
-        _require(section, "samples", f"dataset.synthetic.{name}")
-        _require(section, "seed", f"dataset.synthetic.{name}")
-    out = {
-        "classes": int(_require(d, "classes", "dataset.synthetic")),
-        "dims": d.get("dims"),
-        "image_size": d.get("image_size"),
-        "modes_per_class": int(d.get("modes_per_class", 1)),
-        "label_noise": float(d.get("label_noise", 0.0)),
-        "sigma": float(d.get("sigma", 1.0)),
-        "anchor_scale": float(d.get("anchor_scale", 4.0)),
-        "anchor_seed": int(d.get("anchor_seed", train["seed"])),
-        "train": {"samples": int(train["samples"]), "seed": int(train["seed"])},
-        "val": {"samples": int(val["samples"]), "seed": int(val["seed"])},
-    }
-    if train["seed"] == val["seed"]:
-        raise ConfigError("dataset.synthetic: train and val seeds must differ")
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(keys)}")
+    out = {}
+    for name, (hint, default) in keys.items():
+        if name in section:
+            out[name] = _typed(section[name], hint, f"{path}.{name}" if path else name)
+        elif default is REQUIRED:
+            raise ConfigError(f"{where}: missing required key {name!r}")
+        else:
+            out[name] = default
     return out
 
 
 def _resolve_dataset(d: dict) -> dict:
-    _check_keys(d, {"synthetic", "idx", "subsample_fraction", "subsample_seed"}, "dataset")
-    if ("synthetic" in d) == ("idx" in d):
+    r = _resolve(
+        d, "dataset",
+        synthetic=(dict | None, None), idx=(dict | None, None),
+        subsample_fraction=(float, 1.0), subsample_seed=(int, 0),
+    )
+    if (r["synthetic"] is None) == (r["idx"] is None):
         raise ConfigError("dataset: exactly one of 'synthetic' or 'idx' must be given")
-    out = {
-        "subsample_fraction": float(d.get("subsample_fraction", 1.0)),
-        "subsample_seed": int(d.get("subsample_seed", 0)),
-    }
-    if "synthetic" in d:
-        out["synthetic"] = _resolve_synthetic(d["synthetic"])
+    if r["synthetic"] is not None:
+        s = r["synthetic"] = _resolve(
+            r["synthetic"], "dataset.synthetic", SyntheticConfig, skip=("samples", "seed"),
+            train=(dict, REQUIRED), val=(dict, REQUIRED),
+        )
+        for part in ("train", "val"):  # the draws' own sizes and seeds
+            s[part] = _resolve(s[part], f"dataset.synthetic.{part}", samples=(int, REQUIRED), seed=(int, REQUIRED))
     else:
-        idx = d["idx"]
-        _check_keys(idx, {"train_images", "train_labels", "val_images", "val_labels"}, "dataset.idx")
-        out["idx"] = {k: str(_require(idx, k, "dataset.idx")) for k in
-                      ("train_images", "train_labels", "val_images", "val_labels")}
-    return out
+        r["idx"] = _resolve(
+            r["idx"], "dataset.idx",
+            **{k: (str, REQUIRED) for k in ("train_images", "train_labels", "val_images", "val_labels")},
+        )
+    return {k: v for k, v in r.items() if v is not None}  # only the given source
 
 
 def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
@@ -169,12 +188,8 @@ def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
         s = resolved["synthetic"]
         common = {k: v for k, v in s.items() if k not in ("train", "val")}
         try:
-            train = generate_synthetic(
-                SyntheticConfig(samples=s["train"]["samples"], seed=s["train"]["seed"], **common)
-            )
-            val = generate_synthetic(
-                SyntheticConfig(samples=s["val"]["samples"], seed=s["val"]["seed"], **common)
-            )
+            cfg = SyntheticConfig(**common, **s["train"])
+            train, val = train_val_pair(cfg, s["val"]["samples"], s["val"]["seed"])
         except DataError as e:
             raise ConfigError(f"dataset.synthetic: {e}") from e
     else:
@@ -186,61 +201,39 @@ def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
     return train, val
 
 
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_HYPERPARAM_KEYS = {f.name for f in fields(TransferHyperparams)}
-
-
 def _resolve_zoo(d: dict) -> dict:
-    _check_keys(d, {"models"}, "zoo")
-    models = _require(d, "models", "zoo")
-    if not isinstance(models, list) or len(models) < 2:
+    models = _resolve(d, "zoo", models=(list[dict], REQUIRED))["models"]
+    if len(models) < 2:
         raise ConfigError("zoo.models: need a list of at least 2 model entries")
-    out = []
-    names = set()
+    out, names = [], set()
     for i, m in enumerate(models):
         path = f"zoo.models[{i}]"
-        _check_keys(m, {"name", "family", "depth", "width", "channels", "dropout", "train"}, path)
-        name = str(_require(m, "name", path))
-        if name in names:
-            raise ConfigError(f"{path}: duplicate model name {name!r}")
-        names.add(name)
-        train = dict(m.get("train", {}))
-        _check_keys(train, _TRAIN_KEYS, f"{path}.train")
-        try:
-            resolved_train = asdict(TrainConfig(**train))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{path}.train: {e}") from e
-        out.append(
-            {
-                "name": name,
-                "family": str(_require(m, "family", path)),
-                "depth": int(_require(m, "depth", path)),
-                "width": m.get("width"),
-                "channels": m.get("channels"),
-                "dropout": float(m.get("dropout", 0.0)),
-                "train": resolved_train,
-            }
+        m = _resolve(
+            m, path, ModelSpec, skip=("input_shape", "num_classes"), name=(str, REQUIRED), train=(dict, {})
         )
+        if m["name"] in names:
+            raise ConfigError(f"{path}: duplicate model name {m['name']!r}")
+        if os.sep in m["name"] or "\0" in m["name"]:  # it names the checkpoint file
+            raise ConfigError(f"{path}.name: {m['name']!r} is not a file name")
+        names.add(m["name"])
+        m["train"] = _resolve(m["train"], f"{path}.train", TrainConfig)
+        try:
+            TrainConfig(**m["train"])
+        except ValueError as e:
+            raise ConfigError(f"{path}.train: {e}") from e
+        out.append(m)
     return {"models": out}
 
 
 def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None, path: str) -> dict:
-    _check_keys(overrides, _HYPERPARAM_KEYS, path)
-    try:
-        hp = default_hyperparams(method, **overrides)
-    except (TransferError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from e
-    d = asdict(hp)
+    hp = _resolve(overrides, path, default_hyperparams(method))
     if seed_override is not None:
-        d["seed"] = int(seed_override)
-    return d
-
-
-def _resolve_filter(d: dict | None, path: str) -> dict:
-    d = d or {}
-    keys = [f.name for f in fields(PairFilter)]
-    _check_keys(d, keys, path)
-    return {k: d.get(k) for k in keys}
+        hp["seed"] = seed_override
+    try:
+        TransferHyperparams(**hp)
+    except TransferError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return hp
 
 
 def _write_json(path, doc) -> None:
@@ -271,39 +264,31 @@ def _emit(out_dir, resolved_config: dict, summary: dict, as_json: bool) -> None:
 
 
 def _prepare_out(cfg: dict, args) -> str:
-    out = args.out or cfg.get("out")
+    out = args.out or cfg["out"]
     if not out:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
     os.makedirs(out, exist_ok=True)
-    return str(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
+_OUT = (str | None, None)  # the top-level "out" key of every command
+
+
 def cmd_zoo(cfg: dict, args) -> int:
-    _check_keys(cfg, {"dataset", "zoo", "out"}, "config")
-    resolved = {
-        "dataset": _resolve_dataset(_require(cfg, "dataset", "config")),
-        "zoo": _resolve_zoo(_require(cfg, "zoo", "config")),
-    }
-    out_dir = _prepare_out(cfg, args)
-    resolved["out"] = out_dir
+    cfg = _resolve(cfg, "", dataset=(dict, REQUIRED), zoo=(dict, REQUIRED), out=_OUT)
+    resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "zoo": _resolve_zoo(cfg["zoo"])}
+    out_dir = resolved["out"] = _prepare_out(cfg, args)
     train, val = _build_datasets(resolved["dataset"])
     specs: list[tuple[ModelSpec, TrainConfig]] = []
     names: list[str] = []
     for m in resolved["zoo"]["models"]:
+        arch = {k: v for k, v in m.items() if k not in ("name", "train")} | {"channels": m["channels"] or None}
         try:
-            spec = ModelSpec(
-                family=m["family"],
-                depth=m["depth"],
-                input_shape=train.input_shape,
-                num_classes=train.num_classes,
-                width=m["width"],
-                channels=tuple(m["channels"]) if m["channels"] else None,
-                dropout=m["dropout"],
-            )
+            spec = ModelSpec(**arch, input_shape=train.input_shape, num_classes=train.num_classes)
         except ValueError as e:
             raise ConfigError(f"zoo.models[{m['name']}]: {e}") from e
         specs.append((spec, TrainConfig(**m["train"])))
@@ -326,24 +311,29 @@ def cmd_zoo(cfg: dict, args) -> int:
     return 0
 
 
-def _load_zoo(cfg: dict) -> ZooManifest:
-    manifest_path = _require(cfg, "manifest", "config")
+def _load_zoo(manifest_path: str) -> ZooManifest:
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     return load_manifest(manifest_path)
 
 
+def _checkpoint(manifest: ZooManifest, name: str, key: str):
+    names = [e.name for e in manifest.entries]
+    if name not in names:
+        raise ConfigError(f"{key}: no model {name!r} in the manifest; its models: {', '.join(names)}")
+    return manifest.load_checkpoint(name)
+
+
 def cmd_flips(cfg: dict, args) -> int:
-    _check_keys(cfg, {"manifest", "dataset", "pairs", "embeddings", "out"}, "config")
-    resolved = {
-        "manifest": str(_require(cfg, "manifest", "config")),
-        "dataset": _resolve_dataset(_require(cfg, "dataset", "config")),
-        "pairs": _resolve_filter(cfg.get("pairs"), "pairs"),
-        "embeddings": cfg.get("embeddings"),
+    cfg = _resolve(
+        cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED),
+        pairs=(dict | None, None), embeddings=(str | None, None), out=_OUT,
+    )
+    resolved = cfg | {
+        "dataset": _resolve_dataset(cfg["dataset"]), "pairs": _resolve(cfg["pairs"] or {}, "pairs", PairFilter)
     }
-    out_dir = _prepare_out(cfg, args)
-    resolved["out"] = out_dir
-    manifest = _load_zoo(resolved)
+    out_dir = resolved["out"] = _prepare_out(cfg, args)
+    manifest = _load_zoo(resolved["manifest"])
     _, val = _build_datasets(resolved["dataset"])
     flt = PairFilter(**resolved["pairs"])
     pairs = pair_grid(manifest, flt)
@@ -351,7 +341,10 @@ def cmd_flips(cfg: dict, args) -> int:
         raise ConfigError("no pairs matched the filter")
     emb = None
     if resolved["embeddings"]:
-        emb = np.loadtxt(resolved["embeddings"], delimiter=",", ndmin=2)
+        try:
+            emb = np.loadtxt(resolved["embeddings"], delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise ConfigError(f"embeddings: {resolved['embeddings']} is not a numeric CSV: {e}") from e
         if emb.shape[0] != val.num_classes:
             raise ConfigError(
                 f"embeddings: {emb.shape[0]} rows for {val.num_classes} classes"
@@ -420,65 +413,44 @@ def cmd_flips(cfg: dict, args) -> int:
 
 
 def cmd_transfer(cfg: dict, args) -> int:
-    _check_keys(cfg, {"manifest", "dataset", "transfer", "out"}, "config")
-    t = _require(cfg, "transfer", "config")
-    _check_keys(t, {"method", "teacher", "student", "hyperparams", "multi"}, "transfer")
-    method = str(_require(t, "method", "transfer"))
+    cfg = _resolve(
+        cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), transfer=(dict, REQUIRED), out=_OUT
+    )
+    t = _resolve(
+        cfg["transfer"], "transfer",
+        method=(str, REQUIRED), teacher=(str | None, None), student=(str, REQUIRED),
+        hyperparams=(dict | None, None), multi=(dict | None, None),
+    )
+    method = t["method"]
     if method not in METHODS:
         raise ConfigError(f"transfer.method: unknown method {method!r}; valid: {', '.join(METHODS)}")
-    if ("teacher" in t and t["teacher"] is not None) == ("multi" in t and t["multi"] is not None):
+    if (t["teacher"] is None) == (t["multi"] is None):
         raise ConfigError("transfer: exactly one of 'teacher' or 'multi' must be given")
-    multi = None
-    if t.get("multi") is not None:
-        _check_keys(
-            t["multi"],
-            {"mode", "teachers", "order", "retain_original_reference"},
-            "transfer.multi",
+    multi = t["multi"]
+    if multi is not None:
+        multi = t["multi"] = _resolve(
+            t["multi"], "transfer.multi", MultiTeacherPlan, skip=("teachers", "method", "teacher_names"),
+            teachers=(list[str], REQUIRED),
         )
-        mode = str(_require(t["multi"], "mode", "transfer.multi"))
-        if mode not in MODES:
-            raise ConfigError(f"transfer.multi.mode: unknown mode {mode!r}; valid: {', '.join(MODES)}")
-        order = str(t["multi"].get("order", "ascending"))
-        if order not in ORDERS:
-            raise ConfigError(f"transfer.multi.order: unknown order {order!r}; valid: {', '.join(ORDERS)}")
-        if method not in PLAN_METHODS:
-            raise ConfigError(
-                f"transfer.method: multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {method!r}"
-            )
-        teachers = _require(t["multi"], "teachers", "transfer.multi")
-        if not isinstance(teachers, list) or not teachers:
+        try:
+            check_plan(multi["mode"], multi["order"], method)
+        except TransferError as e:
+            raise ConfigError(f"transfer.multi: {e}") from e
+        if not multi["teachers"]:
             raise ConfigError("transfer.multi.teachers: need a non-empty list of zoo names")
-        multi = {
-            "mode": mode,
-            "teachers": [str(x) for x in teachers],
-            "order": order,
-            "retain_original_reference": bool(t["multi"].get("retain_original_reference", False)),
-        }
-    resolved = {
-        "manifest": str(_require(cfg, "manifest", "config")),
-        "dataset": _resolve_dataset(_require(cfg, "dataset", "config")),
-        "transfer": {
-            "method": method,
-            "teacher": t.get("teacher"),
-            "student": str(_require(t, "student", "transfer")),
-            "hyperparams": _resolve_hyperparams(
-                method, dict(t.get("hyperparams") or {}), args.seed, "transfer.hyperparams"
-            ),
-            "multi": multi,
-        },
-    }
-    out_dir = _prepare_out(cfg, args)
-    resolved["out"] = out_dir
-    manifest = _load_zoo(resolved)
+    t["hyperparams"] = _resolve_hyperparams(method, t["hyperparams"] or {}, args.seed, "transfer.hyperparams")
+    resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "transfer": t}
+    out_dir = resolved["out"] = _prepare_out(cfg, args)
+    manifest = _load_zoo(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
     hp = TransferHyperparams(**resolved["transfer"]["hyperparams"])
     student_name = resolved["transfer"]["student"]
-    student = manifest.load_checkpoint(student_name)
+    student = _checkpoint(manifest, student_name, "transfer.student")
 
     sequential = multi is not None and multi["mode"] == "sequential"
     if multi is None:
-        teacher_name = str(resolved["transfer"]["teacher"])
-        teacher = manifest.load_checkpoint(teacher_name)
+        teacher_name = resolved["transfer"]["teacher"]
+        teacher = _checkpoint(manifest, teacher_name, "transfer.teacher")
         results = [
             run_transfer(
                 student, teacher, method, hp, transfer_set, val,
@@ -487,7 +459,9 @@ def cmd_transfer(cfg: dict, args) -> int:
         ]
         report_doc = _result_doc(results[0])
     else:
-        teachers = [manifest.load_checkpoint(n) for n in multi["teachers"]]
+        teachers = [
+            _checkpoint(manifest, n, f"transfer.multi.teachers[{i}]") for i, n in enumerate(multi["teachers"])
+        ]
         plan = MultiTeacherPlan(
             teachers=tuple(teachers),
             mode=multi["mode"],
@@ -580,54 +554,49 @@ def _sweep_task(task):
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    _check_keys(cfg, {"manifest", "dataset", "sweep", "out"}, "config")
-    s = _require(cfg, "sweep", "config")
-    _check_keys(s, {"methods", "pairs", "hyperparams", "bins", "max_pairs"}, "sweep")
-    methods = _require(s, "methods", "sweep")
-    if not isinstance(methods, list) or not methods:
+    cfg = _resolve(cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), sweep=(dict, REQUIRED), out=_OUT)
+    s = _resolve(
+        cfg["sweep"], "sweep",
+        methods=(list[str], REQUIRED), pairs=(dict | None, None), hyperparams=(dict | None, None),
+        bins=(list[float], DEFAULT_BINS), max_pairs=(int | None, None),
+    )
+    methods = s["methods"]
+    if not methods:
         raise ConfigError("sweep.methods: need a non-empty list")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"sweep.methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
-    overrides = dict(s.get("hyperparams") or {})
+    overrides = s["hyperparams"] or {}
     # either one flat override dict for every method, or a per-method mapping
     # (the resolved-config form, so reruns from it validate unchanged)
     if overrides and set(overrides) <= set(METHODS):
         if not set(methods) <= set(overrides):
             raise ConfigError("sweep.hyperparams: per-method form must cover every method")
-        per_method = {
-            m: _resolve_hyperparams(m, dict(overrides[m]), args.seed, f"sweep.hyperparams.{m}")
-            for m in methods
+        s["hyperparams"] = {
+            m: _resolve_hyperparams(m, overrides[m], args.seed, f"sweep.hyperparams.{m}") for m in methods
         }
     else:
-        per_method = {
-            m: _resolve_hyperparams(m, overrides, args.seed, "sweep.hyperparams")
-            for m in methods
-        }
-    resolved = {
-        "manifest": str(_require(cfg, "manifest", "config")),
-        "dataset": _resolve_dataset(_require(cfg, "dataset", "config")),
-        "sweep": {
-            "methods": [str(m) for m in methods],
-            "pairs": _resolve_filter(s.get("pairs"), "sweep.pairs"),
-            "hyperparams": per_method,
-            "bins": [float(b) for b in s.get("bins", DEFAULT_BINS)],
-            "max_pairs": s.get("max_pairs"),
-        },
-    }
-    out_dir = _prepare_out(cfg, args)
-    resolved["out"] = out_dir
-    manifest = _load_zoo(resolved)
+        s["hyperparams"] = {m: _resolve_hyperparams(m, overrides, args.seed, "sweep.hyperparams") for m in methods}
+    s["pairs"] = _resolve(s["pairs"] or {}, "sweep.pairs", PairFilter)
+    if s["max_pairs"] is not None and s["max_pairs"] < 1:
+        raise ConfigError(f"sweep.max_pairs: must be at least 1, got {s['max_pairs']}")
+    try:
+        binned_top_quartile_delta([], s["bins"])  # checks the edges
+    except AnalysisError as e:
+        raise ConfigError(f"sweep.bins: {e}") from e
+    resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "sweep": s}
+    out_dir = resolved["out"] = _prepare_out(cfg, args)
+    manifest = _load_zoo(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
     flt = PairFilter(**resolved["sweep"]["pairs"])
     pairs = pair_grid(manifest, flt)
     if not pairs:
         raise ConfigError("no pairs matched the filter")
     max_pairs = resolved["sweep"]["max_pairs"]
-    if max_pairs is not None and len(pairs) > int(max_pairs):
+    if max_pairs is not None and len(pairs) > max_pairs:
         # deterministic spread over the delta_acc range
         pairs.sort(key=lambda p: (p[0].val_accuracy - p[1].val_accuracy, p[0].name, p[1].name))
-        keep = np.linspace(0, len(pairs) - 1, int(max_pairs)).round().astype(int)
+        keep = np.linspace(0, len(pairs) - 1, max_pairs).round().astype(int)
         pairs = [pairs[i] for i in sorted(set(keep))]
     checkpoints = {e.name: manifest.load_checkpoint(e.name) for e in manifest.ok_entries()}
     tasks = [

@@ -114,6 +114,10 @@ class SyntheticConfig:
             raise DataError("label_noise must be in [0,1)")
         if self.sigma <= 0 or self.anchor_scale < 0:
             raise DataError("sigma must be positive, anchor_scale nonnegative")
+        if any(v is not None and v < 1 for v in (self.dims, self.image_size)):
+            raise DataError("dims / image_size must be positive")
+        if self.seed < 0 or self.effective_anchor_seed < 0:
+            raise DataError("seed and anchor_seed must be nonnegative")
 
     @property
     def effective_anchor_seed(self) -> int:
@@ -236,6 +240,8 @@ def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Per class, floor(fraction * n_class) samples (at least 1), no replacement."""
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"fraction must be in (0,1], got {fraction}")
+    if seed < 0:
+        raise DataError(f"subsample seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57A7]))
     picked = []
     for k in range(ds.num_classes):

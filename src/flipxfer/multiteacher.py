@@ -35,11 +35,21 @@ from .transfer import (
     winner_logprobs,
 )
 
-__all__ = ["MultiTeacherPlan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
+__all__ = ["MultiTeacherPlan", "check_plan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
 
 MODES = ("sequential", "parallel", "soup")
 ORDERS = ("ascending", "descending", "given")  # by teacher val accuracy, or as given
 PLAN_METHODS = ("kl_dp_sup", "kl_dp_unsup", "kl")
+
+
+def check_plan(mode: str, order: str, method: str) -> None:
+    """Reject a multi-teacher mode, teacher order or method that no protocol runs."""
+    if mode not in MODES:
+        raise TransferError(f"unknown multi-teacher mode {mode!r}; valid: {', '.join(MODES)}")
+    if order not in ORDERS:
+        raise TransferError(f"unknown teacher order {order!r}; valid: {', '.join(ORDERS)}")
+    if method not in PLAN_METHODS:
+        raise TransferError(f"multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {method!r}")
 
 
 @dataclass(frozen=True)
@@ -52,16 +62,9 @@ class MultiTeacherPlan:
     teacher_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise TransferError(f"unknown multi-teacher mode {self.mode!r}; valid: {', '.join(MODES)}")
-        if self.order not in ORDERS:
-            raise TransferError(f"unknown teacher order {self.order!r}; valid: {', '.join(ORDERS)}")
+        check_plan(self.mode, self.order, self.method)
         if self.mode in ("parallel", "soup") and len(self.teachers) < 1:
             raise TransferError(f"{self.mode} transfer needs at least one teacher")
-        if self.method not in PLAN_METHODS:
-            raise TransferError(
-                f"multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {self.method!r}"
-            )
         names = self.teacher_names or tuple(
             ck.meta.get("name", f"t{i}") for i, ck in enumerate(self.teachers)
         )

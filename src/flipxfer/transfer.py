@@ -129,6 +129,10 @@ class TransferHyperparams:
             raise TransferError(f"mcl_tau must be in [0,1], got {self.mcl_tau}")
         if self.mcl_every < 1 or self.epochs < 0 or self.batch_size < 1:
             raise TransferError("mcl_every and batch_size must be positive, epochs nonnegative")
+        if self.seed < 0:
+            raise TransferError(f"seed must be nonnegative, got {self.seed}")
+        if self.topk is not None and self.topk < 1:  # the class count bounds it at run time
+            raise TransferError(f"topk must be at least 1, got {self.topk}")
 
 
 def default_hyperparams(method: str, **overrides) -> TransferHyperparams:

@@ -59,6 +59,10 @@ class TrainConfig:
             raise ValueError(
                 f"epochs must be nonnegative and batch_size positive, got {self.epochs} and {self.batch_size}"
             )
+        if self.init_seed < 0 or self.order_seed < 0:
+            raise ValueError(
+                f"init_seed and order_seed must be nonnegative, got {self.init_seed} and {self.order_seed}"
+            )
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

@@ -1,8 +1,12 @@
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipxfer.cli import main
 
@@ -255,43 +259,108 @@ def test_transfer_unknown_method_exits_2(zoo_dir, tmp_path, capsys):
     assert "kl_dp_sup" in err and "xe_kl_mcl" in err  # lists valid methods
 
 
-def _bad_zoo_train(**train):
+def _multi_config(zoo_dir, out):
+    doc = _transfer_config(zoo_dir, out)
+    doc["transfer"]["teacher"] = None
+    doc["transfer"]["multi"] = {"mode": "parallel", "teachers": ["wide", "mid"]}
+    return doc
+
+
+_BASES = {
+    "zoo": ("zoo", lambda zoo_dir, out: _zoo_config(out)),
+    "flips": ("flips", _flips_config),
+    "transfer": ("transfer", _transfer_config),
+    "multi": ("transfer", _multi_config),
+    "sweep": ("sweep", lambda zoo_dir, out: _sweep_config(zoo_dir, out)),  # defined further down
+}
+
+
+def _bad(base, dotted, value):
+    """A maker of a ``base`` config whose key at ``dotted`` (list indices as
+    numbers) is set to ``value``; missing objects on the way are created."""
+    command, config = _BASES[base]
+
     def make(zoo_dir, out):
-        doc = _zoo_config(out)
-        doc["zoo"]["models"][1]["train"].update(train)
-        return "zoo", doc
+        doc = config(zoo_dir, out)
+        *parents, leaf = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+        node = doc
+        for k in parents:
+            node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
+        node[leaf] = value
+        return command, doc
     return make
 
 
-def _bad_transfer(method="kl_dp_sup", multi=None, **hp):
-    def make(zoo_dir, out):
-        doc = _transfer_config(zoo_dir, out, method=method, **hp)
-        if multi is not None:
-            doc["transfer"]["teacher"] = None
-            doc["transfer"]["multi"] = {"teachers": ["wide", "mid"], **multi}
-        return "transfer", doc
-    return make
+_BAD_VALUES = {
+    "hp_lr_negative": (_bad("transfer", "transfer.hyperparams.lr", -1), "lr"),
+    "hp_lr_string": (_bad("transfer", "transfer.hyperparams.lr", "x"), "lr"),
+    "hp_momentum": (_bad("transfer", "transfer.hyperparams.momentum", 1.5), "momentum"),
+    "zoo_lr_negative": (_bad("zoo", "zoo.models.1.train.lr", -1), "lr"),
+    "zoo_batch_size_zero": (_bad("zoo", "zoo.models.1.train.batch_size", 0), "batch_size"),
+    "multi_order": (_bad("multi", "transfer.multi.order", "sideways"), "order"),
+    "multi_method": (_bad("multi", "transfer.method", "xe_kl"), "xe_kl"),
+    # wrong-type values: each once escaped main or ran with a changed value
+    "zoo_depth_string": (_bad("zoo", "zoo.models.0.depth", "x"), "zoo.models[0].depth"),
+    "zoo_width_string": (_bad("zoo", "zoo.models.0.width", "x"), "zoo.models[0].width"),
+    "zoo_channels_int": (_bad("zoo", "zoo.models.0.channels", 3), "zoo.models[0].channels"),
+    "synthetic_classes_string": (_bad("zoo", "dataset.synthetic.classes", "x"), "dataset.synthetic.classes"),
+    "synthetic_dims_string": (_bad("zoo", "dataset.synthetic.dims", "x"), "dataset.synthetic.dims"),
+    "subsample_fraction_string": (_bad("zoo", "dataset.subsample_fraction", "x"), "dataset.subsample_fraction"),
+    "hp_topk_string": (_bad("transfer", "transfer.hyperparams.topk", "x"), "transfer.hyperparams.topk"),
+    "hp_epochs_float": (_bad("transfer", "transfer.hyperparams.epochs", 1.5), "transfer.hyperparams.epochs"),
+    "hp_seed_string": (_bad("transfer", "transfer.hyperparams.seed", "x"), "transfer.hyperparams.seed"),
+    "sweep_max_pairs_string": (_bad("sweep", "sweep.max_pairs", "x"), "sweep.max_pairs"),
+    "sweep_bins_string": (_bad("sweep", "sweep.bins", ["x", 1]), "sweep.bins[0]"),
+    "sweep_delta_acc_min_string": (_bad("sweep", "sweep.pairs.delta_acc_min", "x"), "sweep.pairs.delta_acc_min"),
+    "flips_delta_acc_max_string": (_bad("flips", "pairs.delta_acc_max", "x"), "pairs.delta_acc_max"),
+    "synthetic_classes_float": (_bad("zoo", "dataset.synthetic.classes", 4.7), "dataset.synthetic.classes"),
+    "hp_batch_size_bool": (
+        _bad("transfer", "transfer.hyperparams.batch_size", True), "transfer.hyperparams.batch_size"
+    ),
+    "multi_retain_string": (
+        _bad("multi", "transfer.multi.retain_original_reference", "false"),
+        "transfer.multi.retain_original_reference",
+    ),
+    "hp_temperature_string": (
+        _bad("transfer", "transfer.hyperparams.temperature", "x"), "transfer.hyperparams.temperature"
+    ),
+    # names that are not in the manifest, and a topk that no class count admits
+    "unknown_teacher": (_bad("transfer", "transfer.teacher", "nobody"), "transfer.teacher"),
+    "unknown_student": (_bad("transfer", "transfer.student", "nobody"), "transfer.student"),
+    "unknown_multi_teacher": (_bad("multi", "transfer.multi.teachers.1", "nobody"), "transfer.multi.teachers[1]"),
+    "hp_topk_zero": (_bad("transfer", "transfer.hyperparams.topk", 0), "topk"),
+    # values that escaped main as tracebacks from numpy or the file system
+    "hp_seed_negative": (_bad("transfer", "transfer.hyperparams.seed", -1), "seed"),
+    "synthetic_dims_negative": (_bad("zoo", "dataset.synthetic.dims", -2), "dims"),
+    "sweep_bins_decreasing": (_bad("sweep", "sweep.bins", [0.5, -0.5]), "sweep.bins"),
+    "sweep_max_pairs_zero": (_bad("sweep", "sweep.max_pairs", 0), "sweep.max_pairs"),
+    "zoo_name_path": (_bad("zoo", "zoo.models.0.name", "/wide"), "zoo.models[0].name"),
+}
 
 
-@pytest.mark.parametrize(
-    "make, key",
-    [
-        (_bad_transfer(lr=-1), "lr"),
-        (_bad_transfer(lr="x"), "lr"),
-        (_bad_transfer(momentum=1.5), "momentum"),
-        (_bad_zoo_train(lr=-1), "lr"),
-        (_bad_zoo_train(batch_size=0), "batch_size"),
-        (_bad_transfer(multi={"mode": "parallel", "order": "sideways"}), "order"),
-        (_bad_transfer(method="xe_kl", multi={"mode": "soup"}), "xe_kl"),
-    ],
-    ids=["hp_lr_negative", "hp_lr_string", "hp_momentum", "zoo_lr_negative", "zoo_batch_size_zero",
-         "multi_order", "multi_method"],
-)
+@pytest.mark.parametrize("make, key", list(_BAD_VALUES.values()), ids=list(_BAD_VALUES))
 def test_bad_config_value_exits_2_naming_key(zoo_dir, tmp_path, capsys, make, key):
     command, doc = make(zoo_dir, tmp_path / "out")
     assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_unknown_model_name_lists_the_zoo(zoo_dir, tmp_path, capsys):
+    command, doc = _bad("transfer", "transfer.teacher", "nobody")(zoo_dir, tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "'nobody'" in err and all(name in err for name in ("wide", "mid", "narrow"))
+
+
+def test_malformed_embeddings_exits_2_naming_file(zoo_dir, tmp_path, capsys):
+    emb_path = tmp_path / "emb.csv"
+    emb_path.write_text("1.0,2.0\n3.0,x\n1.0,1.0\n2.0,2.0\n")
+    conf = _flips_config(zoo_dir, tmp_path / "out")
+    conf["embeddings"] = str(emb_path)
+    assert main(["flips", "--config", _write(tmp_path / "flips.json", conf)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(emb_path) in err
 
 
 def test_transfer_rerun_from_resolved_config_identical_bytes(zoo_dir, tmp_path):
@@ -379,3 +448,88 @@ def test_json_flag_prints_summary(zoo_dir, tmp_path, capsys):
     out_text = capsys.readouterr().out
     doc = json.loads(out_text)
     assert doc["method"] == "kl_dp_sup"
+
+
+# ---------------------------------------------------------------------------
+# any JSON value in any config leaf ends in a documented exit code
+
+
+def _tiny_dataset():
+    return {
+        "synthetic": {
+            "classes": 2, "image_size": 4, "modes_per_class": 1, "label_noise": 0.0,
+            "sigma": 1.0, "anchor_scale": 2.0, "anchor_seed": 3,
+            "train": {"samples": 16, "seed": 1}, "val": {"samples": 16, "seed": 2},
+        },
+        "subsample_fraction": 1.0,
+        "subsample_seed": 0,
+    }
+
+
+def _tiny_zoo_config(out):
+    return {
+        "dataset": _tiny_dataset(),
+        "zoo": {"models": [
+            {"name": "a", "family": "mlp", "depth": 2, "width": 4, "dropout": 0.0,
+             "train": {"epochs": 1, "batch_size": 8, "lr": 0.05, "init_seed": 1, "order_seed": 1}},
+            {"name": "b", "family": "cnn", "depth": 1, "channels": [2], "width": None,
+             "train": {"epochs": 1, "batch_size": 8, "lr": 0.05, "augment_noise": 0.1, "plateau_patience": 1}},
+        ]},
+        "out": str(out),
+    }
+
+
+@pytest.fixture(scope="module")
+def tiny_configs(tmp_path_factory):
+    zoo_out = tmp_path_factory.mktemp("tiny_zoo")
+    cfg = tmp_path_factory.mktemp("tiny_cfg") / "zoo.json"
+    assert main(["zoo", "--config", _write(cfg, _tiny_zoo_config(zoo_out))]) == 0
+    common = {"manifest": str(zoo_out / "manifest.json"), "dataset": _tiny_dataset(), "out": "unused"}
+    hp = {"epochs": 1, "batch_size": 8, "lr": 0.01, "temperature": 2.0, "seed": 0}
+    return {
+        "zoo": _tiny_zoo_config("unused"),
+        "transfer": {**common, "transfer": {
+            "method": "kl", "teacher": "a", "student": "b", "hyperparams": {**hp, "topk": 2}}},
+        "multi": {**common, "transfer": {
+            "method": "kl_dp_sup", "student": "b", "hyperparams": hp,
+            "multi": {"mode": "parallel", "teachers": ["a"], "order": "given",
+                      "retain_original_reference": False}}},
+        "sweep": {**common, "sweep": {
+            "methods": ["kl"], "max_pairs": 1, "bins": [-1.0, 0.0, 1.0], "hyperparams": hp,
+            "pairs": {"delta_acc_min": -1.0, "delta_acc_max": 1.0}}},
+    }
+
+
+def _leaves(node, path=()):
+    """Paths of every scalar in a JSON document, list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        return [path]
+    return [leaf for k, v in items for leaf in _leaves(v, (*path, k))]
+
+
+_JSON_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(max_value=-1),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_config_leaf_value_exits_0_2_or_3(tiny_configs, data):
+    command = data.draw(st.sampled_from(sorted(tiny_configs)))
+    doc = json.loads(json.dumps(tiny_configs[command]))
+    *parents, leaf = data.draw(st.sampled_from(_leaves(doc)))
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[leaf] = data.draw(_JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(pathlib.Path(tmp) / "cfg.json", doc)
+        argv = ["transfer" if command == "multi" else command, "--config", cfg, "--out", os.path.join(tmp, "out")]
+        assert main(argv) in (0, 2, 3)
