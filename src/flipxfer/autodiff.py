@@ -252,20 +252,14 @@ def relu(x: Tensor) -> Tensor:
     return _record(np.where(mask, x.data, 0.0), (x,), bwd)
 
 
-def _im2col(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
-    i0 = np.repeat(np.arange(3), 3)
-    j0 = np.tile(np.arange(3), 3)
-    i1 = stride * np.repeat(np.arange(oh), ow)
-    j1 = stride * np.tile(np.arange(ow), oh)
-    rows = i0[:, None] + i1[None, :]  # (9, oh*ow)
-    cols = j0[:, None] + j1[None, :]
-    patches = xp[:, :, rows, cols]  # (n, c, 9, oh*ow)
-    return patches.transpose(0, 3, 1, 2).reshape(n * oh * ow, c * 9)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """3x3 convolution, zero same-padding, stride 1 or 2."""
+    """3x3 convolution, zero same-padding, stride 1 or 2.
+
+    im2col is one copy of a sliding-window view, column c*9 + 3*i + j holding
+    input channel c at kernel offset (i, j); col2im adds the nine kernel
+    offsets back in that order, so every padded pixel sums its contributions
+    in a fixed order.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if stride not in (1, 2):
         raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
@@ -280,7 +274,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     oh = (h + 2 - 3) // stride + 1
     ow = (wdt + 2 - 3) // stride + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col(xp, stride, oh, ow)  # (n*oh*ow, cin*9)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    # the one copy; C order for every shape keeps each row's einsum sum order
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, cin * 9)
     wmat = w.data.reshape(cout, cin * 9)
     out = (_mm_nt(cols, wmat) + b.data).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
 
@@ -289,16 +285,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         _accum(w, _mm_tn(gmat, cols).reshape(cout, cin, 3, 3))
         _accum(b, gmat.sum(axis=0))
         if x.requires_grad:
-            gcols = _mm(gmat, wmat)  # (n*oh*ow, cin*9)
+            gcols = _mm(gmat, wmat).reshape(n, oh, ow, cin, 3, 3)
             gxp = np.zeros_like(xp)
-            gpatches = gcols.reshape(n, oh * ow, cin, 9).transpose(0, 2, 3, 1)
-            i0 = np.repeat(np.arange(3), 3)
-            j0 = np.tile(np.arange(3), 3)
-            i1 = stride * np.repeat(np.arange(oh), ow)
-            j1 = stride * np.tile(np.arange(ow), oh)
-            rows = i0[:, None] + i1[None, :]
-            colsix = j0[:, None] + j1[None, :]
-            np.add.at(gxp, (slice(None), slice(None), rows, colsix), gpatches)
+            for i in range(3):  # kernel order: each pixel sums as np.add.at would
+                for j in range(3):
+                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                        gcols[..., i, j].transpose(0, 3, 1, 2)
+                    )
             _accum(x, gxp[:, :, 1 : 1 + h, 1 : 1 + wdt])
 
     return _record(out, (x, w, b), bwd)

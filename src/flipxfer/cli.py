@@ -196,8 +196,11 @@ def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
         p = resolved["idx"]
         train = load_idx(p["train_images"], p["train_labels"])
         val = load_idx(p["val_images"], p["val_labels"])
-    if resolved["subsample_fraction"] < 1.0:
-        train = stratified_subsample(train, resolved["subsample_fraction"], resolved["subsample_seed"])
+    if resolved["subsample_fraction"] != 1.0:  # 1.0 keeps the draw as it is
+        try:
+            train = stratified_subsample(train, resolved["subsample_fraction"], resolved["subsample_seed"])
+        except DataError as e:
+            raise ConfigError(f"dataset.subsample_fraction, dataset.subsample_seed: {e}") from e
     return train, val
 
 
@@ -267,6 +270,8 @@ def _prepare_out(cfg: dict, args) -> str:
     out = args.out or cfg["out"]
     if not out:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
+    if "\0" in out:
+        raise ConfigError(f"out: {out!r} contains a NUL byte")
     os.makedirs(out, exist_ok=True)
     return out
 

@@ -222,22 +222,51 @@ def as_tensors(ck: Checkpoint, requires_grad: bool = False) -> dict[str, Tensor]
     return {k: Tensor(v.copy(), requires_grad=requires_grad) for k, v in ck.params.items()}
 
 
-def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[Tensor, Tensor]:
+# Eval forwards of conv models run in row chunks whose widest im2col block
+# stays near this size, so it is built and read back within a core's cache.
+_EVAL_IM2COL_BYTES = 4 << 20
+
+
+def eval_chunk_rows(spec: ModelSpec) -> int | None:
+    """Rows per eval forward of a conv model; None for an MLP (one call).
+
+    Every conv is stride 1 and same-padded, so each layer's im2col holds
+    h*w*cin*9 float64 values per row; the widest layer sets the chunk.
+    """
+    if spec.family != "cnn":
+        return None
+    c, h, w = spec.input_shape
+    widest = max((c, *spec.channels[:-1]))
+    return max(1, _EVAL_IM2COL_BYTES // (h * w * widest * 9 * 8))
+
+
+def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (logits, features), forwarded in chunks of eval_chunk_rows.
+
+    The ops' einsum products sum each row in the same order at any batch
+    size, so the chunks concatenate to the bits of one whole-batch forward.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != ck.spec.input_shape:
         raise ShapeError("predict(batch)", batch.shape[1:], ck.spec.input_shape)
     params = {k: Tensor(v) for k, v in ck.params.items()}
-    return model_forward(ck.spec, params, Tensor(batch), train=False)
+    rows = eval_chunk_rows(ck.spec) or len(batch)
+    if len(batch) <= rows:
+        logits, feats = model_forward(ck.spec, params, Tensor(batch), train=False)
+        return logits.data, feats.data
+    parts = [model_forward(ck.spec, params, Tensor(batch[i : i + rows]), train=False)
+             for i in range(0, len(batch), rows)]
+    return np.concatenate([z.data for z, _ in parts]), np.concatenate([f.data for _, f in parts])
 
 
 def predict_logits(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
     """Eval-mode logits (n x num_classes); no softmax, no dropout."""
-    return _predict(ck, batch)[0].data
+    return _predict(ck, batch)[0]
 
 
 def predict_features(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
     """Eval-mode pre-head features (n x feature_width)."""
-    return _predict(ck, batch)[1].data
+    return _predict(ck, batch)[1]
 
 
 # ---------------------------------------------------------------------------

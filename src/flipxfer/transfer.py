@@ -447,12 +447,18 @@ def checkpoint_of(base: Checkpoint, params: dict[str, Tensor]) -> Checkpoint:
 class ValBaseline:
     """A student's validation standing before transfer from one or more
     teachers.  The flips are the union of the teachers' positive flips (for a
-    single teacher, its own)."""
+    single teacher, its own).
+
+    Each weight state is forwarded over the val set once: ``correct`` keeps
+    the flags of every checkpoint it saw, by digest, so the report reuses the
+    last epoch's forward (or, with no epochs, the untrained student's).
+    """
 
     val_set: Dataset
     before_correct: np.ndarray
     teacher_accs: list[float]
     flips: FlipStats
+    seen: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
     def measure(cls, student_ck: Checkpoint, teachers, val_set: Dataset) -> "ValBaseline":
@@ -465,14 +471,17 @@ class ValBaseline:
             accs.append(float(correct.mean()))
             any_teacher_correct |= correct
         flips = flip_stats_from_flags(any_teacher_correct & ~before, y, student_ck.spec.num_classes)
-        return cls(val_set, before, accs, flips)
+        return cls(val_set, before, accs, flips, {student_ck.digest(): before})
 
     @property
     def acc_before(self) -> float:
         return float(self.before_correct.mean())
 
     def correct(self, ck: Checkpoint) -> np.ndarray:
-        return correct_flags(predict_logits(ck, self.val_set.inputs), self.val_set.labels)
+        key = ck.digest()
+        if key not in self.seen:
+            self.seen[key] = correct_flags(predict_logits(ck, self.val_set.inputs), self.val_set.labels)
+        return self.seen[key]
 
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
         """Per-run gain/loss; gain is 0 when there is nothing to transfer."""
@@ -580,17 +589,17 @@ def run_transfer(
 
     x_tr, y_tr = transfer_set.inputs, transfer_set.labels
 
-    # frozen sources, cached on the full transfer set
-    # f_st: frozen retention reference; by default a copy of the initial student
-    st_ck = (frozen_reference or student_ck).copy()
-    z_teacher = predict_logits(teacher_ck, x_tr)
-    z_st = predict_logits(st_ck, x_tr)
-
+    # frozen sources, cached on the full transfer set for the methods that read them;
+    # f_st, DP's frozen retention reference, is by default the initial student
+    z_teacher = predict_logits(teacher_ck, x_tr) if method != "cd" else None
+    z_st = None
     mask: PartitionMask | None = None
-    if method == "kl_dp_sup":
-        mask = dp_masks_supervised(z_teacher, z_st, y_tr)
-    elif method == "kl_dp_unsup":
-        mask = dp_masks_unsupervised(z_teacher, z_st)
+    if method in ("kl_dp_sup", "kl_dp_unsup"):
+        z_st = predict_logits(frozen_reference or student_ck, x_tr)
+        if method == "kl_dp_sup":
+            mask = dp_masks_supervised(z_teacher, z_st, y_tr)
+        else:
+            mask = dp_masks_unsupervised(z_teacher, z_st)
 
     cd_ctx = _CdContext(student_ck, teacher_ck, x_tr, hp.seed) if method == "cd" else None
     baseline = ValBaseline.measure(student_ck, [teacher_ck], val_set)

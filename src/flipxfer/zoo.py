@@ -122,21 +122,25 @@ def train_model(
         logits, _ = model_forward(spec, params, Tensor(xb), train=True, dropout_rng=drop_rng)
         return xe_loss(logits, train.labels[b])
 
-    best_acc, stale = -1.0, 0
+    def val_accuracy(model: Checkpoint) -> float:
+        return float(correct_flags(predict_logits(model, val.inputs), val.labels).mean())
+
+    best_acc, stale, val_acc = -1.0, 0, None  # val_acc: the current weights', once measured
     for _ in sgd_epochs(
         params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn,
         lambda epoch, step, value: TrainingDivergedError(name, epoch, value),
     ):
         if cfg.plateau_patience is not None:
-            acc = float(correct_flags(predict_logits(checkpoint_of(ck, params), val.inputs), val.labels).mean())
-            if acc > best_acc + 1e-12:
-                best_acc, stale = acc, 0
+            val_acc = val_accuracy(checkpoint_of(ck, params))
+            if val_acc > best_acc + 1e-12:
+                best_acc, stale = val_acc, 0
             else:
                 stale += 1
                 if stale >= cfg.plateau_patience:
                     break
     out = checkpoint_of(ck, params)
-    val_acc = float(correct_flags(predict_logits(out, val.inputs), val.labels).mean())
+    if val_acc is None:
+        val_acc = val_accuracy(out)
     out.meta = {
         "seed": cfg.init_seed,
         "val_accuracy": val_acc,

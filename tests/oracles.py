@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flipxfer.autodiff import Tape, Tensor, backward
+from flipxfer.autodiff import Tape, Tensor, backward, _mm, _mm_nt, _mm_tn
 
 
 def finite_diff_grads(loss_fn, params: dict[str, Tensor], h: float = 1e-6) -> dict[str, np.ndarray]:
@@ -57,6 +57,46 @@ def max_rel_error(a: dict[str, np.ndarray], b: dict[str, np.ndarray], floor: flo
         denom = np.maximum(np.maximum(np.abs(x), np.abs(y)), floor)
         worst = max(worst, float((np.abs(x - y) / denom).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# reference 3x3 conv: fancy-index im2col gather and np.add.at col2im
+
+
+def _conv_indices(stride: int, oh: int, ow: int) -> tuple[np.ndarray, np.ndarray]:
+    i0 = np.repeat(np.arange(3), 3)
+    j0 = np.tile(np.arange(3), 3)
+    i1 = stride * np.repeat(np.arange(oh), ow)
+    j1 = stride * np.tile(np.arange(ow), oh)
+    return i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]  # (9, oh*ow) each
+
+
+def reference_conv2d(x, w, b, g, stride: int = 1):
+    """Zero-padded 3x3 conv and its gradients for the upstream gradient g.
+
+    Returns (out, grad_x, grad_w, grad_b). The patches come from a gather at
+    (row, col) index arrays and the input gradient from np.add.at at the same
+    indices, with the same einsum products as the tape op. The im2col matrix
+    is made C-contiguous: for a one-row, one-channel batch the gather's
+    reshape is a column-major view, on which einsum sums in another order.
+    """
+    n, cin, h, wdt = x.shape
+    cout = w.shape[0]
+    oh = (h - 1) // stride + 1
+    ow = (wdt - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    rows, cols_ix = _conv_indices(stride, oh, ow)
+    patches = xp[:, :, rows, cols_ix]  # (n, cin, 9, oh*ow)
+    cols = np.ascontiguousarray(patches.transpose(0, 3, 1, 2).reshape(n * oh * ow, cin * 9))
+    wmat = w.reshape(cout, cin * 9)
+    out = (_mm_nt(cols, wmat) + b).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
+    grad_w = _mm_tn(gmat, cols).reshape(cout, cin, 3, 3)
+    grad_b = gmat.sum(axis=0)
+    gpatches = _mm(gmat, wmat).reshape(n, oh * ow, cin, 9).transpose(0, 2, 3, 1)
+    gxp = np.zeros_like(xp)
+    np.add.at(gxp, (slice(None), slice(None), rows, cols_ix), gpatches)
+    return out, gxp[:, :, 1 : 1 + h, 1 : 1 + wdt], grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

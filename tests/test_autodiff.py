@@ -17,7 +17,7 @@ from flipxfer.autodiff import (
     sgd_step,
 )
 
-from oracles import analytic_grads, finite_diff_grads, max_rel_error
+from oracles import analytic_grads, finite_diff_grads, max_rel_error, reference_conv2d
 
 RNG = np.random.default_rng(1234)
 
@@ -123,6 +123,49 @@ def test_grad_conv2d(stride):
         lambda: ad.weighted_sum(ad.conv2d(x, w, b, stride=stride), wts),
         {"x": x, "w": w, "b": b},
     )
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize(
+    "n, cin, cout, h, w",
+    [(1, 1, 2, 5, 7), (2, 3, 4, 7, 5), (120, 8, 8, 8, 8)],  # the last spans more than one eval chunk
+    ids=["n1_cin1", "cin3_odd", "beyond_chunk"],
+)
+def test_conv2d_is_bit_equal_to_gather_reference(stride, n, cin, cout, h, w):
+    x = Tensor(RNG.normal(size=(n, cin, h, w)), requires_grad=True)
+    k = Tensor(RNG.normal(size=(cout, cin, 3, 3)), requires_grad=True)
+    b = Tensor(RNG.normal(size=cout), requires_grad=True)
+    g = RNG.normal(size=(n, cout, (h - 1) // stride + 1, (w - 1) // stride + 1))
+    with Tape() as tape:
+        out = ad.conv2d(x, k, b, stride=stride)
+        loss = ad.weighted_sum(out, g)  # upstream gradient g, exactly
+    backward(tape, loss)
+    want = reference_conv2d(x.data, k.data, b.data, g, stride)
+    for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv2d_row_does_not_depend_on_batch_size(stride, cin):
+    """A one-row batch gives the bits that row gets inside a larger batch."""
+    x = RNG.normal(size=(3, cin, 5, 7))
+    k = Tensor(RNG.normal(size=(2, cin, 3, 3)))
+    b = Tensor(RNG.normal(size=2))
+    g = RNG.normal(size=(3, 2, (5 - 1) // stride + 1, (7 - 1) // stride + 1))
+
+    def forward_backward(rows):
+        xt = Tensor(x[rows], requires_grad=True)
+        with Tape() as tape:
+            out = ad.conv2d(xt, k, b, stride=stride)
+            loss = ad.weighted_sum(out, g[rows])
+        backward(tape, loss)
+        return out.data, xt.grad
+
+    batch_out, batch_gx = forward_backward(slice(0, 3))
+    for r in range(3):
+        out, gx = forward_backward(slice(r, r + 1))
+        assert np.array_equal(out, batch_out[r : r + 1]) and np.array_equal(gx, batch_gx[r : r + 1])
 
 
 def test_grad_global_avg_pool():

@@ -335,6 +335,10 @@ _BAD_VALUES = {
     "sweep_bins_decreasing": (_bad("sweep", "sweep.bins", [0.5, -0.5]), "sweep.bins"),
     "sweep_max_pairs_zero": (_bad("sweep", "sweep.max_pairs", 0), "sweep.max_pairs"),
     "zoo_name_path": (_bad("zoo", "zoo.models.0.name", "/wide"), "zoo.models[0].name"),
+    # a NUL byte escaped main from os.makedirs; a bad subsample exited 3 or was ignored
+    "out_nul": (_bad("zoo", "out", "o\0x"), "out"),
+    "subsample_fraction_zero": (_bad("zoo", "dataset.subsample_fraction", 0), "dataset.subsample_fraction"),
+    "subsample_fraction_above_one": (_bad("zoo", "dataset.subsample_fraction", 2), "dataset.subsample_fraction"),
 }
 
 
@@ -344,6 +348,13 @@ def test_bad_config_value_exits_2_naming_key(zoo_dir, tmp_path, capsys, make, ke
     assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_out_flag_with_nul_byte_exits_2(tmp_path, capsys):
+    conf = _write(tmp_path / "cfg.json", _zoo_config(tmp_path / "out"))
+    assert main(["zoo", "--config", conf, "--out", str(tmp_path / "o\0x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: out:" in err and "NUL" in err
 
 
 def test_unknown_model_name_lists_the_zoo(zoo_dir, tmp_path, capsys):

@@ -4,15 +4,20 @@ import struct
 import numpy as np
 import pytest
 
-from flipxfer.autodiff import ShapeError, np_softmax
+from flipxfer import models
+from flipxfer.autodiff import ShapeError, Tensor, np_softmax
 from flipxfer.models import (
     Checkpoint,
     HeaderMismatchError,
     ModelSpec,
     NotACheckpointError,
     TruncatedCheckpointError,
+    as_tensors,
     build,
+    eval_chunk_rows,
     load,
+    model_forward,
+    predict_features,
     predict_logits,
     save,
 )
@@ -85,6 +90,43 @@ def test_cnn_forward_shapes_and_determinism():
     b = predict_logits(ck, x)
     assert a.shape == (6, 10)
     assert np.array_equal(a, b)
+
+
+def test_eval_chunk_holds_the_widest_im2col_near_4_mib():
+    spec = ModelSpec(family="cnn", depth=3, input_shape=(1, 8, 8), num_classes=10, channels=(8, 8, 8))
+    assert eval_chunk_rows(spec) == 113  # 4 MiB over 8*8 positions x 8*9 taps x 8 bytes
+    assert eval_chunk_rows(MLP) is None
+
+
+def test_chunked_cnn_eval_equals_row_by_row_forwards():
+    spec = ModelSpec(family="cnn", depth=2, input_shape=(1, 8, 8), num_classes=10, channels=(8, 4))
+    ck = build(spec, seed=7)
+    rows = eval_chunk_rows(spec)
+    x = np.random.default_rng(3).normal(size=(2 * rows + 1, 1, 8, 8))  # two chunks and a one-row tail
+    params = as_tensors(ck)
+    one_by_one = [model_forward(spec, params, Tensor(x[i : i + 1])) for i in range(len(x))]
+    assert np.array_equal(predict_logits(ck, x), np.concatenate([z.data for z, _ in one_by_one]))
+    assert np.array_equal(predict_features(ck, x), np.concatenate([f.data for _, f in one_by_one]))
+
+
+@pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
+def test_empty_batch_predicts_empty_rows(spec):
+    ck = build(spec, seed=1)
+    empty = np.zeros((0, *spec.input_shape))
+    assert predict_logits(ck, empty).shape == (0, spec.num_classes)
+    assert predict_features(ck, empty).shape == (0, spec.feature_width())
+
+
+def test_mlp_eval_is_one_forward(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].data.shape[0])
+        return model_forward(*args, **kwargs)
+
+    monkeypatch.setattr(models, "model_forward", counted)
+    predict_logits(build(MLP, seed=2), np.zeros((5000, 32)))
+    assert calls == [5000]
 
 
 # ---------------------------------------------------------------------------

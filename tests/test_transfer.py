@@ -450,6 +450,44 @@ def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
     assert np.isfinite(res.report.delta_transf)
 
 
+@pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monkeypatch, method, forwards, epochs):
+    """Student and teacher before, each epoch's weights (MCL: slow and fast),
+    and no extra forward for the report, which reuses the last epoch's."""
+    import flipxfer.transfer as transfer
+
+    train, val = toy_sets
+    calls = []
+
+    def counted(ck, batch):
+        calls.append(batch is val.inputs)
+        return predict_logits(ck, batch)
+
+    monkeypatch.setattr(transfer, "predict_logits", counted)
+    hp = TransferHyperparams(lr=0.02, epochs=epochs, batch_size=32, seed=1, lam=0.7)
+    res = run_transfer(build(SPEC, 1), build(SPEC, 2), method, hp, train, val)
+    assert sum(calls) == forwards(epochs)
+    want = res.per_epoch[-1].val_accuracy if epochs else res.extras["acc_before"]
+    assert res.extras["acc_before"] + res.report.delta_transf == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("method, sources", [("kl", 1), ("kl_dp_sup", 2), ("kl_dp_unsup", 2), ("cd", 0)])
+def test_run_transfer_forwards_the_transfer_set_only_for_its_sources(toy_sets, monkeypatch, method, sources):
+    import flipxfer.transfer as transfer
+
+    train, val = toy_sets
+    calls = []
+
+    def counted(ck, batch):
+        calls.append(batch is train.inputs)
+        return predict_logits(ck, batch)
+
+    monkeypatch.setattr(transfer, "predict_logits", counted)
+    run_transfer(build(SPEC, 1), build(SPEC, 2), method, default_hyperparams(method, epochs=1, batch_size=32), train, val)
+    assert sum(calls) == sources
+
+
 def test_default_hyperparams_per_method():
     assert default_hyperparams("kl").lam == 1.0
     assert default_hyperparams("kl").lr == 1e-4

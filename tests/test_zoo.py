@@ -120,6 +120,32 @@ def test_plateau_early_exit_runs(small_sets):
     assert 0.1 < ck.meta["val_accuracy"] < 1.0
 
 
+@pytest.mark.parametrize("epochs", [0, 30])
+def test_plateau_reports_the_last_epochs_accuracy(small_sets, monkeypatch, epochs):
+    """One val forward per epoch run; the final accuracy reuses the last."""
+    import flipxfer.transfer as transfer
+    import flipxfer.zoo as zoo
+
+    train, val = small_sets
+    calls, epochs_run = [], []
+
+    def counted(ck, batch):
+        calls.append(batch is val.inputs)
+        return predict_logits(ck, batch)
+
+    def shuffle(n, seed, epoch, permutation=transfer.epoch_permutation):
+        epochs_run.append(epoch)
+        return permutation(n, seed, epoch)
+
+    monkeypatch.setattr(zoo, "predict_logits", counted)
+    monkeypatch.setattr(transfer, "epoch_permutation", shuffle)
+    ck = train_model(ModelSpec("mlp", 2, S, 10, width=12), TrainConfig(epochs=epochs, lr=0.05, plateau_patience=2),
+                     train, val)
+    assert sum(calls) == len(calls) == max(len(epochs_run), 1)
+    assert len(epochs_run) < max(epochs, 1)  # the plateau stopped it early
+    assert ck.meta["val_accuracy"] == float(correct_flags(predict_logits(ck, val.inputs), val.labels).mean())
+
+
 # ---------------------------------------------------------------------------
 # pair grid
 
