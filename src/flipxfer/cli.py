@@ -52,6 +52,7 @@ from .transfer import (
     TransferDivergedError,
     TransferError,
     TransferHyperparams,
+    check_dataset,
     default_hyperparams,
     run_transfer,
 )
@@ -357,6 +358,7 @@ def cmd_flips(cfg: dict, args) -> int:
     logits = {}
     for e in manifest.ok_entries():
         ck = manifest.load_checkpoint(e.name)
+        check_dataset(ck, e.name, val)
         logits[e.name] = predict_logits(ck, val.inputs)
     class_sizes = np.bincount(val.labels, minlength=val.num_classes)
     records = []
@@ -533,11 +535,15 @@ def _result_doc(res) -> dict:
 
 
 def _sweep_task(task):
+    """One sweep run's row; a run that fails returns its error instead."""
     teacher_ck, student_ck, method, hp_dict, transfer_set, val_set, tname, sname = task
-    res = run_transfer(
-        student_ck, teacher_ck, method, TransferHyperparams(**hp_dict), transfer_set, val_set,
-        teacher_name=tname, student_name=sname,
-    )
+    try:
+        res = run_transfer(
+            student_ck, teacher_ck, method, TransferHyperparams(**hp_dict), transfer_set, val_set,
+            teacher_name=tname, student_name=sname,
+        )
+    except (TransferError, TransferDivergedError) as e:
+        return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
     rate_top2 = None
     rate_all = None
     if res.rate is not None:
@@ -604,6 +610,8 @@ def cmd_sweep(cfg: dict, args) -> int:
         keep = np.linspace(0, len(pairs) - 1, max_pairs).round().astype(int)
         pairs = [pairs[i] for i in sorted(set(keep))]
     checkpoints = {e.name: manifest.load_checkpoint(e.name) for e in manifest.ok_entries()}
+    for name, ck in checkpoints.items():
+        check_dataset(ck, name, transfer_set, val)
     tasks = [
         (
             checkpoints[t.name],
@@ -624,6 +632,8 @@ def cmd_sweep(cfg: dict, args) -> int:
             rows = list(ex.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
+    failed = [row for row in rows if "error" in row]
+    rows = [row for row in rows if "error" not in row]
     header = [
         "teacher", "student", "method", "delta_acc", "rho_pos", "delta_transf",
         "knowledge_gain", "knowledge_loss", "transfer_rate_overall", "transfer_rate_top2",
@@ -637,6 +647,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     summary: dict = {"pairs": len(pairs), "methods": {}}
     for m in resolved["sweep"]["methods"]:
         reports = [row["report"] for row in rows if row["method"] == m]
+        if not reports:
+            summary["methods"][m] = None  # every run of it failed
+            continue
         binned = binned_top_quartile_delta(reports, bins)
         summary["methods"][m] = {
             "success_rate": success_rate(reports),
@@ -645,9 +658,13 @@ def cmd_sweep(cfg: dict, args) -> int:
                 f"[{lo},{hi})": v for (lo, hi), v in binned.items()
             },
         }
+    if failed:
+        summary["failed"] = failed
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _emit(out_dir, resolved, summary, args.json)
-    return 0
+    for f in failed:
+        _log(f"error: sweep run {f['method']} {f['teacher']} -> {f['student']}: {f['error']}")
+    return 3 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,29 +10,21 @@ uniform elementwise parameter average).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import PairReport, correct_flags
-from .autodiff import SgdState, Tensor
+from .analysis import PairReport
 from .data import Dataset
-from .models import Checkpoint, as_tensors, model_forward, predict_logits
+from .models import Checkpoint
 from .transfer import (
-    EpochTrace,
     TransferDivergedError,
     TransferError,
     TransferHyperparams,
     TransferResult,
     ValBaseline,
-    check_teacher,
-    checkpoint_of,
-    confidence_winner,
+    distill,
     run_transfer,
-    sgd_epochs,
-    soft_target_kl,
-    winner_logprobs,
 )
 
 __all__ = ["MultiTeacherPlan", "check_plan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
@@ -93,7 +85,7 @@ def sequential_transfer(
     (and its frozen reference, unless the plan retains the original)."""
     if plan.mode != "sequential":
         raise TransferError(f"plan mode is {plan.mode!r}, expected 'sequential'")
-    acc0 = float(correct_flags(predict_logits(student_ck, val_set.inputs), val_set.labels).mean())
+    acc0 = None  # the original student's accuracy: the acc_before of the first stage that ran
     reference = student_ck if plan.retain_original_reference else None
     current = student_ck
     results: list[TransferResult] = []
@@ -121,6 +113,8 @@ def sequential_transfer(
             )
             results.append(stub)
             continue
+        if acc0 is None:
+            acc0 = res.extras["acc_before"]
         res.extras["cumulative_delta_transf"] = (
             res.extras["acc_before"] + res.report.delta_transf - acc0
         )
@@ -138,42 +132,21 @@ def parallel_transfer(
     student_name: str = "student",
 ) -> TransferResult:
     """Single run distilling from the per-sample most confident source among
-    the frozen initial student and every teacher."""
+    the frozen initial student and every teacher: DP over K teachers."""
     if plan.mode != "parallel":
         raise TransferError(f"plan mode is {plan.mode!r}, expected 'parallel'")
-    spec = student_ck.spec
-    # tie-breaking uses the plan's given teacher sequence, so no reordering here
-    teachers = list(zip(plan.teacher_names, plan.teachers))
-    for name, t in teachers:
-        check_teacher(spec, t, name)
-
-    x_tr = transfer_set.inputs
-    temp = hp.temperature
-    source_logits = [predict_logits(student_ck, x_tr)] + [predict_logits(t, x_tr) for _, t in teachers]
-    # ties resolve to f_st, then the lowest teacher index; kl compares max probabilities
-    winner = confidence_winner(source_logits, transfer_set.labels if plan.method == "kl_dp_sup" else None)
-    target_logprobs = winner_logprobs(winner, source_logits, temp)
-    source_share = np.bincount(winner, minlength=len(source_logits)) / transfer_set.n
-    baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)
-
-    params = as_tensors(student_ck, requires_grad=True)
-    opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
-    drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
-
-    def loss_fn(b):
-        logits, _ = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
-        return soft_target_kl(logits, target_logprobs[b], temp)
-
-    per_epoch: list[EpochTrace] = [
-        baseline.epoch_trace(losses, checkpoint_of(student_ck, params), float(1.0 - source_share[0]))
-        for losses in sgd_epochs(
-            params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
-            functools.partial(TransferDivergedError, "parallel"),
-        )
-    ]
-    names = "+".join(name for name, _ in teachers)
+    # tie-breaking uses the plan's given teacher sequence, so no reordering here;
+    # kl compares maximum probabilities, as the unsupervised rule does
+    rule = "kl_dp_sup" if plan.method == "kl_dp_sup" else "kl_dp_unsup"
+    baseline, per_epoch, student_after, winner = distill(
+        student_ck, list(zip(plan.teacher_names, plan.teachers)), rule, hp, transfer_set, val_set, student_name
+    )
+    source_share = np.bincount(winner, minlength=len(plan.teachers) + 1) / transfer_set.n
+    share = float(1.0 - source_share[0])
+    for trace in per_epoch:
+        trace.mask_teacher_share = share
     return baseline.result(
-        plan.method, hp, per_epoch, checkpoint_of(student_ck, params), f"parallel[{names}]", student_name,
+        plan.method, hp, per_epoch, student_after, f"parallel[{'+'.join(plan.teacher_names)}]", student_name,
         meta={"transfer_method": "parallel"},
         extras={
             "teacher_accs": baseline.teacher_accs,

@@ -14,10 +14,11 @@ matrices of pre-head features.
 Every objective is assembled from tape ops, so analytic gradients flow to
 the adapting student only; frozen sources enter as constants.
 
-Zoo training, single-teacher and multi-teacher transfer all run the one
-minibatch-SGD loop here (``sgd_epochs``), pick per-sample sources with the
-one confidence rule (``confidence_winner``), and build their before/after
-report with ``ValBaseline``.
+Zoo training runs the one minibatch-SGD loop here (``sgd_epochs``); single-
+and multi-teacher transfer run one training path on it (``distill``), whose
+KL-family target comes from the one confidence rule (``confidence_winner``)
+before SGD and equals the per-batch objectives' bit for bit.  ``ValBaseline``
+builds every before/after report.
 """
 
 from __future__ import annotations
@@ -80,12 +81,15 @@ __all__ = [
     "topk_restricted_kl",
     "cd_loss",
     "check_teacher",
+    "check_dataset",
     "checkpoint_of",
     "sgd_epochs",
+    "distill",
     "run_transfer",
 ]
 
 METHODS = ("kl", "xe_kl", "xe_kl_mcl", "kl_dp_sup", "kl_dp_unsup", "cd")
+DP_METHODS = ("kl_dp_sup", "kl_dp_unsup")
 
 
 class TransferError(ValueError):
@@ -177,10 +181,6 @@ class PartitionMask:
 
     def slice(self, idx: np.ndarray) -> "PartitionMask":
         return PartitionMask(self.m_t[idx], self.m_st[idx])
-
-    @property
-    def teacher_share(self) -> float:
-        return float(self.m_t.mean())
 
 
 @dataclass
@@ -410,6 +410,17 @@ def check_teacher(student_spec, teacher_ck: Checkpoint, name: str) -> None:
         raise TransferError(f"teacher {name}: input-shape mismatch")
 
 
+def check_dataset(ck: Checkpoint, name: str, *datasets: Dataset) -> None:
+    """Reject a dataset whose class count or input shape differs from the model's."""
+    for ds in datasets:
+        for what, got, want in (
+            ("class count", ds.num_classes, ck.spec.num_classes),
+            ("input shape", ds.input_shape, ck.spec.input_shape),
+        ):
+            if got != want:
+                raise TransferError(f"dataset {what} does not match model {name}: dataset {got}, model {want}")
+
+
 def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, batch_size: int,
                seed: int, loss_fn, diverged, after_step=None):
     """Minibatch SGD over ``epochs`` seeded shuffles of ``n`` samples; yields
@@ -491,7 +502,7 @@ class ValBaseline:
             return 0.0, lost / total_before if total_before else 0.0
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
-    def epoch_trace(self, losses: list[float], ck: Checkpoint, share: float | None = None) -> EpochTrace:
+    def epoch_trace(self, losses: list[float], ck: Checkpoint) -> EpochTrace:
         now = self.correct(ck)
         gain, loss_share = self.gain_loss(now)
         return EpochTrace(
@@ -499,7 +510,6 @@ class ValBaseline:
             val_accuracy=float(now.mean()),
             gain=gain,
             loss=loss_share,
-            mask_teacher_share=share,
         )
 
     def result(self, method: str, hp: TransferHyperparams, per_epoch: list[EpochTrace],
@@ -562,6 +572,94 @@ class _CdContext:
         return feats
 
 
+def distill(
+    student_ck: Checkpoint,
+    teachers: list[tuple[str, Checkpoint]],
+    method: str,
+    hp: TransferHyperparams,
+    transfer_set: Dataset,
+    val_set: Dataset,
+    student_name: str = "student",
+    frozen_reference: Checkpoint | None = None,
+) -> tuple[ValBaseline, list[EpochTrace], Checkpoint, np.ndarray | None]:
+    """Distill named teachers into a pretrained student over a fixed epoch
+    budget.  Returns the baseline, the epoch traces, the trained checkpoint
+    (MCL: the slow weights) and the per-sample winning source.
+
+    The KL family's target is built once, before SGD: per sample, the
+    tempered distribution of the most confident frozen source, the teacher
+    for ``kl``/``xe_kl*``; DP ranks the frozen reference (by default the
+    initial student) before every teacher.  Top-k KL and ``cd`` build their
+    losses per batch and have no winner.
+    """
+    if method not in METHODS:
+        raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    spec = student_ck.spec
+    for name, t in teachers:
+        check_teacher(spec, t, name)
+    check_dataset(student_ck, student_name, transfer_set, val_set)
+    teacher_cks = [t for _, t in teachers]
+
+    x_tr, y_tr = transfer_set.inputs, transfer_set.labels
+    temp = hp.temperature
+    winner = targets = z_teacher = cd_ctx = None
+    if method == "cd":
+        cd_ctx = _CdContext(student_ck, teacher_cks[0], x_tr, hp.seed)
+    elif method == "kl" and hp.topk is not None:
+        z_teacher = predict_logits(teacher_cks[0], x_tr)
+    else:
+        sources = ([frozen_reference or student_ck] if method in DP_METHODS else []) + teacher_cks
+        source_logits = [predict_logits(ck, x_tr) for ck in sources]
+        winner = confidence_winner(source_logits, y_tr if method == "kl_dp_sup" else None)
+        targets = winner_logprobs(winner, source_logits, temp)
+    baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
+
+    params = as_tensors(student_ck, requires_grad=True)
+    if cd_ctx is not None:
+        cd_ctx.attach(params)
+    opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
+    mcl = after_step = None
+    if method == "xe_kl_mcl":
+        mcl = MclState(
+            slow={k: v.copy() for k, v in student_ck.params.items()},
+            fast={k: params[k] for k in student_ck.params},
+            tau=hp.mcl_tau,
+            every=hp.mcl_every,
+        )
+        iterations = itertools.count(1)
+        after_step = lambda: mcl_interpolate(mcl, next(iterations))
+    drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
+
+    def loss_fn(b):
+        logits, feats = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
+        if z_teacher is not None:
+            return topk_restricted_kl(logits, z_teacher[b], temp, hp.topk)
+        if targets is not None:
+            kl = soft_target_kl(logits, targets[b], temp)
+            if method not in ("xe_kl", "xe_kl_mcl"):
+                return kl
+            xe = xe_loss(logits, y_tr[b])
+            return ad.add(scale(kl, hp.lam), scale(xe, 1.0 - hp.lam))
+        xe = xe_loss(logits, y_tr[b])  # cd
+        if b.size < 2:
+            return scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
+        cd = cd_loss(cd_ctx.student_side(feats, params), cd_ctx.teacher_feats[b])
+        return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
+
+    def trained() -> Checkpoint:
+        return checkpoint_of(student_ck, {k: Tensor(v) for k, v in mcl.slow.items()} if mcl else params)
+
+    per_epoch: list[EpochTrace] = []
+    for losses in sgd_epochs(
+        params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
+        functools.partial(TransferDivergedError, method), after_step,
+    ):
+        per_epoch.append(baseline.epoch_trace(losses, trained()))
+        if mcl is not None:
+            per_epoch[-1].fast_val_accuracy = float(baseline.correct(checkpoint_of(student_ck, params)).mean())
+    return baseline, per_epoch, trained(), winner
+
+
 def run_transfer(
     student_ck: Checkpoint,
     teacher_ck: Checkpoint,
@@ -573,90 +671,18 @@ def run_transfer(
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
 ) -> TransferResult:
-    """Distill into a pretrained student over a fixed epoch budget.
-
-    All relevant models forward the identical batch; DP masks come from the
-    frozen teacher and the frozen initial student (cached per sample, which
-    is equivalent to per-batch recomputation because the sources never
-    move).  MCL evaluates and returns the slow weights.
-    """
-    if method not in METHODS:
-        raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    spec = student_ck.spec
-    check_teacher(spec, teacher_ck, teacher_name)
-    if transfer_set.num_classes != spec.num_classes or val_set.num_classes != spec.num_classes:
-        raise TransferError("dataset class count does not match the models")
-
-    x_tr, y_tr = transfer_set.inputs, transfer_set.labels
-
-    # frozen sources, cached on the full transfer set for the methods that read them;
-    # f_st, DP's frozen retention reference, is by default the initial student
-    z_teacher = predict_logits(teacher_ck, x_tr) if method != "cd" else None
-    z_st = None
-    mask: PartitionMask | None = None
-    if method in ("kl_dp_sup", "kl_dp_unsup"):
-        z_st = predict_logits(frozen_reference or student_ck, x_tr)
-        if method == "kl_dp_sup":
-            mask = dp_masks_supervised(z_teacher, z_st, y_tr)
-        else:
-            mask = dp_masks_unsupervised(z_teacher, z_st)
-
-    cd_ctx = _CdContext(student_ck, teacher_ck, x_tr, hp.seed) if method == "cd" else None
-    baseline = ValBaseline.measure(student_ck, [teacher_ck], val_set)
-
-    params = as_tensors(student_ck, requires_grad=True)
-    if cd_ctx is not None:
-        cd_ctx.attach(params)
-    opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
-    mcl = None
-    after_step = None
-    if method == "xe_kl_mcl":
-        mcl = MclState(
-            slow={k: v.copy() for k, v in student_ck.params.items()},
-            fast={k: params[k] for k in student_ck.params},
-            tau=hp.mcl_tau,
-            every=hp.mcl_every,
-        )
-        iterations = itertools.count(1)
-        after_step = lambda: mcl_interpolate(mcl, next(iterations))
-    drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
-    temp = hp.temperature
-
-    def loss_fn(b):
-        logits, feats = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
-        if method == "kl":
-            if hp.topk is not None:
-                return topk_restricted_kl(logits, z_teacher[b], temp, hp.topk)
-            return kl_loss(logits, z_teacher[b], temp)
-        if method in ("xe_kl", "xe_kl_mcl"):
-            return xe_kl_loss(logits, z_teacher[b], y_tr[b], hp.lam, temp)
-        if method in ("kl_dp_sup", "kl_dp_unsup"):
-            return dp_loss(logits, z_teacher[b], z_st[b], mask.slice(b), temp)
-        xe = xe_loss(logits, y_tr[b])  # cd
-        if b.size < 2:
-            return scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
-        cd = cd_loss(cd_ctx.student_side(feats, params), cd_ctx.teacher_feats[b])
-        return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
-
-    def trained_params() -> dict[str, Tensor]:
-        return {k: Tensor(v) for k, v in mcl.slow.items()} if mcl is not None else params
-
-    per_epoch: list[EpochTrace] = []
-    for losses in sgd_epochs(
-        params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
-        functools.partial(TransferDivergedError, method), after_step,
-    ):
-        trace = baseline.epoch_trace(
-            losses,
-            checkpoint_of(student_ck, trained_params()),
-            mask.teacher_share if mask is not None else None,
-        )
-        if mcl is not None:
-            trace.fast_val_accuracy = float(baseline.correct(checkpoint_of(student_ck, params)).mean())
-        per_epoch.append(trace)
-
+    """``distill`` with one teacher; DP's frozen retention reference is
+    ``frozen_reference``, by default the initial student."""
+    baseline, per_epoch, student_after, winner = distill(
+        student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
+        frozen_reference,
+    )
+    if method in DP_METHODS:
+        share = float((winner == 1).mean())
+        for trace in per_epoch:
+            trace.mask_teacher_share = share
     return baseline.result(
-        method, hp, per_epoch, checkpoint_of(student_ck, trained_params()), teacher_name, student_name,
+        method, hp, per_epoch, student_after, teacher_name, student_name,
         meta={"transfer_method": method, "teacher": teacher_name},
         extras={"acc_teacher": baseline.teacher_accs[0]},
     )

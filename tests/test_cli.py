@@ -350,6 +350,24 @@ def test_bad_config_value_exits_2_naming_key(zoo_dir, tmp_path, capsys, make, ke
     assert "config error" in err and key in err
 
 
+_MISFITS = {
+    # the zoo was trained on 8 dims and 4 classes; each once exited 1 with a traceback
+    "transfer_dims": (_bad("transfer", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
+    "flips_dims": (_bad("flips", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
+    "sweep_dims": (_bad("sweep", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
+    "flips_classes": (_bad("flips", "dataset.synthetic.classes", 5), "class count", "narrow", "5", "4"),
+    "parallel_classes": (_bad("multi", "dataset.synthetic.classes", 5), "class count", "narrow", "5", "4"),
+}
+
+
+@pytest.mark.parametrize("make, what, model, got, want", list(_MISFITS.values()), ids=list(_MISFITS))
+def test_dataset_that_does_not_fit_the_zoo_exits_3(zoo_dir, tmp_path, capsys, make, what, model, got, want):
+    command, doc = make(zoo_dir, tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: dataset {what} does not match model {model}: dataset {got}, model {want}" in err
+
+
 def test_out_flag_with_nul_byte_exits_2(tmp_path, capsys):
     conf = _write(tmp_path / "cfg.json", _zoo_config(tmp_path / "out"))
     assert main(["zoo", "--config", conf, "--out", str(tmp_path / "o\0x")]) == 2
@@ -442,6 +460,32 @@ def test_sweep_jobs_parallel_same_bytes(zoo_dir, tmp_path):
     assert main(["sweep", "--config", _write(cfg2, _sweep_config(zoo_dir, out2)), "--jobs", "2"]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_records_failed_runs_and_exits_3(zoo_dir, tmp_path, capsys, jobs):
+    """A failing run no longer aborts the sweep: the finished runs are written
+    as a sweep of them alone writes them, and summary.json lists the rest."""
+    hp = {"lr": 0.01, "epochs": 2, "batch_size": 64, "seed": 1}
+    ok = _sweep_config(zoo_dir, tmp_path / "ok", methods=["kl"])
+    # xe_kl diverges at once with this step size
+    mixed = _sweep_config(
+        zoo_dir, tmp_path / "mixed", methods=["kl", "xe_kl"], hyperparams={"kl": hp, "xe_kl": {**hp, "lr": 1e200}}
+    )
+    assert main(["sweep", "--config", _write(tmp_path / "ok.json", ok)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", _write(tmp_path / "mixed.json", mixed), "--jobs", str(jobs)]) == 3
+    assert capsys.readouterr().err.count("error: sweep run xe_kl ") == 6
+    csv = (tmp_path / "ok" / "sweep.csv").read_bytes()
+    assert (tmp_path / "mixed" / "sweep.csv").read_bytes() == csv
+    ok_summary = json.loads((tmp_path / "ok" / "summary.json").read_text())
+    summary = json.loads((tmp_path / "mixed" / "summary.json").read_text())
+    assert "failed" not in ok_summary
+    assert summary["methods"] == {**ok_summary["methods"], "xe_kl": None}
+    pairs = [line.split(",")[:2] for line in csv.decode().splitlines()[1:]]
+    assert [[f["teacher"], f["student"]] for f in summary["failed"]] == pairs
+    assert {f["method"] for f in summary["failed"]} == {"xe_kl"}
+    assert all(f["error"].startswith("xe_kl: non-finite loss") for f in summary["failed"])
 
 
 def test_sweep_max_pairs_downselects(zoo_dir, tmp_path):

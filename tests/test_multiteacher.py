@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flipxfer.data import SyntheticConfig, train_val_pair
-from flipxfer.models import ModelSpec
+from flipxfer.models import ModelSpec, predict_logits
 from flipxfer.transfer import TransferError, TransferHyperparams, run_transfer
 from flipxfer.multiteacher import (
     MultiTeacherPlan,
@@ -185,3 +185,39 @@ def test_retain_original_reference_flag(setup):
         for k in student.params
     )
     assert diff
+
+
+def test_parallel_one_teacher_dp_sup_equals_run_transfer_per_epoch(setup):
+    """DP is parallel transfer with one teacher: same weights, same epochs."""
+    train, val, student, teachers = setup
+    par = parallel_transfer(student, _plan({"t_a": teachers["t_a"]}, "parallel"), HP, train, val)
+    direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val, "t_a")
+    assert par.student_after.digest() == direct.student_after.digest()
+    assert len(par.per_epoch) == len(direct.per_epoch) == HP.epochs
+    for p, d in zip(par.per_epoch, direct.per_epoch):
+        assert (p.val_accuracy, p.gain, p.loss, p.train_loss) == (d.val_accuracy, d.gain, d.loss, d.train_loss)
+
+
+def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch):
+    """Each stage forwards its student, its teacher and each epoch's weights;
+    the original student's accuracy comes from the first stage."""
+    import flipxfer.models as models
+
+    train, val, student, teachers = setup
+    calls = []
+    predict = models._predict
+
+    def counted(ck, batch):
+        calls.append(batch is val.inputs)
+        return predict(ck, batch)
+
+    monkeypatch.setattr(models, "_predict", counted)
+    two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
+    hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
+    stages = sequential_transfer(student, _plan(two, "sequential"), hp, train, val)
+    assert len(stages) == 2
+    assert sum(calls) == 6
+    acc0 = float((predict_logits(student, val.inputs).argmax(axis=1) == val.labels).mean())
+    assert stages[-1].extras["cumulative_delta_transf"] == (
+        stages[-1].extras["acc_before"] + stages[-1].report.delta_transf - acc0
+    )

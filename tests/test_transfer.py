@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from flipxfer.transfer import (
     TransferError,
     TransferHyperparams,
     cd_loss,
+    check_dataset,
+    confidence_winner,
     default_hyperparams,
     dp_loss,
     dp_masks_supervised,
@@ -20,7 +24,9 @@ from flipxfer.transfer import (
     kl_loss,
     mcl_interpolate,
     run_transfer,
+    soft_target_kl,
     topk_restricted_kl,
+    winner_logprobs,
     xe_kl_loss,
     xe_loss,
 )
@@ -241,6 +247,56 @@ def test_dp_reduction_bitwise_on_100_random_fixtures():
 
 
 # ---------------------------------------------------------------------------
+# targets built once over the transfer set vs the per-batch objectives
+
+
+def _loss_and_grad(build, s):
+    z = Tensor(s.copy(), requires_grad=True)
+    with Tape() as tape:
+        loss = build(z)
+    backward(tape, loss)
+    return loss.item(), z.grad
+
+
+@pytest.mark.parametrize("method", ["kl", "xe_kl", "kl_dp_sup", "kl_dp_unsup"])
+@pytest.mark.parametrize("batch", [1, 7, 32, 64])
+@pytest.mark.parametrize("temp", [0.5, 1.0, 2.0, 4.0])
+def test_precomputed_target_rows_equal_the_per_batch_objective(method, batch, temp):
+    """The rows of a target built on the whole set give the loss and the
+    student-logit gradient of the per-batch objective, bit for bit."""
+    rng = np.random.default_rng([batch, int(temp * 10), len(method)])
+    n, c, lam = 150, 6, 0.3
+    teacher, st_ = rng.normal(size=(n, c), scale=3), rng.normal(size=(n, c), scale=3)
+    labels = rng.integers(0, c, size=n)
+    sources = [teacher] if method in ("kl", "xe_kl") else [st_, teacher]
+    winner = confidence_winner(sources, labels if method == "kl_dp_sup" else None)
+    targets = winner_logprobs(winner, sources, temp)
+    for _ in range(5):
+        b = rng.choice(n, size=batch, replace=False)
+        s = rng.normal(size=(batch, c), scale=3)
+        if method == "kl":
+            want = lambda z: kl_loss(z, teacher[b], temp)
+        elif method == "xe_kl":
+            want = lambda z: xe_kl_loss(z, teacher[b], labels[b], lam, temp)
+        elif method == "kl_dp_sup":
+            want = lambda z: dp_loss(z, teacher[b], st_[b], dp_masks_supervised(teacher[b], st_[b], labels[b]), temp)
+        else:
+            want = lambda z: dp_loss(z, teacher[b], st_[b], dp_masks_unsupervised(teacher[b], st_[b]), temp)
+
+        def got(z):
+            kl = soft_target_kl(z, targets[b], temp)
+            if method != "xe_kl":
+                return kl
+            xe = xe_loss(z, labels[b])
+            return ad.add(ad.scale(kl, lam), ad.scale(xe, 1.0 - lam))
+
+        loss_got, grad_got = _loss_and_grad(got, s)
+        loss_want, grad_want = _loss_and_grad(want, s)
+        assert loss_got == loss_want
+        assert np.array_equal(grad_got, grad_want)
+
+
+# ---------------------------------------------------------------------------
 # top-k restricted divergence
 
 
@@ -403,6 +459,19 @@ def test_run_transfer_rejects_class_mismatch(toy_sets):
     other = ModelSpec(family="mlp", depth=2, input_shape=(6,), num_classes=5, width=8)
     with pytest.raises(TransferError):
         run_transfer(build(SPEC, 1), build(other, 2), "kl", HP, train, val)
+
+
+@pytest.mark.parametrize("dataset, message", [
+    (lambda d: Dataset(d.inputs, d.labels, 5), "class count does not match model student: dataset 5, model 4"),
+    (lambda d: Dataset(d.inputs[:, :5], d.labels, 4), "input shape does not match model student: dataset (5,), model (6,)"),
+])
+def test_run_transfer_rejects_a_dataset_that_does_not_fit(toy_sets, dataset, message):
+    train, val = toy_sets
+    for sets in ((dataset(train), val), (train, dataset(val))):
+        with pytest.raises(TransferError, match=re.escape(message)):
+            run_transfer(build(SPEC, 1), build(SPEC, 2), "kl", HP, *sets, student_name="student")
+    with pytest.raises(TransferError, match=re.escape(message)):
+        check_dataset(build(SPEC, 1), "student", train, dataset(val))
 
 
 def test_run_transfer_rejects_unknown_method(toy_sets):
