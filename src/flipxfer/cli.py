@@ -1,8 +1,9 @@
 """Command-line entry point: zoo / flips / transfer / sweep.
 
-Every command takes a JSON config (``--config``). One resolver checks each
-section against the dataclass that consumes it: it rejects unknown keys,
-fills defaults and types every value by one rule (``_typed``). The
+Every command takes a JSON config (``--config``). One resolver
+(``config.resolve``) checks each section against the dataclass that consumes
+it: it rejects unknown keys, fills defaults and types every value by one
+rule (``config.typed``), the rule that also reads zoo manifests. The
 fully-resolved config is written beside the outputs so any run can be
 reproduced byte-for-byte from ``config.resolved.json``.
 Logging goes to stderr; stdout stays silent unless ``--json`` asks for the
@@ -16,14 +17,11 @@ emitted JSON/CSV (0.01 = one accuracy point).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, astuple, fields
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -37,6 +35,7 @@ from .analysis import (
     success_rate,
     top_share_classes,
 )
+from .config import REQUIRED, ConfigError, resolve
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, predict_logits, save
 from .multiteacher import (
@@ -57,6 +56,7 @@ from .transfer import (
     run_transfer,
 )
 from .zoo import (
+    ManifestError,
     PairFilter,
     TrainConfig,
     TrainingDivergedError,
@@ -67,10 +67,6 @@ from .zoo import (
 )
 
 DEFAULT_BINS = [-0.3, -0.1, -0.05, -0.02, 0.0, 0.02, 0.05, 0.1, 0.3]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _log(msg: str) -> None:
@@ -96,72 +92,8 @@ def _load_config(path) -> dict:
     return cfg
 
 
-REQUIRED = MISSING  # the default of a key that must be given
-_field_types = functools.cache(get_type_hints)  # evaluates annotations once per dataclass
-
-
-def _typed(value, hint, key: str):
-    """The one rule that turns a JSON value into a field's type.
-
-    An int takes a JSON integer (never a boolean), a float any JSON number,
-    stored as float, a str a string, a bool a boolean and a dict an object;
-    a list or tuple of T takes a JSON list of T, and ``T | None`` also takes
-    null. Anything else is a ConfigError naming the dotted ``key``.
-    """
-    base = hint
-    if get_origin(hint) in (Union, UnionType):
-        if value is None:
-            return None
-        (base,) = (a for a in get_args(hint) if a is not type(None))
-    if get_origin(base) in (list, tuple) and type(value) is list:
-        item = get_args(base)[0]
-        return get_origin(base)(_typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
-    if base is float and type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    elif type(value) is base:
-        return value
-    raise ConfigError(f"{key}: expected {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
-
-
-def _resolve(section, path: str, consumer=None, *, skip=(), **keys) -> dict:
-    """Check one config section; return every key typed, defaults filled.
-
-    The allowed keys are the fields of ``consumer`` -- the dataclass that
-    takes the section, or an instance of it whose values replace the field
-    defaults -- less ``skip``, the fields the CLI fills in itself, plus
-    ``keys``: ``name=(type, default)`` for keys no dataclass takes. Unknown
-    keys are rejected and a key whose default is REQUIRED must be given.
-    ``path`` is the section's dotted key, "" for the top level.
-    """
-    if consumer is not None:
-        hints = _field_types(consumer if isinstance(consumer, type) else type(consumer))
-        keys = {
-            f.name: (hints[f.name], getattr(consumer, f.name, REQUIRED))
-            for f in fields(consumer)
-            if f.name not in skip
-        } | keys
-    where = path or "config"
-    if type(section) is not dict:
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(keys)}")
-    out = {}
-    for name, (hint, default) in keys.items():
-        if name in section:
-            out[name] = _typed(section[name], hint, f"{path}.{name}" if path else name)
-        elif default is REQUIRED:
-            raise ConfigError(f"{where}: missing required key {name!r}")
-        else:
-            out[name] = default
-    return out
-
-
 def _resolve_dataset(d: dict) -> dict:
-    r = _resolve(
+    r = resolve(
         d, "dataset",
         synthetic=(dict | None, None), idx=(dict | None, None),
         subsample_fraction=(float, 1.0), subsample_seed=(int, 0),
@@ -169,14 +101,14 @@ def _resolve_dataset(d: dict) -> dict:
     if (r["synthetic"] is None) == (r["idx"] is None):
         raise ConfigError("dataset: exactly one of 'synthetic' or 'idx' must be given")
     if r["synthetic"] is not None:
-        s = r["synthetic"] = _resolve(
+        s = r["synthetic"] = resolve(
             r["synthetic"], "dataset.synthetic", SyntheticConfig, skip=("samples", "seed"),
             train=(dict, REQUIRED), val=(dict, REQUIRED),
         )
         for part in ("train", "val"):  # the draws' own sizes and seeds
-            s[part] = _resolve(s[part], f"dataset.synthetic.{part}", samples=(int, REQUIRED), seed=(int, REQUIRED))
+            s[part] = resolve(s[part], f"dataset.synthetic.{part}", samples=(int, REQUIRED), seed=(int, REQUIRED))
     else:
-        r["idx"] = _resolve(
+        r["idx"] = resolve(
             r["idx"], "dataset.idx",
             **{k: (str, REQUIRED) for k in ("train_images", "train_labels", "val_images", "val_labels")},
         )
@@ -206,13 +138,13 @@ def _build_datasets(resolved: dict) -> tuple[Dataset, Dataset]:
 
 
 def _resolve_zoo(d: dict) -> dict:
-    models = _resolve(d, "zoo", models=(list[dict], REQUIRED))["models"]
+    models = resolve(d, "zoo", models=(list[dict], REQUIRED))["models"]
     if len(models) < 2:
         raise ConfigError("zoo.models: need a list of at least 2 model entries")
     out, names = [], set()
     for i, m in enumerate(models):
         path = f"zoo.models[{i}]"
-        m = _resolve(
+        m = resolve(
             m, path, ModelSpec, skip=("input_shape", "num_classes"), name=(str, REQUIRED), train=(dict, {})
         )
         if m["name"] in names:
@@ -220,7 +152,7 @@ def _resolve_zoo(d: dict) -> dict:
         if os.sep in m["name"] or "\0" in m["name"]:  # it names the checkpoint file
             raise ConfigError(f"{path}.name: {m['name']!r} is not a file name")
         names.add(m["name"])
-        m["train"] = _resolve(m["train"], f"{path}.train", TrainConfig)
+        m["train"] = resolve(m["train"], f"{path}.train", TrainConfig)
         try:
             TrainConfig(**m["train"])
         except ValueError as e:
@@ -230,7 +162,7 @@ def _resolve_zoo(d: dict) -> dict:
 
 
 def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None, path: str) -> dict:
-    hp = _resolve(overrides, path, default_hyperparams(method))
+    hp = resolve(overrides, path, default_hyperparams(method))
     if seed_override is not None:
         hp["seed"] = seed_override
     try:
@@ -285,7 +217,7 @@ _OUT = (str | None, None)  # the top-level "out" key of every command
 
 
 def cmd_zoo(cfg: dict, args) -> int:
-    cfg = _resolve(cfg, "", dataset=(dict, REQUIRED), zoo=(dict, REQUIRED), out=_OUT)
+    cfg = resolve(cfg, "", dataset=(dict, REQUIRED), zoo=(dict, REQUIRED), out=_OUT)
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "zoo": _resolve_zoo(cfg["zoo"])}
     out_dir = resolved["out"] = _prepare_out(cfg, args)
     train, val = _build_datasets(resolved["dataset"])
@@ -331,12 +263,12 @@ def _checkpoint(manifest: ZooManifest, name: str, key: str):
 
 
 def cmd_flips(cfg: dict, args) -> int:
-    cfg = _resolve(
+    cfg = resolve(
         cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED),
         pairs=(dict | None, None), embeddings=(str | None, None), out=_OUT,
     )
     resolved = cfg | {
-        "dataset": _resolve_dataset(cfg["dataset"]), "pairs": _resolve(cfg["pairs"] or {}, "pairs", PairFilter)
+        "dataset": _resolve_dataset(cfg["dataset"]), "pairs": resolve(cfg["pairs"] or {}, "pairs", PairFilter)
     }
     out_dir = resolved["out"] = _prepare_out(cfg, args)
     manifest = _load_zoo(resolved["manifest"])
@@ -420,10 +352,10 @@ def cmd_flips(cfg: dict, args) -> int:
 
 
 def cmd_transfer(cfg: dict, args) -> int:
-    cfg = _resolve(
+    cfg = resolve(
         cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), transfer=(dict, REQUIRED), out=_OUT
     )
-    t = _resolve(
+    t = resolve(
         cfg["transfer"], "transfer",
         method=(str, REQUIRED), teacher=(str | None, None), student=(str, REQUIRED),
         hyperparams=(dict | None, None), multi=(dict | None, None),
@@ -435,7 +367,7 @@ def cmd_transfer(cfg: dict, args) -> int:
         raise ConfigError("transfer: exactly one of 'teacher' or 'multi' must be given")
     multi = t["multi"]
     if multi is not None:
-        multi = t["multi"] = _resolve(
+        multi = t["multi"] = resolve(
             t["multi"], "transfer.multi", MultiTeacherPlan, skip=("teachers", "method", "teacher_names"),
             teachers=(list[str], REQUIRED),
         )
@@ -565,8 +497,8 @@ def _sweep_task(task):
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    cfg = _resolve(cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), sweep=(dict, REQUIRED), out=_OUT)
-    s = _resolve(
+    cfg = resolve(cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), sweep=(dict, REQUIRED), out=_OUT)
+    s = resolve(
         cfg["sweep"], "sweep",
         methods=(list[str], REQUIRED), pairs=(dict | None, None), hyperparams=(dict | None, None),
         bins=(list[float], DEFAULT_BINS), max_pairs=(int | None, None),
@@ -588,7 +520,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         }
     else:
         s["hyperparams"] = {m: _resolve_hyperparams(m, overrides, args.seed, "sweep.hyperparams") for m in methods}
-    s["pairs"] = _resolve(s["pairs"] or {}, "sweep.pairs", PairFilter)
+    s["pairs"] = resolve(s["pairs"] or {}, "sweep.pairs", PairFilter)
     if s["max_pairs"] is not None and s["max_pairs"] < 1:
         raise ConfigError(f"sweep.max_pairs: must be at least 1, got {s['max_pairs']}")
     try:
@@ -710,6 +642,7 @@ def main(argv=None) -> int:
         FileNotFoundError,
         CheckpointError,
         DataError,
+        ManifestError,
         TrainingDivergedError,
         TransferDivergedError,
         TransferError,

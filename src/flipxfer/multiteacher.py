@@ -107,7 +107,6 @@ def sequential_transfer(
                 method=plan.method,
                 hyperparams=hp,
                 report=PairReport(name, student_name, 0.0, 0.0, 0.0, 0.0),
-                per_epoch=[],
                 student_after=current,
                 extras={"failed": str(e)},
             )
@@ -138,15 +137,13 @@ def parallel_transfer(
     # tie-breaking uses the plan's given teacher sequence, so no reordering here;
     # kl compares maximum probabilities, as the unsupervised rule does
     rule = "kl_dp_sup" if plan.method == "kl_dp_sup" else "kl_dp_unsup"
-    baseline, per_epoch, student_after, winner = distill(
+    baseline, epochs, student_after, winner = distill(
         student_ck, list(zip(plan.teacher_names, plan.teachers)), rule, hp, transfer_set, val_set, student_name
     )
     source_share = np.bincount(winner, minlength=len(plan.teachers) + 1) / transfer_set.n
-    share = float(1.0 - source_share[0])
-    for trace in per_epoch:
-        trace.mask_teacher_share = share
+    epochs.teacher_share = float(1.0 - source_share[0])
     return baseline.result(
-        plan.method, hp, per_epoch, student_after, f"parallel[{'+'.join(plan.teacher_names)}]", student_name,
+        plan.method, hp, epochs, student_after, f"parallel[{'+'.join(plan.teacher_names)}]", student_name,
         meta={"transfer_method": "parallel"},
         extras={
             "teacher_accs": baseline.teacher_accs,
@@ -165,7 +162,8 @@ def soup_transfer(
     student_name: str = "student",
 ) -> TransferResult:
     """Distill one student per teacher from the same start, then average all
-    variants' parameters uniformly and evaluate the merged model."""
+    variants' parameters uniformly and evaluate the merged model against the
+    union of the branches' baselines."""
     if plan.mode != "soup":
         raise TransferError(f"plan mode is {plan.mode!r}, expected 'soup'")
     branches: list[TransferResult] = []
@@ -194,9 +192,9 @@ def soup_transfer(
             for name in student_ck.params
         }
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
-    baseline = ValBaseline.measure(student_ck, plan.teachers, val_set)
+    baseline = ValBaseline.union([r.baseline for r in branches])
     return baseline.result(
-        plan.method, hp, [], student_after, f"soup[{'+'.join(plan.teacher_names)}]", student_name,
+        plan.method, hp, None, student_after, f"soup[{'+'.join(plan.teacher_names)}]", student_name,
         meta={"transfer_method": "soup"},
         extras={
             "teacher_accs": baseline.teacher_accs,

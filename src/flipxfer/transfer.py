@@ -55,7 +55,7 @@ from .autodiff import (
     weighted_sum,
 )
 from .data import Dataset, epoch_permutation
-from .models import Checkpoint, as_tensors, model_forward, predict_features, predict_logits
+from .models import Checkpoint, ModelSpec, as_tensors, model_forward, predict_features, predict_logits
 
 __all__ = [
     "METHODS",
@@ -65,6 +65,7 @@ __all__ = [
     "MclState",
     "PartitionMask",
     "EpochTrace",
+    "EpochStates",
     "TransferResult",
     "ValBaseline",
     "default_hyperparams",
@@ -194,14 +195,44 @@ class EpochTrace:
 
 
 @dataclass
+class EpochStates:
+    """What each epoch of a transfer left: its mean train loss and a copy of
+    its weights (MCL: the slow weights, plus the fast ones).  They are
+    forwarded over the val set only when ``traces`` is called."""
+
+    spec: ModelSpec
+    train_loss: list[float] = field(default_factory=list)
+    weights: list[dict[str, np.ndarray]] = field(default_factory=list)
+    fast_weights: list[dict[str, np.ndarray]] | None = None
+    teacher_share: float | None = None  # DP and parallel: the share of samples a teacher won
+
+    def traces(self, baseline: "ValBaseline") -> list[EpochTrace]:
+        out = []
+        for i, (loss, weights) in enumerate(zip(self.train_loss, self.weights)):
+            trace = baseline.epoch_trace(loss, Checkpoint(self.spec, weights))
+            trace.mask_teacher_share = self.teacher_share
+            if self.fast_weights is not None:
+                trace.fast_val_accuracy = float(baseline.correct(Checkpoint(self.spec, self.fast_weights[i])).mean())
+            out.append(trace)
+        return out
+
+
+@dataclass
 class TransferResult:
     method: str
     hyperparams: TransferHyperparams
     report: PairReport
-    per_epoch: list[EpochTrace]
     student_after: Checkpoint
     rate: dict | None = None
     extras: dict = field(default_factory=dict)
+    baseline: "ValBaseline | None" = field(default=None, repr=False)
+    epochs: EpochStates | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def per_epoch(self) -> list[EpochTrace]:
+        """One trace per epoch; the epochs' weights are forwarded over the val
+        set on first read, through the baseline's memo."""
+        return self.epochs.traces(self.baseline) if self.epochs is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +492,9 @@ class ValBaseline:
     single teacher, its own).
 
     Each weight state is forwarded over the val set once: ``correct`` keeps
-    the flags of every checkpoint it saw, by digest, so the report reuses the
-    last epoch's forward (or, with no epochs, the untrained student's).
+    the flags of every checkpoint it saw, by digest, so epoch traces read
+    after the report reuse its forward of the last epoch's weights (and,
+    with no epochs, the report reuses the untrained student's).
     """
 
     val_set: Dataset
@@ -484,6 +516,19 @@ class ValBaseline:
         flips = flip_stats_from_flags(any_teacher_correct & ~before, y, student_ck.spec.num_classes)
         return cls(val_set, before, accs, flips, {student_ck.digest(): before})
 
+    @classmethod
+    def union(cls, baselines: list["ValBaseline"]) -> "ValBaseline":
+        """The baseline of one student against every teacher of ``baselines``
+        (each measured for that student on the same val set), built from
+        their forwards: the union of their flips is (any teacher correct) &
+        ~before, as ``measure`` computes it."""
+        first = baselines[0]
+        flags = np.logical_or.reduce([b.flips.per_sample_flags for b in baselines])
+        flips = flip_stats_from_flags(flags, first.val_set.labels, first.val_set.num_classes)
+        accs = [acc for b in baselines for acc in b.teacher_accs]
+        seen = {k: v for b in baselines for k, v in b.seen.items()}
+        return cls(first.val_set, first.before_correct, accs, flips, seen)
+
     @property
     def acc_before(self) -> float:
         return float(self.before_correct.mean())
@@ -502,21 +547,22 @@ class ValBaseline:
             return 0.0, lost / total_before if total_before else 0.0
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
-    def epoch_trace(self, losses: list[float], ck: Checkpoint) -> EpochTrace:
+    def epoch_trace(self, train_loss: float, ck: Checkpoint) -> EpochTrace:
         now = self.correct(ck)
         gain, loss_share = self.gain_loss(now)
         return EpochTrace(
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
+            train_loss=train_loss,
             val_accuracy=float(now.mean()),
             gain=gain,
             loss=loss_share,
         )
 
-    def result(self, method: str, hp: TransferHyperparams, per_epoch: list[EpochTrace],
+    def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
                student_after: Checkpoint, teacher: str, student: str, meta: dict,
                extras: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
-        ``meta`` goes into its checkpoint, ``extras`` into the result."""
+        ``meta`` goes into its checkpoint, ``extras`` into the result, and
+        ``epochs`` stay unforwarded until the result's traces are read."""
         y = self.val_set.labels
         after_correct = self.correct(student_after)
         acc_after = float(after_correct.mean())
@@ -535,10 +581,11 @@ class ValBaseline:
             method=method,
             hyperparams=hp,
             report=report,
-            per_epoch=per_epoch,
             student_after=student_after,
             rate=transfer_rate(self.flips, after_correct, y) if self.flips.total else None,
             extras={"acc_before": self.acc_before, **extras, "rho_pos": self.flips.rho_pos},
+            baseline=self,
+            epochs=epochs,
         )
 
 
@@ -581,10 +628,11 @@ def distill(
     val_set: Dataset,
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
-) -> tuple[ValBaseline, list[EpochTrace], Checkpoint, np.ndarray | None]:
+) -> tuple[ValBaseline, EpochStates, Checkpoint, np.ndarray | None]:
     """Distill named teachers into a pretrained student over a fixed epoch
-    budget.  Returns the baseline, the epoch traces, the trained checkpoint
-    (MCL: the slow weights) and the per-sample winning source.
+    budget.  Returns the baseline, the epoch states (not yet forwarded over
+    the val set), the trained checkpoint (MCL: the slow weights) and the
+    per-sample winning source.
 
     The KL family's target is built once, before SGD: per sample, the
     tempered distribution of the most confident frozen source, the teacher
@@ -646,18 +694,19 @@ def distill(
         cd = cd_loss(cd_ctx.student_side(feats, params), cd_ctx.teacher_feats[b])
         return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
 
-    def trained() -> Checkpoint:
-        return checkpoint_of(student_ck, {k: Tensor(v) for k, v in mcl.slow.items()} if mcl else params)
+    def weights() -> dict[str, np.ndarray]:
+        return {k: (mcl.slow[k] if mcl else params[k].data).copy() for k in student_ck.params}
 
-    per_epoch: list[EpochTrace] = []
+    epochs = EpochStates(spec, fast_weights=[] if mcl else None)
     for losses in sgd_epochs(
         params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
         functools.partial(TransferDivergedError, method), after_step,
     ):
-        per_epoch.append(baseline.epoch_trace(losses, trained()))
+        epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
+        epochs.weights.append(weights())
         if mcl is not None:
-            per_epoch[-1].fast_val_accuracy = float(baseline.correct(checkpoint_of(student_ck, params)).mean())
-    return baseline, per_epoch, trained(), winner
+            epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
+    return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
 
 
 def run_transfer(
@@ -673,16 +722,14 @@ def run_transfer(
 ) -> TransferResult:
     """``distill`` with one teacher; DP's frozen retention reference is
     ``frozen_reference``, by default the initial student."""
-    baseline, per_epoch, student_after, winner = distill(
+    baseline, epochs, student_after, winner = distill(
         student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
         frozen_reference,
     )
     if method in DP_METHODS:
-        share = float((winner == 1).mean())
-        for trace in per_epoch:
-            trace.mask_teacher_share = share
+        epochs.teacher_share = float((winner == 1).mean())
     return baseline.result(
-        method, hp, per_epoch, student_after, teacher_name, student_name,
+        method, hp, epochs, student_after, teacher_name, student_name,
         meta={"transfer_method": method, "teacher": teacher_name},
         extras={"acc_teacher": baseline.teacher_accs[0]},
     )

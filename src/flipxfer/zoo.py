@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import SgdState, Tensor
+from .config import REQUIRED, ConfigError, resolve
 from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits, save
 from .transfer import checkpoint_of, sgd_epochs, xe_loss
@@ -24,6 +25,7 @@ from .analysis import correct_flags
 __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
+    "ManifestError",
     "ZooEntry",
     "ZooManifest",
     "PairFilter",
@@ -39,6 +41,10 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, name: str, epoch: int, value: float):
         self.name, self.epoch, self.value = name, epoch, value
         super().__init__(f"{name}: non-finite training loss {value!r} at epoch {epoch}")
+
+
+class ManifestError(ValueError):
+    """A manifest file that does not hold a zoo registry; names the file and the key."""
 
 
 @dataclass(frozen=True)
@@ -198,10 +204,28 @@ def save_manifest(manifest: ZooManifest, path) -> None:
 
 
 def load_manifest(path) -> ZooManifest:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    entries = [ZooEntry(**e) for e in doc["entries"]]
-    return ZooManifest(entries=entries, root=os.path.dirname(os.path.abspath(path)))
+    """Read a manifest, each entry typed over the fields of ZooEntry by the
+    config rule; every checkpoint path must stay inside the manifest's
+    directory."""
+    root = os.path.dirname(os.path.abspath(path))
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise ManifestError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8 text ({e.reason})") from e
+    try:
+        listed = resolve(doc, "", entries=(list[dict], REQUIRED))["entries"]
+        entries = [ZooEntry(**resolve(e, f"entries[{i}]", ZooEntry)) for i, e in enumerate(listed)]
+    except ConfigError as e:
+        raise ManifestError(f"{path}: {e}") from e
+    for i, e in enumerate(entries):
+        target = os.path.normpath(os.path.join(root, e.path))
+        if "\0" in e.path or os.path.commonpath([root, target]) != root:
+            raise ManifestError(f"{path}: entries[{i}].path: {e.path!r} is not a file in the manifest's directory")
+    return ZooManifest(entries=entries, root=root)
 
 
 @dataclass(frozen=True)

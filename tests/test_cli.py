@@ -221,6 +221,37 @@ def test_flips_missing_checkpoint_exits_3(zoo_dir, tmp_path, capsys):
     assert "gone.ckpt" in capsys.readouterr().err
 
 
+def _entry0(change):
+    def edit(doc):
+        change(doc["entries"][0])
+        return json.dumps(doc)
+    return edit
+
+
+_BAD_MANIFESTS = {
+    "truncated_json": (lambda doc: json.dumps(doc)[:40], "malformed JSON at line"),
+    "not_utf8": (lambda doc: "\udcff" + json.dumps(doc), "not UTF-8 text"),
+    "no_entries": (lambda doc: "{}", "top level: missing required key 'entries'"),
+    "unknown_entry_key": (_entry0(lambda e: e.update(bogus=1)), "entries[0]: unknown keys ['bogus']"),
+    "string_val_accuracy": (_entry0(lambda e: e.update(val_accuracy="0.9")), "entries[0].val_accuracy: expected float"),
+    "path_leaves_dir": (_entry0(lambda e: e.update(path="../" + e["path"])), "entries[0].path:"),
+    "absolute_path": (_entry0(lambda e: e.update(path="/etc/passwd")), "entries[0].path:"),
+}
+
+
+@pytest.mark.parametrize("edit, message", list(_BAD_MANIFESTS.values()), ids=list(_BAD_MANIFESTS))
+def test_malformed_manifest_exits_3_naming_file_and_key(zoo_dir, tmp_path, capsys, edit, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(edit(json.loads((zoo_dir / "manifest.json").read_text())).encode("utf-8", "surrogateescape"))
+    for ck in zoo_dir.glob("*.ckpt"):  # the entries' files, beside the manifest
+        (tmp_path / ck.name).write_bytes(ck.read_bytes())
+    conf = _transfer_config(zoo_dir, tmp_path / "out")
+    conf["manifest"] = str(manifest)
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: " in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # transfer
 
@@ -494,6 +525,35 @@ def test_sweep_max_pairs_downselects(zoo_dir, tmp_path):
     assert main(["sweep", "--config", _write(cfg, _sweep_config(zoo_dir, out, max_pairs=4))]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + 4 * 2
+
+
+@pytest.mark.parametrize("method", ["kl", "xe_kl_mcl"])
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_sweep_task_forwards_the_val_set_three_times(zoo_dir, monkeypatch, method, epochs):
+    """Student, teacher and the trained weights: a sweep row reads no epoch trace."""
+    from dataclasses import asdict
+
+    import flipxfer.models as models
+    from flipxfer.cli import _build_datasets, _resolve_dataset, _sweep_task
+    from flipxfer.transfer import default_hyperparams
+    from flipxfer.zoo import load_manifest
+
+    manifest = load_manifest(str(zoo_dir / "manifest.json"))
+    transfer_set, val = _build_datasets(_resolve_dataset(_dataset_section()))
+    hp = asdict(default_hyperparams(method, lr=0.01, epochs=epochs, batch_size=64, seed=1))
+    calls = []
+    predict = models._predict
+
+    def counted(ck, batch):
+        calls.append(batch is val.inputs)
+        return predict(ck, batch)
+
+    monkeypatch.setattr(models, "_predict", counted)
+    task = (manifest.load_checkpoint("wide"), manifest.load_checkpoint("narrow"), method, hp,
+            transfer_set, val, "wide", "narrow")
+    row = _sweep_task(task)
+    assert "error" not in row
+    assert sum(calls) == 3
 
 
 def test_json_flag_prints_summary(zoo_dir, tmp_path, capsys):

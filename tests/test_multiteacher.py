@@ -3,7 +3,7 @@ import pytest
 
 from flipxfer.data import SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
-from flipxfer.transfer import TransferError, TransferHyperparams, run_transfer
+from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, run_transfer
 from flipxfer.multiteacher import (
     MultiTeacherPlan,
     parallel_transfer,
@@ -198,12 +198,9 @@ def test_parallel_one_teacher_dp_sup_equals_run_transfer_per_epoch(setup):
         assert (p.val_accuracy, p.gain, p.loss, p.train_loss) == (d.val_accuracy, d.gain, d.loss, d.train_loss)
 
 
-def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch):
-    """Each stage forwards its student, its teacher and each epoch's weights;
-    the original student's accuracy comes from the first stage."""
+def _count_val_forwards(monkeypatch, val):
     import flipxfer.models as models
 
-    train, val, student, teachers = setup
     calls = []
     predict = models._predict
 
@@ -212,6 +209,14 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
         return predict(ck, batch)
 
     monkeypatch.setattr(models, "_predict", counted)
+    return calls
+
+
+def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch):
+    """Each stage forwards its student, its teacher and its trained weights;
+    the original student's accuracy comes from the first stage."""
+    train, val, student, teachers = setup
+    calls = _count_val_forwards(monkeypatch, val)
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
     stages = sequential_transfer(student, _plan(two, "sequential"), hp, train, val)
@@ -221,3 +226,23 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
     assert stages[-1].extras["cumulative_delta_transf"] == (
         stages[-1].extras["acc_before"] + stages[-1].report.delta_transf - acc0
     )
+
+
+def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
+    """Each branch forwards the student, its teacher and its trained weights;
+    the soup adds only the merged weights, its baseline built from the branches'."""
+    train, val, student, teachers = setup
+    two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
+    hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
+    calls = _count_val_forwards(monkeypatch, val)
+    res = soup_transfer(student, _plan(two, "soup"), hp, train, val)
+    assert sum(calls) == 3 * len(two) + 1
+    monkeypatch.undo()
+    # the same report as a baseline measured from fresh forwards of every model
+    measured = ValBaseline.measure(student, list(two.values()), val).result(
+        res.method, hp, None, res.student_after.copy(), res.report.teacher, res.report.student, {}, {}
+    )
+    assert repr(res.report) == repr(measured.report)  # bit-equal floats, nan included
+    assert res.extras["teacher_accs"] == measured.baseline.teacher_accs
+    assert res.extras["rho_pos"] == measured.extras["rho_pos"]
+    assert repr(res.rate) == repr(measured.rate)

@@ -522,8 +522,9 @@ def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
 @pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monkeypatch, method, forwards, epochs):
-    """Student and teacher before, each epoch's weights (MCL: slow and fast),
-    and no extra forward for the report, which reuses the last epoch's."""
+    """Student and teacher before and the trained weights for the report (none
+    with no epochs: the student's); reading the traces adds each epoch's
+    weights (MCL: slow and fast) but the last one's, which the report forwarded."""
     import flipxfer.transfer as transfer
 
     train, val = toy_sets
@@ -536,6 +537,9 @@ def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monke
     monkeypatch.setattr(transfer, "predict_logits", counted)
     hp = TransferHyperparams(lr=0.02, epochs=epochs, batch_size=32, seed=1, lam=0.7)
     res = run_transfer(build(SPEC, 1), build(SPEC, 2), method, hp, train, val)
+    assert sum(calls) == (3 if epochs else 2)
+    assert len(res.per_epoch) == epochs
+    assert res.per_epoch is res.per_epoch  # forwarded on the first read, then kept
     assert sum(calls) == forwards(epochs)
     want = res.per_epoch[-1].val_accuracy if epochs else res.extras["acc_before"]
     assert res.extras["acc_before"] + res.report.delta_transf == pytest.approx(want, abs=1e-15)
