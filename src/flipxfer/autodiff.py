@@ -255,10 +255,14 @@ def relu(x: Tensor) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """3x3 convolution, zero same-padding, stride 1 or 2.
 
-    im2col is one copy of a sliding-window view, column c*9 + 3*i + j holding
-    input channel c at kernel offset (i, j); col2im adds the nine kernel
-    offsets back in that order, so every padded pixel sums its contributions
-    in a fixed order.
+    Tensors keep NCHW shapes; the work runs channels-last. The input is padded
+    into an NHWC buffer, im2col is one copy of its sliding-window view, and
+    col2im adds into an NHWC buffer. The output and the input gradient are
+    NCHW views over NHWC memory, so the next conv reads them without a copy.
+    Column c*9 + 3*i + j holds input channel c at kernel offset (i, j), which
+    fixes every einsum's sum order; col2im adds the nine kernel offsets back
+    in that order, so every padded pixel sums its contributions in a fixed
+    order.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if stride not in (1, 2):
@@ -273,10 +277,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError("conv2d(bias)", b.data.shape, (cout,))
     oh = (h + 2 - 3) // stride + 1
     ow = (wdt + 2 - 3) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    # the one copy; C order for every shape keeps each row's einsum sum order
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, cin * 9)
+    xp = np.zeros((n, h + 2, wdt + 2, cin))
+    xp[:, 1 : 1 + h, 1 : 1 + wdt, :] = x.data.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
+    # the one copy, (n, oh, ow, cin, 3, 3); C order for every shape keeps each row's einsum sum order
+    cols = np.ascontiguousarray(windows).reshape(n * oh * ow, cin * 9)
     wmat = w.data.reshape(cout, cin * 9)
     out = (_mm_nt(cols, wmat) + b.data).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
 
@@ -289,10 +294,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             gxp = np.zeros_like(xp)
             for i in range(3):  # kernel order: each pixel sums as np.add.at would
                 for j in range(3):
-                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                        gcols[..., i, j].transpose(0, 3, 1, 2)
-                    )
-            _accum(x, gxp[:, :, 1 : 1 + h, 1 : 1 + wdt])
+                    gxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[..., i, j]
+            _accum(x, gxp[:, 1 : 1 + h, 1 : 1 + wdt].transpose(0, 3, 1, 2))
 
     return _record(out, (x, w, b), bwd)
 

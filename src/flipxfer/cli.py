@@ -83,6 +83,8 @@ def _load_config(path) -> dict:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from e
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:

@@ -153,14 +153,14 @@ def class_anchors(cfg: SyntheticConfig) -> np.ndarray:
 
 
 def _shift2d(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Integer translation with zero fill."""
-    e = img.shape[0]
+    """Integer translation of the last two (square) axes with zero fill."""
+    e = img.shape[-1]
     out = np.zeros_like(img)
     ys = slice(max(dy, 0), e + min(dy, 0))
     xs = slice(max(dx, 0), e + min(dx, 0))
     ys_src = slice(max(-dy, 0), e + min(-dy, 0))
     xs_src = slice(max(-dx, 0), e + min(-dx, 0))
-    out[ys, xs] = img[ys_src, xs_src]
+    out[..., ys, xs] = img[..., ys_src, xs_src]
     return out
 
 
@@ -175,11 +175,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         base = anchors[labels, modes]
         inputs = base + cfg.sigma * rng.normal(size=base.shape)
     else:
-        e = cfg.image_size
         shifts = rng.integers(-1, 2, size=(cfg.samples, 2))
-        inputs = np.empty((cfg.samples, 1, e, e))
-        for i in range(cfg.samples):
-            inputs[i, 0] = _shift2d(anchors[labels[i], modes[i]], *shifts[i])
+        # shifted[k, j, dy + 1, dx + 1]: anchor (k, j) translated by (dy, dx)
+        shifted = np.stack(
+            [np.stack([_shift2d(anchors, dy, dx) for dx in (-1, 0, 1)], axis=2) for dy in (-1, 0, 1)], axis=2
+        )
+        inputs = shifted[labels, modes, shifts[:, 0] + 1, shifts[:, 1] + 1][:, None]
         inputs += cfg.sigma * rng.normal(size=inputs.shape)
     noisy = rng.random(cfg.samples) < cfg.label_noise
     labels = labels.copy()

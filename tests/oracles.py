@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from flipxfer.autodiff import Tape, Tensor, backward, _mm, _mm_nt, _mm_tn
+from flipxfer.data import class_anchors
 
 
 def finite_diff_grads(loss_fn, params: dict[str, Tensor], h: float = 1e-6) -> dict[str, np.ndarray]:
@@ -188,3 +189,30 @@ def brute_force_flips(teacher_logits, student_logits, labels):
             counts[y] += 1
     rho = sum(flags) / len(flags) if flags else 0.0
     return flags, counts, rho
+
+
+# ---------------------------------------------------------------------------
+# reference synthetic image draw: one translated anchor per sample
+
+
+def reference_generate_synthetic(cfg):
+    """generate_synthetic for an image config, shifting each sample's anchor
+    in a python loop from a zero-padded copy; returns (inputs, labels)."""
+    anchors = class_anchors(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A11]))
+    per_class = cfg.samples // cfg.classes
+    labels = np.repeat(np.arange(cfg.classes), per_class)
+    modes = rng.integers(0, cfg.modes_per_class, size=cfg.samples)
+    e = cfg.image_size
+    shifts = rng.integers(-1, 2, size=(cfg.samples, 2))
+    inputs = np.empty((cfg.samples, 1, e, e))
+    for i in range(cfg.samples):
+        dy, dx = shifts[i]
+        padded = np.pad(anchors[labels[i], modes[i]], 1)
+        inputs[i, 0] = padded[1 - dy : 1 - dy + e, 1 - dx : 1 - dx + e]
+    inputs += cfg.sigma * rng.normal(size=inputs.shape)
+    noisy = rng.random(cfg.samples) < cfg.label_noise
+    labels = labels.copy()
+    labels[noisy] = rng.integers(0, cfg.classes, size=int(noisy.sum()))
+    order = rng.permutation(cfg.samples)
+    return inputs[order], labels[order]

@@ -125,21 +125,41 @@ def test_grad_conv2d(stride):
     )
 
 
+def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """The values of the NCHW array a in another memory layout."""
+    if layout == "nchw":
+        return np.ascontiguousarray(a)
+    if layout == "nhwc_backed":
+        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    n, c, h, w = a.shape  # a strided view into a larger buffer
+    big = np.full((n, c, 2 * h, w + 1), np.nan)
+    big[:, :, ::2, 1:] = a
+    return big[:, :, ::2, 1:]
+
+
+# beyond_chunk spans more than one eval chunk
+_CONV_SHAPES = {"n1_cin1": (1, 1, 2, 5, 7), "cin3_odd": (2, 3, 4, 7, 5), "beyond_chunk": (120, 8, 8, 8, 8)}
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize(
-    "n, cin, cout, h, w",
-    [(1, 1, 2, 5, 7), (2, 3, 4, 7, 5), (120, 8, 8, 8, 8)],  # the last spans more than one eval chunk
-    ids=["n1_cin1", "cin3_odd", "beyond_chunk"],
+    "n, cin, cout, h, w, layout",
+    [
+        pytest.param(*shape, layout, id=name if layout == "nchw" else f"{name}_{layout}")
+        for layout in ("nchw", "nhwc_backed", "sliced")
+        for name, shape in _CONV_SHAPES.items()
+    ],
 )
-def test_conv2d_is_bit_equal_to_gather_reference(stride, n, cin, cout, h, w):
-    x = Tensor(RNG.normal(size=(n, cin, h, w)), requires_grad=True)
+def test_conv2d_is_bit_equal_to_gather_reference(stride, n, cin, cout, h, w, layout):
+    """The op gives the reference's bits for an input and upstream gradient in any memory layout."""
+    x = Tensor(_laid_out(RNG.normal(size=(n, cin, h, w)), layout), requires_grad=True)
     k = Tensor(RNG.normal(size=(cout, cin, 3, 3)), requires_grad=True)
     b = Tensor(RNG.normal(size=cout), requires_grad=True)
-    g = RNG.normal(size=(n, cout, (h - 1) // stride + 1, (w - 1) // stride + 1))
+    g = _laid_out(RNG.normal(size=(n, cout, (h - 1) // stride + 1, (w - 1) // stride + 1)), layout)
     with Tape() as tape:
         out = ad.conv2d(x, k, b, stride=stride)
-        loss = ad.weighted_sum(out, g)  # upstream gradient g, exactly
-    backward(tape, loss)
+    (node,) = tape.nodes
+    node.backward(g)  # upstream gradient g, exactly, in its layout
     want = reference_conv2d(x.data, k.data, b.data, g, stride)
     for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
         assert got.shape == ref.shape and np.array_equal(got, ref)

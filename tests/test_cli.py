@@ -97,6 +97,14 @@ def test_missing_config_file_exits_2(capsys):
     assert main(["zoo", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def test_non_utf8_config_exits_2_naming_file(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(_zoo_config(tmp_path / "out")).encode("utf-16-le"))
+    assert main(["zoo", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "not UTF-8 text" in err
+
+
 def test_zoo_divergent_training_exits_3_but_writes_manifest(tmp_path, capsys):
     out = tmp_path / "zoo"
     doc = {

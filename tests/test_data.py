@@ -18,6 +18,8 @@ from flipxfer.data import (
     train_val_pair,
 )
 
+from oracles import reference_generate_synthetic
+
 
 def _linear_probe_accuracy(train: Dataset, val: Dataset) -> float:
     """Closed-form least-squares one-hot regression, argmax decision."""
@@ -79,6 +81,19 @@ def test_image_variant_shapes_and_jitter_determinism():
     assert ds.inputs.shape == (30, 1, 8, 8)
     again = generate_synthetic(cfg)
     assert np.array_equal(ds.inputs, again.inputs)
+
+
+@pytest.mark.parametrize("modes", [1, 4])
+@pytest.mark.parametrize("size", [3, 8])
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_image_draw_is_byte_equal_to_per_sample_shift_loop(modes, size, noise):
+    cfg = SyntheticConfig(
+        classes=3, samples=150, image_size=size, modes_per_class=modes, label_noise=noise, seed=5, anchor_seed=9
+    )
+    ds = generate_synthetic(cfg)
+    inputs, labels = reference_generate_synthetic(cfg)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
 
 
 def test_rejects_fewer_than_two_classes():

@@ -92,6 +92,18 @@ def test_training_deterministic(small_sets):
         assert np.array_equal(a.params[k], b.params[k])
 
 
+@pytest.mark.parametrize("dropout, want", [(0.0, "e94b1ea4267c3a55"), (0.1, "303064b73125c69c")])
+def test_cnn_training_bits_are_pinned(small_sets, dropout, want):
+    """Two conv layers, input noise and (at 0.1) dropout give fixed checkpoint
+    bits, whatever memory layout conv2d works in. The digests assume the
+    numpy pinned in CI (numpy==2.4.6), whose einsum and reductions fix the
+    sum order."""
+    train, val = small_sets
+    spec = ModelSpec("cnn", 2, S, 10, channels=(8, 6), dropout=dropout)
+    cfg = TrainConfig(epochs=2, batch_size=32, lr=0.1, augment_noise=0.1, init_seed=7, order_seed=8)
+    assert train_model(spec, cfg, train, val).digest() == want
+
+
 def test_distinct_seeds_distinct_parameters(small_sets):
     train, val = small_sets
     spec = ModelSpec("mlp", 2, S, 10, width=12)
