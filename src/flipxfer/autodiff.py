@@ -10,6 +10,7 @@ which is already topological, and one backward sweep visits each node once.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import threading
 from dataclasses import dataclass, field
@@ -243,22 +244,48 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0) in one ufunc pass, bit-equal to ``np.where(x > 0, x, 0.0)``.
+
+    ``fmax`` maps NaN to 0, as the mask does; it may return -0.0 for -0.0,
+    and adding +0.0 in place turns that into +0.0. The output keeps the
+    input's memory layout.
+    """
     x = _as_tensor(x)
     mask = x.data > 0.0
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
 
     def bwd(g):
         _accum(x, g * mask)
 
-    return _record(np.where(mask, x.data, 0.0), (x,), bwd)
+    return _record(out, (x,), bwd)
+
+
+@functools.lru_cache(maxsize=32)
+def _im2col_index(h: int, w: int, cin: int, stride: int) -> np.ndarray:
+    """Flat offsets into one row's padded NHWC buffer (h+2, w+2, cin), in
+    im2col order: output pixel (oy, ox), then column c*9 + 3*i + j. Read-only,
+    because every conv of this shape shares it."""
+    oh = (h - 1) // stride + 1
+    ow = (w - 1) // stride + 1
+    oy = np.arange(oh)[:, None, None, None, None] * stride
+    ox = np.arange(ow)[None, :, None, None, None] * stride
+    c = np.arange(cin)[None, None, :, None, None]
+    i = np.arange(3)[None, None, None, :, None]
+    j = np.arange(3)[None, None, None, None, :]
+    idx = (((oy + i) * (w + 2) + (ox + j)) * cin + c).reshape(-1)
+    idx.setflags(write=False)
+    return idx
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """3x3 convolution, zero same-padding, stride 1 or 2.
 
     Tensors keep NCHW shapes; the work runs channels-last. The input is padded
-    into an NHWC buffer, im2col is one copy of its sliding-window view, and
-    col2im adds into an NHWC buffer. The output and the input gradient are
-    NCHW views over NHWC memory, so the next conv reads them without a copy.
+    into an NHWC buffer, im2col is one ``np.take`` of each row's padded pixels
+    at a cached index (``_im2col_index``), and col2im adds into an NHWC
+    buffer. The output and the input gradient are NCHW views over NHWC
+    memory, so the next conv reads them without a copy.
     Column c*9 + 3*i + j holds input channel c at kernel offset (i, j), which
     fixes every einsum's sum order; col2im adds the nine kernel offsets back
     in that order, so every padded pixel sums its contributions in a fixed
@@ -279,9 +306,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     ow = (wdt + 2 - 3) // stride + 1
     xp = np.zeros((n, h + 2, wdt + 2, cin))
     xp[:, 1 : 1 + h, 1 : 1 + wdt, :] = x.data.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
-    # the one copy, (n, oh, ow, cin, 3, 3); C order for every shape keeps each row's einsum sum order
-    cols = np.ascontiguousarray(windows).reshape(n * oh * ow, cin * 9)
+    # the one copy, C order for every shape, so each row's einsum sums in one order;
+    # the widths are spelled out because -1 cannot be inferred for a 0-row batch
+    idx = _im2col_index(h, wdt, cin, stride)
+    cols = np.take(xp.reshape(n, (h + 2) * (wdt + 2) * cin), idx, axis=1).reshape(n * oh * ow, cin * 9)
     wmat = w.data.reshape(cout, cin * 9)
     out = (_mm_nt(cols, wmat) + b.data).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
 

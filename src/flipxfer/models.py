@@ -8,7 +8,9 @@ float64 so checkpoints round-trip bit-exactly.
 
 Checkpoint file layout: magic ``XFKZ``, one version byte, little-endian
 uint32 header length, UTF-8 JSON header (spec, parameter names and shapes,
-meta), then the raw little-endian float64 payload in header order.
+meta), then the raw little-endian float64 payload in header order.  The
+meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) are typed on
+load by the config rule.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .autodiff import (
     relu,
     reshape,
 )
+from .config import ConfigError, typed
 
 MAGIC = b"XFKZ"
 VERSION = 1
+_META_TYPES = {"val_accuracy": float, "name": str, "seed": int}
 
 
 class CheckpointError(ValueError):
@@ -314,6 +318,10 @@ def load(path) -> Checkpoint:
         meta = dict(header.get("meta", {}))
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise HeaderMismatchError(f"{path}: malformed header ({type(e).__name__}: {e})") from e
+    try:
+        meta.update({k: typed(meta[k], hint, f"meta.{k}") for k, hint in _META_TYPES.items() if k in meta})
+    except ConfigError as e:
+        raise HeaderMismatchError(f"{path}: {e}") from e
     expected = spec.param_shapes()
     if set(names) != set(expected) or set(shapes) != set(expected):
         raise HeaderMismatchError(f"{path}: parameter names disagree with spec")

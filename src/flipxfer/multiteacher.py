@@ -88,6 +88,7 @@ def sequential_transfer(
     acc0 = None  # the original student's accuracy: the acc_before of the first stage that ran
     reference = student_ck if plan.retain_original_reference else None
     current = student_ck
+    seen: dict[str, np.ndarray] = {}  # a stage's output is the next stage's student: forwarded once
     results: list[TransferResult] = []
     for name, teacher in plan.ordered():
         try:
@@ -101,6 +102,7 @@ def sequential_transfer(
                 teacher_name=name,
                 student_name=student_name,
                 frozen_reference=reference,
+                seen=seen,
             )
         except TransferDivergedError as e:
             stub = TransferResult(
@@ -166,6 +168,7 @@ def soup_transfer(
     union of the branches' baselines."""
     if plan.mode != "soup":
         raise TransferError(f"plan mode is {plan.mode!r}, expected 'soup'")
+    seen: dict[str, np.ndarray] = {}  # every branch starts from the same student: forwarded once
     branches: list[TransferResult] = []
     for name, teacher in zip(plan.teacher_names, plan.teachers):
         branches.append(
@@ -178,6 +181,7 @@ def soup_transfer(
                 val_set,
                 teacher_name=name,
                 student_name=student_name,
+                seen=seen,
             )
         )
     # canonical merge order: by branch checkpoint digest, so teacher order

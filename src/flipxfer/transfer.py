@@ -485,6 +485,14 @@ def checkpoint_of(base: Checkpoint, params: dict[str, Tensor]) -> Checkpoint:
     return Checkpoint(base.spec, {k: params[k].data.copy() for k in base.params}, dict(base.meta))
 
 
+def _val_flags(seen: dict[str, np.ndarray], ck: Checkpoint, val_set: Dataset) -> np.ndarray:
+    """ck's per-sample correctness on val_set, forwarded once per digest."""
+    key = ck.digest()
+    if key not in seen:
+        seen[key] = correct_flags(predict_logits(ck, val_set.inputs), val_set.labels)
+    return seen[key]
+
+
 @dataclass
 class ValBaseline:
     """A student's validation standing before transfer from one or more
@@ -494,7 +502,10 @@ class ValBaseline:
     Each weight state is forwarded over the val set once: ``correct`` keeps
     the flags of every checkpoint it saw, by digest, so epoch traces read
     after the report reuse its forward of the last epoch's weights (and,
-    with no epochs, the report reuses the untrained student's).
+    with no epochs, the report reuses the untrained student's). Baselines
+    measured with one ``seen`` memo share it: a sequential plan's stages
+    (each stage's output is the next stage's student) and soup's branches
+    (one student, measured once).
     """
 
     val_set: Dataset
@@ -504,17 +515,20 @@ class ValBaseline:
     seen: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def measure(cls, student_ck: Checkpoint, teachers, val_set: Dataset) -> "ValBaseline":
-        y = val_set.labels
-        before = correct_flags(predict_logits(student_ck, val_set.inputs), y)
+    def measure(cls, student_ck: Checkpoint, teachers, val_set: Dataset,
+                seen: dict[str, np.ndarray] | None = None) -> "ValBaseline":
+        """Forward the student and each teacher not yet in ``seen`` (a
+        digest -> flags memo on this val set, which the baseline extends)."""
+        seen = {} if seen is None else seen
+        before = _val_flags(seen, student_ck, val_set)
         any_teacher_correct = np.zeros(val_set.n, dtype=bool)
         accs = []
         for t in teachers:
-            correct = correct_flags(predict_logits(t, val_set.inputs), y)
+            correct = _val_flags(seen, t, val_set)
             accs.append(float(correct.mean()))
             any_teacher_correct |= correct
-        flips = flip_stats_from_flags(any_teacher_correct & ~before, y, student_ck.spec.num_classes)
-        return cls(val_set, before, accs, flips, {student_ck.digest(): before})
+        flips = flip_stats_from_flags(any_teacher_correct & ~before, val_set.labels, student_ck.spec.num_classes)
+        return cls(val_set, before, accs, flips, seen)
 
     @classmethod
     def union(cls, baselines: list["ValBaseline"]) -> "ValBaseline":
@@ -534,10 +548,7 @@ class ValBaseline:
         return float(self.before_correct.mean())
 
     def correct(self, ck: Checkpoint) -> np.ndarray:
-        key = ck.digest()
-        if key not in self.seen:
-            self.seen[key] = correct_flags(predict_logits(ck, self.val_set.inputs), self.val_set.labels)
-        return self.seen[key]
+        return _val_flags(self.seen, ck, self.val_set)
 
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
         """Per-run gain/loss; gain is 0 when there is nothing to transfer."""
@@ -628,11 +639,12 @@ def distill(
     val_set: Dataset,
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
+    seen: dict[str, np.ndarray] | None = None,
 ) -> tuple[ValBaseline, EpochStates, Checkpoint, np.ndarray | None]:
     """Distill named teachers into a pretrained student over a fixed epoch
-    budget.  Returns the baseline, the epoch states (not yet forwarded over
-    the val set), the trained checkpoint (MCL: the slow weights) and the
-    per-sample winning source.
+    budget.  Returns the baseline (measured with the val memo ``seen``), the
+    epoch states (not yet forwarded over the val set), the trained checkpoint
+    (MCL: the slow weights) and the per-sample winning source.
 
     The KL family's target is built once, before SGD: per sample, the
     tempered distribution of the most confident frozen source, the teacher
@@ -660,7 +672,7 @@ def distill(
         source_logits = [predict_logits(ck, x_tr) for ck in sources]
         winner = confidence_winner(source_logits, y_tr if method == "kl_dp_sup" else None)
         targets = winner_logprobs(winner, source_logits, temp)
-    baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
+    baseline = ValBaseline.measure(student_ck, teacher_cks, val_set, seen)
 
     params = as_tensors(student_ck, requires_grad=True)
     if cd_ctx is not None:
@@ -719,12 +731,14 @@ def run_transfer(
     teacher_name: str = "teacher",
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
+    seen: dict[str, np.ndarray] | None = None,
 ) -> TransferResult:
     """``distill`` with one teacher; DP's frozen retention reference is
-    ``frozen_reference``, by default the initial student."""
+    ``frozen_reference``, by default the initial student, and ``seen`` the
+    val memo shared with other transfers on the same val set."""
     baseline, epochs, student_after, winner = distill(
         student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
-        frozen_reference,
+        frozen_reference, seen,
     )
     if method in DP_METHODS:
         epochs.teacher_share = float((winner == 1).mean())

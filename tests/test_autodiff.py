@@ -138,7 +138,13 @@ def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
 
 
 # beyond_chunk spans more than one eval chunk
-_CONV_SHAPES = {"n1_cin1": (1, 1, 2, 5, 7), "cin3_odd": (2, 3, 4, 7, 5), "beyond_chunk": (120, 8, 8, 8, 8)}
+_CONV_SHAPES = {
+    "n1_cin1": (1, 1, 2, 5, 7),
+    "cin3_odd": (2, 3, 4, 7, 5),
+    "beyond_chunk": (120, 8, 8, 8, 8),
+    "n0": (0, 3, 2, 5, 4),
+    "n1_cin3": (1, 3, 4, 6, 5),
+}
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -163,6 +169,32 @@ def test_conv2d_is_bit_equal_to_gather_reference(stride, n, cin, cout, h, w, lay
     want = reference_conv2d(x.data, k.data, b.data, g, stride)
     for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
         assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_im2col_index_is_cached_read_only():
+    """Every conv of one shape shares the index, so no caller may write it."""
+    idx = ad._im2col_index(5, 7, 3, 2)
+    assert ad._im2col_index(5, 7, 3, 2) is idx
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0] = 1
+
+
+# subnormals, signed zeros, infinities and nan, mixed with ordinary values
+_RELU_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.5, -2.5])
+
+
+@pytest.mark.parametrize("layout", ["flat", "nchw", "nhwc_backed", "sliced"])
+def test_relu_is_bit_equal_to_where(layout):
+    """relu gives np.where(x > 0, x, 0.0)'s bytes and strides for every
+    length of the innermost axis from 1 to 40 (so every vector-loop tail)."""
+    for length in range(1, 41):
+        shape = (length,) if layout == "flat" else (2, 3, 2, length)
+        vals = np.where(RNG.random(shape) < 0.5, RNG.choice(_RELU_SPECIALS, size=shape), RNG.normal(size=shape))
+        x = vals if layout == "flat" else _laid_out(vals, layout)
+        got = ad.relu(Tensor(x)).data
+        want = np.where(x > 0, x, 0.0)
+        assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stride", [1, 2])

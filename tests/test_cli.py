@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipxfer import models
 from flipxfer.cli import main
 
 from oracles import brute_force_flips
@@ -452,6 +453,26 @@ def test_transfer_multi_sequential(zoo_dir, tmp_path):
     assert report["mode"] == "sequential"
     assert len(report["stages"]) == 2
     assert "cumulative_delta_transf" in report
+
+
+def test_transfer_multi_sequential_string_val_accuracy_exits_3(zoo_dir, tmp_path, capsys):
+    """A teacher checkpoint whose meta val_accuracy is a string is a header
+    fault naming the file and the key, not a traceback from the ordering."""
+    zoo = tmp_path / "zoo"
+    zoo.mkdir()
+    for f in zoo_dir.glob("*"):
+        if f.is_file():
+            (zoo / f.name).write_bytes(f.read_bytes())
+    entry = next(e for e in json.loads((zoo / "manifest.json").read_text())["entries"] if e["name"] == "mid")
+    ck = models.load(zoo / entry["path"])
+    ck.meta["val_accuracy"] = "high"
+    models.save(ck, zoo / entry["path"])
+    conf = _transfer_config(zoo, tmp_path / "seq")
+    conf["transfer"]["teacher"] = None
+    conf["transfer"]["multi"] = {"mode": "sequential", "teachers": ["wide", "mid"]}
+    assert main(["transfer", "--config", _write(tmp_path / "seq.json", conf)]) == 3
+    err = capsys.readouterr().err
+    assert f"{zoo / entry['path']}: meta.val_accuracy: expected float" in err
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,45 @@ def test_malformed_header_is_header_mismatch(tmp_path, edit):
         load(tmp_path / "model.ckpt")
 
 
+def _meta(**meta):
+    return lambda header: {**header, "meta": {**header["meta"], **meta}}
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (_meta(val_accuracy="high"), "val_accuracy"),
+        (_meta(val_accuracy=None), "val_accuracy"),
+        (_meta(name=3), "name"),
+        (_meta(seed=1.5), "seed"),
+        (_meta(seed=True), "seed"),
+    ],
+    ids=["val_accuracy_string", "val_accuracy_null", "name_number", "seed_float", "seed_bool"],
+)
+def test_wrong_type_meta_is_header_mismatch_naming_file_and_key(tmp_path, edit, key):
+    path = tmp_path / "model.ckpt"
+    _rewrite_header(path, edit)
+    with pytest.raises(HeaderMismatchError, match=f"meta.{key}: expected") as exc:
+        load(path)
+    assert str(path) in str(exc.value)
+
+
+def test_meta_of_every_kind_the_program_writes_loads_unchanged(tmp_path):
+    """Zoo meta (seed, val_accuracy, name, digest), a transferred student's
+    extra keys, a nan accuracy and an integer accuracy (typed to float)."""
+    metas = [
+        {"seed": 3, "val_accuracy": 0.8125, "train_config_digest": "ab12", "name": "m00_mlp"},
+        {"seed": 0, "val_accuracy": 0.5, "name": "s", "transfer_method": "kl_dp_sup", "teacher": "t"},
+        {"val_accuracy": float("nan")},
+    ]
+    path = tmp_path / "model.ckpt"
+    for meta in metas:
+        save(Checkpoint(MLP, build(MLP, seed=0).params, meta), path)
+        assert repr(sorted(load(path).meta.items())) == repr(sorted(meta.items()))  # nan-safe
+    _rewrite_header(path, _meta(val_accuracy=1))
+    assert load(path).meta["val_accuracy"] == 1.0 and type(load(path).meta["val_accuracy"]) is float
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.ckpt"
     path.write_bytes(b"")

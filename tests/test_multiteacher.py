@@ -213,15 +213,17 @@ def _count_val_forwards(monkeypatch, val):
 
 
 def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch):
-    """Each stage forwards its student, its teacher and its trained weights;
-    the original student's accuracy comes from the first stage."""
+    """Each stage forwards its teacher and its trained weights; the first
+    stage also forwards the original student, and every later stage's student
+    is the previous stage's output, already forwarded. The original student's
+    accuracy comes from the first stage."""
     train, val, student, teachers = setup
     calls = _count_val_forwards(monkeypatch, val)
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
     stages = sequential_transfer(student, _plan(two, "sequential"), hp, train, val)
     assert len(stages) == 2
-    assert sum(calls) == 6
+    assert sum(calls) == 5
     acc0 = float((predict_logits(student, val.inputs).argmax(axis=1) == val.labels).mean())
     assert stages[-1].extras["cumulative_delta_transf"] == (
         stages[-1].extras["acc_before"] + stages[-1].report.delta_transf - acc0
@@ -229,14 +231,15 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
 
 
 def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
-    """Each branch forwards the student, its teacher and its trained weights;
-    the soup adds only the merged weights, its baseline built from the branches'."""
+    """The branches forward the shared student once, and each its teacher and
+    its trained weights; the soup adds only the merged weights, its baseline
+    built from the branches'."""
     train, val, student, teachers = setup
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
     calls = _count_val_forwards(monkeypatch, val)
     res = soup_transfer(student, _plan(two, "soup"), hp, train, val)
-    assert sum(calls) == 3 * len(two) + 1
+    assert sum(calls) == 2 * len(two) + 2
     monkeypatch.undo()
     # the same report as a baseline measured from fresh forwards of every model
     measured = ValBaseline.measure(student, list(two.values()), val).result(
