@@ -248,15 +248,15 @@ def relu(x: Tensor) -> Tensor:
 
     ``fmax`` maps NaN to 0, as the mask does; it may return -0.0 for -0.0,
     and adding +0.0 in place turns that into +0.0. The output keeps the
-    input's memory layout.
+    input's memory layout. The backward mask is ``out > 0``, the same as
+    ``x > 0``, so a forward that no backward reads never builds it.
     """
     x = _as_tensor(x)
-    mask = x.data > 0.0
     out = np.fmax(x.data, 0.0)
     out += 0.0
 
     def bwd(g):
-        _accum(x, g * mask)
+        _accum(x, g * (out > 0.0))
 
     return _record(out, (x,), bwd)
 

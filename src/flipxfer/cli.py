@@ -6,6 +6,11 @@ it: it rejects unknown keys, fills defaults and types every value by one
 rule (``config.typed``), the rule that also reads zoo manifests. The
 fully-resolved config is written beside the outputs so any run can be
 reproduced byte-for-byte from ``config.resolved.json``.
+
+A command writes nothing itself: it returns its exit code, its resolved
+config, its files (name -> writer of a path) and its summary, and
+``_commit`` alone writes them under ``out``, ``config.resolved.json`` last.
+
 Logging goes to stderr; stdout stays silent unless ``--json`` asks for the
 machine-readable summary.  Exit codes: 0 ok, 2 config error, 3 runtime
 failure.
@@ -17,11 +22,13 @@ emitted JSON/CSV (0.01 = one accuracy point).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, fields
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +71,7 @@ from .zoo import (
     load_manifest,
     pair_grid,
     pretrain_zoo,
+    save_manifest,
 )
 
 DEFAULT_BINS = [-0.3, -0.1, -0.05, -0.02, 0.0, 0.02, 0.05, 0.1, 0.3]
@@ -174,7 +182,7 @@ def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None
     return hp
 
 
-def _write_json(path, doc) -> None:
+def _write_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -188,17 +196,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(header, rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _emit(out_dir, resolved_config: dict, summary: dict, as_json: bool) -> None:
-    _write_json(os.path.join(out_dir, "config.resolved.json"), resolved_config)
-    if as_json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+def _commit(resolved: dict, files: dict) -> None:
+    """Write a run's files under ``resolved["out"]``, then its resolved config.
+
+    The old ``config.resolved.json`` goes before the first write and the new
+    one is renamed into place after the last, so ``out`` holds one only
+    beside the complete files of the run it describes."""
+    marker = os.path.join(resolved["out"], "config.resolved.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(marker)
+    for name, write in files.items():
+        write(os.path.join(resolved["out"], name))
+    _write_json(resolved, marker + ".tmp")
+    os.replace(marker + ".tmp", marker)
 
 
 def _prepare_out(cfg: dict, args) -> str:
@@ -218,10 +235,10 @@ def _prepare_out(cfg: dict, args) -> str:
 _OUT = (str | None, None)  # the top-level "out" key of every command
 
 
-def cmd_zoo(cfg: dict, args) -> int:
+def cmd_zoo(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     cfg = resolve(cfg, "", dataset=(dict, REQUIRED), zoo=(dict, REQUIRED), out=_OUT)
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "zoo": _resolve_zoo(cfg["zoo"])}
-    out_dir = resolved["out"] = _prepare_out(cfg, args)
+    resolved["out"] = _prepare_out(cfg, args)
     train, val = _build_datasets(resolved["dataset"])
     specs: list[tuple[ModelSpec, TrainConfig]] = []
     names: list[str] = []
@@ -234,27 +251,21 @@ def cmd_zoo(cfg: dict, args) -> int:
         specs.append((spec, TrainConfig(**m["train"])))
         names.append(m["name"])
     _log(f"training {len(specs)} zoo models on {train.n} samples")
-    manifest = pretrain_zoo(specs, train, val, out_dir, names=names)
+    manifest, checkpoints = pretrain_zoo(specs, train, val, names=names)
+    files = {e.path: partial(save, checkpoints[e.name]) for e in manifest.ok_entries()}
+    files["manifest.json"] = partial(save_manifest, manifest)
     failed = [e.name for e in manifest.entries if e.failed]
     summary = {
         "models": {
             e.name: (None if e.failed else e.val_accuracy) for e in manifest.entries
         },
         "failed": failed,
-        "manifest": os.path.join(out_dir, "manifest.json"),
+        "manifest": os.path.join(resolved["out"], "manifest.json"),
     }
-    _emit(out_dir, resolved, summary, args.json)
     if failed:
         # the manifest records the failures; the exit code still reports them
         _log(f"error: {len(failed)} trainings diverged: {', '.join(failed)}")
-        return 3
-    return 0
-
-
-def _load_zoo(manifest_path: str) -> ZooManifest:
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    return load_manifest(manifest_path)
+    return 3 if failed else 0, resolved, files, summary
 
 
 def _checkpoint(manifest: ZooManifest, name: str, key: str):
@@ -264,7 +275,7 @@ def _checkpoint(manifest: ZooManifest, name: str, key: str):
     return manifest.load_checkpoint(name)
 
 
-def cmd_flips(cfg: dict, args) -> int:
+def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     cfg = resolve(
         cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED),
         pairs=(dict | None, None), embeddings=(str | None, None), out=_OUT,
@@ -272,8 +283,8 @@ def cmd_flips(cfg: dict, args) -> int:
     resolved = cfg | {
         "dataset": _resolve_dataset(cfg["dataset"]), "pairs": resolve(cfg["pairs"] or {}, "pairs", PairFilter)
     }
-    out_dir = resolved["out"] = _prepare_out(cfg, args)
-    manifest = _load_zoo(resolved["manifest"])
+    resolved["out"] = _prepare_out(cfg, args)
+    manifest = load_manifest(resolved["manifest"])
     _, val = _build_datasets(resolved["dataset"])
     flt = PairFilter(**resolved["pairs"])
     pairs = pair_grid(manifest, flt)
@@ -334,26 +345,21 @@ def cmd_flips(cfg: dict, args) -> int:
                     cnt / int(class_sizes[k]) if class_sizes[k] else None,
                 )
             )
-    _write_json(os.path.join(out_dir, "flips.json"), {"pairs": records})
-    _write_csv(
-        os.path.join(out_dir, "per_class_flips.csv"),
-        ["teacher", "student", "rank", "class", "flips", "class_share"],
-        per_class_rows,
-    )
-    _write_csv(
-        os.path.join(out_dir, "entropy_vs_delta_acc.csv"),
-        ["teacher", "student", "delta_acc", "rho_pos", "entropy"],
-        [
-            (r["teacher"], r["student"], r["delta_acc"], r["rho_pos"], r["entropy"])
-            for r in records
-        ],
-    )
-    summary = {"pairs": len(records), "out": out_dir}
-    _emit(out_dir, resolved, summary, args.json)
-    return 0
+    files = {
+        "flips.json": partial(_write_json, {"pairs": records}),
+        "per_class_flips.csv": partial(
+            _write_csv, ["teacher", "student", "rank", "class", "flips", "class_share"], per_class_rows
+        ),
+        "entropy_vs_delta_acc.csv": partial(
+            _write_csv,
+            ["teacher", "student", "delta_acc", "rho_pos", "entropy"],
+            [(r["teacher"], r["student"], r["delta_acc"], r["rho_pos"], r["entropy"]) for r in records],
+        ),
+    }
+    return 0, resolved, files, {"pairs": len(records), "out": resolved["out"]}
 
 
-def cmd_transfer(cfg: dict, args) -> int:
+def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     cfg = resolve(
         cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), transfer=(dict, REQUIRED), out=_OUT
     )
@@ -381,8 +387,8 @@ def cmd_transfer(cfg: dict, args) -> int:
             raise ConfigError("transfer.multi.teachers: need a non-empty list of zoo names")
     t["hyperparams"] = _resolve_hyperparams(method, t["hyperparams"] or {}, args.seed, "transfer.hyperparams")
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "transfer": t}
-    out_dir = resolved["out"] = _prepare_out(cfg, args)
-    manifest = _load_zoo(resolved["manifest"])
+    resolved["out"] = _prepare_out(cfg, args)
+    manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
     hp = TransferHyperparams(**resolved["transfer"]["hyperparams"])
     student_name = resolved["transfer"]["student"]
@@ -424,11 +430,10 @@ def cmd_transfer(cfg: dict, args) -> int:
             run = parallel_transfer if multi["mode"] == "parallel" else soup_transfer
             results = [run(student, plan, hp, transfer_set, val, student_name)]
             report_doc = {**_result_doc(results[0]), "mode": multi["mode"]}
-    if results:
-        save(results[-1].student_after, os.path.join(out_dir, "student_after.ckpt"))
-    _write_json(os.path.join(out_dir, "report.json"), report_doc)
-    _write_csv(
-        os.path.join(out_dir, "per_epoch.csv"),
+    files = {"student_after.ckpt": partial(save, results[-1].student_after)} if results else {}
+    files["report.json"] = partial(_write_json, report_doc)
+    files["per_epoch.csv"] = partial(
+        _write_csv,
         ["stage", "epoch", *(f.name for f in fields(EpochTrace))],
         [
             (i if sequential else None, epoch, *astuple(trace))
@@ -436,8 +441,7 @@ def cmd_transfer(cfg: dict, args) -> int:
             for epoch, trace in enumerate(r.per_epoch)
         ],
     )
-    _emit(out_dir, resolved, report_doc, args.json)
-    return 0
+    return 0, resolved, files, report_doc
 
 
 def _result_doc(res) -> dict:
@@ -478,27 +482,16 @@ def _sweep_task(task):
         )
     except (TransferError, TransferDivergedError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
-    rate_top2 = None
-    rate_all = None
-    if res.rate is not None:
-        rate_all = res.rate["overall"]
-        rate_top2 = res.rate["by_top_share"].get(2.0)
-    return {
-        "teacher": tname,
-        "student": sname,
-        "method": method,
-        "delta_acc": res.report.delta_acc,
-        "rho_pos": res.extras["rho_pos"],
-        "delta_transf": res.report.delta_transf,
-        "knowledge_gain": res.report.knowledge_gain,
-        "knowledge_loss": res.report.knowledge_loss,
-        "transfer_rate_overall": rate_all,
-        "transfer_rate_top2": rate_top2,
+    doc = _result_doc(res)
+    rate = doc.get("transfer_rate", {"overall": None, "by_top_share": {}})
+    return doc | {
+        "transfer_rate_overall": rate["overall"],
+        "transfer_rate_top2": rate["by_top_share"].get("2.0"),
         "report": res.report,
     }
 
 
-def cmd_sweep(cfg: dict, args) -> int:
+def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     cfg = resolve(cfg, "", manifest=(str, REQUIRED), dataset=(dict, REQUIRED), sweep=(dict, REQUIRED), out=_OUT)
     s = resolve(
         cfg["sweep"], "sweep",
@@ -530,8 +523,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     except AnalysisError as e:
         raise ConfigError(f"sweep.bins: {e}") from e
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "sweep": s}
-    out_dir = resolved["out"] = _prepare_out(cfg, args)
-    manifest = _load_zoo(resolved["manifest"])
+    resolved["out"] = _prepare_out(cfg, args)
+    manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
     flt = PairFilter(**resolved["sweep"]["pairs"])
     pairs = pair_grid(manifest, flt)
@@ -572,11 +565,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         "teacher", "student", "method", "delta_acc", "rho_pos", "delta_transf",
         "knowledge_gain", "knowledge_loss", "transfer_rate_overall", "transfer_rate_top2",
     ]
-    _write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        header,
-        [[row[h] for h in header] for row in rows],
-    )
+    files = {"sweep.csv": partial(_write_csv, header, [[row[h] for h in header] for row in rows])}
     bins = resolved["sweep"]["bins"]
     summary: dict = {"pairs": len(pairs), "methods": {}}
     for m in resolved["sweep"]["methods"]:
@@ -594,23 +583,14 @@ def cmd_sweep(cfg: dict, args) -> int:
         }
     if failed:
         summary["failed"] = failed
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    _emit(out_dir, resolved, summary, args.json)
+    files["summary.json"] = partial(_write_json, summary)
     for f in failed:
         _log(f"error: sweep run {f['method']} {f['teacher']} -> {f['student']}: {f['error']}")
-    return 3 if failed else 0
+    return 3 if failed else 0, resolved, files, summary
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to the JSON run config")
-    p.add_argument("--out", default=None, help="output directory (overrides config 'out')")
-    p.add_argument("--seed", type=int, default=None, help="override the transfer seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-    p.add_argument("--json", action="store_true", help="print the summary JSON to stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,7 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("transfer", "run one knowledge transfer (single or multi teacher)"),
         ("sweep", "run transfers over a pair grid and summarize"),
     ):
-        _add_common(sub.add_parser(name, help=help_))
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", required=True, help="path to the JSON run config")
+        p.add_argument("--out", default=None, help="output directory (overrides config 'out')")
+        p.add_argument("--json", action="store_true", help="print the summary JSON to stdout")
+        if name in ("transfer", "sweep"):
+            p.add_argument("--seed", type=int, default=None, help="override the transfer seed")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers for the runs")
     return parser
 
 
@@ -636,7 +623,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        code, resolved, files, summary = _COMMANDS[args.command](cfg, args)
+        _commit(resolved, files)
     except ConfigError as e:
         _log(f"config error: {e}")
         return 2
@@ -653,6 +641,9 @@ def main(argv=None) -> int:
     ) as e:
         _log(f"error: {e}")
         return 3
+    if args.json:
+        print(json.dumps(summary, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

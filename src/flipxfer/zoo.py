@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import SgdState, Tensor
 from .config import REQUIRED, ConfigError, resolve
 from .data import Dataset, augment_batch
-from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits, save
+from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits
 from .transfer import checkpoint_of, sgd_epochs, xe_loss
 from .analysis import correct_flags
 
@@ -160,19 +160,20 @@ def pretrain_zoo(
     specs: list[tuple[ModelSpec, TrainConfig]],
     train: Dataset,
     val: Dataset,
-    out_dir,
     names: list[str] | None = None,
-) -> ZooManifest:
+) -> tuple[ZooManifest, dict[str, Checkpoint]]:
     """Train every requested model and register it; entries are sorted by
-    (family, val_accuracy) and failures stay visible."""
+    (family, val_accuracy) and failures stay visible. Writes nothing: returns
+    the manifest and the trained checkpoints by name, each to be saved at its
+    entry's ``path``."""
     if len(specs) < 2:
         raise ValueError("a zoo needs at least 2 models")
-    os.makedirs(out_dir, exist_ok=True)
     if names is None:
         names = [f"m{i:02d}_{spec.family}" for i, (spec, _) in enumerate(specs)]
     if len(names) != len(specs) or len(set(names)) != len(names):
         raise ValueError("model names must be unique and match the spec list")
     entries: list[ZooEntry] = []
+    checkpoints: dict[str, Checkpoint] = {}
     for name, (spec, cfg) in zip(names, specs):
         entry = ZooEntry(
             name=name,
@@ -184,16 +185,13 @@ def pretrain_zoo(
             seed=cfg.init_seed,
         )
         try:
-            ck = train_model(spec, cfg, train, val, name=name)
-            save(ck, os.path.join(out_dir, entry.path))
+            ck = checkpoints[name] = train_model(spec, cfg, train, val, name=name)
             entry.val_accuracy = ck.meta["val_accuracy"]
         except TrainingDivergedError as e:
             entry.failed, entry.error = True, str(e)
         entries.append(entry)
     entries.sort(key=lambda e: (e.family, e.val_accuracy if not e.failed else -1.0, e.name))
-    manifest = ZooManifest(entries=entries, root=str(out_dir))
-    save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
-    return manifest
+    return ZooManifest(entries=entries), checkpoints
 
 
 def save_manifest(manifest: ZooManifest, path) -> None:

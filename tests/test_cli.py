@@ -133,6 +133,41 @@ def test_zoo_divergent_training_exits_3_but_writes_manifest(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_zoo_rerun_that_fails_mid_training_leaves_out_unchanged(tmp_path, monkeypatch, capsys):
+    """Checkpoints are written only at the commit, so a training that raises
+    after an earlier model has finished leaves the previous run's files as they were."""
+    import flipxfer.zoo as zoo
+
+    out = tmp_path / "zoo"
+    conf = _zoo_config(out)
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", conf)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    conf["zoo"]["models"][0]["train"]["epochs"] += 1  # the first model trained changes
+    calls = []
+    train = zoo.train_model
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "train_model", second_call_fails)
+    assert main(["zoo", "--config", _write(tmp_path / "zoo2.json", conf)]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("zoo", "--seed"), ("zoo", "--jobs"), ("flips", "--seed"), ("flips", "--jobs"), ("transfer", "--jobs"),
+])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--config", str(tmp_path / "cfg.json"), flag, "1"])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # flips
 
@@ -440,6 +475,20 @@ def test_transfer_rerun_from_resolved_config_identical_bytes(zoo_dir, tmp_path):
     assert main(["transfer", "--config", str(out / "config.resolved.json")]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_transfer_rerun_that_fails_to_write_leaves_no_resolved_config(zoo_dir, tmp_path, capsys):
+    """A rerun whose last file cannot be written must not leave the previous
+    run's config.resolved.json beside its new files."""
+    out = tmp_path / "tr"
+    assert main(["transfer", "--config", _write(tmp_path / "a.json", _transfer_config(zoo_dir, out, epochs=1))]) == 0
+    assert (out / "config.resolved.json").exists()
+    (out / "per_epoch.csv").unlink()
+    (out / "per_epoch.csv").mkdir()
+    assert main(["transfer", "--config", _write(tmp_path / "b.json", _transfer_config(zoo_dir, out, epochs=2))]) == 3
+    assert "per_epoch.csv" in capsys.readouterr().err
+    assert not (out / "config.resolved.json").exists()
+    assert not (out / "config.resolved.json.tmp").exists()
 
 
 def test_transfer_multi_sequential(zoo_dir, tmp_path):

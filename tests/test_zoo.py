@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flipxfer.data import SyntheticConfig, train_val_pair
-from flipxfer.models import ModelSpec, load, predict_logits
+from flipxfer.models import ModelSpec, load, predict_logits, save
 from flipxfer.analysis import correct_flags
 from flipxfer.zoo import (
     PairFilter,
@@ -10,6 +12,7 @@ from flipxfer.zoo import (
     load_manifest,
     pair_grid,
     pretrain_zoo,
+    save_manifest,
     train_model,
 )
 
@@ -41,7 +44,11 @@ def _six_model_jobs():
 def six_model_zoo(small_sets, tmp_path_factory):
     train, val = small_sets
     out = tmp_path_factory.mktemp("zoo6")
-    return pretrain_zoo(_six_model_jobs(), train, val, out), train, val
+    manifest, checkpoints = pretrain_zoo(_six_model_jobs(), train, val)
+    for e in manifest.ok_entries():
+        save(checkpoints[e.name], out / e.path)
+    save_manifest(manifest, out / "manifest.json")
+    return dataclasses.replace(manifest, root=str(out)), train, val
 
 
 def test_six_models_accuracy_band_and_spread(six_model_zoo):
@@ -112,17 +119,18 @@ def test_distinct_seeds_distinct_parameters(small_sets):
     assert any(not np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
 
-def test_divergent_training_marked_failed(small_sets, tmp_path):
+def test_divergent_training_marked_failed(small_sets):
     train, val = small_sets
     jobs = [
         (ModelSpec("mlp", 2, S, 10, width=8), TrainConfig(epochs=2, lr=0.05, init_seed=1, order_seed=1)),
         (ModelSpec("mlp", 2, S, 10, width=8), TrainConfig(epochs=4, lr=1e9, init_seed=2, order_seed=2)),
     ]
-    manifest = pretrain_zoo(jobs, train, val, tmp_path)
+    manifest, checkpoints = pretrain_zoo(jobs, train, val)
     failed = [e for e in manifest.entries if e.failed]
     assert len(failed) == 1
     assert "non-finite" in failed[0].error
     assert len(manifest.ok_entries()) == 1
+    assert set(checkpoints) == {e.name for e in manifest.ok_entries()}  # no checkpoint for a failure
 
 
 def test_plateau_early_exit_runs(small_sets):
