@@ -118,14 +118,15 @@ def _active_tape() -> Tape | None:
     return _tls.stack[-1] if _tls.stack else None
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with a batch-size-invariant summation order.
 
     BLAS gemm picks different kernels (and so different float rounding) for
     different shapes; einsum's fixed reduction order makes row i of a@b
-    independent of how many other rows ride along in the batch.
+    independent of how many other rows ride along in the batch. ``out``, when
+    given, receives the same bits an allocated result would hold.
     """
-    return np.einsum("ij,jk->ik", a, b)
+    return np.einsum("ij,jk->ik", a, b, out=out)
 
 
 def _mm_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +200,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("affine", x.data.shape, w.data.shape)
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError("affine(bias)", b.data.shape, (w.data.shape[1],))
-    out_data = _mm(x.data, w.data) + b.data
+    out_data = _mm(x.data, w.data)
+    out_data += b.data
 
     def bwd(g):
         _accum(x, _mm_nt(g, w.data))
@@ -289,7 +291,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     Column c*9 + 3*i + j holds input channel c at kernel offset (i, j), which
     fixes every einsum's sum order; col2im adds the nine kernel offsets back
     in that order, so every padded pixel sums its contributions in a fixed
-    order.
+    order. The backward reuses the forward's buffers: the input gradient's
+    columns overwrite im2col once the weight gradient has read it, and
+    col2im adds into the zeroed padded buffer. So the backward runs once per
+    node that computes an input gradient: a second call raises RuntimeError.
+    The bias is added in place to the product.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if stride not in (1, 2):
@@ -311,15 +317,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     idx = _im2col_index(h, wdt, cin, stride)
     cols = np.take(xp.reshape(n, (h + 2) * (wdt + 2) * cin), idx, axis=1).reshape(n * oh * ow, cin * 9)
     wmat = w.data.reshape(cout, cin * 9)
-    out = (_mm_nt(cols, wmat) + b.data).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    out = _mm_nt(cols, wmat)
+    out += b.data
+    out = out.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
 
     def bwd(g):
+        nonlocal cols, xp
+        if cols is None:
+            raise RuntimeError("conv2d: backward already ran on this node and overwrote its im2col buffer")
         gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
         _accum(w, _mm_tn(gmat, cols).reshape(cout, cin, 3, 3))
         _accum(b, gmat.sum(axis=0))
         if x.requires_grad:
-            gcols = _mm(gmat, wmat).reshape(n, oh, ow, cin, 3, 3)
-            gxp = np.zeros_like(xp)
+            # the weight gradient has read cols, and nothing reads xp after the
+            # forward: the input gradient's columns and col2im reuse both
+            gcols = _mm(gmat, wmat, out=cols).reshape(n, oh, ow, cin, 3, 3)
+            gxp = xp
+            gxp.fill(0.0)
+            cols = xp = None
             for i in range(3):  # kernel order: each pixel sums as np.add.at would
                 for j in range(3):
                     gxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[..., i, j]

@@ -208,7 +208,9 @@ def _commit(resolved: dict, files: dict) -> None:
 
     The old ``config.resolved.json`` goes before the first write and the new
     one is renamed into place after the last, so ``out`` holds one only
-    beside the complete files of the run it describes."""
+    beside the complete files of the run it describes. ``out`` is created
+    here, so a run that fails before its commit leaves no new directory."""
+    os.makedirs(resolved["out"], exist_ok=True)
     marker = os.path.join(resolved["out"], "config.resolved.json")
     with contextlib.suppress(FileNotFoundError):
         os.remove(marker)
@@ -218,13 +220,18 @@ def _commit(resolved: dict, files: dict) -> None:
     os.replace(marker + ".tmp", marker)
 
 
-def _prepare_out(cfg: dict, args) -> str:
+def _check_out(cfg: dict, args) -> str:
+    """The run's output directory, checked before the work; ``_commit`` creates it."""
     out = args.out or cfg["out"]
     if not out:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
     if "\0" in out:
         raise ConfigError(f"out: {out!r} contains a NUL byte")
-    os.makedirs(out, exist_ok=True)
+    nearest = os.path.abspath(out)
+    while not os.path.exists(nearest):  # out itself, or the ancestor _commit would create it under
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise NotADirectoryError(f"out: {nearest} exists and is not a directory")
     return out
 
 
@@ -238,7 +245,7 @@ _OUT = (str | None, None)  # the top-level "out" key of every command
 def cmd_zoo(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     cfg = resolve(cfg, "", dataset=(dict, REQUIRED), zoo=(dict, REQUIRED), out=_OUT)
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "zoo": _resolve_zoo(cfg["zoo"])}
-    resolved["out"] = _prepare_out(cfg, args)
+    resolved["out"] = _check_out(cfg, args)
     train, val = _build_datasets(resolved["dataset"])
     specs: list[tuple[ModelSpec, TrainConfig]] = []
     names: list[str] = []
@@ -283,7 +290,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     resolved = cfg | {
         "dataset": _resolve_dataset(cfg["dataset"]), "pairs": resolve(cfg["pairs"] or {}, "pairs", PairFilter)
     }
-    resolved["out"] = _prepare_out(cfg, args)
+    resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     _, val = _build_datasets(resolved["dataset"])
     flt = PairFilter(**resolved["pairs"])
@@ -387,7 +394,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             raise ConfigError("transfer.multi.teachers: need a non-empty list of zoo names")
     t["hyperparams"] = _resolve_hyperparams(method, t["hyperparams"] or {}, args.seed, "transfer.hyperparams")
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "transfer": t}
-    resolved["out"] = _prepare_out(cfg, args)
+    resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
     hp = TransferHyperparams(**resolved["transfer"]["hyperparams"])
@@ -523,7 +530,7 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     except AnalysisError as e:
         raise ConfigError(f"sweep.bins: {e}") from e
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "sweep": s}
-    resolved["out"] = _prepare_out(cfg, args)
+    resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
     flt = PairFilter(**resolved["sweep"]["pairs"])

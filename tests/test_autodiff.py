@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,43 @@ def test_conv2d_is_bit_equal_to_gather_reference(stride, n, cin, cout, h, w, lay
     want = reference_conv2d(x.data, k.data, b.data, g, stride)
     for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
         assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_conv2d_second_backward_raises_naming_conv2d():
+    """The first backward writes the input gradient's columns over im2col, so
+    a second one must not compute a weight gradient from them."""
+    x = Tensor(RNG.normal(size=(2, 3, 5, 4)), requires_grad=True)
+    k = Tensor(RNG.normal(size=(2, 3, 3, 3)), requires_grad=True)
+    b = Tensor(RNG.normal(size=2), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.weighted_sum(ad.conv2d(x, k, b), RNG.normal(size=(2, 2, 5, 4)))
+    backward(tape, loss)
+    assert k.grad is not None
+    with pytest.raises(RuntimeError, match="conv2d"):
+        backward(tape, loss)
+    assert k.grad is None and x.grad is None  # nothing accumulated from the overwritten columns
+
+
+@pytest.mark.parametrize("layout", ["nchw", "nhwc_backed"])
+def test_conv2d_backward_allocates_less_than_one_im2col_block(layout):
+    """The input gradient reuses the forward's im2col and padded buffers."""
+    n, cin, cout, h, w = 64, 8, 8, 8, 8  # a cnn_c8 middle layer at batch 64
+    x = Tensor(RNG.normal(size=(n, cin, h, w)), requires_grad=True)
+    k = Tensor(RNG.normal(size=(cout, cin, 3, 3)), requires_grad=True)
+    b = Tensor(RNG.normal(size=cout), requires_grad=True)
+    g = _laid_out(RNG.normal(size=(n, cout, h, w)), layout)
+    with Tape() as tape:
+        ad.conv2d(x, k, b)
+    (node,) = tape.nodes
+    cols_nbytes = n * h * w * cin * 9 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        node.backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < cols_nbytes
 
 
 def test_im2col_index_is_cached_read_only():

@@ -450,6 +450,27 @@ def test_out_flag_with_nul_byte_exits_2(tmp_path, capsys):
     assert "config error: out:" in err and "NUL" in err
 
 
+def test_run_that_fails_leaves_no_new_out_directory(tmp_path, monkeypatch, capsys):
+    """out is created at the commit, so a run that exits 3 before it creates nothing."""
+    monkeypatch.chdir(tmp_path)
+    doc = _transfer_config(tmp_path / "no_zoo", "fresh/deep")
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", doc)]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/deep"])
+def test_out_under_or_at_a_file_exits_3_before_the_work(tmp_path, capsys, out):
+    """A file where out or one of its ancestors should be is found before
+    the missing manifest is read."""
+    (tmp_path / "taken").write_text("a file\n")
+    doc = _transfer_config(tmp_path / "no_zoo", tmp_path / out)
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", doc)]) == 3
+    err = capsys.readouterr().err
+    assert f"out: {tmp_path / 'taken'} exists and is not a directory" in err and "manifest" not in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
 def test_unknown_model_name_lists_the_zoo(zoo_dir, tmp_path, capsys):
     command, doc = _bad("transfer", "transfer.teacher", "nobody")(zoo_dir, tmp_path / "out")
     assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 2
