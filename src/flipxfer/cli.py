@@ -3,9 +3,9 @@
 Every command takes a JSON config (``--config``). One resolver
 (``config.resolve``) checks each section against the dataclass that consumes
 it: it rejects unknown keys, fills defaults and types every value by one
-rule (``config.typed``), the rule that also reads zoo manifests. The
-fully-resolved config is written beside the outputs so any run can be
-reproduced byte-for-byte from ``config.resolved.json``.
+rule (``config.typed``), the rule that also reads zoo manifests and
+checkpoint headers. The fully-resolved config is written beside the outputs
+so any run can be reproduced byte-for-byte from ``config.resolved.json``.
 
 A command writes nothing itself: it returns its exit code, its resolved
 config, its files (name -> writer of a path) and its summary, and
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,6 @@ import numpy as np
 
 from .analysis import (
     AnalysisError,
-    NoFlipsError,
     binned_top_quartile_delta,
     flip_entropy,
     positive_flips,
@@ -42,7 +40,7 @@ from .analysis import (
     success_rate,
     top_share_classes,
 )
-from .config import REQUIRED, ConfigError, resolve
+from .config import REQUIRED, ConfigError, dump_json, parse_json, resolve, write_json
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, predict_logits, save
 from .multiteacher import (
@@ -87,16 +85,10 @@ def _log(msg: str) -> None:
 
 def _load_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            cfg = parse_json(f.read(), path)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from e
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     return cfg
@@ -182,12 +174,6 @@ def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None
     return hp
 
 
-def _write_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -216,7 +202,7 @@ def _commit(resolved: dict, files: dict) -> None:
         os.remove(marker)
     for name, write in files.items():
         write(os.path.join(resolved["out"], name))
-    _write_json(resolved, marker + ".tmp")
+    write_json(resolved, marker + ".tmp")
     os.replace(marker + ".tmp", marker)
 
 
@@ -304,9 +290,10 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         except ValueError as e:
             raise ConfigError(f"embeddings: {resolved['embeddings']} is not a numeric CSV: {e}") from e
         if emb.shape[0] != val.num_classes:
-            raise ConfigError(
-                f"embeddings: {emb.shape[0]} rows for {val.num_classes} classes"
-            )
+            raise ConfigError(f"embeddings: {emb.shape[0]} rows for {val.num_classes} classes")
+        zero = np.flatnonzero(np.linalg.norm(emb, axis=1) == 0.0)
+        if zero.size:
+            raise ConfigError(f"embeddings: {resolved['embeddings']} row {zero[0] + 1} has zero norm")
     logits = {}
     for e in manifest.ok_entries():
         ck = manifest.load_checkpoint(e.name)
@@ -353,7 +340,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
                 )
             )
     files = {
-        "flips.json": partial(_write_json, {"pairs": records}),
+        "flips.json": partial(write_json, {"pairs": records}),
         "per_class_flips.csv": partial(
             _write_csv, ["teacher", "student", "rank", "class", "flips", "class_share"], per_class_rows
         ),
@@ -438,7 +425,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             results = [run(student, plan, hp, transfer_set, val, student_name)]
             report_doc = {**_result_doc(results[0]), "mode": multi["mode"]}
     files = {"student_after.ckpt": partial(save, results[-1].student_after)} if results else {}
-    files["report.json"] = partial(_write_json, report_doc)
+    files["report.json"] = partial(write_json, report_doc)
     files["per_epoch.csv"] = partial(
         _write_csv,
         ["stage", "epoch", *(f.name for f in fields(EpochTrace))],
@@ -487,7 +474,7 @@ def _sweep_task(task):
             student_ck, teacher_ck, method, TransferHyperparams(**hp_dict), transfer_set, val_set,
             teacher_name=tname, student_name=sname,
         )
-    except (TransferError, TransferDivergedError) as e:
+    except (TransferError, TransferDivergedError, AnalysisError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
     doc = _result_doc(res)
     rate = doc.get("transfer_rate", {"overall": None, "by_top_share": {}})
@@ -590,7 +577,7 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         }
     if failed:
         summary["failed"] = failed
-    files["summary.json"] = partial(_write_json, summary)
+    files["summary.json"] = partial(write_json, summary)
     for f in failed:
         _log(f"error: sweep run {f['method']} {f['teacher']} -> {f['student']}: {f['error']}")
     return 3 if failed else 0, resolved, files, summary
@@ -643,13 +630,13 @@ def main(argv=None) -> int:
         TrainingDivergedError,
         TransferDivergedError,
         TransferError,
-        NoFlipsError,
+        AnalysisError,
         OSError,
     ) as e:
         _log(f"error: {e}")
         return 3
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        sys.stdout.write(dump_json(summary))
     return code
 
 

@@ -1,20 +1,24 @@
-"""The one rule that reads a JSON document into typed dataclass fields.
+"""The JSON document format: one parser, one writer, one typing rule.
 
-Run configs and zoo manifests are read by it: each section is checked
-against the fields of the dataclass that consumes it, unknown keys are
-rejected, defaults filled, and every value typed by ``typed``.  A fault is a
+Every JSON document flipxfer reads goes through ``parse_json`` (strict
+UTF-8) and every one it writes to a file through ``write_json`` (indent 2,
+sorted keys, newline-terminated). Run configs, zoo manifests and checkpoint
+headers are then read by ``resolve``: each section is checked against the
+fields of the dataclass that consumes it, unknown keys are rejected,
+defaults filled, and every value typed by ``typed``.  A fault is a
 ``ConfigError`` naming the dotted key.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-__all__ = ["ConfigError", "REQUIRED", "typed", "resolve"]
+__all__ = ["ConfigError", "REQUIRED", "parse_json", "dump_json", "write_json", "digest", "typed", "resolve"]
 
 
 class ConfigError(ValueError):
@@ -23,6 +27,31 @@ class ConfigError(ValueError):
 
 REQUIRED = MISSING  # the default of a key that must be given
 _field_types = functools.cache(get_type_hints)  # evaluates annotations once per dataclass
+
+
+def parse_json(raw: bytes, where):
+    """Decode one JSON document from strict UTF-8 bytes; ``where`` names it in a fault."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{where}: not UTF-8 text ({e.reason})") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{where}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+
+
+def dump_json(doc) -> str:
+    """The text of every JSON file flipxfer writes: indent 2, sorted keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(doc, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(dump_json(doc))
+
+
+def digest(obj) -> str:
+    """A dataclass instance's identity: sha256 of its sorted compact JSON, 16 hex digits."""
+    return hashlib.sha256(json.dumps(asdict(obj), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def typed(value, hint, key: str):

@@ -8,9 +8,10 @@ float64 so checkpoints round-trip bit-exactly.
 
 Checkpoint file layout: magic ``XFKZ``, one version byte, little-endian
 uint32 header length, UTF-8 JSON header (spec, parameter names and shapes,
-meta), then the raw little-endian float64 payload in header order.  The
-meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) are typed on
-load by the config rule.
+meta), then the raw little-endian float64 payload in header order.  On load
+the header is typed by ``config.resolve``: its spec against the fields of
+``ModelSpec``, so a spec value follows the rule of a config value, and the
+meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) by ``typed``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .autodiff import (
     relu,
     reshape,
 )
-from .config import ConfigError, typed
+from .config import REQUIRED, ConfigError, digest, parse_json, resolve, typed
 
 MAGIC = b"XFKZ"
 VERSION = 1
@@ -98,33 +99,6 @@ class ModelSpec:
             if len(self.input_shape) != 3:
                 raise ValueError("cnn input_shape must be (channels, height, width)")
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "depth": self.depth,
-            "input_shape": list(self.input_shape),
-            "num_classes": self.num_classes,
-            "width": self.width,
-            "channels": list(self.channels) if self.channels is not None else None,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            family=d["family"],
-            depth=int(d["depth"]),
-            input_shape=tuple(d["input_shape"]),
-            num_classes=int(d["num_classes"]),
-            width=d.get("width"),
-            channels=tuple(d["channels"]) if d.get("channels") is not None else None,
-            dropout=float(d.get("dropout", 0.0)),
-        )
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Named parameter shapes in forward order."""
         shapes: dict[str, tuple[int, ...]] = {}
@@ -165,7 +139,7 @@ class Checkpoint:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        h.update(self.spec.digest().encode())
+        h.update(digest(self.spec).encode())
         for name in sorted(self.params):
             h.update(name.encode())
             h.update(self.params[name].astype("<f8").tobytes())
@@ -280,7 +254,7 @@ def predict_features(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
 def save(ck: Checkpoint, path) -> None:
     names = list(ck.params.keys())
     header = {
-        "spec": ck.spec.to_dict(),
+        "spec": asdict(ck.spec),
         "names": names,
         "shapes": {k: list(ck.params[k].shape) for k in names},
         "meta": ck.meta,
@@ -308,39 +282,37 @@ def load(path) -> Checkpoint:
     if len(raw) < 9 + hlen:
         raise TruncatedCheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[9 : 9 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise HeaderMismatchError(f"{path}: unreadable header ({e})") from e
-    try:
-        spec = ModelSpec.from_dict(header["spec"])
-        names = list(header["names"])
-        shapes = {k: tuple(v) for k, v in header["shapes"].items()}
-        meta = dict(header.get("meta", {}))
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise HeaderMismatchError(f"{path}: malformed header ({type(e).__name__}: {e})") from e
+        header = resolve(
+            parse_json(raw[9 : 9 + hlen], "header"), "header",
+            spec=(dict, REQUIRED), names=(list[str], REQUIRED), shapes=(dict, REQUIRED), meta=(dict, {}),
+        )
+        spec = ModelSpec(**resolve(header["spec"], "header.spec", ModelSpec))
+    except ValueError as e:  # a ConfigError, or a spec ModelSpec rejects
+        raise HeaderMismatchError(f"{path}: malformed header ({e})") from e
+    names, shapes, meta = header["names"], header["shapes"], header["meta"]
     try:
         meta.update({k: typed(meta[k], hint, f"meta.{k}") for k, hint in _META_TYPES.items() if k in meta})
     except ConfigError as e:
         raise HeaderMismatchError(f"{path}: {e}") from e
     expected = spec.param_shapes()
-    if set(names) != set(expected) or set(shapes) != set(expected):
+    if sorted(names) != sorted(expected) or set(shapes) != set(expected):
         raise HeaderMismatchError(f"{path}: parameter names disagree with spec")
     for name in names:
-        if shapes[name] != expected[name]:
+        if shapes[name] != list(expected[name]):
             raise HeaderMismatchError(
-                f"{path}: shape of {name!r} is {shapes[name]}, spec says {expected[name]}"
+                f"{path}: shape of {name!r} is {shapes[name]}, spec says {list(expected[name])}"
             )
     payload = raw[9 + hlen :]
-    total = sum(int(np.prod(shapes[n])) for n in names)
+    total = spec.num_params()
     if len(payload) != 8 * total:
         raise TruncatedCheckpointError(
             f"{path}: payload holds {len(payload) // 8} floats, header declares {total}"
         )
     params: dict[str, np.ndarray] = {}
     off = 0
-    for name in names:
-        cnt = int(np.prod(shapes[name]))
+    for name in names:  # each laid out at its spec shape, in the header's order
+        cnt = int(np.prod(expected[name]))
         arr = np.frombuffer(payload, dtype="<f8", count=cnt, offset=off).astype(np.float64)
-        params[name] = arr.reshape(shapes[name])
+        params[name] = arr.reshape(expected[name])
         off += 8 * cnt
     return Checkpoint(spec, params, meta)

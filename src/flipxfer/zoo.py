@@ -8,15 +8,13 @@ entries rather than dropped, so a manifest always reflects what was asked.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import SgdState, Tensor
-from .config import REQUIRED, ConfigError, resolve
+from .config import REQUIRED, ConfigError, digest, parse_json, resolve, write_json
 from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits
 from .transfer import checkpoint_of, sgd_epochs, xe_loss
@@ -69,10 +67,6 @@ class TrainConfig:
             raise ValueError(
                 f"init_seed and order_seed must be nonnegative, got {self.init_seed} and {self.order_seed}"
             )
-
-    def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass
@@ -150,7 +144,7 @@ def train_model(
     out.meta = {
         "seed": cfg.init_seed,
         "val_accuracy": val_acc,
-        "train_config_digest": cfg.digest(),
+        "train_config_digest": digest(cfg),
         "name": name,
     }
     return out
@@ -178,7 +172,7 @@ def pretrain_zoo(
         entry = ZooEntry(
             name=name,
             path=f"{name}.ckpt",
-            spec_digest=spec.digest(),
+            spec_digest=digest(spec),
             family=spec.family,
             train_config=asdict(cfg),
             val_accuracy=float("nan"),
@@ -195,25 +189,19 @@ def pretrain_zoo(
 
 
 def save_manifest(manifest: ZooManifest, path) -> None:
-    doc = {"entries": [asdict(e) for e in manifest.entries]}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json({"entries": [asdict(e) for e in manifest.entries]}, path)
 
 
 def load_manifest(path) -> ZooManifest:
-    """Read a manifest, each entry typed over the fields of ZooEntry by the
+    """Read a UTF-8 manifest, each entry typed over the fields of ZooEntry by the
     config rule; every checkpoint path must stay inside the manifest's
     directory."""
     root = os.path.dirname(os.path.abspath(path))
-    with open(path, "rb") as f:
-        raw = f.read()
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except UnicodeDecodeError as e:
-        raise ManifestError(f"{path}: not UTF-8 text ({e.reason})") from e
+        with open(path, "rb") as f:
+            doc = parse_json(f.read(), path)
+    except ConfigError as e:
+        raise ManifestError(str(e)) from e
     try:
         listed = resolve(doc, "", entries=(list[dict], REQUIRED))["entries"]
         entries = [ZooEntry(**resolve(e, f"entries[{i}]", ZooEntry)) for i, e in enumerate(listed)]

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import struct
 import tempfile
 
 import numpy as np
@@ -275,6 +276,7 @@ def _entry0(change):
 _BAD_MANIFESTS = {
     "truncated_json": (lambda doc: json.dumps(doc)[:40], "malformed JSON at line"),
     "not_utf8": (lambda doc: "\udcff" + json.dumps(doc), "not UTF-8 text"),
+    "utf16": (lambda doc: json.dumps(doc).encode("utf-16").decode("utf-8", "surrogateescape"), "not UTF-8 text"),
     "no_entries": (lambda doc: "{}", "top level: missing required key 'entries'"),
     "unknown_entry_key": (_entry0(lambda e: e.update(bogus=1)), "entries[0]: unknown keys ['bogus']"),
     "string_val_accuracy": (_entry0(lambda e: e.update(val_accuracy="0.9")), "entries[0].val_accuracy: expected float"),
@@ -488,6 +490,16 @@ def test_malformed_embeddings_exits_2_naming_file(zoo_dir, tmp_path, capsys):
     assert "config error" in err and str(emb_path) in err
 
 
+def test_zero_norm_embeddings_row_exits_2_naming_file_and_row(zoo_dir, tmp_path, capsys):
+    emb_path = tmp_path / "emb.csv"
+    emb_path.write_text("1.0,2.0\n3.0,1.0\n0.0,0.0\n2.0,2.0\n")
+    conf = _flips_config(zoo_dir, tmp_path / "out")
+    conf["embeddings"] = str(emb_path)
+    assert main(["flips", "--config", _write(tmp_path / "flips.json", conf)]) == 2
+    assert f"config error: embeddings: {emb_path} row 3 has zero norm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_transfer_rerun_from_resolved_config_identical_bytes(zoo_dir, tmp_path):
     out = tmp_path / "tr"
     cfg = tmp_path / "tr.json"
@@ -525,14 +537,93 @@ def test_transfer_multi_sequential(zoo_dir, tmp_path):
     assert "cumulative_delta_transf" in report
 
 
+def _copy_zoo(src, dst):
+    dst.mkdir()
+    for f in src.iterdir():
+        if f.is_file():
+            (dst / f.name).write_bytes(f.read_bytes())
+    return dst
+
+
+def _edit_header(path, edit, floats=None):
+    """Replace a checkpoint's JSON header with edit(header) and, if ``floats``
+    is given, its payload with that many zeros."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    blob = json.dumps(edit(json.loads(raw[9 : 9 + hlen]))).encode()
+    payload = raw[9 + hlen :] if floats is None else np.zeros(floats).tobytes()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def _spec(**values):
+    def edit(header):
+        header["spec"].update(values)
+        return header
+    return edit
+
+
+def _fractional_width(header):
+    """narrow at width 4.5 (8 dims, 4 classes), with the shapes it gives; the
+    payload of 58 floats matches their truncated sizes (36 + 4 + 18)."""
+    header["spec"]["width"] = 4.5
+    header["shapes"] = {"fc1.w": [8, 4.5], "fc1.b": [4.5], "fc2.w": [4.5, 4], "fc2.b": [4]}
+    return header
+
+
+_BAD_SPECS = {
+    "depth_fraction": (_spec(depth=2.7), None, "depth"),
+    "num_classes_fraction": (_spec(num_classes=4.9), None, "num_classes"),
+    "dropout_string": (_spec(dropout="0.25"), None, "dropout"),
+    "width_fraction": (_fractional_width, 58, "width"),
+}
+
+
+@pytest.mark.parametrize("edit, floats, key", list(_BAD_SPECS.values()), ids=list(_BAD_SPECS))
+def test_wrong_type_checkpoint_spec_exits_3_naming_file_and_key(zoo_dir, tmp_path, capsys, edit, floats, key):
+    """A checkpoint spec value is typed as a config value is: each of these
+    once ran on a truncated or string value, or escaped main as a TypeError."""
+    zoo = _copy_zoo(zoo_dir, tmp_path / "zoo")
+    entry = next(e for e in json.loads((zoo / "manifest.json").read_text())["entries"] if e["name"] == "narrow")
+    _edit_header(zoo / entry["path"], edit, floats)
+    conf = _transfer_config(zoo, tmp_path / "out")
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {zoo / entry['path']}: malformed header (header.spec.{key}: expected" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_accuracy_student_exits_3_and_fails_only_its_sweep_runs(tmp_path, capsys):
+    """A student with no correct val prediction has no knowledge-loss rate:
+    the transfer exits 3 naming that, and a sweep records the run as failed
+    and still writes the other pair's row."""
+    dataset = {"synthetic": {"classes": 2, "dims": 4, "train": {"samples": 4, "seed": 1},
+                             "val": {"samples": 2, "seed": 2}}}
+    models = [{"name": n, "family": "mlp", "depth": 2, "width": 3, "train": {"epochs": 0, "init_seed": s}}
+              for n, s in (("a", 0), ("b", 9))]
+    zoo = tmp_path / "zoo"
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", {"dataset": dataset, "zoo": {"models": models},
+                                                                  "out": str(zoo)})]) == 0
+    accs = {e["name"]: e["val_accuracy"] for e in json.loads((zoo / "manifest.json").read_text())["entries"]}
+    assert accs["b"] == 0.0 < accs["a"]
+    common = {"manifest": str(zoo / "manifest.json"), "dataset": dataset}
+    transfer = {**common, "transfer": {"method": "kl", "teacher": "a", "student": "b"}, "out": str(tmp_path / "tr")}
+    capsys.readouterr()
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", transfer)]) == 3
+    assert "error: student had no correct predictions before transfer" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+    sweep = {**common, "sweep": {"methods": ["kl"]}, "out": str(tmp_path / "sw")}
+    assert main(["sweep", "--config", _write(tmp_path / "sw.json", sweep)]) == 3
+    assert "error: sweep run kl a -> b: student had no correct predictions" in capsys.readouterr().err
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [["b", "a", "kl"]]
+    failed = json.loads((tmp_path / "sw" / "summary.json").read_text())["failed"]
+    assert [(f["teacher"], f["student"], f["method"]) for f in failed] == [("a", "b", "kl")]
+
+
 def test_transfer_multi_sequential_string_val_accuracy_exits_3(zoo_dir, tmp_path, capsys):
     """A teacher checkpoint whose meta val_accuracy is a string is a header
     fault naming the file and the key, not a traceback from the ordering."""
-    zoo = tmp_path / "zoo"
-    zoo.mkdir()
-    for f in zoo_dir.glob("*"):
-        if f.is_file():
-            (zoo / f.name).write_bytes(f.read_bytes())
+    zoo = _copy_zoo(zoo_dir, tmp_path / "zoo")
     entry = next(e for e in json.loads((zoo / "manifest.json").read_text())["entries"] if e["name"] == "mid")
     ck = models.load(zoo / entry["path"])
     ck.meta["val_accuracy"] = "high"
@@ -733,17 +824,40 @@ _JSON_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_any_config_leaf_value_exits_0_2_or_3(tiny_configs, data):
-    command = data.draw(st.sampled_from(sorted(tiny_configs)))
-    doc = json.loads(json.dumps(tiny_configs[command]))
+def _set_leaf(doc, data):
+    """Replace one drawn leaf of ``doc`` with a drawn JSON value."""
     *parents, leaf = data.draw(st.sampled_from(_leaves(doc)))
     node = doc
     for k in parents:
         node = node[k]
     node[leaf] = data.draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_config_leaf_value_exits_0_2_or_3(tiny_configs, data):
+    command = data.draw(st.sampled_from(sorted(tiny_configs)))
+    doc = _set_leaf(json.loads(json.dumps(tiny_configs[command])), data)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(pathlib.Path(tmp) / "cfg.json", doc)
         argv = ["transfer" if command == "multi" else command, "--config", cfg, "--out", os.path.join(tmp, "out")]
         assert main(argv) in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_manifest_or_checkpoint_header_leaf_value_exits_0_2_or_3(tiny_configs, data):
+    """The zoo a transfer reads is outside input too: one leaf of its manifest
+    or of a checkpoint header, set to any JSON value, ends in a documented exit."""
+    source = pathlib.Path(tiny_configs["transfer"]["manifest"]).parent
+    with tempfile.TemporaryDirectory() as tmp:
+        zoo = _copy_zoo(source, pathlib.Path(tmp) / "zoo")
+        manifest = json.loads((zoo / "manifest.json").read_text())
+        target = data.draw(st.sampled_from(["manifest.json", *(e["path"] for e in manifest["entries"])]))
+        if target == "manifest.json":
+            _write(zoo / target, _set_leaf(manifest, data))
+        else:
+            _edit_header(zoo / target, lambda header: _set_leaf(header, data))
+        cfg = _write(pathlib.Path(tmp) / "cfg.json", {**tiny_configs["transfer"], "manifest": str(zoo / "manifest.json")})
+        assert main(["transfer", "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)

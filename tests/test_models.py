@@ -7,6 +7,7 @@ import pytest
 
 from flipxfer import models
 from flipxfer.autodiff import SgdState, ShapeError, Tape, Tensor, backward, np_softmax, sgd_step
+from flipxfer.config import digest
 from flipxfer.models import (
     Checkpoint,
     HeaderMismatchError,
@@ -23,6 +24,7 @@ from flipxfer.models import (
     save,
 )
 from flipxfer.transfer import xe_loss
+from flipxfer.zoo import TrainConfig
 
 MLP = ModelSpec(family="mlp", depth=2, input_shape=(32,), num_classes=10, width=16)
 CNN = ModelSpec(family="cnn", depth=1, input_shape=(1, 8, 8), num_classes=10, channels=(4,))
@@ -169,13 +171,15 @@ def test_truncated_payload_detected(tmp_path):
     assert "declares" in str(exc.value)
 
 
-def _rewrite_header(path, edit):
-    """Save a checkpoint, then replace its JSON header with edit(header)."""
+def _rewrite_header(path, edit, floats=None):
+    """Save a checkpoint, then replace its JSON header with edit(header) and,
+    if ``floats`` is given, its payload with that many zeros."""
     save(build(MLP, seed=0), path)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[5:9])
     blob = json.dumps(edit(json.loads(raw[9 : 9 + hlen])), sort_keys=True).encode()
-    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    payload = raw[9 + hlen :] if floats is None else np.zeros(floats).tobytes()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + payload)
 
 
 def test_header_shape_disagreement_detected(tmp_path):
@@ -228,6 +232,46 @@ def test_wrong_type_meta_is_header_mismatch_naming_file_and_key(tmp_path, edit, 
     with pytest.raises(HeaderMismatchError, match=f"meta.{key}: expected") as exc:
         load(path)
     assert str(path) in str(exc.value)
+
+
+def _spec(**spec):
+    return lambda header: {**header, "spec": {**header["spec"], **spec}}
+
+
+def _fractional_width(header):
+    """Width 16.5, with the shapes it gives: the payload of 719 floats then
+    matched the shapes' truncated sizes (528 + 16 + 165 + 10)."""
+    shapes = {"fc1.w": [32, 16.5], "fc1.b": [16.5], "fc2.w": [16.5, 10], "fc2.b": [10]}
+    return {**_spec(width=16.5)(header), "shapes": shapes}
+
+
+@pytest.mark.parametrize(
+    "edit, floats, key",
+    [
+        (_spec(depth=2.7), None, "depth"),
+        (_spec(num_classes=10.9), None, "num_classes"),
+        (_spec(dropout="0.25"), None, "dropout"),
+        (_spec(depth=True), None, "depth"),
+        (_fractional_width, 719, "width"),
+    ],
+    ids=["depth_fraction", "num_classes_fraction", "dropout_string", "depth_bool", "width_fraction"],
+)
+def test_wrong_type_spec_is_header_mismatch_naming_file_and_key(tmp_path, edit, floats, key):
+    """Each spec value follows the config rule: a fractional depth or class
+    count once loaded truncated, a string dropout loaded as a number, and a
+    fractional width escaped load as a TypeError from reshape."""
+    path = tmp_path / "model.ckpt"
+    _rewrite_header(path, edit, floats)
+    with pytest.raises(HeaderMismatchError, match=rf"malformed header \(header\.spec\.{key}: expected") as exc:
+        load(path)
+    assert str(path) in str(exc.value)
+
+
+def test_digests_are_pinned():
+    """The identities a zoo writes into its manifest and checkpoint meta."""
+    assert (digest(MLP), digest(CNN), digest(TrainConfig())) == (
+        "1f6506be6b7dcfc5", "ad9b3a7890ab9584", "ddadd82fa836eb26"
+    )
 
 
 def test_meta_of_every_kind_the_program_writes_loads_unchanged(tmp_path):

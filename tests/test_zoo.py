@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from flipxfer.data import SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, load, predict_logits, save
 from flipxfer.analysis import correct_flags
 from flipxfer.zoo import (
+    ManifestError,
     PairFilter,
     TrainConfig,
     load_manifest,
@@ -79,6 +82,19 @@ def test_manifest_round_trip(six_model_zoo, tmp_path):
     back = load_manifest(os.path.join(manifest.root, "manifest.json"))
     assert [e.name for e in back.entries] == [e.name for e in manifest.entries]
     assert [e.val_accuracy for e in back.entries] == [e.val_accuracy for e in manifest.entries]
+
+
+def test_utf16_manifest_is_a_manifest_error_naming_the_file(six_model_zoo, tmp_path):
+    """A manifest is UTF-8, as a config is; a UTF-16 one once loaded."""
+    manifest, _, _ = six_model_zoo
+    with open(os.path.join(manifest.root, "manifest.json"), encoding="utf-8") as f:
+        text = f.read()
+    path = tmp_path / "manifest.json"
+    path.write_bytes(text.encode("utf-16"))
+    assert json.loads(path.read_bytes())["entries"]  # the document itself is whole
+    with pytest.raises(ManifestError, match="not UTF-8 text") as exc:
+        load_manifest(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_zero_epochs_is_chance_level(small_sets):
