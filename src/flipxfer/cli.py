@@ -43,13 +43,7 @@ from .analysis import (
 from .config import REQUIRED, ConfigError, dump_json, parse_json, resolve, write_json
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, predict_logits, save
-from .multiteacher import (
-    MultiTeacherPlan,
-    check_plan,
-    parallel_transfer,
-    sequential_transfer,
-    soup_transfer,
-)
+from .multiteacher import check_plan, parallel_transfer, sequential_transfer, soup_transfer
 from .transfer import (
     METHODS,
     EpochTrace,
@@ -249,9 +243,7 @@ def cmd_zoo(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     files["manifest.json"] = partial(save_manifest, manifest)
     failed = [e.name for e in manifest.entries if e.failed]
     summary = {
-        "models": {
-            e.name: (None if e.failed else e.val_accuracy) for e in manifest.entries
-        },
+        "models": {e.name: e.val_accuracy for e in manifest.entries},  # null for a failed model
         "failed": failed,
         "manifest": os.path.join(resolved["out"], "manifest.json"),
     }
@@ -262,10 +254,24 @@ def cmd_zoo(cfg: dict, args) -> tuple[int, dict, dict, dict]:
 
 
 def _checkpoint(manifest: ZooManifest, name: str, key: str):
-    names = [e.name for e in manifest.entries]
-    if name not in names:
-        raise ConfigError(f"{key}: no model {name!r} in the manifest; its models: {', '.join(names)}")
+    by_name = {e.name: e for e in manifest.entries}
+    if name not in by_name:
+        raise ConfigError(f"{key}: no model {name!r} in the manifest; its models: {', '.join(by_name)}")
+    if by_name[name].failed:
+        trained = [e.name for e in manifest.ok_entries()]
+        raise ConfigError(f"{key}: model {name!r} failed to train ({by_name[name].error}); trained models: {trained}")
     return manifest.load_checkpoint(name)
+
+
+def _pair_grid(manifest: ZooManifest, path: str, flt: PairFilter):
+    """The filtered pairs of the manifest's trained models, of which it needs two."""
+    if len(manifest.ok_entries()) < 2:
+        trained, failed = ([e.name for e in manifest.entries if e.failed == f] for f in (False, True))
+        raise ManifestError(f"{path}: pairs need at least 2 trained models; trained: {trained}, failed: {failed}")
+    pairs = pair_grid(manifest, flt)
+    if not pairs:
+        raise ConfigError("no pairs matched the filter")
+    return pairs
 
 
 def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
@@ -279,10 +285,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     _, val = _build_datasets(resolved["dataset"])
-    flt = PairFilter(**resolved["pairs"])
-    pairs = pair_grid(manifest, flt)
-    if not pairs:
-        raise ConfigError("no pairs matched the filter")
+    pairs = _pair_grid(manifest, resolved["manifest"], PairFilter(**resolved["pairs"]))
     emb = None
     if resolved["embeddings"]:
         try:
@@ -370,8 +373,8 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     multi = t["multi"]
     if multi is not None:
         multi = t["multi"] = resolve(
-            t["multi"], "transfer.multi", MultiTeacherPlan, skip=("teachers", "method", "teacher_names"),
-            teachers=(list[str], REQUIRED),
+            t["multi"], "transfer.multi", mode=(str, REQUIRED), order=(str, "ascending"),
+            retain_original_reference=(bool, False), teachers=(list[str], REQUIRED),
         )
         try:
             check_plan(multi["mode"], multi["order"], method)
@@ -401,18 +404,13 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         report_doc = _result_doc(results[0])
     else:
         teachers = [
-            _checkpoint(manifest, n, f"transfer.multi.teachers[{i}]") for i, n in enumerate(multi["teachers"])
+            (n, _checkpoint(manifest, n, f"transfer.multi.teachers[{i}]")) for i, n in enumerate(multi["teachers"])
         ]
-        plan = MultiTeacherPlan(
-            teachers=tuple(teachers),
-            mode=multi["mode"],
-            method=method,
-            order=multi["order"],
-            retain_original_reference=multi["retain_original_reference"],
-            teacher_names=tuple(multi["teachers"]),
-        )
         if sequential:
-            results = sequential_transfer(student, plan, hp, transfer_set, val, student_name)
+            results = sequential_transfer(
+                student, teachers, method, hp, transfer_set, val, student_name,
+                multi["order"], multi["retain_original_reference"],
+            )
             report_doc = {
                 "mode": "sequential",
                 "stages": [_result_doc(r) for r in results],
@@ -422,7 +420,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             }
         else:
             run = parallel_transfer if multi["mode"] == "parallel" else soup_transfer
-            results = [run(student, plan, hp, transfer_set, val, student_name)]
+            results = [run(student, teachers, method, hp, transfer_set, val, student_name)]
             report_doc = {**_result_doc(results[0]), "mode": multi["mode"]}
     files = {"student_after.ckpt": partial(save, results[-1].student_after)} if results else {}
     files["report.json"] = partial(write_json, report_doc)
@@ -520,10 +518,7 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
-    flt = PairFilter(**resolved["sweep"]["pairs"])
-    pairs = pair_grid(manifest, flt)
-    if not pairs:
-        raise ConfigError("no pairs matched the filter")
+    pairs = _pair_grid(manifest, resolved["manifest"], PairFilter(**resolved["sweep"]["pairs"]))
     max_pairs = resolved["sweep"]["max_pairs"]
     if max_pairs is not None and len(pairs) > max_pairs:
         # deterministic spread over the delta_acc range

@@ -40,8 +40,9 @@ def parse_json(raw: bytes, where):
 
 
 def dump_json(doc) -> str:
-    """The text of every JSON file flipxfer writes: indent 2, sorted keys, a final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text of every JSON file flipxfer writes: indent 2, sorted keys, a
+    final newline, and no NaN or infinity, which JSON does not have."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(doc, path) -> None:

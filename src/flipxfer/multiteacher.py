@@ -10,8 +10,6 @@ uniform elementwise parameter average).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analysis import PairReport
@@ -27,7 +25,7 @@ from .transfer import (
     run_transfer,
 )
 
-__all__ = ["MultiTeacherPlan", "check_plan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
+__all__ = ["check_plan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
 
 MODES = ("sequential", "parallel", "soup")
 ORDERS = ("ascending", "descending", "given")  # by teacher val accuracy, or as given
@@ -44,58 +42,35 @@ def check_plan(mode: str, order: str, method: str) -> None:
         raise TransferError(f"multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {method!r}")
 
 
-@dataclass(frozen=True)
-class MultiTeacherPlan:
-    teachers: tuple[Checkpoint, ...]
-    mode: str
-    method: str = "kl_dp_sup"
-    order: str = "ascending"
-    retain_original_reference: bool = False
-    teacher_names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        check_plan(self.mode, self.order, self.method)
-        if self.mode in ("parallel", "soup") and len(self.teachers) < 1:
-            raise TransferError(f"{self.mode} transfer needs at least one teacher")
-        names = self.teacher_names or tuple(
-            ck.meta.get("name", f"t{i}") for i, ck in enumerate(self.teachers)
-        )
-        if len(names) != len(self.teachers):
-            raise TransferError("teacher_names must align with teachers")
-        object.__setattr__(self, "teacher_names", tuple(names))
-
-    def ordered(self) -> list[tuple[str, Checkpoint]]:
-        pairs = list(zip(self.teacher_names, self.teachers))
-        if self.order == "given":
-            return pairs
-        keyed = [(ck.meta.get("val_accuracy", 0.0), i, name, ck) for i, (name, ck) in enumerate(pairs)]
-        keyed.sort(key=lambda t: (t[0], t[1]), reverse=(self.order == "descending"))
-        return [(name, ck) for _, _, name, ck in keyed]
-
-
 def sequential_transfer(
     student_ck: Checkpoint,
-    plan: MultiTeacherPlan,
+    teachers: list[tuple[str, Checkpoint]],
+    method: str,
     hp: TransferHyperparams,
     transfer_set: Dataset,
     val_set: Dataset,
     student_name: str = "student",
+    order: str = "ascending",
+    retain_original_reference: bool = False,
 ) -> list[TransferResult]:
-    """Stage-wise transfer; each stage's output is the next stage's student
-    (and its frozen reference, unless the plan retains the original)."""
-    if plan.mode != "sequential":
-        raise TransferError(f"plan mode is {plan.mode!r}, expected 'sequential'")
+    """Stage-wise transfer from named teachers, taken in ``order``; each
+    stage's output is the next stage's student (and its frozen reference,
+    unless the original student is retained)."""
+    check_plan("sequential", order, method)
+    if order != "given":  # by checkpoint val accuracy, then position; descending reverses both
+        rank = sorted(range(len(teachers)), key=lambda i: (teachers[i][1].meta.get("val_accuracy", 0.0), i))
+        teachers = [teachers[i] for i in (rank[::-1] if order == "descending" else rank)]
     acc0 = None  # the original student's accuracy: the acc_before of the first stage that ran
-    reference = student_ck if plan.retain_original_reference else None
+    reference = student_ck if retain_original_reference else None
     current = student_ck
     seen: dict[str, np.ndarray] = {}  # a stage's output is the next stage's student: forwarded once
     results: list[TransferResult] = []
-    for name, teacher in plan.ordered():
+    for name, teacher in teachers:
         try:
             res = run_transfer(
                 current,
                 teacher,
-                plan.method,
+                method,
                 hp,
                 transfer_set,
                 val_set,
@@ -106,7 +81,7 @@ def sequential_transfer(
             )
         except TransferDivergedError as e:
             stub = TransferResult(
-                method=plan.method,
+                method=method,
                 hyperparams=hp,
                 report=PairReport(name, student_name, 0.0, 0.0, 0.0, 0.0),
                 student_after=current,
@@ -126,7 +101,8 @@ def sequential_transfer(
 
 def parallel_transfer(
     student_ck: Checkpoint,
-    plan: MultiTeacherPlan,
+    teachers: list[tuple[str, Checkpoint]],
+    method: str,
     hp: TransferHyperparams,
     transfer_set: Dataset,
     val_set: Dataset,
@@ -134,18 +110,19 @@ def parallel_transfer(
 ) -> TransferResult:
     """Single run distilling from the per-sample most confident source among
     the frozen initial student and every teacher: DP over K teachers."""
-    if plan.mode != "parallel":
-        raise TransferError(f"plan mode is {plan.mode!r}, expected 'parallel'")
-    # tie-breaking uses the plan's given teacher sequence, so no reordering here;
+    check_plan("parallel", "given", method)
+    if not teachers:
+        raise TransferError("parallel transfer needs at least one teacher")
+    # tie-breaking uses the given teacher sequence, so no reordering here;
     # kl compares maximum probabilities, as the unsupervised rule does
-    rule = "kl_dp_sup" if plan.method == "kl_dp_sup" else "kl_dp_unsup"
+    rule = "kl_dp_sup" if method == "kl_dp_sup" else "kl_dp_unsup"
     baseline, epochs, student_after, winner = distill(
-        student_ck, list(zip(plan.teacher_names, plan.teachers)), rule, hp, transfer_set, val_set, student_name
+        student_ck, teachers, rule, hp, transfer_set, val_set, student_name
     )
-    source_share = np.bincount(winner, minlength=len(plan.teachers) + 1) / transfer_set.n
+    source_share = np.bincount(winner, minlength=len(teachers) + 1) / transfer_set.n
     epochs.teacher_share = float(1.0 - source_share[0])
     return baseline.result(
-        plan.method, hp, epochs, student_after, f"parallel[{'+'.join(plan.teacher_names)}]", student_name,
+        method, hp, epochs, student_after, f"parallel[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "parallel"},
         extras={
             "teacher_accs": baseline.teacher_accs,
@@ -157,7 +134,8 @@ def parallel_transfer(
 
 def soup_transfer(
     student_ck: Checkpoint,
-    plan: MultiTeacherPlan,
+    teachers: list[tuple[str, Checkpoint]],
+    method: str,
     hp: TransferHyperparams,
     transfer_set: Dataset,
     val_set: Dataset,
@@ -166,16 +144,17 @@ def soup_transfer(
     """Distill one student per teacher from the same start, then average all
     variants' parameters uniformly and evaluate the merged model against the
     union of the branches' baselines."""
-    if plan.mode != "soup":
-        raise TransferError(f"plan mode is {plan.mode!r}, expected 'soup'")
+    check_plan("soup", "given", method)
+    if not teachers:
+        raise TransferError("soup transfer needs at least one teacher")
     seen: dict[str, np.ndarray] = {}  # every branch starts from the same student: forwarded once
     branches: list[TransferResult] = []
-    for name, teacher in zip(plan.teacher_names, plan.teachers):
+    for name, teacher in teachers:
         branches.append(
             run_transfer(
                 student_ck,
                 teacher,
-                plan.method,
+                method,
                 hp,
                 transfer_set,
                 val_set,
@@ -198,7 +177,7 @@ def soup_transfer(
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
     baseline = ValBaseline.union([r.baseline for r in branches])
     return baseline.result(
-        plan.method, hp, None, student_after, f"soup[{'+'.join(plan.teacher_names)}]", student_name,
+        method, hp, None, student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "soup"},
         extras={
             "teacher_accs": baseline.teacher_accs,

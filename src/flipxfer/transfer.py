@@ -81,7 +81,6 @@ __all__ = [
     "dp_loss",
     "topk_restricted_kl",
     "cd_loss",
-    "check_teacher",
     "check_dataset",
     "checkpoint_of",
     "sgd_epochs",
@@ -430,17 +429,6 @@ def cd_loss(student_feats, teacher_feats) -> Tensor:
 # the shared training loop and before/after report
 
 
-def check_teacher(student_spec, teacher_ck: Checkpoint, name: str) -> None:
-    """Reject a teacher whose classes or input shape differ from the student's."""
-    if teacher_ck.spec.num_classes != student_spec.num_classes:
-        raise TransferError(
-            f"teacher {name}: class-count mismatch: teacher {teacher_ck.spec.num_classes}, "
-            f"student {student_spec.num_classes}"
-        )
-    if teacher_ck.spec.input_shape != student_spec.input_shape:
-        raise TransferError(f"teacher {name}: input-shape mismatch")
-
-
 def check_dataset(ck: Checkpoint, name: str, *datasets: Dataset) -> None:
     """Reject a dataset whose class count or input shape differs from the model's."""
     for ds in datasets:
@@ -655,9 +643,8 @@ def distill(
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     spec = student_ck.spec
-    for name, t in teachers:
-        check_teacher(spec, t, name)
-    check_dataset(student_ck, student_name, transfer_set, val_set)
+    for name, ck in [(student_name, student_ck), *teachers]:  # fitting one dataset, they fit each other
+        check_dataset(ck, name, transfer_set, val_set)
     teacher_cks = [t for _, t in teachers]
 
     x_tr, y_tr = transfer_set.inputs, transfer_set.labels

@@ -76,7 +76,7 @@ class ZooEntry:
     spec_digest: str
     family: str
     train_config: dict
-    val_accuracy: float
+    val_accuracy: float | None  # null for a failed entry
     seed: int
     failed: bool = False
     error: str | None = None
@@ -175,7 +175,7 @@ def pretrain_zoo(
             spec_digest=digest(spec),
             family=spec.family,
             train_config=asdict(cfg),
-            val_accuracy=float("nan"),
+            val_accuracy=None,
             seed=cfg.init_seed,
         )
         try:
@@ -195,7 +195,7 @@ def save_manifest(manifest: ZooManifest, path) -> None:
 def load_manifest(path) -> ZooManifest:
     """Read a UTF-8 manifest, each entry typed over the fields of ZooEntry by the
     config rule; every checkpoint path must stay inside the manifest's
-    directory."""
+    directory, and every trained entry's accuracy in [0, 1]."""
     root = os.path.dirname(os.path.abspath(path))
     try:
         with open(path, "rb") as f:
@@ -211,6 +211,12 @@ def load_manifest(path) -> ZooManifest:
         target = os.path.normpath(os.path.join(root, e.path))
         if "\0" in e.path or os.path.commonpath([root, target]) != root:
             raise ManifestError(f"{path}: entries[{i}].path: {e.path!r} is not a file in the manifest's directory")
+        if e.failed:
+            e.val_accuracy = None  # older manifests wrote NaN here
+        elif e.val_accuracy is None or not 0.0 <= e.val_accuracy <= 1.0:
+            raise ManifestError(
+                f"{path}: entries[{i}].val_accuracy: a trained model's must be in [0, 1], got {e.val_accuracy}"
+            )
     return ZooManifest(entries=entries, root=root)
 
 
@@ -239,11 +245,10 @@ class PairFilter:
 def pair_grid(manifest: ZooManifest, flt: PairFilter | None = None) -> list[tuple[ZooEntry, ZooEntry]]:
     """All ordered (teacher, student) pairs of non-failed entries, filtered.
 
-    An empty result under a filter is a legitimate empty list, not an error.
+    An empty result, under a filter or from fewer than 2 trained models, is a
+    legitimate empty list, not an error.
     """
     ok = manifest.ok_entries()
-    if len(ok) < 2:
-        raise ValueError("pair_grid needs at least 2 trained models")
     flt = flt or PairFilter()
     return [
         (t, s)

@@ -20,12 +20,7 @@ from flipxfer.analysis import positive_flips, success_rate, PairReport
 from flipxfer.autodiff import Tensor
 from flipxfer.data import Dataset, SyntheticConfig, stratified_subsample, train_val_pair
 from flipxfer.models import ModelSpec, build, predict_logits
-from flipxfer.multiteacher import (
-    MultiTeacherPlan,
-    parallel_transfer,
-    sequential_transfer,
-    soup_transfer,
-)
+from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.transfer import (
     MclState,
     PartitionMask,
@@ -378,7 +373,7 @@ def test_c08_mcl_endpoints(bench: Bench):
 def test_c09_multi_teacher_ordering(bench: Bench):
     t0 = time.time()
     student = bench.models[MULTI_STUDENT]
-    teachers = tuple(bench.models[n] for n in MULTI_TEACHERS)
+    teachers = [(n, bench.models[n]) for n in MULTI_TEACHERS]
     singles = [
         run_transfer(student, bench.models[t], "kl_dp_sup", SWEEP_HP,
                      bench.transfer_set, bench.val, t, MULTI_STUDENT).report.delta_transf
@@ -386,13 +381,11 @@ def test_c09_multi_teacher_ordering(bench: Bench):
     ]
     best = max(singles)
 
-    def plan(mode):
-        return MultiTeacherPlan(teachers, mode, "kl_dp_sup", teacher_names=tuple(MULTI_TEACHERS))
-
-    stages = sequential_transfer(student, plan("sequential"), SWEEP_HP, bench.transfer_set, bench.val)
+    args = (student, teachers, "kl_dp_sup", SWEEP_HP, bench.transfer_set, bench.val)
+    stages = sequential_transfer(*args)
     seq = stages[-1].extras["cumulative_delta_transf"]
-    par = parallel_transfer(student, plan("parallel"), SWEEP_HP, bench.transfer_set, bench.val).report.delta_transf
-    soup = soup_transfer(student, plan("soup"), SWEEP_HP, bench.transfer_set, bench.val).report.delta_transf
+    par = parallel_transfer(*args).report.delta_transf
+    soup = soup_transfer(*args).report.delta_transf
     elapsed = time.time() - t0
     ok = seq >= best - 0.002 and par <= seq and soup <= seq and elapsed < 5400
     record_criterion(

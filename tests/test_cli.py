@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flipxfer import models
 from flipxfer.cli import main
+from flipxfer.zoo import load_manifest
 
 from oracles import brute_force_flips
 
@@ -132,6 +133,72 @@ def test_zoo_divergent_training_exits_3_but_writes_manifest(tmp_path, capsys):
     assert len(manifest["entries"]) == 2
     assert sum(e["failed"] for e in manifest["entries"]) == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def _diverged_zoo_config(out):
+    """Two 16-sample MLPs; b's step size makes it diverge, so a is the only trained model."""
+    dataset = {"synthetic": {"classes": 2, "dims": 4, "train": {"samples": 16, "seed": 1},
+                             "val": {"samples": 16, "seed": 2}}}
+    models = [{"name": "a", "family": "mlp", "depth": 2, "width": 4, "train": {"epochs": 2}},
+              {"name": "b", "family": "mlp", "depth": 2, "width": 3, "train": {"epochs": 2, "lr": 1e200}}]
+    return {"dataset": dataset, "zoo": {"models": models}, "out": str(out)}
+
+
+@pytest.fixture(scope="module")
+def diverged_zoo(tmp_path_factory):
+    out = tmp_path_factory.mktemp("diverged_zoo")
+    cfg = tmp_path_factory.mktemp("cfg") / "zoo.json"
+    assert main(["zoo", "--config", _write(cfg, _diverged_zoo_config(out))]) == 3
+    return out
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_diverged_zoo_manifest_is_strict_json_with_a_null_accuracy(diverged_zoo):
+    doc = json.loads((diverged_zoo / "manifest.json").read_text(), parse_constant=_reject_constant)
+    entries = {e["name"]: e for e in doc["entries"]}
+    assert entries["b"]["failed"] and entries["b"]["val_accuracy"] is None
+    assert not entries["a"]["failed"] and 0.0 <= entries["a"]["val_accuracy"] <= 1.0
+
+
+def test_manifest_with_a_nan_accuracy_still_loads(diverged_zoo, tmp_path):
+    """Manifests written before null was used hold NaN for a failed entry."""
+    zoo = _copy_zoo(diverged_zoo, tmp_path / "zoo")
+    text = (zoo / "manifest.json").read_text().replace('"val_accuracy": null', '"val_accuracy": NaN')
+    assert "NaN" in text
+    (zoo / "manifest.json").write_text(text)
+    manifest = load_manifest(zoo / "manifest.json")
+    assert manifest.entry("b").failed and manifest.entry("b").val_accuracy is None
+    assert manifest.entry("a").val_accuracy == load_manifest(diverged_zoo / "manifest.json").entry("a").val_accuracy
+
+
+@pytest.mark.parametrize("command", ["flips", "sweep"])
+def test_pairs_of_a_zoo_with_one_trained_model_exit_3_naming_its_models(diverged_zoo, tmp_path, capsys, command):
+    manifest = diverged_zoo / "manifest.json"
+    doc = {"manifest": str(manifest), "dataset": _diverged_zoo_config("unused")["dataset"], "out": str(tmp_path / "out")}
+    if command == "sweep":
+        doc["sweep"] = {"methods": ["kl"]}
+    assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: pairs need at least 2 trained models; trained: ['a'], failed: ['b']" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("transfer, key", [
+    ({"teacher": "b", "student": "a"}, "transfer.teacher"),
+    ({"teacher": "a", "student": "b"}, "transfer.student"),
+    ({"student": "a", "multi": {"mode": "parallel", "teachers": ["a", "b"]}}, "transfer.multi.teachers[1]"),
+], ids=["teacher", "student", "multi_teacher"])
+def test_transfer_naming_a_failed_model_exits_2_with_its_error(diverged_zoo, tmp_path, capsys, transfer, key):
+    doc = {"manifest": str(diverged_zoo / "manifest.json"), "dataset": _diverged_zoo_config("unused")["dataset"],
+           "transfer": {"method": "kl", **transfer}, "out": str(tmp_path / "out")}
+    assert main(["transfer", "--config", _write(tmp_path / "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: model 'b' failed to train (b: non-finite training loss" in err
+    assert "trained models: ['a']" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zoo_rerun_that_fails_mid_training_leaves_out_unchanged(tmp_path, monkeypatch, capsys):
@@ -374,6 +441,7 @@ _BAD_VALUES = {
     "hp_momentum": (_bad("transfer", "transfer.hyperparams.momentum", 1.5), "momentum"),
     "zoo_lr_negative": (_bad("zoo", "zoo.models.1.train.lr", -1), "lr"),
     "zoo_batch_size_zero": (_bad("zoo", "zoo.models.1.train.batch_size", 0), "batch_size"),
+    "multi_mode": (_bad("multi", "transfer.multi.mode", "blend"), "unknown multi-teacher mode 'blend'"),
     "multi_order": (_bad("multi", "transfer.multi.order", "sideways"), "order"),
     "multi_method": (_bad("multi", "transfer.method", "xe_kl"), "xe_kl"),
     # wrong-type values: each once escaped main or ran with a changed value

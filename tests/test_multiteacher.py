@@ -1,15 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flipxfer.data import SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
 from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, run_transfer
-from flipxfer.multiteacher import (
-    MultiTeacherPlan,
-    parallel_transfer,
-    sequential_transfer,
-    soup_transfer,
-)
+from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.zoo import TrainConfig, train_model
 
 S = (1, 8, 8)
@@ -33,20 +30,10 @@ def setup():
     return train, val, student, teachers
 
 
-def _plan(teachers, mode, names=None, **kw):
-    names = names or tuple(teachers)
-    return MultiTeacherPlan(
-        tuple(t for t in teachers.values()) if isinstance(teachers, dict) else tuple(teachers),
-        mode,
-        teacher_names=tuple(names),
-        **kw,
-    )
-
-
 def test_single_teacher_sequential_equals_run_transfer(setup):
     train, val, student, teachers = setup
     one = {"t_a": teachers["t_a"]}
-    stages = sequential_transfer(student, _plan(one, "sequential"), HP, train, val)
+    stages = sequential_transfer(student, list(one.items()), "kl_dp_sup", HP, train, val)
     direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val, "t_a")
     assert len(stages) == 1
     assert stages[0].report.delta_transf == direct.report.delta_transf
@@ -56,13 +43,13 @@ def test_single_teacher_sequential_equals_run_transfer(setup):
 
 def test_empty_sequential_plan_is_identity(setup):
     train, val, student, _ = setup
-    stages = sequential_transfer(student, _plan({}, "sequential", names=()), HP, train, val)
+    stages = sequential_transfer(student, [], "kl_dp_sup", HP, train, val)
     assert stages == []
 
 
 def test_sequential_cumulative_delta_tracks_original(setup):
     train, val, student, teachers = setup
-    stages = sequential_transfer(student, _plan(teachers, "sequential"), HP, train, val)
+    stages = sequential_transfer(student, list(teachers.items()), "kl_dp_sup", HP, train, val)
     assert len(stages) == 3
     total = sum(s.report.delta_transf for s in stages)
     assert stages[-1].extras["cumulative_delta_transf"] == pytest.approx(total, abs=1e-12)
@@ -70,9 +57,8 @@ def test_sequential_cumulative_delta_tracks_original(setup):
 
 def test_sequential_repeat_teacher_diminishing_returns(setup):
     train, val, student, teachers = setup
-    twice = [teachers["t_a"], teachers["t_a"]]
-    plan = MultiTeacherPlan(tuple(twice), "sequential", teacher_names=("t_a", "t_a2"), order="given")
-    stages = sequential_transfer(student, plan, HP, train, val)
+    twice = [("t_a", teachers["t_a"]), ("t_a2", teachers["t_a"])]
+    stages = sequential_transfer(student, twice, "kl_dp_sup", HP, train, val, order="given")
     d1, d2 = stages[0].report.delta_transf, stages[1].report.delta_transf
     assert abs(d2) <= abs(d1) + 0.001
 
@@ -80,7 +66,7 @@ def test_sequential_repeat_teacher_diminishing_returns(setup):
 def test_parallel_single_teacher_reduces_to_dp_bitwise(setup):
     train, val, student, teachers = setup
     one = {"t_a": teachers["t_a"]}
-    par = parallel_transfer(student, _plan(one, "parallel"), HP, train, val)
+    par = parallel_transfer(student, list(one.items()), "kl_dp_sup", HP, train, val)
     direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val, "t_a")
     for k in direct.student_after.params:
         assert np.array_equal(par.student_after.params[k], direct.student_after.params[k])
@@ -89,11 +75,9 @@ def test_parallel_single_teacher_reduces_to_dp_bitwise(setup):
 
 def test_parallel_duplicate_teachers_collapse_to_single(setup):
     train, val, student, teachers = setup
-    dup = MultiTeacherPlan(
-        (teachers["t_a"], teachers["t_a"]), "parallel", teacher_names=("t_a", "t_a_copy")
-    )
-    one = parallel_transfer(student, _plan({"t_a": teachers["t_a"]}, "parallel"), HP, train, val)
-    two = parallel_transfer(student, dup, HP, train, val)
+    dup = [("t_a", teachers["t_a"]), ("t_a_copy", teachers["t_a"])]
+    one = parallel_transfer(student, [("t_a", teachers["t_a"])], "kl_dp_sup", HP, train, val)
+    two = parallel_transfer(student, dup, "kl_dp_sup", HP, train, val)
     for k in one.student_after.params:
         assert np.array_equal(one.student_after.params[k], two.student_after.params[k])
     assert two.extras["source_share"][2] == 0.0  # the duplicate never wins a tie
@@ -101,7 +85,7 @@ def test_parallel_duplicate_teachers_collapse_to_single(setup):
 
 def test_parallel_selection_is_exact_partition(setup):
     train, val, student, teachers = setup
-    res = parallel_transfer(student, _plan(teachers, "parallel"), HP, train, val)
+    res = parallel_transfer(student, list(teachers.items()), "kl_dp_sup", HP, train, val)
     winner = res.extras["winner"]
     assert winner.shape == (train.n,)
     counts = np.bincount(winner, minlength=len(teachers) + 1)
@@ -111,18 +95,14 @@ def test_parallel_selection_is_exact_partition(setup):
 
 def test_parallel_unsupervised_mode_runs(setup):
     train, val, student, teachers = setup
-    res = parallel_transfer(
-        student, _plan(teachers, "parallel", method="kl_dp_unsup"), HP, train, val
-    )
+    res = parallel_transfer(student, list(teachers.items()), "kl_dp_unsup", HP, train, val)
     assert np.isfinite(res.report.delta_transf)
 
 
 def test_soup_identical_branches_bitwise(setup):
     train, val, student, teachers = setup
-    dup = MultiTeacherPlan(
-        (teachers["t_a"], teachers["t_a"]), "soup", teacher_names=("x", "y"), order="given"
-    )
-    soup = soup_transfer(student, dup, HP, train, val)
+    dup = [("x", teachers["t_a"]), ("y", teachers["t_a"])]
+    soup = soup_transfer(student, dup, "kl_dp_sup", HP, train, val)
     direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val)
     for k in direct.student_after.params:
         assert np.array_equal(soup.student_after.params[k], direct.student_after.params[k])
@@ -131,7 +111,7 @@ def test_soup_identical_branches_bitwise(setup):
 def test_soup_two_branches_elementwise_mean(setup):
     train, val, student, teachers = setup
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
-    soup = soup_transfer(student, _plan(two, "soup"), HP, train, val)
+    soup = soup_transfer(student, list(two.items()), "kl_dp_sup", HP, train, val)
     ra = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val)
     rb = run_transfer(student, teachers["t_b"], "kl_dp_sup", HP, train, val)
     for k in student.params:
@@ -141,42 +121,53 @@ def test_soup_two_branches_elementwise_mean(setup):
 
 def test_soup_permutation_invariant_bitwise(setup):
     train, val, student, teachers = setup
-    fwd = MultiTeacherPlan(
-        (teachers["t_a"], teachers["t_b"], teachers["t_c"]), "soup",
-        teacher_names=("t_a", "t_b", "t_c"), order="given",
-    )
-    rev = MultiTeacherPlan(
-        (teachers["t_c"], teachers["t_b"], teachers["t_a"]), "soup",
-        teacher_names=("t_c", "t_b", "t_a"), order="given",
-    )
-    a = soup_transfer(student, fwd, HP, train, val)
-    b = soup_transfer(student, rev, HP, train, val)
+    fwd = [(n, teachers[n]) for n in ("t_a", "t_b", "t_c")]
+    rev = fwd[::-1]
+    a = soup_transfer(student, fwd, "kl_dp_sup", HP, train, val)
+    b = soup_transfer(student, rev, "kl_dp_sup", HP, train, val)
     for k in student.params:
         assert np.array_equal(a.student_after.params[k], b.student_after.params[k])
 
 
-def test_plan_rejects_unknown_mode(setup):
-    _, _, _, teachers = setup
-    with pytest.raises(TransferError):
-        MultiTeacherPlan(tuple(teachers.values()), "blend")
+def test_protocols_reject_what_they_do_not_run(setup):
+    """Each protocol checks the values it reads, before any forward."""
+    train, val, student, teachers = setup
+    named = list(teachers.items())
+    for protocol in (sequential_transfer, parallel_transfer, soup_transfer):
+        with pytest.raises(TransferError, match="supports kl_dp_sup, kl_dp_unsup, kl, not 'cd'"):
+            protocol(student, named, "cd", HP, train, val)
+    with pytest.raises(TransferError, match="unknown teacher order 'blend'"):
+        sequential_transfer(student, named, "kl_dp_sup", HP, train, val, order="blend")
+    for protocol, mode in ((parallel_transfer, "parallel"), (soup_transfer, "soup")):
+        with pytest.raises(TransferError, match=f"{mode} transfer needs at least one teacher"):
+            protocol(student, [], "kl_dp_sup", HP, train, val)
 
 
-def test_plan_orders_by_accuracy(setup):
-    _, _, _, teachers = setup
-    plan = _plan(teachers, "sequential", order="ascending")
-    accs = [ck.meta["val_accuracy"] for _, ck in plan.ordered()]
-    assert accs == sorted(accs)
-    plan_d = _plan(teachers, "sequential", order="descending")
-    accs_d = [ck.meta["val_accuracy"] for _, ck in plan_d.ordered()]
-    assert accs_d == sorted(accs_d, reverse=True)
+def test_sequential_stage_order_follows_order(setup):
+    """Stages run by teacher val accuracy, ties by position, descending the
+    reverse of ascending (so a tie runs the later teacher first), or as given."""
+    train, val, student, teachers = setup
+    named = [*teachers.items(), ("t_a2", teachers["t_a"])]  # t_a2 ties t_a, after it
+    acc = {n: ck.meta["val_accuracy"] for n, ck in named}
+    assert len({acc["t_a"], acc["t_b"], acc["t_c"]}) == 3
+    by_acc = sorted(["t_a", "t_b", "t_c"], key=acc.get)
+    ascending = [m for n in by_acc for m in ((n, "t_a2") if n == "t_a" else (n,))]
+    hp = replace(HP, epochs=0)
+
+    def stages(order):
+        return [r.report.teacher for r in sequential_transfer(student, named, "kl", hp, train, val, order=order)]
+
+    assert stages("ascending") == ascending
+    assert stages("descending") == ascending[::-1]
+    assert stages("given") == ["t_a", "t_b", "t_c", "t_a2"]
 
 
 def test_retain_original_reference_flag(setup):
     train, val, student, teachers = setup
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
-    default = sequential_transfer(student, _plan(two, "sequential"), HP, train, val)
+    default = sequential_transfer(student, list(two.items()), "kl_dp_sup", HP, train, val)
     retained = sequential_transfer(
-        student, _plan(two, "sequential", retain_original_reference=True), HP, train, val
+        student, list(two.items()), "kl_dp_sup", HP, train, val, retain_original_reference=True
     )
     # both run two stages; the frozen reference differs from stage 2 onward
     assert len(default) == len(retained) == 2
@@ -190,7 +181,7 @@ def test_retain_original_reference_flag(setup):
 def test_parallel_one_teacher_dp_sup_equals_run_transfer_per_epoch(setup):
     """DP is parallel transfer with one teacher: same weights, same epochs."""
     train, val, student, teachers = setup
-    par = parallel_transfer(student, _plan({"t_a": teachers["t_a"]}, "parallel"), HP, train, val)
+    par = parallel_transfer(student, [("t_a", teachers["t_a"])], "kl_dp_sup", HP, train, val)
     direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val, "t_a")
     assert par.student_after.digest() == direct.student_after.digest()
     assert len(par.per_epoch) == len(direct.per_epoch) == HP.epochs
@@ -221,7 +212,7 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
     calls = _count_val_forwards(monkeypatch, val)
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
-    stages = sequential_transfer(student, _plan(two, "sequential"), hp, train, val)
+    stages = sequential_transfer(student, list(two.items()), "kl_dp_sup", hp, train, val)
     assert len(stages) == 2
     assert sum(calls) == 5
     acc0 = float((predict_logits(student, val.inputs).argmax(axis=1) == val.labels).mean())
@@ -238,7 +229,7 @@ def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
     calls = _count_val_forwards(monkeypatch, val)
-    res = soup_transfer(student, _plan(two, "soup"), hp, train, val)
+    res = soup_transfer(student, list(two.items()), "kl_dp_sup", hp, train, val)
     assert sum(calls) == 2 * len(two) + 2
     monkeypatch.undo()
     # the same report as a baseline measured from fresh forwards of every model
