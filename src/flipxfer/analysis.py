@@ -28,6 +28,7 @@ __all__ = [
     "correct_flags",
     "positive_flips",
     "flip_entropy",
+    "classes_by_flips",
     "top_share_classes",
     "semantic_similarity",
     "transfer_rate",
@@ -119,7 +120,7 @@ def flip_entropy(stats: FlipStats) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _classes_by_flips(stats: FlipStats) -> np.ndarray:
+def classes_by_flips(stats: FlipStats) -> np.ndarray:
     """Class ids sorted by descending flip count, ties by class id."""
     counts = stats.per_class_counts
     return np.lexsort((np.arange(counts.size), -counts))
@@ -132,7 +133,7 @@ def top_share_classes(stats: FlipStats, x_percent: float) -> list[int]:
     total = stats.total
     if total == 0:
         raise NoFlipsError()
-    order = _classes_by_flips(stats)
+    order = classes_by_flips(stats)
     need = x_percent / 100.0 * total
     out: list[int] = []
     cum = 0

@@ -26,7 +26,7 @@ import contextlib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, fields
+from dataclasses import astuple, fields
 from functools import partial
 
 import numpy as np
@@ -34,6 +34,7 @@ import numpy as np
 from .analysis import (
     AnalysisError,
     binned_top_quartile_delta,
+    classes_by_flips,
     flip_entropy,
     positive_flips,
     semantic_similarity,
@@ -43,7 +44,7 @@ from .analysis import (
 from .config import REQUIRED, ConfigError, dump_json, parse_json, resolve, write_json
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, predict_logits, save
-from .multiteacher import check_plan, parallel_transfer, sequential_transfer, soup_transfer
+from .multiteacher import check_plan, parallel_transfer, sequential_doc, sequential_transfer, soup_transfer
 from .transfer import (
     METHODS,
     EpochTrace,
@@ -327,8 +328,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
                 for x in (2, 5, 10, 20, 50)
             }
         records.append(rec)
-        order = np.lexsort((np.arange(val.num_classes), -stats.per_class_counts))
-        for rank, k in enumerate(order):
+        for rank, k in enumerate(classes_by_flips(stats)):
             cnt = int(stats.per_class_counts[k])
             if cnt == 0:
                 break
@@ -395,13 +395,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     if multi is None:
         teacher_name = resolved["transfer"]["teacher"]
         teacher = _checkpoint(manifest, teacher_name, "transfer.teacher")
-        results = [
-            run_transfer(
-                student, teacher, method, hp, transfer_set, val,
-                teacher_name=teacher_name, student_name=student_name,
-            )
-        ]
-        report_doc = _result_doc(results[0])
+        results = [run_transfer(student, teacher, method, hp, transfer_set, val, teacher_name, student_name)]
     else:
         teachers = [
             (n, _checkpoint(manifest, n, f"transfer.multi.teachers[{i}]")) for i, n in enumerate(multi["teachers"])
@@ -411,57 +405,24 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
                 student, teachers, method, hp, transfer_set, val, student_name,
                 multi["order"], multi["retain_original_reference"],
             )
-            report_doc = {
-                "mode": "sequential",
-                "stages": [_result_doc(r) for r in results],
-                "cumulative_delta_transf": (
-                    results[-1].extras.get("cumulative_delta_transf") if results else 0.0
-                ),
-            }
         else:
             run = parallel_transfer if multi["mode"] == "parallel" else soup_transfer
             results = [run(student, teachers, method, hp, transfer_set, val, student_name)]
-            report_doc = {**_result_doc(results[0]), "mode": multi["mode"]}
-    files = {"student_after.ckpt": partial(save, results[-1].student_after)} if results else {}
-    files["report.json"] = partial(write_json, report_doc)
-    files["per_epoch.csv"] = partial(
-        _write_csv,
-        ["stage", "epoch", *(f.name for f in fields(EpochTrace))],
-        [
-            (i if sequential else None, epoch, *astuple(trace))
-            for i, r in enumerate(results)
-            for epoch, trace in enumerate(r.per_epoch)
-        ],
-    )
-    return 0, resolved, files, report_doc
-
-
-def _result_doc(res) -> dict:
-    r = res.report
-    acc_before = res.extras.get("acc_before")
-    doc = {
-        "method": res.method,
-        "teacher": r.teacher,
-        "student": r.student,
-        "delta_acc": r.delta_acc,
-        "delta_transf": r.delta_transf,
-        "knowledge_gain": r.knowledge_gain,
-        "knowledge_loss": r.knowledge_loss,
-        "acc_before": acc_before,
-        "acc_after": None if acc_before is None else acc_before + r.delta_transf,
-        "rho_pos": res.extras.get("rho_pos"),
-        "hyperparams": asdict(res.hyperparams),
-        "per_class_gain": [None if np.isnan(v) else v for v in r.per_class_gain],
+    report_doc = sequential_doc(results) if sequential else results[0].doc
+    files = {
+        "student_after.ckpt": partial(save, results[-1].student_after),
+        "report.json": partial(write_json, report_doc),
+        "per_epoch.csv": partial(
+            _write_csv,
+            ["stage", "epoch", *(f.name for f in fields(EpochTrace))],
+            [
+                (i if sequential else None, epoch, *astuple(trace))
+                for i, r in enumerate(results)
+                for epoch, trace in enumerate(r.per_epoch)
+            ],
+        ),
     }
-    if res.rate is not None:
-        doc["transfer_rate"] = {
-            "overall": res.rate["overall"],
-            "by_top_share": {str(k): v for k, v in res.rate["by_top_share"].items()},
-        }
-    for key in ("failed", "cumulative_delta_transf", "branch_deltas", "source_share"):
-        if key in res.extras:
-            doc[key] = res.extras[key]
-    return doc
+    return 0, resolved, files, report_doc
 
 
 def _sweep_task(task):
@@ -474,11 +435,10 @@ def _sweep_task(task):
         )
     except (TransferError, TransferDivergedError, AnalysisError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
-    doc = _result_doc(res)
-    rate = doc.get("transfer_rate", {"overall": None, "by_top_share": {}})
-    return doc | {
+    rate = res.rate or {"overall": None, "by_top_share": {}}
+    return res.doc | {
         "transfer_rate_overall": rate["overall"],
-        "transfer_rate_top2": rate["by_top_share"].get("2.0"),
+        "transfer_rate_top2": rate["by_top_share"].get(2.0),
         "report": res.report,
     }
 

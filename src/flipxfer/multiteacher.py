@@ -5,7 +5,11 @@ student and the frozen retention reference for the next stage), parallel
 (per sample, the most confident source among all teachers and the frozen
 initial student wins; ties keep the student reference, then the lowest
 teacher index), and soup (independent single-teacher transfers merged by a
-uniform elementwise parameter average).
+uniform elementwise parameter average).  Each adds to its result's report
+document the keys it owns: sequential ``cumulative_delta_transf`` (and a
+diverged stage's ``failed``), parallel ``source_share``, soup
+``branch_deltas``, and parallel and soup their ``mode``; ``sequential_doc``
+gathers the stages' documents into one.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from .transfer import (
     TransferResult,
     ValBaseline,
     distill,
+    report_doc,
     run_transfer,
 )
 
-__all__ = ["check_plan", "sequential_transfer", "parallel_transfer", "soup_transfer"]
+__all__ = ["check_plan", "sequential_transfer", "sequential_doc", "parallel_transfer", "soup_transfer"]
 
 MODES = ("sequential", "parallel", "soup")
 ORDERS = ("ascending", "descending", "given")  # by teacher val accuracy, or as given
@@ -42,6 +47,13 @@ def check_plan(mode: str, order: str, method: str) -> None:
         raise TransferError(f"multi-teacher transfer supports {', '.join(PLAN_METHODS)}, not {method!r}")
 
 
+def _check_run(mode: str, order: str, method: str, teachers: list) -> None:
+    """``check_plan``, and at least one teacher to run."""
+    check_plan(mode, order, method)
+    if not teachers:
+        raise TransferError(f"{mode} transfer needs at least one teacher")
+
+
 def sequential_transfer(
     student_ck: Checkpoint,
     teachers: list[tuple[str, Checkpoint]],
@@ -56,7 +68,7 @@ def sequential_transfer(
     """Stage-wise transfer from named teachers, taken in ``order``; each
     stage's output is the next stage's student (and its frozen reference,
     unless the original student is retained)."""
-    check_plan("sequential", order, method)
+    _check_run("sequential", order, method, teachers)
     if order != "given":  # by checkpoint val accuracy, then position; descending reverses both
         rank = sorted(range(len(teachers)), key=lambda i: (teachers[i][1].meta.get("val_accuracy", 0.0), i))
         teachers = [teachers[i] for i in (rank[::-1] if order == "descending" else rank)]
@@ -68,35 +80,29 @@ def sequential_transfer(
     for name, teacher in teachers:
         try:
             res = run_transfer(
-                current,
-                teacher,
-                method,
-                hp,
-                transfer_set,
-                val_set,
-                teacher_name=name,
-                student_name=student_name,
-                frozen_reference=reference,
-                seen=seen,
+                current, teacher, method, hp, transfer_set, val_set, teacher_name=name,
+                student_name=student_name, frozen_reference=reference, seen=seen,
             )
         except TransferDivergedError as e:
-            stub = TransferResult(
-                method=method,
-                hyperparams=hp,
-                report=PairReport(name, student_name, 0.0, 0.0, 0.0, 0.0),
-                student_after=current,
-                extras={"failed": str(e)},
-            )
-            results.append(stub)
+            report = PairReport(name, student_name, 0.0, 0.0, 0.0, 0.0)
+            results.append(TransferResult(report, current, report_doc(method, hp, report) | {"failed": str(e)}))
             continue
         if acc0 is None:
-            acc0 = res.extras["acc_before"]
-        res.extras["cumulative_delta_transf"] = (
-            res.extras["acc_before"] + res.report.delta_transf - acc0
-        )
+            acc0 = res.baseline.acc_before
+        res.doc["cumulative_delta_transf"] = res.baseline.acc_before + res.report.delta_transf - acc0
         results.append(res)
         current = res.student_after
     return results
+
+
+def sequential_doc(stages: list[TransferResult]) -> dict:
+    """A sequential transfer's report document: its stages' documents and the
+    last stage's cumulative delta (null if that stage diverged)."""
+    return {
+        "mode": "sequential",
+        "stages": [r.doc for r in stages],
+        "cumulative_delta_transf": stages[-1].doc.get("cumulative_delta_transf"),
+    }
 
 
 def parallel_transfer(
@@ -110,9 +116,7 @@ def parallel_transfer(
 ) -> TransferResult:
     """Single run distilling from the per-sample most confident source among
     the frozen initial student and every teacher: DP over K teachers."""
-    check_plan("parallel", "given", method)
-    if not teachers:
-        raise TransferError("parallel transfer needs at least one teacher")
+    _check_run("parallel", "given", method, teachers)
     # tie-breaking uses the given teacher sequence, so no reordering here;
     # kl compares maximum probabilities, as the unsupervised rule does
     rule = "kl_dp_sup" if method == "kl_dp_sup" else "kl_dp_unsup"
@@ -121,15 +125,12 @@ def parallel_transfer(
     )
     source_share = np.bincount(winner, minlength=len(teachers) + 1) / transfer_set.n
     epochs.teacher_share = float(1.0 - source_share[0])
-    return baseline.result(
+    res = baseline.result(
         method, hp, epochs, student_after, f"parallel[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "parallel"},
-        extras={
-            "teacher_accs": baseline.teacher_accs,
-            "source_share": [float(s) for s in source_share],
-            "winner": winner,
-        },
     )
+    res.doc.update(source_share=[float(s) for s in source_share], mode="parallel")
+    return res
 
 
 def soup_transfer(
@@ -143,26 +144,13 @@ def soup_transfer(
 ) -> TransferResult:
     """Distill one student per teacher from the same start, then average all
     variants' parameters uniformly and evaluate the merged model against the
-    union of the branches' baselines."""
-    check_plan("soup", "given", method)
-    if not teachers:
-        raise TransferError("soup transfer needs at least one teacher")
-    seen: dict[str, np.ndarray] = {}  # every branch starts from the same student: forwarded once
-    branches: list[TransferResult] = []
-    for name, teacher in teachers:
-        branches.append(
-            run_transfer(
-                student_ck,
-                teacher,
-                method,
-                hp,
-                transfer_set,
-                val_set,
-                teacher_name=name,
-                student_name=student_name,
-                seen=seen,
-            )
-        )
+    student's baseline over every teacher, measured from the branches' forwards."""
+    _check_run("soup", "given", method, teachers)
+    seen: dict[str, np.ndarray] = {}  # the student and each teacher, forwarded once by the branches
+    branches = [
+        run_transfer(student_ck, teacher, method, hp, transfer_set, val_set, name, student_name, seen=seen)
+        for name, teacher in teachers
+    ]
     # canonical merge order: by branch checkpoint digest, so teacher order
     # cannot change the floating-point sum
     ordered = sorted(branches, key=lambda r: r.student_after.digest())
@@ -175,12 +163,10 @@ def soup_transfer(
             for name in student_ck.params
         }
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
-    baseline = ValBaseline.union([r.baseline for r in branches])
-    return baseline.result(
+    baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set, seen)
+    res = baseline.result(
         method, hp, None, student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "soup"},
-        extras={
-            "teacher_accs": baseline.teacher_accs,
-            "branch_deltas": [r.report.delta_transf for r in branches],
-        },
     )
+    res.doc.update(branch_deltas=[r.report.delta_transf for r in branches], mode="soup")
+    return res

@@ -18,14 +18,14 @@ Zoo training runs the one minibatch-SGD loop here (``sgd_epochs``); single-
 and multi-teacher transfer run one training path on it (``distill``), whose
 KL-family target comes from the one confidence rule (``confidence_winner``)
 before SGD and equals the per-batch objectives' bit for bit.  ``ValBaseline``
-builds every before/after report.
+builds every before/after report, and ``report_doc`` every report document.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "EpochStates",
     "TransferResult",
     "ValBaseline",
+    "report_doc",
     "default_hyperparams",
     "soft_target_kl",
     "kl_loss",
@@ -97,12 +98,13 @@ class TransferError(ValueError):
 
 
 class TransferDivergedError(RuntimeError):
-    """Training hit a non-finite loss; carries the failing step for diagnosis."""
+    """Training hit a non-finite loss, or a non-finite gradient (``what``
+    names it) behind a finite one; carries the failing step for diagnosis."""
 
-    def __init__(self, method: str, epoch: int, step: int, value: float):
+    def __init__(self, method: str, epoch: int, step: int, value: float, what: str | None = None):
         self.method, self.epoch, self.step, self.value = method, epoch, step, value
         super().__init__(
-            f"{method}: non-finite loss {value!r} at epoch {epoch}, step {step}"
+            f"{method}: non-finite {what or f'loss {value!r}'} at epoch {epoch}, step {step}"
         )
 
 
@@ -218,12 +220,17 @@ class EpochStates:
 
 @dataclass
 class TransferResult:
-    method: str
-    hyperparams: TransferHyperparams
+    """One transfer: its report, the trained student, and ``doc``, the report
+    document (``report.json``, or a sequential stage in it) that
+    ``report_doc`` built and to which a multi-teacher protocol adds the keys
+    it owns.  ``rate`` is the transfer rate (None with no flips to transfer);
+    ``baseline`` and ``epochs`` are None for a sequential stage that diverged.
+    """
+
     report: PairReport
     student_after: Checkpoint
+    doc: dict
     rate: dict | None = None
-    extras: dict = field(default_factory=dict)
     baseline: "ValBaseline | None" = field(default=None, repr=False)
     epochs: EpochStates | None = field(default=None, repr=False)
 
@@ -447,7 +454,9 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
 
     ``loss_fn(b)`` builds the loss of the batch with sample indices ``b``
     under an active tape.  A non-finite loss raises ``diverged(epoch, step,
-    value)``.  ``after_step()``, when given, runs after every update.
+    value)``, and a non-finite gradient behind a finite loss ``diverged(epoch,
+    step, value, what)``, ``what`` naming the parameter.  ``after_step()``,
+    when given, runs after every update.
     """
     for epoch in range(epochs):
         perm = epoch_permutation(n, seed, epoch)
@@ -462,7 +471,10 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
             losses.append(value)
             backward(tape, loss)
             grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            sgd_step({k: params[k] for k in grads}, grads, opt)
+            try:
+                sgd_step({k: params[k] for k in grads}, grads, opt)
+            except ad.NonFiniteError as e:
+                raise diverged(epoch, step, value, e.what) from e
             if after_step is not None:
                 after_step()
         yield losses
@@ -481,19 +493,47 @@ def _val_flags(seen: dict[str, np.ndarray], ck: Checkpoint, val_set: Dataset) ->
     return seen[key]
 
 
+def report_doc(method: str, hp: TransferHyperparams, report: PairReport, acc_before: float | None = None,
+               rho_pos: float | None = None, rate: dict | None = None) -> dict:
+    """The report document of one transfer, as ``report.json`` holds it: a
+    NaN class gain is null, and a run without a baseline (a sequential stage
+    that diverged) has null accuracies and ``rho_pos``."""
+    doc = {
+        "method": method,
+        "teacher": report.teacher,
+        "student": report.student,
+        "delta_acc": report.delta_acc,
+        "delta_transf": report.delta_transf,
+        "knowledge_gain": report.knowledge_gain,
+        "knowledge_loss": report.knowledge_loss,
+        "acc_before": acc_before,
+        "acc_after": None if acc_before is None else acc_before + report.delta_transf,
+        "rho_pos": rho_pos,
+        "hyperparams": asdict(hp),
+        "per_class_gain": [None if np.isnan(v) else v for v in report.per_class_gain],
+    }
+    if rate is not None:
+        doc["transfer_rate"] = {
+            "overall": rate["overall"],
+            "by_top_share": {str(k): v for k, v in rate["by_top_share"].items()},
+        }
+    return doc
+
+
 @dataclass
 class ValBaseline:
     """A student's validation standing before transfer from one or more
     teachers.  The flips are the union of the teachers' positive flips (for a
-    single teacher, its own).
+    single teacher, its own).  ``result`` measures a trained student against
+    it and builds the transfer's report and report document.
 
     Each weight state is forwarded over the val set once: ``correct`` keeps
     the flags of every checkpoint it saw, by digest, so epoch traces read
     after the report reuse its forward of the last epoch's weights (and,
     with no epochs, the report reuses the untrained student's). Baselines
     measured with one ``seen`` memo share it: a sequential plan's stages
-    (each stage's output is the next stage's student) and soup's branches
-    (one student, measured once).
+    (each stage's output is the next stage's student), and soup's branches
+    and the soup itself (one student and its teachers, each forwarded once).
     """
 
     val_set: Dataset
@@ -517,19 +557,6 @@ class ValBaseline:
             any_teacher_correct |= correct
         flips = flip_stats_from_flags(any_teacher_correct & ~before, val_set.labels, student_ck.spec.num_classes)
         return cls(val_set, before, accs, flips, seen)
-
-    @classmethod
-    def union(cls, baselines: list["ValBaseline"]) -> "ValBaseline":
-        """The baseline of one student against every teacher of ``baselines``
-        (each measured for that student on the same val set), built from
-        their forwards: the union of their flips is (any teacher correct) &
-        ~before, as ``measure`` computes it."""
-        first = baselines[0]
-        flags = np.logical_or.reduce([b.flips.per_sample_flags for b in baselines])
-        flips = flip_stats_from_flags(flags, first.val_set.labels, first.val_set.num_classes)
-        accs = [acc for b in baselines for acc in b.teacher_accs]
-        seen = {k: v for b in baselines for k, v in b.seen.items()}
-        return cls(first.val_set, first.before_correct, accs, flips, seen)
 
     @property
     def acc_before(self) -> float:
@@ -557,11 +584,10 @@ class ValBaseline:
         )
 
     def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
-               student_after: Checkpoint, teacher: str, student: str, meta: dict,
-               extras: dict) -> TransferResult:
+               student_after: Checkpoint, teacher: str, student: str, meta: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
-        ``meta`` goes into its checkpoint, ``extras`` into the result, and
-        ``epochs`` stay unforwarded until the result's traces are read."""
+        ``meta`` goes into its checkpoint, and ``epochs`` stay unforwarded
+        until the result's traces are read."""
         y = self.val_set.labels
         after_correct = self.correct(student_after)
         acc_after = float(after_correct.mean())
@@ -575,17 +601,10 @@ class ValBaseline:
             knowledge_loss=loss_share,
             per_class_gain=tuple(float(v) for v in per_class_gain(self.flips, after_correct, y)),
         )
+        rate = transfer_rate(self.flips, after_correct, y) if self.flips.total else None
         student_after.meta.update({"val_accuracy": acc_after, **meta})
-        return TransferResult(
-            method=method,
-            hyperparams=hp,
-            report=report,
-            student_after=student_after,
-            rate=transfer_rate(self.flips, after_correct, y) if self.flips.total else None,
-            extras={"acc_before": self.acc_before, **extras, "rho_pos": self.flips.rho_pos},
-            baseline=self,
-            epochs=epochs,
-        )
+        doc = report_doc(method, hp, report, self.acc_before, self.flips.rho_pos, rate)
+        return TransferResult(report, student_after, doc, rate, self, epochs)
 
 
 class _CdContext:
@@ -732,5 +751,4 @@ def run_transfer(
     return baseline.result(
         method, hp, epochs, student_after, teacher_name, student_name,
         meta={"transfer_method": method, "teacher": teacher_name},
-        extras={"acc_teacher": baseline.teacher_accs[0]},
     )

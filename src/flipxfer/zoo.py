@@ -36,9 +36,11 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, name: str, epoch: int, value: float):
+    """A non-finite training loss, or a non-finite gradient (``what`` names it)."""
+
+    def __init__(self, name: str, epoch: int, value: float, what: str | None = None):
         self.name, self.epoch, self.value = name, epoch, value
-        super().__init__(f"{name}: non-finite training loss {value!r} at epoch {epoch}")
+        super().__init__(f"{name}: non-finite {what or f'training loss {value!r}'} at epoch {epoch}")
 
 
 class ManifestError(ValueError):
@@ -128,7 +130,7 @@ def train_model(
     best_acc, stale, val_acc = -1.0, 0, None  # val_acc: the current weights', once measured
     for _ in sgd_epochs(
         params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn,
-        lambda epoch, step, value: TrainingDivergedError(name, epoch, value),
+        lambda epoch, step, value, what=None: TrainingDivergedError(name, epoch, value, what),
     ):
         if cfg.plateau_patience is not None:
             val_acc = val_accuracy(checkpoint_of(ck, params))

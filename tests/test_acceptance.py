@@ -383,7 +383,7 @@ def test_c09_multi_teacher_ordering(bench: Bench):
 
     args = (student, teachers, "kl_dp_sup", SWEEP_HP, bench.transfer_set, bench.val)
     stages = sequential_transfer(*args)
-    seq = stages[-1].extras["cumulative_delta_transf"]
+    seq = stages[-1].doc["cumulative_delta_transf"]
     par = parallel_transfer(*args).report.delta_transf
     soup = soup_transfer(*args).report.delta_transf
     elapsed = time.time() - t0

@@ -201,6 +201,26 @@ def test_transfer_naming_a_failed_model_exits_2_with_its_error(diverged_zoo, tmp
     assert not (tmp_path / "out").exists()
 
 
+def test_zoo_with_a_non_finite_gradient_records_the_model_failed_and_exits_3(tmp_path, capsys):
+    """a's loss stays finite while the gradient of its fc2.w overflows: a is
+    recorded failed, naming the epoch and the parameter, and b still trains."""
+    out = tmp_path / "zoo"
+    dataset = {"synthetic": {"classes": 4, "dims": 8, "anchor_scale": 50,
+                             "train": {"samples": 32, "seed": 1}, "val": {"samples": 16, "seed": 2}}}
+    models = [{"name": "a", "family": "mlp", "depth": 3, "width": 5,
+               "train": {"epochs": 4, "lr": 1e101, "batch_size": 8, "weight_decay": 0}},
+              {"name": "b", "family": "mlp", "depth": 2, "width": 4, "train": {"epochs": 2}}]
+    doc = {"dataset": dataset, "zoo": {"models": models}, "out": str(out)}
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", doc)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    entries = {e["name"]: e for e in manifest["entries"]}
+    assert entries["a"]["failed"] and entries["a"]["val_accuracy"] is None
+    assert entries["a"]["error"] == "a: non-finite gradient of parameter 'fc2.w' at epoch 3"
+    assert not entries["b"]["failed"] and 0.0 <= entries["b"]["val_accuracy"] <= 1.0
+    assert (out / "b.ckpt").exists() and not (out / "a.ckpt").exists()
+    assert "error: 1 trainings diverged: a" in capsys.readouterr().err
+
+
 def test_zoo_rerun_that_fails_mid_training_leaves_out_unchanged(tmp_path, monkeypatch, capsys):
     """Checkpoints are written only at the commit, so a training that raises
     after an earlier model has finished leaves the previous run's files as they were."""
@@ -603,6 +623,31 @@ def test_transfer_multi_sequential(zoo_dir, tmp_path):
     assert report["mode"] == "sequential"
     assert len(report["stages"]) == 2
     assert "cumulative_delta_transf" in report
+
+
+def test_transfer_multi_sequential_whose_stages_diverge_reports_each_stage_failed(zoo_dir, tmp_path):
+    """A stage that diverges is reported, not trained on: its failure, null
+    accuracies and rho_pos, zero deltas and no class gains; with no stage
+    trained, the cumulative delta is null and the student comes back as it was."""
+    out = tmp_path / "seq"
+    conf = _transfer_config(zoo_dir, out, lr=1e200)
+    conf["transfer"]["teacher"] = None
+    conf["transfer"]["multi"] = {"mode": "sequential", "order": "given", "teachers": ["wide", "mid"]}
+    assert main(["transfer", "--config", _write(tmp_path / "seq.json", conf)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"mode", "stages", "cumulative_delta_transf"}
+    assert report["mode"] == "sequential" and report["cumulative_delta_transf"] is None
+    assert [stage["teacher"] for stage in report["stages"]] == ["wide", "mid"]
+    for stage in report["stages"]:
+        assert stage["failed"] == "kl_dp_sup: non-finite loss nan at epoch 0, step 1"
+        assert (stage["acc_before"], stage["acc_after"], stage["rho_pos"]) == (None, None, None)
+        assert stage["per_class_gain"] == []
+        assert [stage[k] for k in ("delta_acc", "delta_transf", "knowledge_gain", "knowledge_loss")] == [0.0] * 4
+        assert (stage["method"], stage["student"], stage["hyperparams"]["lr"]) == ("kl_dp_sup", "narrow", 1e200)
+        assert "cumulative_delta_transf" not in stage and "transfer_rate" not in stage
+    assert (out / "per_epoch.csv").read_text().count("\n") == 1  # the header only
+    after = models.load(str(out / "student_after.ckpt"))
+    assert after.digest() == models.load(str(zoo_dir / "narrow.ckpt")).digest()
 
 
 def _copy_zoo(src, dst):

@@ -5,7 +5,7 @@ import pytest
 
 from flipxfer.data import SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
-from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, run_transfer
+from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.zoo import TrainConfig, train_model
 
@@ -41,18 +41,12 @@ def test_single_teacher_sequential_equals_run_transfer(setup):
         assert np.array_equal(stages[0].student_after.params[k], direct.student_after.params[k])
 
 
-def test_empty_sequential_plan_is_identity(setup):
-    train, val, student, _ = setup
-    stages = sequential_transfer(student, [], "kl_dp_sup", HP, train, val)
-    assert stages == []
-
-
 def test_sequential_cumulative_delta_tracks_original(setup):
     train, val, student, teachers = setup
     stages = sequential_transfer(student, list(teachers.items()), "kl_dp_sup", HP, train, val)
     assert len(stages) == 3
     total = sum(s.report.delta_transf for s in stages)
-    assert stages[-1].extras["cumulative_delta_transf"] == pytest.approx(total, abs=1e-12)
+    assert stages[-1].doc["cumulative_delta_transf"] == pytest.approx(total, abs=1e-12)
 
 
 def test_sequential_repeat_teacher_diminishing_returns(setup):
@@ -80,17 +74,18 @@ def test_parallel_duplicate_teachers_collapse_to_single(setup):
     two = parallel_transfer(student, dup, "kl_dp_sup", HP, train, val)
     for k in one.student_after.params:
         assert np.array_equal(one.student_after.params[k], two.student_after.params[k])
-    assert two.extras["source_share"][2] == 0.0  # the duplicate never wins a tie
+    assert two.doc["source_share"][2] == 0.0  # the duplicate never wins a tie
 
 
 def test_parallel_selection_is_exact_partition(setup):
     train, val, student, teachers = setup
     res = parallel_transfer(student, list(teachers.items()), "kl_dp_sup", HP, train, val)
-    winner = res.extras["winner"]
+    *_, winner = distill(student, list(teachers.items()), "kl_dp_sup", HP, train, val)
     assert winner.shape == (train.n,)
     counts = np.bincount(winner, minlength=len(teachers) + 1)
     assert counts.sum() == train.n  # one source per sample
-    assert res.extras["source_share"][0] > 0  # retention reference keeps some
+    assert res.doc["source_share"] == [float(c) for c in counts / train.n]
+    assert res.doc["source_share"][0] > 0  # retention reference keeps some
 
 
 def test_parallel_unsupervised_mode_runs(setup):
@@ -138,7 +133,9 @@ def test_protocols_reject_what_they_do_not_run(setup):
             protocol(student, named, "cd", HP, train, val)
     with pytest.raises(TransferError, match="unknown teacher order 'blend'"):
         sequential_transfer(student, named, "kl_dp_sup", HP, train, val, order="blend")
-    for protocol, mode in ((parallel_transfer, "parallel"), (soup_transfer, "soup")):
+    for protocol, mode in (
+        (sequential_transfer, "sequential"), (parallel_transfer, "parallel"), (soup_transfer, "soup")
+    ):
         with pytest.raises(TransferError, match=f"{mode} transfer needs at least one teacher"):
             protocol(student, [], "kl_dp_sup", HP, train, val)
 
@@ -216,15 +213,15 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
     assert len(stages) == 2
     assert sum(calls) == 5
     acc0 = float((predict_logits(student, val.inputs).argmax(axis=1) == val.labels).mean())
-    assert stages[-1].extras["cumulative_delta_transf"] == (
-        stages[-1].extras["acc_before"] + stages[-1].report.delta_transf - acc0
+    assert stages[-1].doc["cumulative_delta_transf"] == (
+        stages[-1].doc["acc_before"] + stages[-1].report.delta_transf - acc0
     )
 
 
 def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     """The branches forward the shared student once, and each its teacher and
     its trained weights; the soup adds only the merged weights, its baseline
-    built from the branches'."""
+    measured over the branches' memo."""
     train, val, student, teachers = setup
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
@@ -234,9 +231,10 @@ def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     monkeypatch.undo()
     # the same report as a baseline measured from fresh forwards of every model
     measured = ValBaseline.measure(student, list(two.values()), val).result(
-        res.method, hp, None, res.student_after.copy(), res.report.teacher, res.report.student, {}, {}
+        "kl_dp_sup", hp, None, res.student_after.copy(), res.report.teacher, res.report.student, {}
     )
     assert repr(res.report) == repr(measured.report)  # bit-equal floats, nan included
-    assert res.extras["teacher_accs"] == measured.baseline.teacher_accs
-    assert res.extras["rho_pos"] == measured.extras["rho_pos"]
+    assert res.baseline.teacher_accs == measured.baseline.teacher_accs
+    assert res.doc["rho_pos"] == measured.doc["rho_pos"]
     assert repr(res.rate) == repr(measured.rate)
+    assert repr({k: res.doc[k] for k in measured.doc}) == repr(measured.doc)  # soup adds only its own keys

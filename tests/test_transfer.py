@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from flipxfer.models import ModelSpec, as_tensors, build, model_forward, predict
 from flipxfer.transfer import (
     MclState,
     PartitionMask,
+    TransferDivergedError,
     TransferError,
     TransferHyperparams,
     cd_loss,
@@ -24,6 +26,7 @@ from flipxfer.transfer import (
     kl_loss,
     mcl_interpolate,
     run_transfer,
+    sgd_epochs,
     soft_target_kl,
     topk_restricted_kl,
     winner_logprobs,
@@ -450,8 +453,24 @@ def test_run_transfer_frozen_models_untouched(toy_sets):
         assert np.array_equal(student.params[k], s_before[k])
         assert np.array_equal(teacher.params[k], t_before[k])
     assert res.report.delta_transf == pytest.approx(
-        res.per_epoch[-1].val_accuracy - res.extras["acc_before"], abs=1e-15
+        res.per_epoch[-1].val_accuracy - res.doc["acc_before"], abs=1e-15
     )
+
+
+@pytest.mark.parametrize("weight, scale_by, message", [
+    (np.inf, 1.0, "kl: non-finite loss nan at epoch 0, step 0"),
+    (1e308, 10.0, "kl: non-finite gradient of parameter 'w' at epoch 0, step 0"),
+], ids=["loss", "gradient"])
+def test_sgd_epochs_reports_a_non_finite_loss_or_gradient_as_divergence(weight, scale_by, message):
+    """w is 0, so the loss is 0 * weight: NaN for an infinite weight, and 0
+    for a finite one whose gradient, weight * scale_by, overflows."""
+    params = {"w": Tensor(np.zeros(1), requires_grad=True)}
+    loss_fn = lambda b: ad.scale(ad.weighted_sum(params["w"], np.array([weight])), scale_by)
+    diverged = functools.partial(TransferDivergedError, "kl")
+    with np.errstate(over="ignore"), pytest.raises(TransferDivergedError) as exc:
+        list(sgd_epochs(params, ad.SgdState(lr=0.1), 1, 1, 1, 0, loss_fn, diverged))
+    assert str(exc.value) == message
+    assert np.array_equal(params["w"].data, [0.0])  # no update was applied
 
 
 def test_run_transfer_rejects_class_mismatch(toy_sets):
@@ -541,8 +560,8 @@ def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monke
     assert len(res.per_epoch) == epochs
     assert res.per_epoch is res.per_epoch  # forwarded on the first read, then kept
     assert sum(calls) == forwards(epochs)
-    want = res.per_epoch[-1].val_accuracy if epochs else res.extras["acc_before"]
-    assert res.extras["acc_before"] + res.report.delta_transf == pytest.approx(want, abs=1e-15)
+    want = res.per_epoch[-1].val_accuracy if epochs else res.doc["acc_before"]
+    assert res.doc["acc_before"] + res.report.delta_transf == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("method, sources", [("kl", 1), ("kl_dp_sup", 2), ("kl_dp_unsup", 2), ("cd", 0)])
