@@ -325,7 +325,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         nonlocal cols, xp
         if cols is None:
             raise RuntimeError("conv2d: backward already ran on this node and overwrote its im2col buffer")
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
+        # C order, as the reshape already gives for n > 1 or an NHWC-backed g: a
+        # one-row NCHW g would give a column-major view, which einsum sums in another order
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout))
         _accum(w, _mm_tn(gmat, cols).reshape(cout, cin, 3, 3))
         _accum(b, gmat.sum(axis=0))
         if x.requires_grad:

@@ -1,12 +1,12 @@
 """The JSON document format: one parser, one writer, one typing rule.
 
 Every JSON document flipxfer reads goes through ``parse_json`` (strict
-UTF-8) and every one it writes to a file through ``write_json`` (indent 2,
-sorted keys, newline-terminated). Run configs, zoo manifests and checkpoint
-headers are then read by ``resolve``: each section is checked against the
-fields of the dataclass that consumes it, unknown keys are rejected,
-defaults filled, and every value typed by ``typed``.  A fault is a
-``ConfigError`` naming the dotted key.
+UTF-8, no NaN or infinity) and every one it writes to a file through
+``write_json`` (indent 2, sorted keys, newline-terminated). Run configs,
+zoo manifests and checkpoint headers are then read by ``resolve``: each
+section is checked against the fields of the dataclass that consumes it,
+unknown keys are rejected, defaults filled, and every value typed by
+``typed``.  A fault is a ``ConfigError`` naming the dotted key.
 """
 
 from __future__ import annotations
@@ -30,9 +30,14 @@ _field_types = functools.cache(get_type_hints)  # evaluates annotations once per
 
 
 def parse_json(raw: bytes, where):
-    """Decode one JSON document from strict UTF-8 bytes; ``where`` names it in a fault."""
+    """Decode one JSON document from strict UTF-8 bytes; ``where`` names it in a
+    fault. The tokens ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON."""
+
+    def reject(token):
+        raise ConfigError(f"{where}: {token} is not JSON")
+
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_constant=reject)
     except UnicodeDecodeError as e:
         raise ConfigError(f"{where}: not UTF-8 text ({e.reason})") from e
     except json.JSONDecodeError as e:

@@ -125,31 +125,27 @@ class SyntheticConfig:
 
 
 def _smooth(img: np.ndarray) -> np.ndarray:
-    """Two passes of a 3x3 zero-padded box blur."""
+    """Two passes of a 3x3 zero-padded box blur over the last two axes of (c, m, h, w)."""
+    h, w = img.shape[2:]
     for _ in range(2):
-        p = np.pad(img, 1)
-        img = sum(
-            p[1 + di : 1 + di + img.shape[0], 1 + dj : 1 + dj + img.shape[1]]
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-        ) / 9.0
+        p = np.pad(img, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        img = sum(p[:, :, 1 + di : 1 + di + h, 1 + dj : 1 + dj + w] for di in (-1, 0, 1) for dj in (-1, 0, 1)) / 9.0
     return img
 
 
 def class_anchors(cfg: SyntheticConfig) -> np.ndarray:
-    """Per-(class, mode) anchors: vectors (c, m, dims) or templates (c, m, e, e)."""
+    """Per-(class, mode) anchors: vectors (c, m, dims) or templates (c, m, e, e).
+
+    Every template is smoothed and scaled to standard deviation
+    ``anchor_scale`` in one pass over the stack, elementwise as each would be
+    on its own, so the bytes equal a per-template loop.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.effective_anchor_seed, 0xA2C]))
     c, m = cfg.classes, cfg.modes_per_class
     if cfg.dims is not None:
         return rng.normal(size=(c, m, cfg.dims)) * cfg.anchor_scale
-    e = cfg.image_size
-    raw = rng.normal(size=(c, m, e, e))
-    out = np.empty_like(raw)
-    for k in range(c):
-        for j in range(m):
-            t = _smooth(raw[k, j])
-            out[k, j] = t / max(float(np.std(t)), 1e-12) * cfg.anchor_scale
-    return out
+    t = _smooth(rng.normal(size=(c, m, cfg.image_size, cfg.image_size)))
+    return t / np.maximum(np.std(t, axis=(2, 3), keepdims=True), 1e-12) * cfg.anchor_scale
 
 
 def _shift2d(img: np.ndarray, dy: int, dx: int) -> np.ndarray:

@@ -259,7 +259,7 @@ def save(ck: Checkpoint, path) -> None:
         "shapes": {k: list(ck.params[k].shape) for k in names},
         "meta": ck.meta,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(bytes([VERSION]))

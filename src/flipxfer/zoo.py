@@ -214,7 +214,7 @@ def load_manifest(path) -> ZooManifest:
         if "\0" in e.path or os.path.commonpath([root, target]) != root:
             raise ManifestError(f"{path}: entries[{i}].path: {e.path!r} is not a file in the manifest's directory")
         if e.failed:
-            e.val_accuracy = None  # older manifests wrote NaN here
+            e.val_accuracy = None
         elif e.val_accuracy is None or not 0.0 <= e.val_accuracy <= 1.0:
             raise ManifestError(
                 f"{path}: entries[{i}].val_accuracy: a trained model's must be in [0, 1], got {e.val_accuracy}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from flipxfer.autodiff import Tape, Tensor, backward, _mm, _mm_nt, _mm_tn
-from flipxfer.data import class_anchors
 
 
 def finite_diff_grads(loss_fn, params: dict[str, Tensor], h: float = 1e-6) -> dict[str, np.ndarray]:
@@ -78,8 +77,9 @@ def reference_conv2d(x, w, b, g, stride: int = 1):
     Returns (out, grad_x, grad_w, grad_b). The patches come from a gather at
     (row, col) index arrays and the input gradient from np.add.at at the same
     indices, with the same einsum products as the tape op. The im2col matrix
-    is made C-contiguous: for a one-row, one-channel batch the gather's
-    reshape is a column-major view, on which einsum sums in another order.
+    and the upstream gradient's matrix are made C-contiguous: for a one-row
+    batch a reshape can be a column-major view, on which einsum sums in
+    another order.
     """
     n, cin, h, wdt = x.shape
     cout = w.shape[0]
@@ -91,7 +91,7 @@ def reference_conv2d(x, w, b, g, stride: int = 1):
     cols = np.ascontiguousarray(patches.transpose(0, 3, 1, 2).reshape(n * oh * ow, cin * 9))
     wmat = w.reshape(cout, cin * 9)
     out = (_mm_nt(cols, wmat) + b).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
-    gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout))
     grad_w = _mm_tn(gmat, cols).reshape(cout, cin, 3, 3)
     grad_b = gmat.sum(axis=0)
     gpatches = _mm(gmat, wmat).reshape(n, oh * ow, cin, 9).transpose(0, 2, 3, 1)
@@ -192,13 +192,32 @@ def brute_force_flips(teacher_logits, student_logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# reference synthetic image draw: one translated anchor per sample
+# reference synthetic image draw: templates smoothed one by one, one
+# translated anchor per sample
+
+
+def reference_class_anchors(cfg):
+    """class_anchors for an image config: each (class, mode) template is
+    blurred twice by a zero-padded 3x3 box and scaled to standard deviation
+    anchor_scale on its own, in a python loop."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.effective_anchor_seed, 0xA2C]))
+    e = cfg.image_size
+    raw = rng.normal(size=(cfg.classes, cfg.modes_per_class, e, e))
+    out = np.empty_like(raw)
+    for k in range(cfg.classes):
+        for j in range(cfg.modes_per_class):
+            t = raw[k, j]
+            for _ in range(2):
+                p = np.pad(t, 1)
+                t = sum(p[1 + di : 1 + di + e, 1 + dj : 1 + dj + e] for di in (-1, 0, 1) for dj in (-1, 0, 1)) / 9.0
+            out[k, j] = t / max(float(np.std(t)), 1e-12) * cfg.anchor_scale
+    return out
 
 
 def reference_generate_synthetic(cfg):
     """generate_synthetic for an image config, shifting each sample's anchor
     in a python loop from a zero-padded copy; returns (inputs, labels)."""
-    anchors = class_anchors(cfg)
+    anchors = reference_class_anchors(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A11]))
     per_class = cfg.samples // cfg.classes
     labels = np.repeat(np.arange(cfg.classes), per_class)

@@ -259,6 +259,27 @@ def test_conv2d_row_does_not_depend_on_batch_size(stride, cin):
         assert np.array_equal(out, batch_out[r : r + 1]) and np.array_equal(gx, batch_gx[r : r + 1])
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv2d_one_row_grads_do_not_depend_on_upstream_layout(stride, cin):
+    """A one-row batch's weight and bias gradients take the same bits for an
+    upstream gradient in any memory layout."""
+    x = RNG.normal(size=(1, cin, 5, 7))
+    k = RNG.normal(size=(2, cin, 3, 3))
+    b = RNG.normal(size=2)
+    g = RNG.normal(size=(1, 2, (5 - 1) // stride + 1, (7 - 1) // stride + 1))
+    grads = []
+    for layout in ("nchw", "nhwc_backed", "sliced"):
+        kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            ad.conv2d(Tensor(x, requires_grad=True), kt, bt, stride=stride)
+        (node,) = tape.nodes
+        node.backward(_laid_out(g, layout))
+        grads.append((kt.grad, bt.grad))
+    for kg, bg in grads[1:]:
+        assert np.array_equal(kg, grads[0][0]) and np.array_equal(bg, grads[0][1])
+
+
 def test_grad_global_avg_pool():
     x = Tensor(RNG.normal(size=(2, 3, 4, 4)), requires_grad=True)
     wts = RNG.normal(size=(2, 3))

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import struct
 import tempfile
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from flipxfer import models
 from flipxfer.cli import main
-from flipxfer.zoo import load_manifest
+from flipxfer.zoo import ManifestError, load_manifest
 
 from oracles import brute_force_flips
 
@@ -163,15 +164,25 @@ def test_diverged_zoo_manifest_is_strict_json_with_a_null_accuracy(diverged_zoo)
     assert not entries["a"]["failed"] and 0.0 <= entries["a"]["val_accuracy"] <= 1.0
 
 
-def test_manifest_with_a_nan_accuracy_still_loads(diverged_zoo, tmp_path):
-    """Manifests written before null was used hold NaN for a failed entry."""
+def test_manifest_with_a_nan_accuracy_is_rejected_naming_the_file(diverged_zoo, tmp_path):
+    """NaN is not JSON, so a manifest holding it is malformed."""
     zoo = _copy_zoo(diverged_zoo, tmp_path / "zoo")
     text = (zoo / "manifest.json").read_text().replace('"val_accuracy": null', '"val_accuracy": NaN')
     assert "NaN" in text
     (zoo / "manifest.json").write_text(text)
-    manifest = load_manifest(zoo / "manifest.json")
-    assert manifest.entry("b").failed and manifest.entry("b").val_accuracy is None
-    assert manifest.entry("a").val_accuracy == load_manifest(diverged_zoo / "manifest.json").entry("a").val_accuracy
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(zoo / 'manifest.json'))}: NaN is not JSON"):
+        load_manifest(zoo / "manifest.json")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_config_with_a_non_finite_number_exits_2_naming_file(tmp_path, capsys, token):
+    cfg = tmp_path / "zoo.json"
+    doc = _zoo_config(tmp_path / "out")
+    doc["zoo"]["models"][0]["train"]["lr"] = "@"
+    cfg.write_text(json.dumps(doc).replace('"@"', token))
+    assert main(["zoo", "--config", str(cfg)]) == 2
+    assert f"error: {cfg}: {token} is not JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["flips", "sweep"])
@@ -747,6 +758,21 @@ def test_transfer_multi_sequential_string_val_accuracy_exits_3(zoo_dir, tmp_path
     assert main(["transfer", "--config", _write(tmp_path / "seq.json", conf)]) == 3
     err = capsys.readouterr().err
     assert f"{zoo / entry['path']}: meta.val_accuracy: expected float" in err
+
+
+def test_transfer_from_a_student_with_nan_meta_exits_3_naming_file(zoo_dir, tmp_path, capsys):
+    """A checkpoint header is JSON: a NaN in its meta is a header fault, not
+    a value the transfer copies into the student it writes."""
+    zoo = _copy_zoo(zoo_dir, tmp_path / "zoo")
+    conf = _transfer_config(zoo, tmp_path / "out")
+    entry = next(e for e in json.loads((zoo / "manifest.json").read_text())["entries"]
+                 if e["name"] == conf["transfer"]["student"])
+    _edit_header(zoo / entry["path"], lambda header: {**header, "meta": {**header["meta"], "note": float("nan")}})
+    assert b'"note": NaN' in (zoo / entry["path"]).read_bytes()
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {zoo / entry['path']}: malformed header (header: NaN is not JSON" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

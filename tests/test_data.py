@@ -18,7 +18,7 @@ from flipxfer.data import (
     train_val_pair,
 )
 
-from oracles import reference_generate_synthetic
+from oracles import reference_class_anchors, reference_generate_synthetic
 
 
 def _linear_probe_accuracy(train: Dataset, val: Dataset) -> float:
@@ -94,6 +94,19 @@ def test_image_draw_is_byte_equal_to_per_sample_shift_loop(modes, size, noise):
     inputs, labels = reference_generate_synthetic(cfg)
     assert ds.inputs.tobytes() == inputs.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8])
+@pytest.mark.parametrize("modes", [1, 4])
+@pytest.mark.parametrize("scale", [0.0, 1.5])
+def test_templates_are_byte_equal_to_per_template_loop(size, modes, scale):
+    # size 1 hits the 1e-12 std floor; scale 0 keeps each zero's sign
+    cfg = SyntheticConfig(
+        classes=3, samples=3, image_size=size, modes_per_class=modes, anchor_scale=scale, seed=4, anchor_seed=11
+    )
+    anchors = class_anchors(cfg)
+    assert anchors.shape == (3, modes, size, size)
+    assert anchors.tobytes() == reference_class_anchors(cfg).tobytes()
 
 
 def test_rejects_fewer_than_two_classes():

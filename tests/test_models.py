@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -276,18 +277,28 @@ def test_digests_are_pinned():
 
 def test_meta_of_every_kind_the_program_writes_loads_unchanged(tmp_path):
     """Zoo meta (seed, val_accuracy, name, digest), a transferred student's
-    extra keys, a nan accuracy and an integer accuracy (typed to float)."""
+    extra keys and an integer accuracy (typed to float)."""
     metas = [
         {"seed": 3, "val_accuracy": 0.8125, "train_config_digest": "ab12", "name": "m00_mlp"},
         {"seed": 0, "val_accuracy": 0.5, "name": "s", "transfer_method": "kl_dp_sup", "teacher": "t"},
-        {"val_accuracy": float("nan")},
     ]
     path = tmp_path / "model.ckpt"
     for meta in metas:
         save(Checkpoint(MLP, build(MLP, seed=0).params, meta), path)
-        assert repr(sorted(load(path).meta.items())) == repr(sorted(meta.items()))  # nan-safe
+        assert repr(sorted(load(path).meta.items())) == repr(sorted(meta.items()))  # types too: 3 is not 3.0
     _rewrite_header(path, _meta(val_accuracy=1))
     assert load(path).meta["val_accuracy"] == 1.0 and type(load(path).meta["val_accuracy"]) is float
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_header_never_holds_nan_or_infinity(tmp_path, value):
+    """save refuses a meta value JSON does not have, and load rejects a header holding one."""
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save(Checkpoint(MLP, build(MLP, seed=0).params, {"note": value}), path)
+    _rewrite_header(path, _meta(note=value))
+    with pytest.raises(HeaderMismatchError, match=rf"^{re.escape(str(path))}: malformed header \(header: .* is not JSON"):
+        load(path)
 
 
 def test_empty_file_rejected(tmp_path):
