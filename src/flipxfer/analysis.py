@@ -15,7 +15,7 @@ masks, and accuracies agree on the same convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "AnalysisError",
     "NoFlipsError",
     "FlipStats",
-    "PairReport",
     "predictions",
     "correct_flags",
     "positive_flips",
@@ -64,19 +63,6 @@ class FlipStats:
     @property
     def total(self) -> int:
         return int(self.per_class_counts.sum())
-
-
-@dataclass(frozen=True)
-class PairReport:
-    """Outcome of one teacher->student transfer."""
-
-    teacher: str
-    student: str
-    delta_acc: float  # teacher accuracy minus student accuracy, pre transfer
-    delta_transf: float  # student accuracy after minus before
-    knowledge_gain: float
-    knowledge_loss: float
-    per_class_gain: tuple = field(default=())
 
 
 def predictions(logits: np.ndarray) -> np.ndarray:
@@ -227,16 +213,18 @@ def per_class_gain(
 
 
 def success_rate(reports) -> float:
-    """Share of pairs with strictly positive transfer delta."""
-    deltas = [r.delta_transf for r in reports]
+    """Share of report documents (one per transfer) whose ``delta_transf``,
+    the student's accuracy after minus before, is strictly positive."""
+    deltas = [r["delta_transf"] for r in reports]
     if not deltas:
         raise AnalysisError("no reports")
     return float(np.mean([d > 0.0 for d in deltas]))
 
 
 def binned_top_quartile_delta(reports, bin_edges) -> dict:
-    """Bin reports by delta_acc; per bin, mean of the top ceil(n/4) transfer
-    deltas by rank.  Empty bins are absent from the result, never zero."""
+    """Bin report documents by ``delta_acc`` (teacher minus student accuracy
+    before transfer); per bin, the mean of the top ceil(n/4) ``delta_transf``
+    by rank.  Empty bins are absent from the result, never zero."""
     edges = [float(e) for e in bin_edges]
     if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
         raise AnalysisError("bin_edges must be strictly increasing with >= 2 entries")
@@ -245,9 +233,9 @@ def binned_top_quartile_delta(reports, bin_edges) -> dict:
         last = hi == edges[-1]
         deltas = sorted(
             (
-                r.delta_transf
+                r["delta_transf"]
                 for r in reports
-                if lo <= r.delta_acc < hi or (last and r.delta_acc == hi)
+                if lo <= r["delta_acc"] < hi or (last and r["delta_acc"] == hi)
             ),
             reverse=True,
         )

@@ -230,12 +230,12 @@ def cmd_zoo(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     train, val = _build_datasets(resolved["dataset"])
     specs: list[tuple[ModelSpec, TrainConfig]] = []
     names: list[str] = []
-    for m in resolved["zoo"]["models"]:
+    for i, m in enumerate(resolved["zoo"]["models"]):
         arch = {k: v for k, v in m.items() if k not in ("name", "train")} | {"channels": m["channels"] or None}
         try:
             spec = ModelSpec(**arch, input_shape=train.input_shape, num_classes=train.num_classes)
         except ValueError as e:
-            raise ConfigError(f"zoo.models[{m['name']}]: {e}") from e
+            raise ConfigError(f"zoo.models[{i}]: {e}") from e
         specs.append((spec, TrainConfig(**m["train"])))
         names.append(m["name"])
     _log(f"training {len(specs)} zoo models on {train.n} samples")
@@ -436,11 +436,7 @@ def _sweep_task(task):
     except (TransferError, TransferDivergedError, AnalysisError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
     rate = res.rate or {"overall": None, "by_top_share": {}}
-    return res.doc | {
-        "transfer_rate_overall": rate["overall"],
-        "transfer_rate_top2": rate["by_top_share"].get(2.0),
-        "report": res.report,
-    }
+    return res.doc | {"transfer_rate_overall": rate["overall"], "transfer_rate_top2": rate["by_top_share"].get(2.0)}
 
 
 def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
@@ -518,14 +514,14 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     bins = resolved["sweep"]["bins"]
     summary: dict = {"pairs": len(pairs), "methods": {}}
     for m in resolved["sweep"]["methods"]:
-        reports = [row["report"] for row in rows if row["method"] == m]
+        reports = [row for row in rows if row["method"] == m]
         if not reports:
             summary["methods"][m] = None  # every run of it failed
             continue
         binned = binned_top_quartile_delta(reports, bins)
         summary["methods"][m] = {
             "success_rate": success_rate(reports),
-            "mean_delta_transf": float(np.mean([r.delta_transf for r in reports])),
+            "mean_delta_transf": float(np.mean([r["delta_transf"] for r in reports])),
             "binned_top_quartile_delta": {
                 f"[{lo},{hi})": v for (lo, hi), v in binned.items()
             },
@@ -578,7 +574,6 @@ def main(argv=None) -> int:
         _log(f"config error: {e}")
         return 2
     except (
-        FileNotFoundError,
         CheckpointError,
         DataError,
         ManifestError,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import PairReport
 from .data import Dataset
 from .models import Checkpoint
 from .transfer import (
@@ -84,12 +83,11 @@ def sequential_transfer(
                 student_name=student_name, frozen_reference=reference, seen=seen,
             )
         except TransferDivergedError as e:
-            report = PairReport(name, student_name, 0.0, 0.0, 0.0, 0.0)
-            results.append(TransferResult(report, current, report_doc(method, hp, report) | {"failed": str(e)}))
+            results.append(TransferResult(current, report_doc(method, hp, name, student_name) | {"failed": str(e)}))
             continue
         if acc0 is None:
             acc0 = res.baseline.acc_before
-        res.doc["cumulative_delta_transf"] = res.baseline.acc_before + res.report.delta_transf - acc0
+        res.doc["cumulative_delta_transf"] = res.baseline.acc_before + res.doc["delta_transf"] - acc0
         results.append(res)
         current = res.student_after
     return results
@@ -168,5 +166,5 @@ def soup_transfer(
         method, hp, None, student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "soup"},
     )
-    res.doc.update(branch_deltas=[r.report.delta_transf for r in branches], mode="soup")
+    res.doc.update(branch_deltas=[r.doc["delta_transf"] for r in branches], mode="soup")
     return res

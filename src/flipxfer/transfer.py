@@ -18,7 +18,8 @@ Zoo training runs the one minibatch-SGD loop here (``sgd_epochs``); single-
 and multi-teacher transfer run one training path on it (``distill``), whose
 KL-family target comes from the one confidence rule (``confidence_winner``)
 before SGD and equals the per-batch objectives' bit for bit.  ``ValBaseline``
-builds every before/after report, and ``report_doc`` every report document.
+measures every before/after outcome, and ``report_doc`` builds its report
+document, the one record of a transfer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from . import autodiff as ad
 from .analysis import (
     FlipStats,
-    PairReport,
     correct_flags,
     flip_stats_from_flags,
     knowledge_gain_loss,
@@ -191,8 +191,8 @@ class EpochTrace:
     val_accuracy: float
     gain: float
     loss: float
-    mask_teacher_share: float | None = None
-    fast_val_accuracy: float | None = None
+    mask_teacher_share: float | None  # DP and parallel only
+    fast_val_accuracy: float | None  # MCL only
 
 
 @dataclass
@@ -208,26 +208,30 @@ class EpochStates:
     teacher_share: float | None = None  # DP and parallel: the share of samples a teacher won
 
     def traces(self, baseline: "ValBaseline") -> list[EpochTrace]:
+        """One trace per epoch: its train loss, and its weights' val accuracy,
+        gain and loss against ``baseline``, forwarded through the baseline's
+        memo; the teacher's mask share, and (MCL) the fast weights' accuracy."""
         out = []
-        for i, (loss, weights) in enumerate(zip(self.train_loss, self.weights)):
-            trace = baseline.epoch_trace(loss, Checkpoint(self.spec, weights))
-            trace.mask_teacher_share = self.teacher_share
-            if self.fast_weights is not None:
-                trace.fast_val_accuracy = float(baseline.correct(Checkpoint(self.spec, self.fast_weights[i])).mean())
-            out.append(trace)
+        for i, (train_loss, weights) in enumerate(zip(self.train_loss, self.weights)):
+            now = baseline.correct(Checkpoint(self.spec, weights))
+            fast = None if self.fast_weights is None else baseline.correct(Checkpoint(self.spec, self.fast_weights[i]))
+            out.append(EpochTrace(
+                train_loss, float(now.mean()), *baseline.gain_loss(now), self.teacher_share,
+                None if fast is None else float(fast.mean()),
+            ))
         return out
 
 
 @dataclass
 class TransferResult:
-    """One transfer: its report, the trained student, and ``doc``, the report
-    document (``report.json``, or a sequential stage in it) that
-    ``report_doc`` built and to which a multi-teacher protocol adds the keys
-    it owns.  ``rate`` is the transfer rate (None with no flips to transfer);
-    ``baseline`` and ``epochs`` are None for a sequential stage that diverged.
+    """One transfer: the trained student and ``doc``, its report document
+    (``report.json``, or a sequential stage in it), the one record of its
+    outcome, which ``report_doc`` built and to which a multi-teacher protocol
+    adds the keys it owns.  ``rate`` is the transfer rate with float keys
+    (None with no flips to transfer); ``baseline`` and ``epochs`` are None for
+    a sequential stage that diverged.
     """
 
-    report: PairReport
     student_after: Checkpoint
     doc: dict
     rate: dict | None = None
@@ -493,24 +497,28 @@ def _val_flags(seen: dict[str, np.ndarray], ck: Checkpoint, val_set: Dataset) ->
     return seen[key]
 
 
-def report_doc(method: str, hp: TransferHyperparams, report: PairReport, acc_before: float | None = None,
-               rho_pos: float | None = None, rate: dict | None = None) -> dict:
-    """The report document of one transfer, as ``report.json`` holds it: a
-    NaN class gain is null, and a run without a baseline (a sequential stage
-    that diverged) has null accuracies and ``rho_pos``."""
+def report_doc(method: str, hp: TransferHyperparams, teacher: str, student: str, delta_acc: float = 0.0,
+               delta_transf: float = 0.0, knowledge_gain: float = 0.0, knowledge_loss: float = 0.0,
+               per_class_gain=(), acc_before: float | None = None, rho_pos: float | None = None,
+               rate: dict | None = None) -> dict:
+    """The report document of one transfer, as ``report.json`` holds it:
+    ``delta_acc`` is the best teacher's val accuracy minus the student's before
+    transfer, ``delta_transf`` the student's after minus before, and a NaN
+    class gain is null.  A sequential stage that diverged keeps the zero
+    deltas and no class gains, with null accuracies and ``rho_pos``."""
     doc = {
         "method": method,
-        "teacher": report.teacher,
-        "student": report.student,
-        "delta_acc": report.delta_acc,
-        "delta_transf": report.delta_transf,
-        "knowledge_gain": report.knowledge_gain,
-        "knowledge_loss": report.knowledge_loss,
+        "teacher": teacher,
+        "student": student,
+        "delta_acc": delta_acc,
+        "delta_transf": delta_transf,
+        "knowledge_gain": knowledge_gain,
+        "knowledge_loss": knowledge_loss,
         "acc_before": acc_before,
-        "acc_after": None if acc_before is None else acc_before + report.delta_transf,
+        "acc_after": None if acc_before is None else acc_before + delta_transf,
         "rho_pos": rho_pos,
         "hyperparams": asdict(hp),
-        "per_class_gain": [None if np.isnan(v) else v for v in report.per_class_gain],
+        "per_class_gain": [None if np.isnan(v) else float(v) for v in per_class_gain],
     }
     if rate is not None:
         doc["transfer_rate"] = {
@@ -525,7 +533,7 @@ class ValBaseline:
     """A student's validation standing before transfer from one or more
     teachers.  The flips are the union of the teachers' positive flips (for a
     single teacher, its own).  ``result`` measures a trained student against
-    it and builds the transfer's report and report document.
+    it and builds the transfer's report document.
 
     Each weight state is forwarded over the val set once: ``correct`` keeps
     the flags of every checkpoint it saw, by digest, so epoch traces read
@@ -573,16 +581,6 @@ class ValBaseline:
             return 0.0, lost / total_before if total_before else 0.0
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
-    def epoch_trace(self, train_loss: float, ck: Checkpoint) -> EpochTrace:
-        now = self.correct(ck)
-        gain, loss_share = self.gain_loss(now)
-        return EpochTrace(
-            train_loss=train_loss,
-            val_accuracy=float(now.mean()),
-            gain=gain,
-            loss=loss_share,
-        )
-
     def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
                student_after: Checkpoint, teacher: str, student: str, meta: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
@@ -591,20 +589,14 @@ class ValBaseline:
         y = self.val_set.labels
         after_correct = self.correct(student_after)
         acc_after = float(after_correct.mean())
-        gain, loss_share = self.gain_loss(after_correct)
-        report = PairReport(
-            teacher=teacher,
-            student=student,
-            delta_acc=max(self.teacher_accs) - self.acc_before,
-            delta_transf=acc_after - self.acc_before,
-            knowledge_gain=gain,
-            knowledge_loss=loss_share,
-            per_class_gain=tuple(float(v) for v in per_class_gain(self.flips, after_correct, y)),
-        )
         rate = transfer_rate(self.flips, after_correct, y) if self.flips.total else None
         student_after.meta.update({"val_accuracy": acc_after, **meta})
-        doc = report_doc(method, hp, report, self.acc_before, self.flips.rho_pos, rate)
-        return TransferResult(report, student_after, doc, rate, self, epochs)
+        doc = report_doc(
+            method, hp, teacher, student, max(self.teacher_accs) - self.acc_before, acc_after - self.acc_before,
+            *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
+            self.acc_before, self.flips.rho_pos, rate,
+        )
+        return TransferResult(student_after, doc, rate, self, epochs)
 
 
 class _CdContext:

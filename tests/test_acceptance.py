@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from flipxfer import autodiff as ad
-from flipxfer.analysis import positive_flips, success_rate, PairReport
+from flipxfer.analysis import positive_flips, success_rate
 from flipxfer.autodiff import Tensor
 from flipxfer.data import Dataset, SyntheticConfig, stratified_subsample, train_val_pair
 from flipxfer.models import ModelSpec, build, predict_logits
@@ -126,7 +126,7 @@ def sweep(bench: Bench) -> dict:
                 bench.models[sname], bench.models[tname], method, SWEEP_HP,
                 bench.transfer_set, bench.val, tname, sname,
             )
-            entry[method] = res.report.delta_transf
+            entry[method] = res.doc["delta_transf"]
             if method == "kl_dp_sup":
                 entry["rate_overall"] = res.rate["overall"] if res.rate else None
                 entry["rate_top2"] = res.rate["by_top_share"].get(2.0) if res.rate else None
@@ -240,10 +240,7 @@ def test_c03_complementary_knowledge_exists(bench: Bench):
 
 
 def _reports(rows, method):
-    return [
-        PairReport(r["teacher"], r["student"], r["delta_acc"], r[method], 0.0, 0.0)
-        for r in rows
-    ]
+    return [{"delta_acc": r["delta_acc"], "delta_transf": r[method]} for r in rows]
 
 
 def test_c04_success_rate_ordering(sweep):
@@ -326,7 +323,7 @@ def test_c07_unsupervised_parity(bench: Bench):
                 bench.models[sname], bench.models[tname], method, PARITY_HP,
                 bench.transfer_set, bench.val, tname, sname,
             )
-            out.append(res.report.delta_transf)
+            out.append(res.doc["delta_transf"])
     gap = abs(float(np.mean(sups)) - float(np.mean(unsups)))
     ok = gap <= 0.005 and len(PARITY_PAIRS) >= 5
     record_criterion(
@@ -376,7 +373,7 @@ def test_c09_multi_teacher_ordering(bench: Bench):
     teachers = [(n, bench.models[n]) for n in MULTI_TEACHERS]
     singles = [
         run_transfer(student, bench.models[t], "kl_dp_sup", SWEEP_HP,
-                     bench.transfer_set, bench.val, t, MULTI_STUDENT).report.delta_transf
+                     bench.transfer_set, bench.val, t, MULTI_STUDENT).doc["delta_transf"]
         for t in MULTI_TEACHERS
     ]
     best = max(singles)
@@ -384,8 +381,8 @@ def test_c09_multi_teacher_ordering(bench: Bench):
     args = (student, teachers, "kl_dp_sup", SWEEP_HP, bench.transfer_set, bench.val)
     stages = sequential_transfer(*args)
     seq = stages[-1].doc["cumulative_delta_transf"]
-    par = parallel_transfer(*args).report.delta_transf
-    soup = soup_transfer(*args).report.delta_transf
+    par = parallel_transfer(*args).doc["delta_transf"]
+    soup = soup_transfer(*args).doc["delta_transf"]
     elapsed = time.time() - t0
     ok = seq >= best - 0.002 and par <= seq and soup <= seq and elapsed < 5400
     record_criterion(

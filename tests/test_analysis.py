@@ -7,7 +7,6 @@ from flipxfer.analysis import (
     AnalysisError,
     FlipStats,
     NoFlipsError,
-    PairReport,
     binned_top_quartile_delta,
     flip_entropy,
     flip_stats_from_flags,
@@ -320,7 +319,7 @@ def test_knowledge_identity_decomposes_delta(bits, n):
 
 
 def _report(delta_acc, delta_transf):
-    return PairReport("t", "s", delta_acc, delta_transf, 0.0, 0.0)
+    return {"teacher": "t", "student": "s", "delta_acc": delta_acc, "delta_transf": delta_transf}
 
 
 def test_success_rate_all_positive():

@@ -511,6 +511,11 @@ _BAD_VALUES = {
     "sweep_bins_decreasing": (_bad("sweep", "sweep.bins", [0.5, -0.5]), "sweep.bins"),
     "sweep_max_pairs_zero": (_bad("sweep", "sweep.max_pairs", 0), "sweep.max_pairs"),
     "zoo_name_path": (_bad("zoo", "zoo.models.0.name", "/wide"), "zoo.models[0].name"),
+    # a spec fault was named by the model's name, zoo.models[mid]
+    "zoo_cnn_depth_channels": (
+        _bad("zoo", "zoo.models.1", {"name": "mid", "family": "cnn", "depth": 2, "channels": [3]}),
+        "zoo.models[1]: cnn depth must equal len(channels)",
+    ),
     # a NUL byte escaped main from os.makedirs; a bad subsample exited 3 or was ignored
     "out_nul": (_bad("zoo", "out", "o\0x"), "out"),
     "subsample_fraction_zero": (_bad("zoo", "dataset.subsample_fraction", 0), "dataset.subsample_fraction"),
@@ -805,6 +810,40 @@ def test_sweep_rows_and_summary(zoo_dir, tmp_path):
         assert "binned_top_quartile_delta" in m
 
 
+def _mean(values):
+    """numpy's float64 mean of fewer than 9 values: the first plus the rest
+    summed in order, over their count."""
+    assert 0 < len(values) < 9
+    rest = 0.0
+    for v in values[1:]:
+        rest += v
+    return (values[0] + rest) / len(values)
+
+
+def test_sweep_summary_is_its_rows_recomputed(zoo_dir, tmp_path):
+    """Per method, the success rate, mean delta and binned top-quartile deltas
+    of summary.json, recomputed from the rows of sweep.csv."""
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", _write(tmp_path / "sw.json", _sweep_config(zoo_dir, out))]) == 0
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    bins = json.loads((out / "config.resolved.json").read_text())["sweep"]["bins"]
+    summary = json.loads((out / "summary.json").read_text())
+    for method, got in summary["methods"].items():
+        mine = [(float(r["delta_acc"]), float(r["delta_transf"])) for r in rows if r["method"] == method]
+        deltas = [d for _, d in mine]
+        binned = {}
+        for lo, hi in zip(bins, bins[1:]):
+            top = sorted((d for a, d in mine if lo <= a < hi or (hi == bins[-1] and a == hi)), reverse=True)
+            if top:
+                binned[f"[{lo},{hi})"] = _mean(top[: -(-len(top) // 4)])
+        assert got == {
+            "success_rate": sum(d > 0.0 for d in deltas) / len(deltas),
+            "mean_delta_transf": _mean(deltas),
+            "binned_top_quartile_delta": binned,
+        }
+
+
 def test_sweep_empty_filter_exits_2(zoo_dir, tmp_path, capsys):
     cfg = tmp_path / "sw.json"
     conf = _sweep_config(zoo_dir, tmp_path / "o", pairs={"delta_acc_min": 5.0})
@@ -999,4 +1038,31 @@ def test_any_manifest_or_checkpoint_header_leaf_value_exits_0_2_or_3(tiny_config
         else:
             _edit_header(zoo / target, lambda header: _set_leaf(header, data))
         cfg = _write(pathlib.Path(tmp) / "cfg.json", {**tiny_configs["transfer"], "manifest": str(zoo / "manifest.json")})
+        assert main(["transfer", "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_checkpoint_payload_damage_exits_0_2_or_3(tiny_configs, data):
+    """A checkpoint of the zoo whose header length, payload bytes or size is
+    damaged ends a single or multi-teacher transfer in a documented exit."""
+    source = pathlib.Path(tiny_configs["transfer"]["manifest"]).parent
+    command = data.draw(st.sampled_from(["transfer", "multi"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        zoo = _copy_zoo(source, pathlib.Path(tmp) / "zoo")
+        path = zoo / data.draw(st.sampled_from(sorted(f.name for f in zoo.glob("*.ckpt"))))
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", raw[5:9])
+        damage = data.draw(st.sampled_from(["header_length", "payload", "truncate", "append"]))
+        if damage == "header_length":
+            raw[5:9] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
+        elif damage == "payload":
+            at = data.draw(st.integers(9 + hlen, len(raw) - 8))
+            raw[at : at + 8] = data.draw(st.binary(min_size=8, max_size=8))
+        elif damage == "truncate":
+            del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=16))
+        path.write_bytes(bytes(raw))
+        cfg = _write(pathlib.Path(tmp) / "cfg.json", {**tiny_configs[command], "manifest": str(zoo / "manifest.json")})
         assert main(["transfer", "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)

@@ -452,7 +452,7 @@ def test_run_transfer_frozen_models_untouched(toy_sets):
     for k in s_before:
         assert np.array_equal(student.params[k], s_before[k])
         assert np.array_equal(teacher.params[k], t_before[k])
-    assert res.report.delta_transf == pytest.approx(
+    assert res.doc["delta_transf"] == pytest.approx(
         res.per_epoch[-1].val_accuracy - res.doc["acc_before"], abs=1e-15
     )
 
@@ -507,8 +507,8 @@ def test_run_transfer_deterministic(toy_sets):
     b = run_transfer(student, teacher, "kl_dp_sup", HP, train, val)
     for k in a.student_after.params:
         assert np.array_equal(a.student_after.params[k], b.student_after.params[k])
-    assert (a.report.delta_acc, a.report.delta_transf) == (b.report.delta_acc, b.report.delta_transf)
-    assert np.array_equal(a.report.per_class_gain, b.report.per_class_gain, equal_nan=True)
+    assert (a.doc["delta_acc"], a.doc["delta_transf"]) == (b.doc["delta_acc"], b.doc["delta_transf"])
+    assert a.doc["per_class_gain"] == b.doc["per_class_gain"]  # a NaN gain is None in both
 
 
 def test_run_transfer_mcl_tau_one_returns_init_bitwise(toy_sets):
@@ -528,14 +528,14 @@ def test_self_distillation_is_near_neutral(toy_sets):
     ck = train_model(SPEC, TrainConfig(epochs=4, lr=0.05, init_seed=3, order_seed=3), train, val)
     res = run_transfer(ck, ck, "kl_dp_sup", TransferHyperparams(lr=0.02, epochs=5, batch_size=32, seed=1), train, val)
     assert res.per_epoch[0].mask_teacher_share == 0.0  # ties all go to the frozen student
-    assert res.report.delta_transf >= -0.005
+    assert res.doc["delta_transf"] >= -0.005
 
 
 def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
     train, val = toy_sets
     wide = ModelSpec(family="mlp", depth=2, input_shape=(6,), num_classes=4, width=12)
     res = run_transfer(build(SPEC, 7), build(wide, 8), "cd", default_hyperparams("cd", lr=0.02, epochs=1, batch_size=32), train, val)
-    assert np.isfinite(res.report.delta_transf)
+    assert np.isfinite(res.doc["delta_transf"])
 
 
 @pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
@@ -561,7 +561,7 @@ def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monke
     assert res.per_epoch is res.per_epoch  # forwarded on the first read, then kept
     assert sum(calls) == forwards(epochs)
     want = res.per_epoch[-1].val_accuracy if epochs else res.doc["acc_before"]
-    assert res.doc["acc_before"] + res.report.delta_transf == pytest.approx(want, abs=1e-15)
+    assert res.doc["acc_before"] + res.doc["delta_transf"] == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("method, sources", [("kl", 1), ("kl_dp_sup", 2), ("kl_dp_unsup", 2), ("cd", 0)])
