@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, fields
 from functools import partial
 
@@ -45,6 +44,7 @@ from .config import REQUIRED, ConfigError, dump_json, parse_json, resolve, write
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, predict_logits, save
 from .multiteacher import check_plan, parallel_transfer, sequential_doc, sequential_transfer, soup_transfer
+from .pool import pool_map
 from .transfer import (
     METHODS,
     EpochTrace,
@@ -425,12 +425,14 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     return 0, resolved, files, report_doc
 
 
-def _sweep_task(task):
-    """One sweep run's row; a run that fails returns its error instead."""
-    teacher_ck, student_ck, method, hp_dict, transfer_set, val_set, tname, sname = task
+def _sweep_task(data, task):
+    """One sweep run's row; a run that fails returns its error instead. ``data``
+    is what every run reads: the checkpoints by name and the two datasets."""
+    checkpoints, transfer_set, val_set = data
+    tname, sname, method, hp_dict = task
     try:
         res = run_transfer(
-            student_ck, teacher_ck, method, TransferHyperparams(**hp_dict), transfer_set, val_set,
+            checkpoints[sname], checkpoints[tname], method, TransferHyperparams(**hp_dict), transfer_set, val_set,
             teacher_name=tname, student_name=sname,
         )
     except (TransferError, TransferDivergedError, AnalysisError) as e:
@@ -484,26 +486,9 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     checkpoints = {e.name: manifest.load_checkpoint(e.name) for e in manifest.ok_entries()}
     for name, ck in checkpoints.items():
         check_dataset(ck, name, transfer_set, val)
-    tasks = [
-        (
-            checkpoints[t.name],
-            checkpoints[st.name],
-            m,
-            resolved["sweep"]["hyperparams"][m],
-            transfer_set,
-            val,
-            t.name,
-            st.name,
-        )
-        for t, st in pairs
-        for m in resolved["sweep"]["methods"]
-    ]
+    tasks = [(t.name, st.name, m, resolved["sweep"]["hyperparams"][m]) for t, st in pairs for m in methods]
     _log(f"sweep: {len(pairs)} pairs x {len(methods)} methods = {len(tasks)} runs")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
+    rows = pool_map(_sweep_task, (checkpoints, transfer_set, val), tasks, args.jobs)
     failed = [row for row in rows if "error" in row]
     rows = [row for row in rows if "error" not in row]
     header = [

@@ -12,6 +12,8 @@ meta), then the raw little-endian float64 payload in header order.  On load
 the header is typed by ``config.resolve``: its spec against the fields of
 ``ModelSpec``, so a spec value follows the rule of a config value, and the
 meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) by ``typed``.
+Every parameter value must be finite: ``save`` refuses and ``load`` rejects
+any other, naming the file and the parameter.
 """
 
 from __future__ import annotations
@@ -251,8 +253,16 @@ def predict_features(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
 # serialization
 
 
+def _check_finite(path, name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
+
+
 def save(ck: Checkpoint, path) -> None:
+    """Write ``ck`` to ``path``; a non-finite parameter is refused before the file is opened."""
     names = list(ck.params.keys())
+    for name in names:
+        _check_finite(path, name, ck.params[name])
     header = {
         "spec": asdict(ck.spec),
         "names": names,
@@ -313,6 +323,7 @@ def load(path) -> Checkpoint:
     for name in names:  # each laid out at its spec shape, in the header's order
         cnt = int(np.prod(expected[name]))
         arr = np.frombuffer(payload, dtype="<f8", count=cnt, offset=off).astype(np.float64)
+        _check_finite(path, name, arr)
         params[name] = arr.reshape(expected[name])
         off += 8 * cnt
     return Checkpoint(spec, params, meta)

@@ -102,10 +102,13 @@ class TransferDivergedError(RuntimeError):
     names it) behind a finite one; carries the failing step for diagnosis."""
 
     def __init__(self, method: str, epoch: int, step: int, value: float, what: str | None = None):
-        self.method, self.epoch, self.step, self.value = method, epoch, step, value
+        self.method, self.epoch, self.step, self.value, self.what = method, epoch, step, value, what
         super().__init__(
             f"{method}: non-finite {what or f'loss {value!r}'} at epoch {epoch}, step {step}"
         )
+
+    def __reduce__(self):  # rebuilt from its fields, so it crosses a process boundary
+        return type(self), (self.method, self.epoch, self.step, self.value, self.what)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .autodiff import SgdState, Tensor
 from .config import REQUIRED, ConfigError, digest, parse_json, resolve, write_json
 from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits
+from .pool import pool_map, usable_cpus
 from .transfer import checkpoint_of, sgd_epochs, xe_loss
 from .analysis import correct_flags
 
@@ -39,8 +40,11 @@ class TrainingDivergedError(RuntimeError):
     """A non-finite training loss, or a non-finite gradient (``what`` names it)."""
 
     def __init__(self, name: str, epoch: int, value: float, what: str | None = None):
-        self.name, self.epoch, self.value = name, epoch, value
+        self.name, self.epoch, self.value, self.what = name, epoch, value, what
         super().__init__(f"{name}: non-finite {what or f'training loss {value!r}'} at epoch {epoch}")
+
+    def __reduce__(self):  # rebuilt from its fields, so it crosses a process boundary
+        return type(self), (self.name, self.epoch, self.value, self.what)
 
 
 class ManifestError(ValueError):
@@ -152,6 +156,27 @@ def train_model(
     return out
 
 
+def _work(spec: ModelSpec, cfg: TrainConfig) -> int:
+    """A training's size: multiply-adds per sample (every 3x3 conv is stride 1
+    and same-padded, so it runs at each input pixel) times epochs."""
+    pixels = int(np.prod(spec.input_shape[1:])) if spec.family == "cnn" else 1
+    per_sample = sum(
+        int(np.prod(shape)) * (pixels if name.startswith("conv") else 1)
+        for name, shape in spec.param_shapes().items()
+        if name.endswith(".w")
+    )
+    return per_sample * cfg.epochs
+
+
+def _train_task(data: tuple[Dataset, Dataset], task: tuple[ModelSpec, TrainConfig, str]) -> Checkpoint | str:
+    """One zoo training: its checkpoint, or the message of its divergence."""
+    spec, cfg, name = task
+    try:
+        return train_model(spec, cfg, *data, name=name)
+    except TrainingDivergedError as e:
+        return str(e)
+
+
 def pretrain_zoo(
     specs: list[tuple[ModelSpec, TrainConfig]],
     train: Dataset,
@@ -161,13 +186,22 @@ def pretrain_zoo(
     """Train every requested model and register it; entries are sorted by
     (family, val_accuracy) and failures stay visible. Writes nothing: returns
     the manifest and the trained checkpoints by name, each to be saved at its
-    entry's ``path``."""
+    entry's ``path``.
+
+    The trainings are independent, so they run in one worker process per
+    usable CPU (at most one per model; in this process when that is one),
+    the largest by ``_work`` first. Each is deterministic given its config,
+    so no output bit depends on the worker count."""
     if len(specs) < 2:
         raise ValueError("a zoo needs at least 2 models")
     if names is None:
         names = [f"m{i:02d}_{spec.family}" for i, (spec, _) in enumerate(specs)]
     if len(names) != len(specs) or len(set(names)) != len(names):
         raise ValueError("model names must be unique and match the spec list")
+    order = sorted(range(len(specs)), key=lambda i: -_work(*specs[i]))
+    workers = min(len(specs), usable_cpus())
+    results = pool_map(_train_task, (train, val), [(*specs[i], names[i]) for i in order], workers)
+    done = {names[i]: result for i, result in zip(order, results)}
     entries: list[ZooEntry] = []
     checkpoints: dict[str, Checkpoint] = {}
     for name, (spec, cfg) in zip(names, specs):
@@ -180,11 +214,11 @@ def pretrain_zoo(
             val_accuracy=None,
             seed=cfg.init_seed,
         )
-        try:
-            ck = checkpoints[name] = train_model(spec, cfg, train, val, name=name)
-            entry.val_accuracy = ck.meta["val_accuracy"]
-        except TrainingDivergedError as e:
-            entry.failed, entry.error = True, str(e)
+        result = done[name]
+        if isinstance(result, str):
+            entry.failed, entry.error = True, result
+        else:
+            checkpoints[name], entry.val_accuracy = result, result.meta["val_accuracy"]
         entries.append(entry)
     entries.sort(key=lambda e: (e.family, e.val_accuracy if not e.failed else -1.0, e.name))
     return ZooManifest(entries=entries), checkpoints

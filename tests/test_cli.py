@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import struct
 import tempfile
 
@@ -230,6 +231,53 @@ def test_zoo_with_a_non_finite_gradient_records_the_model_failed_and_exits_3(tmp
     assert not entries["b"]["failed"] and 0.0 <= entries["b"]["val_accuracy"] <= 1.0
     assert (out / "b.ckpt").exists() and not (out / "a.ckpt").exists()
     assert "error: 1 trainings diverged: a" in capsys.readouterr().err
+
+
+def _pool_zoo_config(out):
+    """A model that diverges, a CNN and a dropout MLP, the CNN the largest training."""
+    dataset = {"synthetic": {"classes": 4, "image_size": 4, "anchor_scale": 50,
+                             "train": {"samples": 32, "seed": 1}, "val": {"samples": 16, "seed": 2}}}
+    models = [{"name": "a", "family": "mlp", "depth": 3, "width": 5,
+               "train": {"epochs": 4, "lr": 1e101, "batch_size": 8, "weight_decay": 0}},
+              {"name": "c", "family": "cnn", "depth": 2, "channels": [3, 2],
+               "train": {"epochs": 2, "batch_size": 8, "augment_noise": 0.1}},
+              {"name": "d", "family": "mlp", "depth": 2, "width": 6, "dropout": 0.25,
+               "train": {"epochs": 3, "batch_size": 8, "init_seed": 3, "order_seed": 4}}]
+    return {"dataset": dataset, "zoo": {"models": models}, "out": str(out)}
+
+
+def test_zoo_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    """With one usable CPU the zoo trains in this process, with two in two
+    worker processes; either way the CNN starts first, and the out trees
+    (checkpoints, manifest and its entry order, resolved config) are equal."""
+    import flipxfer.zoo as zoo
+
+    calls = tmp_path / "calls"
+    train = zoo.train_model
+
+    def logged(*args, **kwargs):
+        with open(calls, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {kwargs['name']}\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "train_model", logged)
+    cfg = _write(tmp_path / "zoo.json", _pool_zoo_config(tmp_path / "out"))
+    trees, runs = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        calls.write_text("")
+        assert main(["zoo", "--config", cfg]) == 3
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+        shutil.rmtree(tmp_path / "out")
+        runs.append([line.split() for line in calls.read_text().splitlines()])
+    in_process, pooled = runs
+    assert in_process == [[str(os.getpid()), name] for name in ("c", "a", "d")]
+    assert sorted(name for _, name in pooled) == ["a", "c", "d"]
+    assert str(os.getpid()) not in {pid for pid, _ in pooled}
+    assert trees[0] == trees[1]
+    manifest = json.loads(trees[0]["manifest.json"])
+    assert [(e["name"], e["failed"]) for e in manifest["entries"]] == [("c", False), ("a", True), ("d", False)]
+    assert sorted(trees[0]) == ["c.ckpt", "config.resolved.json", "d.ckpt", "manifest.json"]
 
 
 def test_zoo_rerun_that_fails_mid_training_leaves_out_unchanged(tmp_path, monkeypatch, capsys):
@@ -780,6 +828,24 @@ def test_transfer_from_a_student_with_nan_meta_exits_3_naming_file(zoo_dir, tmp_
     assert not (tmp_path / "out").exists()
 
 
+def test_transfer_from_a_teacher_with_a_nan_parameter_exits_3_naming_file_and_parameter(zoo_dir, tmp_path, capsys):
+    """A NaN in a checkpoint's payload is refused at load. Read on, relu would
+    make its hidden units dead ones and the transfer would exit 0."""
+    zoo = _copy_zoo(zoo_dir, tmp_path / "zoo")
+    conf = _transfer_config(zoo, tmp_path / "out")
+    teacher = zoo / f"{conf['transfer']['teacher']}.ckpt"
+    raw = bytearray(teacher.read_bytes())
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9 : 9 + hlen])
+    before = header["names"][: header["names"].index("fc1.b")]
+    at = 9 + hlen + 8 * sum(int(np.prod(header["shapes"][n])) for n in before)
+    raw[at : at + 8] = struct.pack("<d", float("nan"))
+    teacher.write_bytes(bytes(raw))
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
+    assert f"error: {teacher}: parameter 'fc1.b' holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -917,9 +983,8 @@ def test_sweep_task_forwards_the_val_set_three_times(zoo_dir, monkeypatch, metho
         return predict(ck, batch)
 
     monkeypatch.setattr(models, "_predict", counted)
-    task = (manifest.load_checkpoint("wide"), manifest.load_checkpoint("narrow"), method, hp,
-            transfer_set, val, "wide", "narrow")
-    row = _sweep_task(task)
+    checkpoints = {name: manifest.load_checkpoint(name) for name in ("wide", "narrow")}
+    row = _sweep_task((checkpoints, transfer_set, val), ("wide", "narrow", method, hp))
     assert "error" not in row
     assert sum(calls) == 3
 

@@ -11,6 +11,7 @@ from flipxfer.autodiff import SgdState, ShapeError, Tape, Tensor, backward, np_s
 from flipxfer.config import digest
 from flipxfer.models import (
     Checkpoint,
+    CheckpointError,
     HeaderMismatchError,
     ModelSpec,
     NotACheckpointError,
@@ -170,6 +171,26 @@ def test_truncated_payload_detected(tmp_path):
     with pytest.raises(TruncatedCheckpointError) as exc:
         load(path)
     assert "declares" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameter_is_refused_on_save_and_rejected_on_load(tmp_path, value):
+    """Checkpoints hold finite parameters only: save writes no file for any
+    other, and load names the file and the parameter of a payload that holds one."""
+    ck = build(MLP, seed=0)
+    path = tmp_path / "model.ckpt"
+    save(ck, path)
+    raw = bytearray(path.read_bytes())
+    ck.params["fc1.b"][3] = value
+    with pytest.raises(CheckpointError, match=re.escape(f"{tmp_path / 'bad.ckpt'}: parameter 'fc1.b' holds a non-finite")):
+        save(ck, tmp_path / "bad.ckpt")
+    assert not (tmp_path / "bad.ckpt").exists()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    at = 9 + hlen + 8 * (MLP.param_shapes()["fc1.w"][0] * MLP.param_shapes()["fc1.w"][1] + 3)
+    raw[at : at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: parameter 'fc1.b' holds a non-finite value")):
+        load(path)
 
 
 def _rewrite_header(path, edit, floats=None):

@@ -1,4 +1,5 @@
 import functools
+import pickle
 import re
 
 import numpy as np
@@ -601,3 +602,13 @@ def test_masks_partition_property(seed):
     y = rng.integers(0, c, size=n)
     for mask in (dp_masks_supervised(t, s, y), dp_masks_unsupervised(t, s)):
         assert np.all(mask.m_t ^ mask.m_st)
+
+
+@pytest.mark.parametrize("what", [None, "gradient of parameter 'fc1.w'"])
+def test_diverged_error_survives_pickling(what):
+    """A pool worker's exception reaches the parent pickled: it must come back
+    with its message and fields, not break the pool."""
+    e = TransferDivergedError("kl", 3, 7, float("nan"), what)
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is TransferDivergedError and str(back) == str(e)
+    assert (back.method, back.epoch, back.step, back.what) == ("kl", 3, 7, what) and np.isnan(back.value)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from flipxfer.zoo import (
     ManifestError,
     PairFilter,
     TrainConfig,
+    TrainingDivergedError,
+    _work,
     load_manifest,
     pair_grid,
     pretrain_zoo,
@@ -147,6 +150,26 @@ def test_divergent_training_marked_failed(small_sets):
     assert "non-finite" in failed[0].error
     assert len(manifest.ok_entries()) == 1
     assert set(checkpoints) == {e.name for e in manifest.ok_entries()}  # no checkpoint for a failure
+
+
+@pytest.mark.parametrize("what", [None, "gradient of parameter 'fc2.w'"])
+def test_training_diverged_error_survives_pickling(what):
+    """A pool worker's exception reaches the parent pickled: it must come back
+    with its message and fields, not break the pool."""
+    e = TrainingDivergedError("m", 2, float("inf"), what)
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is TrainingDivergedError and str(back) == str(e)
+    assert (back.name, back.epoch, back.value, back.what) == ("m", 2, float("inf"), what)
+
+
+def test_work_counts_multiply_adds_per_sample_times_epochs():
+    """The pool starts the largest training first by this estimate: an affine
+    layer costs its weights, a same-padded 3x3 conv its weights per pixel."""
+    mlp = ModelSpec("mlp", 3, S, 10, width=16)
+    cnn = ModelSpec("cnn", 2, S, 10, channels=(4, 6))
+    assert _work(mlp, TrainConfig(epochs=3)) == 3 * (64 * 16 + 16 * 16 + 16 * 10)
+    assert _work(cnn, TrainConfig(epochs=2)) == 2 * (64 * (4 * 1 * 9 + 6 * 4 * 9) + 6 * 10)
+    assert _work(mlp, TrainConfig(epochs=0)) == 0
 
 
 def test_plateau_early_exit_runs(small_sets):
