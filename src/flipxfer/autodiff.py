@@ -475,15 +475,22 @@ class SgdState:
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: SgdState) -> None:
-    """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v."""
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"gradient of parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise ShapeError(f"sgd_step({name})", g.shape, p.data.shape)
-        v = state.velocity.get(name)
-        upd = g if state.weight_decay == 0.0 else g + state.weight_decay * p.data
-        v = upd if v is None else state.momentum * v + upd
-        state.velocity[name] = v
-        p.data = p.data - state.lr * v
+    """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v.
+
+    A non-finite gradient, or an update that overflows a parameter, raises
+    ``NonFiniteError`` naming the parameter, before that parameter changes."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        for name, p in params.items():
+            g = grads[name]
+            if not np.isfinite(g).all():
+                raise NonFiniteError(f"gradient of parameter {name!r}")
+            if g.shape != p.data.shape:
+                raise ShapeError(f"sgd_step({name})", g.shape, p.data.shape)
+            v = state.velocity.get(name)
+            upd = g if state.weight_decay == 0.0 else g + state.weight_decay * p.data
+            v = upd if v is None else state.momentum * v + upd
+            theta = p.data - state.lr * v
+            if not np.isfinite(theta).all():
+                raise NonFiniteError(f"parameter {name!r} after its update")
+            state.velocity[name] = v
+            p.data = theta

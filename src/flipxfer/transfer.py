@@ -98,8 +98,9 @@ class TransferError(ValueError):
 
 
 class TransferDivergedError(RuntimeError):
-    """Training hit a non-finite loss, or a non-finite gradient (``what``
-    names it) behind a finite one; carries the failing step for diagnosis."""
+    """Training hit a non-finite loss, or a non-finite gradient or updated
+    parameter (``what`` names it) behind a finite one; carries the failing
+    step for diagnosis."""
 
     def __init__(self, method: str, epoch: int, step: int, value: float, what: str | None = None):
         self.method, self.epoch, self.step, self.value, self.what = method, epoch, step, value, what
@@ -461,9 +462,9 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
 
     ``loss_fn(b)`` builds the loss of the batch with sample indices ``b``
     under an active tape.  A non-finite loss raises ``diverged(epoch, step,
-    value)``, and a non-finite gradient behind a finite loss ``diverged(epoch,
-    step, value, what)``, ``what`` naming the parameter.  ``after_step()``,
-    when given, runs after every update.
+    value)``, and a non-finite gradient or updated parameter behind a finite
+    loss ``diverged(epoch, step, value, what)``, ``what`` naming the
+    parameter.  ``after_step()``, when given, runs after every update.
     """
     for epoch in range(epochs):
         perm = epoch_permutation(n, seed, epoch)

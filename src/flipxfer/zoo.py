@@ -37,7 +37,8 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """A non-finite training loss, or a non-finite gradient (``what`` names it)."""
+    """A non-finite training loss, or a non-finite gradient or updated
+    parameter (``what`` names it)."""
 
     def __init__(self, name: str, epoch: int, value: float, what: str | None = None):
         self.name, self.epoch, self.value, self.what = name, epoch, value, what

@@ -415,6 +415,14 @@ def test_sgd_rejects_nonfinite_gradient():
     assert "layer.w" in str(exc.value)
 
 
+def test_sgd_rejects_an_update_that_overflows_a_parameter():
+    p = {"layer.w": Tensor(np.array([1.0]), requires_grad=True)}
+    with pytest.raises(NonFiniteError) as exc:
+        sgd_step(p, {"layer.w": np.array([10.0])}, SgdState(lr=1e308))
+    assert str(exc.value) == "non-finite value in parameter 'layer.w' after its update"
+    assert p["layer.w"].data[0] == 1.0  # left as it was
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -233,6 +233,26 @@ def test_zoo_with_a_non_finite_gradient_records_the_model_failed_and_exits_3(tmp
     assert "error: 1 trainings diverged: a" in capsys.readouterr().err
 
 
+def test_zoo_training_whose_update_overflows_a_parameter_records_the_model_failed(tmp_path, capsys):
+    """One step at lr 1e308: a's loss and gradient are finite, but its update
+    overflows fc1.w. a is recorded failed rather than kept with an infinite
+    parameter, b still trains, and the run's files are all written."""
+    out = tmp_path / "zoo"
+    dataset = {"synthetic": {"classes": 4, "dims": 8, "anchor_scale": 50,
+                             "train": {"samples": 32, "seed": 1}, "val": {"samples": 16, "seed": 2}}}
+    models = [{"name": "a", "family": "mlp", "depth": 2, "width": 5,
+               "train": {"epochs": 1, "lr": 1e308, "batch_size": 32, "weight_decay": 0}},
+              {"name": "b", "family": "mlp", "depth": 2, "width": 4, "train": {"epochs": 2}}]
+    doc = {"dataset": dataset, "zoo": {"models": models}, "out": str(out)}
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", doc)]) == 3
+    entries = {e["name"]: e for e in json.loads((out / "manifest.json").read_text())["entries"]}
+    assert entries["a"]["failed"] and entries["a"]["val_accuracy"] is None
+    assert entries["a"]["error"] == "a: non-finite parameter 'fc1.w' after its update at epoch 0"
+    assert not entries["b"]["failed"]
+    assert sorted(p.name for p in out.iterdir()) == ["b.ckpt", "config.resolved.json", "manifest.json"]
+    assert "error: 1 trainings diverged: a" in capsys.readouterr().err
+
+
 def _pool_zoo_config(out):
     """A model that diverges, a CNN and a dropout MLP, the CNN the largest training."""
     dataset = {"synthetic": {"classes": 4, "image_size": 4, "anchor_scale": 50,
@@ -282,27 +302,28 @@ def test_zoo_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
 
 def test_zoo_rerun_that_fails_mid_training_leaves_out_unchanged(tmp_path, monkeypatch, capsys):
     """Checkpoints are written only at the commit, so a training that raises
-    after an earlier model has finished leaves the previous run's files as they were."""
+    after an earlier model has finished leaves the previous run's files as
+    they were, whether the zoo trains in this process or in workers."""
     import flipxfer.zoo as zoo
 
     out = tmp_path / "zoo"
     conf = _zoo_config(out)
     assert main(["zoo", "--config", _write(tmp_path / "zoo.json", conf)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    conf["zoo"]["models"][0]["train"]["epochs"] += 1  # the first model trained changes
-    calls = []
+    conf["zoo"]["models"][0]["train"]["epochs"] += 1  # "wide", the first model trained, changes
     train = zoo.train_model
 
-    def second_call_fails(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
+    def mid_fails(*args, **kwargs):
+        if kwargs["name"] == "mid":
             raise OSError("disk full")
         return train(*args, **kwargs)
 
-    monkeypatch.setattr(zoo, "train_model", second_call_fails)
-    assert main(["zoo", "--config", _write(tmp_path / "zoo2.json", conf)]) == 3
-    assert "disk full" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    monkeypatch.setattr(zoo, "train_model", mid_fails)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert main(["zoo", "--config", _write(tmp_path / "zoo2.json", conf)]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -844,6 +865,29 @@ def test_transfer_from_a_teacher_with_a_nan_parameter_exits_3_naming_file_and_pa
     assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
     assert f"error: {teacher}: parameter 'fc1.b' holds a non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_transfer_whose_update_overflows_a_parameter_exits_3_leaving_out_unchanged(tmp_path, capsys):
+    """One step at lr 1e308 on inputs of scale 50: the loss and gradients are
+    finite, but the update overflows the student's fc1.w. The transfer
+    diverges before its commit, so the previous run's files stay as they were."""
+    dataset = {"synthetic": {"classes": 4, "dims": 8, "anchor_scale": 50,
+                             "train": {"samples": 32, "seed": 1}, "val": {"samples": 16, "seed": 2}}}
+    models = [{"name": "t", "family": "mlp", "depth": 2, "width": 6, "train": {"epochs": 2}},
+              {"name": "s", "family": "mlp", "depth": 2, "width": 4, "train": {"epochs": 1}}]
+    zoo = tmp_path / "zoo"
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json",
+                                           {"dataset": dataset, "zoo": {"models": models}, "out": str(zoo)})]) == 0
+    out = tmp_path / "out"
+    conf = {"manifest": str(zoo / "manifest.json"), "dataset": dataset, "out": str(out),
+            "transfer": {"method": "kl_dp_sup", "teacher": "t", "student": "s",
+                         "hyperparams": {"lr": 0.01, "epochs": 1, "batch_size": 32, "seed": 1}}}
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    conf["transfer"]["hyperparams"]["lr"] = 1e308
+    assert main(["transfer", "--config", _write(tmp_path / "tr2.json", conf)]) == 3
+    assert "kl_dp_sup: non-finite parameter 'fc1.w' after its update at epoch 0, step 0" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
