@@ -523,6 +523,16 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipxfer",
@@ -542,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("transfer", "sweep"):
             p.add_argument("--seed", type=int, default=None, help="override the transfer seed")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers for the runs")
+            p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for the runs")
     return parser
 
 

@@ -326,6 +326,32 @@ def test_zoo_rerun_that_fails_mid_training_leaves_out_unchanged(tmp_path, monkey
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_zoo_whose_worker_dies_exits_3_leaving_out_unchanged(tmp_path, monkeypatch, capsys):
+    """A worker that ends without returning its training (here by
+    ``os._exit``, as when the kernel kills it) is a runtime failure that
+    names its cause, not a traceback, and nothing is committed."""
+    import flipxfer.zoo as zoo
+
+    out = tmp_path / "zoo"
+    conf = _zoo_config(out)
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", conf)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    conf["zoo"]["models"][0]["train"]["epochs"] += 1  # a committed rerun would rewrite "wide"
+    train, parent = zoo.train_model, os.getpid()
+
+    def mid_dies(*args, **kwargs):
+        if kwargs["name"] == "mid" and os.getpid() != parent:
+            os._exit(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "train_model", mid_dies)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    capsys.readouterr()
+    assert main(["zoo", "--config", _write(tmp_path / "zoo2.json", conf)]) == 3
+    assert "error: a worker process ended before returning its task" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command, flag", [
     ("zoo", "--seed"), ("zoo", "--jobs"), ("flips", "--seed"), ("flips", "--jobs"), ("transfer", "--jobs"),
 ])
@@ -995,6 +1021,31 @@ def test_sweep_records_failed_runs_and_exits_3(zoo_dir, tmp_path, capsys, jobs):
     assert [[f["teacher"], f["student"]] for f in summary["failed"]] == pairs
     assert {f["method"] for f in summary["failed"]} == {"xe_kl"}
     assert all(f["error"].startswith("xe_kl: non-finite loss") for f in summary["failed"])
+
+
+def test_sweep_whose_worker_dies_exits_3_writing_nothing(zoo_dir, tmp_path, monkeypatch, capsys):
+    import flipxfer.cli as cli
+
+    run, parent = cli.run_transfer, os.getpid()
+
+    def kl_dp_sup_dies(*args, **kwargs):
+        if args[2] == "kl_dp_sup" and os.getpid() != parent:
+            os._exit(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_transfer", kl_dp_sup_dies)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", _write(tmp_path / "sw.json", _sweep_config(zoo_dir, out)), "--jobs", "2"]) == 3
+    assert "error: a worker process ended before returning its task" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_1_is_a_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--config", str(tmp_path / "sw.json"), "--jobs", jobs])
+    assert e.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_sweep_max_pairs_downselects(zoo_dir, tmp_path):
