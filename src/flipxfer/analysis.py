@@ -157,10 +157,9 @@ def transfer_rate(
     flips_before: FlipStats,
     student_correct_after: np.ndarray,
     labels: np.ndarray,
-    levels: tuple = TOP_SHARE_LEVELS,
 ) -> dict:
-    """Fraction of flip samples now answered correctly, overall and within
-    the classes holding the top-X% of flips."""
+    """Fraction of flip samples now answered correctly, overall and, keyed
+    str(X), within the classes holding the top-X% of flips (TOP_SHARE_LEVELS)."""
     after = np.asarray(student_correct_after, dtype=bool)
     labels = np.asarray(labels)
     flags = flips_before.per_sample_flags
@@ -169,10 +168,10 @@ def transfer_rate(
     if flips_before.total == 0:
         raise NoFlipsError()
     out = {"overall": float(after[flags].mean()), "by_top_share": {}}
-    for x in levels:
+    for x in TOP_SHARE_LEVELS:
         keep = np.isin(labels, top_share_classes(flips_before, x))
         sel = flags & keep
-        out["by_top_share"][x] = float(after[sel].mean()) if sel.any() else None
+        out["by_top_share"][str(x)] = float(after[sel].mean()) if sel.any() else None
     return out
 
 

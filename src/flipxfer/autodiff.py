@@ -1,9 +1,9 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
-The op set is deliberately small: affine, relu, 3x3 conv (stride 1 or 2,
+The op set is deliberately small: affine, relu, 3x3 conv (one-pixel step,
 zero same-padding), global average pooling, seeded train-mode dropout,
-log_softmax, a weighted reduction, plus a few glue ops the loss
-functions need (scale, add, gather, row normalization, gram matrix).
+log_softmax over the last axis, a weighted reduction, plus a few glue ops
+the loss functions need (scale, add, gather, row normalization, gram matrix).
 Everything runs on numpy in float64; a Tape records ops in creation order,
 which is already topological, and one backward sweep visits each node once.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,25 +96,16 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _tls.stack.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tls.stack.pop()
+        popped = _tapes.pop()
         assert popped is self
         return False
 
 
-class _TapeStack(threading.local):
-    def __init__(self):
-        self.stack: list[Tape] = []
-
-
-_tls = _TapeStack()
-
-
-def _active_tape() -> Tape | None:
-    return _tls.stack[-1] if _tls.stack else None
+_tapes: list[Tape] = []  # the open tapes, innermost last; no thread runs tape code
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -145,10 +135,9 @@ def _as_tensor(x) -> Tensor:
 
 def _record(out_data, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _tapes and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(out, inputs, backward_fn))
+        _tapes[-1].nodes.append(_Node(out, inputs, backward_fn))
     return out
 
 
@@ -180,14 +169,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # numpy helpers shared by tape ops and frozen-model code paths
 
 
-def np_log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    zmax = np.max(z, axis=axis, keepdims=True)
+def np_log_softmax(z: np.ndarray) -> np.ndarray:
+    zmax = np.max(z, axis=-1, keepdims=True)
     shifted = z - zmax
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def np_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.exp(np_log_softmax(z, axis=axis))
+def np_softmax(z: np.ndarray) -> np.ndarray:
+    return np.exp(np_log_softmax(z))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +253,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=32)
-def _im2col_index(h: int, w: int, cin: int, stride: int) -> np.ndarray:
+def _im2col_index(h: int, w: int, cin: int) -> np.ndarray:
     """Flat offsets into one row's padded NHWC buffer (h+2, w+2, cin), in
     im2col order: output pixel (oy, ox), then column c*9 + 3*i + j. Read-only,
     because every conv of this shape shares it."""
-    oh = (h - 1) // stride + 1
-    ow = (w - 1) // stride + 1
-    oy = np.arange(oh)[:, None, None, None, None] * stride
-    ox = np.arange(ow)[None, :, None, None, None] * stride
+    oy = np.arange(h)[:, None, None, None, None]
+    ox = np.arange(w)[None, :, None, None, None]
     c = np.arange(cin)[None, None, :, None, None]
     i = np.arange(3)[None, None, None, :, None]
     j = np.arange(3)[None, None, None, None, :]
@@ -280,8 +267,9 @@ def _im2col_index(h: int, w: int, cin: int, stride: int) -> np.ndarray:
     return idx
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """3x3 convolution, zero same-padding, stride 1 or 2.
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """3x3 convolution, zero same-padding, one-pixel step: the output keeps
+    the input's height and width.
 
     Tensors keep NCHW shapes; the work runs channels-last. The input is padded
     into an NHWC buffer, im2col is one ``np.take`` of each row's padded pixels
@@ -298,8 +286,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     The bias is added in place to the product.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
     if x.data.ndim != 4:
         raise ShapeError("conv2d(input)", x.data.shape, ("n", "c", "h", "w"))
     n, cin, h, wdt = x.data.shape
@@ -308,18 +294,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     cout = w.data.shape[0]
     if b.data.shape != (cout,):
         raise ShapeError("conv2d(bias)", b.data.shape, (cout,))
-    oh = (h + 2 - 3) // stride + 1
-    ow = (wdt + 2 - 3) // stride + 1
     xp = np.zeros((n, h + 2, wdt + 2, cin))
     xp[:, 1 : 1 + h, 1 : 1 + wdt, :] = x.data.transpose(0, 2, 3, 1)
     # the one copy, C order for every shape, so each row's einsum sums in one order;
     # the widths are spelled out because -1 cannot be inferred for a 0-row batch
-    idx = _im2col_index(h, wdt, cin, stride)
-    cols = np.take(xp.reshape(n, (h + 2) * (wdt + 2) * cin), idx, axis=1).reshape(n * oh * ow, cin * 9)
+    idx = _im2col_index(h, wdt, cin)
+    cols = np.take(xp.reshape(n, (h + 2) * (wdt + 2) * cin), idx, axis=1).reshape(n * h * wdt, cin * 9)
     wmat = w.data.reshape(cout, cin * 9)
     out = _mm_nt(cols, wmat)
     out += b.data
-    out = out.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    out = out.reshape(n, h, wdt, cout).transpose(0, 3, 1, 2)
 
     def bwd(g):
         nonlocal cols, xp
@@ -327,19 +311,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             raise RuntimeError("conv2d: backward already ran on this node and overwrote its im2col buffer")
         # C order, as the reshape already gives for n > 1 or an NHWC-backed g: a
         # one-row NCHW g would give a column-major view, which einsum sums in another order
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout))
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n * h * wdt, cout))
         _accum(w, _mm_tn(gmat, cols).reshape(cout, cin, 3, 3))
         _accum(b, gmat.sum(axis=0))
         if x.requires_grad:
             # the weight gradient has read cols, and nothing reads xp after the
             # forward: the input gradient's columns and col2im reuse both
-            gcols = _mm(gmat, wmat, out=cols).reshape(n, oh, ow, cin, 3, 3)
+            gcols = _mm(gmat, wmat, out=cols).reshape(n, h, wdt, cin, 3, 3)
             gxp = xp
             gxp.fill(0.0)
             cols = xp = None
             for i in range(3):  # kernel order: each pixel sums as np.add.at would
                 for j in range(3):
-                    gxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[..., i, j]
+                    gxp[:, i : i + h, j : j + wdt] += gcols[..., i, j]
             _accum(x, gxp[:, 1 : 1 + h, 1 : 1 + wdt].transpose(0, 3, 1, 2))
 
     return _record(out, (x, w, b), bwd)
@@ -371,13 +355,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(x.data * keep * scale_, (x,), bwd)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out_data = np_log_softmax(x.data, axis=axis)
+    out_data = np_log_softmax(x.data)
     soft = np.exp(out_data)
 
     def bwd(g):
-        _accum(x, g - soft * g.sum(axis=axis, keepdims=True))
+        _accum(x, g - soft * g.sum(axis=-1, keepdims=True))
 
     return _record(out_data, (x,), bwd)
 

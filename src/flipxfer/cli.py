@@ -166,6 +166,8 @@ def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None
         TransferHyperparams(**hp)
     except TransferError as e:
         raise ConfigError(f"{path}: {e}") from e
+    if hp["topk"] is not None and method != "kl":
+        raise ConfigError(f"{path}.topk: only method 'kl' uses topk, not {method!r}")
     return hp
 
 
@@ -383,6 +385,8 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         if not multi["teachers"]:
             raise ConfigError("transfer.multi.teachers: need a non-empty list of zoo names")
     t["hyperparams"] = _resolve_hyperparams(method, t["hyperparams"] or {}, args.seed, "transfer.hyperparams")
+    if multi is not None and multi["mode"] == "parallel" and t["hyperparams"]["topk"] is not None:
+        raise ConfigError("transfer.hyperparams.topk: a parallel transfer does not use topk")
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "transfer": t}
     resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
@@ -409,6 +413,9 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             run = parallel_transfer if multi["mode"] == "parallel" else soup_transfer
             results = [run(student, teachers, method, hp, transfer_set, val, student_name)]
     report_doc = sequential_doc(results) if sequential else results[0].doc
+    failed = [r.doc["teacher"] for r in results if "failed" in r.doc]
+    if failed:  # the report records the failures; the exit code still reports them
+        _log(f"error: {len(failed)} sequential stages diverged: {', '.join(failed)}")
     files = {
         "student_after.ckpt": partial(save, results[-1].student_after),
         "report.json": partial(write_json, report_doc),
@@ -422,7 +429,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             ],
         ),
     }
-    return 0, resolved, files, report_doc
+    return 3 if failed else 0, resolved, files, report_doc
 
 
 def _sweep_task(data, task):
@@ -437,8 +444,8 @@ def _sweep_task(data, task):
         )
     except (TransferError, TransferDivergedError, AnalysisError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
-    rate = res.rate or {"overall": None, "by_top_share": {}}
-    return res.doc | {"transfer_rate_overall": rate["overall"], "transfer_rate_top2": rate["by_top_share"].get(2.0)}
+    rate = res.doc.get("transfer_rate", {"overall": None, "by_top_share": {}})  # absent with no flips
+    return res.doc | {"transfer_rate_overall": rate["overall"], "transfer_rate_top2": rate["by_top_share"].get("2.0")}
 
 
 def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:

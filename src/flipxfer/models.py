@@ -190,7 +190,7 @@ def model_forward(
     else:
         h = x
         for i in range(len(spec.channels)):
-            h = relu(conv2d(h, params[f"conv{i + 1}.w"], params[f"conv{i + 1}.b"], stride=1))
+            h = relu(conv2d(h, params[f"conv{i + 1}.w"], params[f"conv{i + 1}.b"]))
             if use_drop:
                 h = dropout(h, spec.dropout, dropout_rng)
         feats = global_avg_pool(h)
@@ -198,8 +198,8 @@ def model_forward(
     return logits, feats
 
 
-def as_tensors(ck: Checkpoint, requires_grad: bool = False) -> dict[str, Tensor]:
-    return {k: Tensor(v.copy(), requires_grad=requires_grad) for k, v in ck.params.items()}
+def as_tensors(ck: Checkpoint) -> dict[str, Tensor]:
+    return {k: Tensor(v.copy(), requires_grad=True) for k, v in ck.params.items()}
 
 
 # Eval forwards of conv models run in row chunks whose widest im2col block
@@ -210,7 +210,7 @@ _EVAL_IM2COL_BYTES = 4 << 20
 def eval_chunk_rows(spec: ModelSpec) -> int | None:
     """Rows per eval forward of a conv model; None for an MLP (one call).
 
-    Every conv is stride 1 and same-padded, so each layer's im2col holds
+    Every conv keeps its input's height and width, so each layer's im2col holds
     h*w*cin*9 float64 values per row; the widest layer sets the chunk.
     """
     if spec.family != "cnn":

@@ -231,14 +231,12 @@ class TransferResult:
     """One transfer: the trained student and ``doc``, its report document
     (``report.json``, or a sequential stage in it), the one record of its
     outcome, which ``report_doc`` built and to which a multi-teacher protocol
-    adds the keys it owns.  ``rate`` is the transfer rate with float keys
-    (None with no flips to transfer); ``baseline`` and ``epochs`` are None for
-    a sequential stage that diverged.
+    adds the keys it owns.  ``baseline`` and ``epochs`` are None for a
+    sequential stage that diverged.
     """
 
     student_after: Checkpoint
     doc: dict
-    rate: dict | None = None
     baseline: "ValBaseline | None" = field(default=None, repr=False)
     epochs: EpochStates | None = field(default=None, repr=False)
 
@@ -525,10 +523,7 @@ def report_doc(method: str, hp: TransferHyperparams, teacher: str, student: str,
         "per_class_gain": [None if np.isnan(v) else float(v) for v in per_class_gain],
     }
     if rate is not None:
-        doc["transfer_rate"] = {
-            "overall": rate["overall"],
-            "by_top_share": {str(k): v for k, v in rate["by_top_share"].items()},
-        }
+        doc["transfer_rate"] = rate
     return doc
 
 
@@ -600,37 +595,7 @@ class ValBaseline:
             *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
             self.acc_before, self.flips.rho_pos, rate,
         )
-        return TransferResult(student_after, doc, rate, self, epochs)
-
-
-class _CdContext:
-    """Feature pairing for the contrastive objective; projects both sides to
-    a common width when the models disagree (teacher side fixed, student
-    side trained)."""
-
-    def __init__(self, student_ck: Checkpoint, teacher_ck: Checkpoint, transfer_inputs, seed: int):
-        w_s = student_ck.spec.feature_width()
-        w_t = teacher_ck.spec.feature_width()
-        feats = predict_features(teacher_ck, transfer_inputs)
-        self.proj_name = None
-        if w_s != w_t:
-            d = min(w_s, w_t)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCD]))
-            t_proj = rng.normal(size=(w_t, d)) / np.sqrt(w_t)
-            bound = np.sqrt(6.0 / w_s)
-            self.student_proj0 = rng.uniform(-bound, bound, size=(w_s, d))
-            feats = feats @ t_proj
-            self.proj_name = "cd_proj.w"
-        self.teacher_feats = feats
-
-    def attach(self, params: dict[str, Tensor]) -> None:
-        if self.proj_name:
-            params[self.proj_name] = Tensor(self.student_proj0.copy(), requires_grad=True)
-
-    def student_side(self, feats: Tensor, params: dict[str, Tensor]) -> Tensor:
-        if self.proj_name:
-            return ad.matmul(feats, params[self.proj_name])
-        return feats
+        return TransferResult(student_after, doc, self, epochs)
 
 
 def distill(
@@ -664,9 +629,17 @@ def distill(
 
     x_tr, y_tr = transfer_set.inputs, transfer_set.labels
     temp = hp.temperature
-    winner = targets = z_teacher = cd_ctx = None
+    params = as_tensors(student_ck)
+    winner = targets = z_teacher = t_feats = proj = None
     if method == "cd":
-        cd_ctx = _CdContext(student_ck, teacher_cks[0], x_tr, hp.seed)
+        t_feats = predict_features(teacher_cks[0], x_tr)
+        w_s, w_t = spec.feature_width(), teacher_cks[0].spec.feature_width()
+        if w_s != w_t:  # project both to the narrower width, the teacher's side fixed and the student's trained
+            d = min(w_s, w_t)
+            rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xCD]))
+            t_feats = t_feats @ (rng.normal(size=(w_t, d)) / np.sqrt(w_t))
+            bound = np.sqrt(6.0 / w_s)
+            params["cd_proj.w"] = proj = Tensor(rng.uniform(-bound, bound, size=(w_s, d)), requires_grad=True)
     elif method == "kl" and hp.topk is not None:
         z_teacher = predict_logits(teacher_cks[0], x_tr)
     else:
@@ -676,9 +649,6 @@ def distill(
         targets = winner_logprobs(winner, source_logits, temp)
     baseline = ValBaseline.measure(student_ck, teacher_cks, val_set, seen)
 
-    params = as_tensors(student_ck, requires_grad=True)
-    if cd_ctx is not None:
-        cd_ctx.attach(params)
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
     mcl = after_step = None
     if method == "xe_kl_mcl":
@@ -705,7 +675,7 @@ def distill(
         xe = xe_loss(logits, y_tr[b])  # cd
         if b.size < 2:
             return scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
-        cd = cd_loss(cd_ctx.student_side(feats, params), cd_ctx.teacher_feats[b])
+        cd = cd_loss(feats if proj is None else ad.matmul(feats, proj), t_feats[b])
         return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
 
     def weights() -> dict[str, np.ndarray]:

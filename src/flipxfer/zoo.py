@@ -119,7 +119,7 @@ def train_model(
     if train.num_classes != spec.num_classes:
         raise ValueError(f"{name}: dataset has {train.num_classes} classes, spec {spec.num_classes}")
     ck = build(spec, cfg.init_seed)
-    params = as_tensors(ck, requires_grad=True)
+    params = as_tensors(ck)
     opt = SgdState(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     drop_rng = np.random.default_rng(np.random.SeedSequence([cfg.order_seed, 0xD1]))
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.order_seed, 0xA6]))
@@ -158,8 +158,8 @@ def train_model(
 
 
 def _work(spec: ModelSpec, cfg: TrainConfig) -> int:
-    """A training's size: multiply-adds per sample (every 3x3 conv is stride 1
-    and same-padded, so it runs at each input pixel) times epochs."""
+    """A training's size: multiply-adds per sample (every 3x3 conv keeps its
+    input's size, so it runs at each input pixel) times epochs."""
     pixels = int(np.prod(spec.input_shape[1:])) if spec.family == "cnn" else 1
     per_sample = sum(
         int(np.prod(shape)) * (pixels if name.startswith("conv") else 1)

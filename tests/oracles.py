@@ -63,16 +63,17 @@ def max_rel_error(a: dict[str, np.ndarray], b: dict[str, np.ndarray], floor: flo
 # reference 3x3 conv: fancy-index im2col gather and np.add.at col2im
 
 
-def _conv_indices(stride: int, oh: int, ow: int) -> tuple[np.ndarray, np.ndarray]:
+def _conv_indices(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     i0 = np.repeat(np.arange(3), 3)
     j0 = np.tile(np.arange(3), 3)
-    i1 = stride * np.repeat(np.arange(oh), ow)
-    j1 = stride * np.tile(np.arange(ow), oh)
+    i1 = np.repeat(np.arange(h), w)
+    j1 = np.tile(np.arange(w), h)
     return i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]  # (9, oh*ow) each
 
 
-def reference_conv2d(x, w, b, g, stride: int = 1):
-    """Zero-padded 3x3 conv and its gradients for the upstream gradient g.
+def reference_conv2d(x, w, b, g):
+    """Zero-padded 3x3 conv (the output keeps the input's height and width)
+    and its gradients for the upstream gradient g.
 
     Returns (out, grad_x, grad_w, grad_b). The patches come from a gather at
     (row, col) index arrays and the input gradient from np.add.at at the same
@@ -83,18 +84,16 @@ def reference_conv2d(x, w, b, g, stride: int = 1):
     """
     n, cin, h, wdt = x.shape
     cout = w.shape[0]
-    oh = (h - 1) // stride + 1
-    ow = (wdt - 1) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    rows, cols_ix = _conv_indices(stride, oh, ow)
+    rows, cols_ix = _conv_indices(h, wdt)
     patches = xp[:, :, rows, cols_ix]  # (n, cin, 9, oh*ow)
-    cols = np.ascontiguousarray(patches.transpose(0, 3, 1, 2).reshape(n * oh * ow, cin * 9))
+    cols = np.ascontiguousarray(patches.transpose(0, 3, 1, 2).reshape(n * h * wdt, cin * 9))
     wmat = w.reshape(cout, cin * 9)
-    out = (_mm_nt(cols, wmat) + b).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
-    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout))
+    out = (_mm_nt(cols, wmat) + b).reshape(n, h, wdt, cout).transpose(0, 3, 1, 2)
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(n * h * wdt, cout))
     grad_w = _mm_tn(gmat, cols).reshape(cout, cin, 3, 3)
     grad_b = gmat.sum(axis=0)
-    gpatches = _mm(gmat, wmat).reshape(n, oh * ow, cin, 9).transpose(0, 2, 3, 1)
+    gpatches = _mm(gmat, wmat).reshape(n, h * wdt, cin, 9).transpose(0, 2, 3, 1)
     gxp = np.zeros_like(xp)
     np.add.at(gxp, (slice(None), slice(None), rows, cols_ix), gpatches)
     return out, gxp[:, :, 1 : 1 + h, 1 : 1 + wdt], grad_w, grad_b

@@ -128,8 +128,9 @@ def sweep(bench: Bench) -> dict:
             )
             entry[method] = res.doc["delta_transf"]
             if method == "kl_dp_sup":
-                entry["rate_overall"] = res.rate["overall"] if res.rate else None
-                entry["rate_top2"] = res.rate["by_top_share"].get(2.0) if res.rate else None
+                rate = res.doc.get("transfer_rate")
+                entry["rate_overall"] = rate["overall"] if rate else None
+                entry["rate_top2"] = rate["by_top_share"].get("2.0") if rate else None
         rows.append(entry)
     return {"rows": rows, "seconds": time.time() - t0}
 

@@ -113,18 +113,31 @@ def test_grad_relu():
     check_op(lambda: ad.weighted_sum(ad.relu(x), wts), {"x": x})
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_grad_conv2d(stride):
+def _convs(x, layers):
+    """x through stacked convs, one per (kernel, bias); each after the first
+    reads its input as every CNN layer does, an NCHW view of NHWC memory."""
+    for k, b in layers:
+        x = ad.conv2d(x, k, b)
+    return x
+
+
+def _backward_from(tape, out, g):
+    """The tape's backward from out's upstream gradient g, passed as it is laid out."""
+    out.grad = g
+    for node in reversed(tape.nodes):
+        node.backward(node.out.grad)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_grad_conv2d(depth):
     x = Tensor(RNG.normal(size=(2, 2, 5, 4)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    b = Tensor(RNG.normal(size=3), requires_grad=True)
-    oh = (5 + 2 - 3) // stride + 1
-    ow = (4 + 2 - 3) // stride + 1
-    wts = RNG.normal(size=(2, 3, oh, ow))
-    check_op(
-        lambda: ad.weighted_sum(ad.conv2d(x, w, b, stride=stride), wts),
-        {"x": x, "w": w, "b": b},
-    )
+    layers = [
+        (Tensor(RNG.normal(size=(3, c, 3, 3)), requires_grad=True), Tensor(RNG.normal(size=3), requires_grad=True))
+        for c in (2, 3)[:depth]
+    ]
+    wts = RNG.normal(size=(2, 3, 5, 4))
+    params = {"x": x} | {f"{name}{i}": t for i, layer in enumerate(layers) for name, t in zip("wb", layer)}
+    check_op(lambda: ad.weighted_sum(_convs(x, layers), wts), params)
 
 
 def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
@@ -149,7 +162,7 @@ _CONV_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize(
     "n, cin, cout, h, w, layout",
     [
@@ -158,19 +171,27 @@ _CONV_SHAPES = {
         for name, shape in _CONV_SHAPES.items()
     ],
 )
-def test_conv2d_is_bit_equal_to_gather_reference(stride, n, cin, cout, h, w, layout):
-    """The op gives the reference's bits for an input and upstream gradient in any memory layout."""
+def test_conv2d_is_bit_equal_to_gather_reference(depth, n, cin, cout, h, w, layout):
+    """The op gives the reference's bits for an input and upstream gradient in
+    any memory layout, alone and under a second conv that reads its output."""
     x = Tensor(_laid_out(RNG.normal(size=(n, cin, h, w)), layout), requires_grad=True)
-    k = Tensor(RNG.normal(size=(cout, cin, 3, 3)), requires_grad=True)
-    b = Tensor(RNG.normal(size=cout), requires_grad=True)
-    g = _laid_out(RNG.normal(size=(n, cout, (h - 1) // stride + 1, (w - 1) // stride + 1)), layout)
+    layers = [
+        (Tensor(RNG.normal(size=(cout, c, 3, 3)), requires_grad=True), Tensor(RNG.normal(size=cout), requires_grad=True))
+        for c in (cin, cout)[:depth]
+    ]
+    g = _laid_out(RNG.normal(size=(n, cout, h, w)), layout)
     with Tape() as tape:
-        out = ad.conv2d(x, k, b, stride=stride)
-    (node,) = tape.nodes
-    node.backward(g)  # upstream gradient g, exactly, in its layout
-    want = reference_conv2d(x.data, k.data, b.data, g, stride)
-    for got, ref in zip((out.data, x.grad, k.grad, b.grad), want):
-        assert got.shape == ref.shape and np.array_equal(got, ref)
+        out = _convs(x, layers)
+    _backward_from(tape, out, g)
+    ins = [x.data]  # each reference layer's input, then the last one's output
+    for k, b in layers:
+        ins.append(reference_conv2d(ins[-1], k.data, b.data, np.zeros((n, cout, h, w)))[0])
+    assert out.data.shape == ins[-1].shape and np.array_equal(out.data, ins[-1])
+    for (k, b), xin in reversed(list(zip(layers, ins))):
+        _, g, k_grad, b_grad = reference_conv2d(xin, k.data, b.data, g)
+        for got, ref in ((k.grad, k_grad), (b.grad, b_grad)):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert x.grad.shape == g.shape and np.array_equal(x.grad, g)
 
 
 def test_conv2d_second_backward_raises_naming_conv2d():
@@ -212,8 +233,8 @@ def test_conv2d_backward_allocates_less_than_one_im2col_block(layout):
 
 def test_im2col_index_is_cached_read_only():
     """Every conv of one shape shares the index, so no caller may write it."""
-    idx = ad._im2col_index(5, 7, 3, 2)
-    assert ad._im2col_index(5, 7, 3, 2) is idx
+    idx = ad._im2col_index(5, 7, 3)
+    assert ad._im2col_index(5, 7, 3) is idx
     assert not idx.flags.writeable
     with pytest.raises(ValueError):
         idx[0] = 1
@@ -236,19 +257,19 @@ def test_relu_is_bit_equal_to_where(layout):
         assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("cin", [1, 3])
-def test_conv2d_row_does_not_depend_on_batch_size(stride, cin):
-    """A one-row batch gives the bits that row gets inside a larger batch."""
+def test_conv2d_row_does_not_depend_on_batch_size(depth, cin):
+    """A one-row batch gives the bits that row gets inside a larger batch,
+    through one conv or two stacked."""
     x = RNG.normal(size=(3, cin, 5, 7))
-    k = Tensor(RNG.normal(size=(2, cin, 3, 3)))
-    b = Tensor(RNG.normal(size=2))
-    g = RNG.normal(size=(3, 2, (5 - 1) // stride + 1, (7 - 1) // stride + 1))
+    layers = [(Tensor(RNG.normal(size=(2, c, 3, 3))), Tensor(RNG.normal(size=2))) for c in (cin, 2)[:depth]]
+    g = RNG.normal(size=(3, 2, 5, 7))
 
     def forward_backward(rows):
         xt = Tensor(x[rows], requires_grad=True)
         with Tape() as tape:
-            out = ad.conv2d(xt, k, b, stride=stride)
+            out = _convs(xt, layers)
             loss = ad.weighted_sum(out, g[rows])
         backward(tape, loss)
         return out.data, xt.grad
@@ -259,25 +280,23 @@ def test_conv2d_row_does_not_depend_on_batch_size(stride, cin):
         assert np.array_equal(out, batch_out[r : r + 1]) and np.array_equal(gx, batch_gx[r : r + 1])
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("cin", [1, 3])
-def test_conv2d_one_row_grads_do_not_depend_on_upstream_layout(stride, cin):
+def test_conv2d_one_row_grads_do_not_depend_on_upstream_layout(depth, cin):
     """A one-row batch's weight and bias gradients take the same bits for an
-    upstream gradient in any memory layout."""
+    upstream gradient in any memory layout, through one conv or two stacked."""
     x = RNG.normal(size=(1, cin, 5, 7))
-    k = RNG.normal(size=(2, cin, 3, 3))
-    b = RNG.normal(size=2)
-    g = RNG.normal(size=(1, 2, (5 - 1) // stride + 1, (7 - 1) // stride + 1))
+    layers = [(RNG.normal(size=(2, c, 3, 3)), RNG.normal(size=2)) for c in (cin, 2)[:depth]]
+    g = RNG.normal(size=(1, 2, 5, 7))
     grads = []
     for layout in ("nchw", "nhwc_backed", "sliced"):
-        kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        tracked = [(Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)) for k, b in layers]
         with Tape() as tape:
-            ad.conv2d(Tensor(x, requires_grad=True), kt, bt, stride=stride)
-        (node,) = tape.nodes
-        node.backward(_laid_out(g, layout))
-        grads.append((kt.grad, bt.grad))
-    for kg, bg in grads[1:]:
-        assert np.array_equal(kg, grads[0][0]) and np.array_equal(bg, grads[0][1])
+            out = _convs(Tensor(x, requires_grad=True), tracked)
+        _backward_from(tape, out, _laid_out(g, layout))
+        grads.append([t.grad for layer in tracked for t in layer])
+    for got in grads[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, grads[0]))
 
 
 def test_grad_global_avg_pool():

@@ -529,8 +529,8 @@ def test_transfer_unknown_method_exits_2(zoo_dir, tmp_path, capsys):
     assert "kl_dp_sup" in err and "xe_kl_mcl" in err  # lists valid methods
 
 
-def _multi_config(zoo_dir, out):
-    doc = _transfer_config(zoo_dir, out)
+def _multi_config(zoo_dir, out, method="kl_dp_sup"):
+    doc = _transfer_config(zoo_dir, out, method)
     doc["transfer"]["teacher"] = None
     doc["transfer"]["multi"] = {"mode": "parallel", "teachers": ["wide", "mid"]}
     return doc
@@ -541,6 +541,7 @@ _BASES = {
     "flips": ("flips", _flips_config),
     "transfer": ("transfer", _transfer_config),
     "multi": ("transfer", _multi_config),
+    "multi_kl": ("transfer", lambda zoo_dir, out: _multi_config(zoo_dir, out, "kl")),
     "sweep": ("sweep", lambda zoo_dir, out: _sweep_config(zoo_dir, out)),  # defined further down
 }
 
@@ -600,6 +601,22 @@ _BAD_VALUES = {
     "unknown_student": (_bad("transfer", "transfer.student", "nobody"), "transfer.student"),
     "unknown_multi_teacher": (_bad("multi", "transfer.multi.teachers.1", "nobody"), "transfer.multi.teachers[1]"),
     "hp_topk_zero": (_bad("transfer", "transfer.hyperparams.topk", 0), "topk"),
+    # a topk that only kl, outside a parallel transfer, reads: it was ignored
+    "hp_topk_not_kl": (
+        _bad("transfer", "transfer.hyperparams.topk", 2),
+        "transfer.hyperparams.topk: only method 'kl' uses topk, not 'kl_dp_sup'",
+    ),
+    "multi_parallel_topk": (
+        _bad("multi_kl", "transfer.hyperparams.topk", 2),
+        "transfer.hyperparams.topk: a parallel transfer does not use topk",
+    ),
+    "sweep_topk_not_kl": (
+        _bad("sweep", "sweep.hyperparams.topk", 2), "sweep.hyperparams.topk: only method 'kl' uses topk, not 'kl_dp_sup'"
+    ),
+    "sweep_method_topk_not_kl": (
+        _bad("sweep", "sweep.hyperparams", {"kl": {"topk": 2}, "kl_dp_sup": {"topk": 2}}),
+        "sweep.hyperparams.kl_dp_sup.topk: only method 'kl' uses topk, not 'kl_dp_sup'",
+    ),
     # values that escaped main as tracebacks from numpy or the file system
     "hp_seed_negative": (_bad("transfer", "transfer.hyperparams.seed", -1), "seed"),
     "synthetic_dims_negative": (_bad("zoo", "dataset.synthetic.dims", -2), "dims"),
@@ -744,7 +761,7 @@ def test_transfer_multi_sequential_whose_stages_diverge_reports_each_stage_faile
     conf = _transfer_config(zoo_dir, out, lr=1e200)
     conf["transfer"]["teacher"] = None
     conf["transfer"]["multi"] = {"mode": "sequential", "order": "given", "teachers": ["wide", "mid"]}
-    assert main(["transfer", "--config", _write(tmp_path / "seq.json", conf)]) == 0
+    assert main(["transfer", "--config", _write(tmp_path / "seq.json", conf)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {"mode", "stages", "cumulative_delta_transf"}
     assert report["mode"] == "sequential" and report["cumulative_delta_transf"] is None
@@ -978,6 +995,32 @@ def test_sweep_summary_is_its_rows_recomputed(zoo_dir, tmp_path):
             "mean_delta_transf": _mean(deltas),
             "binned_top_quartile_delta": binned,
         }
+
+
+def test_sweep_rate_columns_are_each_runs_transfer_rate(zoo_dir, tmp_path):
+    """sweep.csv's transfer_rate_overall and transfer_rate_top2 hold the
+    overall and top-2% rates of the transfer_rate document of the same run,
+    and are empty for a run with no flips to transfer."""
+    from flipxfer.cli import _build_datasets
+    from flipxfer.transfer import TransferHyperparams, run_transfer
+
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", _write(tmp_path / "sw.json", _sweep_config(zoo_dir, out))]) == 0
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    manifest = load_manifest(resolved["manifest"])
+    transfer_set, val = _build_datasets(resolved["dataset"])
+    for row in rows:
+        hp = TransferHyperparams(**resolved["sweep"]["hyperparams"][row["method"]])
+        res = run_transfer(
+            manifest.load_checkpoint(row["student"]), manifest.load_checkpoint(row["teacher"]), row["method"], hp,
+            transfer_set, val, row["teacher"], row["student"],
+        )
+        rate = res.doc.get("transfer_rate", {"overall": None, "by_top_share": {"2.0": None}})
+        for column, want in (("transfer_rate_overall", rate["overall"]), ("transfer_rate_top2", rate["by_top_share"]["2.0"])):
+            assert row[column] == ("" if want is None else repr(want))
+    assert any(row["transfer_rate_top2"] for row in rows)
 
 
 def test_sweep_empty_filter_exits_2(zoo_dir, tmp_path, capsys):

@@ -336,7 +336,7 @@ def test_cnn_training_step_peak_memory():
     the heap was trimmed after every step, so each step page-faulted its
     temporaries back in."""
     spec = ModelSpec("cnn", 3, (1, 8, 8), 10, channels=(8, 8, 8))
-    params = as_tensors(build(spec, seed=3), requires_grad=True)
+    params = as_tensors(build(spec, seed=3))
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(64, 1, 8, 8)), rng.integers(0, 10, size=64)
     opt = SgdState(lr=0.05)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import pickle
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flipxfer import autodiff as ad
 from flipxfer.autodiff import Tape, Tensor, backward, np_softmax
+from flipxfer.config import dump_json
 from flipxfer.data import Dataset
 from flipxfer.models import ModelSpec, as_tensors, build, model_forward, predict_logits
 from flipxfer.transfer import (
@@ -533,10 +535,14 @@ def test_self_distillation_is_near_neutral(toy_sets):
 
 
 def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
+    """A 12-wide teacher's features meet an 8-wide student's through the
+    seeded projections: fixed bits for the trained student and its report."""
     train, val = toy_sets
     wide = ModelSpec(family="mlp", depth=2, input_shape=(6,), num_classes=4, width=12)
     res = run_transfer(build(SPEC, 7), build(wide, 8), "cd", default_hyperparams("cd", lr=0.02, epochs=1, batch_size=32), train, val)
     assert np.isfinite(res.doc["delta_transf"])
+    assert res.student_after.digest() == "5740de04f724fc8c"
+    assert hashlib.sha256(dump_json(res.doc).encode()).hexdigest()[:16] == "5d54e216289985cb"
 
 
 @pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
