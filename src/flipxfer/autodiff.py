@@ -105,7 +105,10 @@ class Tape:
         return False
 
 
-_tapes: list[Tape] = []  # the open tapes, innermost last; no thread runs tape code
+# The open tapes, innermost last, used by the one thread that trains.
+# Helper threads run eval ops (models._predict), which record nothing: no
+# input of theirs requires grad.
+_tapes: list[Tape] = []
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -152,8 +152,8 @@ def _resolve_zoo(d: dict) -> dict:
         m["train"] = resolve(m["train"], f"{path}.train", TrainConfig)
         try:
             TrainConfig(**m["train"])
-        except ValueError as e:
-            raise ConfigError(f"{path}.train: {e}") from e
+        except ValueError as e:  # its message starts with the field's name
+            raise ConfigError(f"{path}.train.{e}") from e
         out.append(m)
     return {"models": out}
 
@@ -169,6 +169,12 @@ def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None
     if hp["topk"] is not None and method != "kl":
         raise ConfigError(f"{path}.topk: only method 'kl' uses topk, not {method!r}")
     return hp
+
+
+def _check_topk(hp: dict, path: str, classes: int) -> None:
+    """A topk keeps at most every class; the dataset, built before any work, gives their count."""
+    if hp["topk"] is not None and hp["topk"] > classes:
+        raise ConfigError(f"{path}.topk: {hp['topk']} is more than the dataset's {classes} classes")
 
 
 def _fmt(v) -> str:
@@ -391,6 +397,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
+    _check_topk(t["hyperparams"], "transfer.hyperparams", val.num_classes)
     hp = TransferHyperparams(**resolved["transfer"]["hyperparams"])
     student_name = resolved["transfer"]["student"]
     student = _checkpoint(manifest, student_name, "transfer.student")
@@ -464,14 +471,13 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     overrides = s["hyperparams"] or {}
     # either one flat override dict for every method, or a per-method mapping
     # (the resolved-config form, so reruns from it validate unchanged)
-    if overrides and set(overrides) <= set(METHODS):
-        if not set(methods) <= set(overrides):
-            raise ConfigError("sweep.hyperparams: per-method form must cover every method")
-        s["hyperparams"] = {
-            m: _resolve_hyperparams(m, overrides[m], args.seed, f"sweep.hyperparams.{m}") for m in methods
-        }
-    else:
-        s["hyperparams"] = {m: _resolve_hyperparams(m, overrides, args.seed, "sweep.hyperparams") for m in methods}
+    per_method = bool(overrides) and set(overrides) <= set(METHODS)
+    if per_method and not set(methods) <= set(overrides):
+        raise ConfigError("sweep.hyperparams: per-method form must cover every method")
+    hp_paths = {m: f"sweep.hyperparams.{m}" if per_method else "sweep.hyperparams" for m in methods}
+    s["hyperparams"] = {
+        m: _resolve_hyperparams(m, overrides[m] if per_method else overrides, args.seed, hp_paths[m]) for m in methods
+    }
     s["pairs"] = resolve(s["pairs"] or {}, "sweep.pairs", PairFilter)
     if s["max_pairs"] is not None and s["max_pairs"] < 1:
         raise ConfigError(f"sweep.max_pairs: must be at least 1, got {s['max_pairs']}")
@@ -483,6 +489,8 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     resolved["out"] = _check_out(cfg, args)
     manifest = load_manifest(resolved["manifest"])
     transfer_set, val = _build_datasets(resolved["dataset"])
+    for m in methods:
+        _check_topk(s["hyperparams"][m], hp_paths[m], val.num_classes)
     pairs = _pair_grid(manifest, resolved["manifest"], PairFilter(**resolved["sweep"]["pairs"]))
     max_pairs = resolved["sweep"]["max_pairs"]
     if max_pairs is not None and len(pairs) > max_pairs:

@@ -37,6 +37,7 @@ from .autodiff import (
     reshape,
 )
 from .config import REQUIRED, ConfigError, digest, parse_json, resolve, typed
+from .pool import thread_map, usable_cpus
 
 MAGIC = b"XFKZ"
 VERSION = 1
@@ -203,8 +204,10 @@ def as_tensors(ck: Checkpoint) -> dict[str, Tensor]:
 
 
 # Eval forwards of conv models run in row chunks whose widest im2col block
-# stays near this size, so it is built and read back within a core's cache.
-_EVAL_IM2COL_BYTES = 4 << 20
+# stays near this size, a core's L2 cache (2 MiB on the benchmark's VM), so it
+# is built and read back within the cache; each thread of _predict holds one
+# chunk's block at a time.
+_EVAL_IM2COL_BYTES = 2 << 20
 
 
 def eval_chunk_rows(spec: ModelSpec) -> int | None:
@@ -225,6 +228,10 @@ def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     The ops' einsum products sum each row in the same order at any batch
     size, so the chunks concatenate to the bits of one whole-batch forward.
+    The chunks are split into one contiguous group per usable CPU, forwarded
+    by this thread and helper threads (``pool.thread_map``); the bits do not
+    depend on the thread count. Eval params do not require grad, so the
+    helpers' ops record nothing on a tape the caller may have open.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != ck.spec.input_shape:
@@ -234,8 +241,9 @@ def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if len(batch) <= rows:
         logits, feats = model_forward(ck.spec, params, Tensor(batch), train=False)
         return logits.data, feats.data
-    parts = [model_forward(ck.spec, params, Tensor(batch[i : i + rows]), train=False)
-             for i in range(0, len(batch), rows)]
+    starts = list(range(0, len(batch), rows))
+    parts = thread_map(lambda i: model_forward(ck.spec, params, Tensor(batch[i : i + rows]), train=False),
+                       starts, usable_cpus())
     return np.concatenate([z.data for z, _ in parts]), np.concatenate([f.data for _, f in parts])
 
 

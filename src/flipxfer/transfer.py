@@ -56,6 +56,7 @@ from .autodiff import (
 )
 from .data import Dataset, epoch_permutation
 from .models import Checkpoint, ModelSpec, as_tensors, model_forward, predict_features, predict_logits
+from .pool import keep_freed_memory
 
 __all__ = [
     "METHODS",
@@ -464,6 +465,7 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
     loss ``diverged(epoch, step, value, what)``, ``what`` naming the
     parameter.  ``after_step()``, when given, runs after every update.
     """
+    keep_freed_memory()  # each step's temporaries are reused, not faulted back in
     for epoch in range(epochs):
         perm = epoch_permutation(n, seed, epoch)
         losses = []

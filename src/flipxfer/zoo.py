@@ -66,14 +66,14 @@ class TrainConfig:
 
     def __post_init__(self):
         SgdState(lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError(
-                f"epochs must be nonnegative and batch_size positive, got {self.epochs} and {self.batch_size}"
-            )
-        if self.init_seed < 0 or self.order_seed < 0:
-            raise ValueError(
-                f"init_seed and order_seed must be nonnegative, got {self.init_seed} and {self.order_seed}"
-            )
+        # each message starts with its field's name, which the CLI prefixes with the section's dotted key
+        for name in ("epochs", "augment_noise", "init_seed", "order_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.plateau_patience is not None and self.plateau_patience < 1:
+            raise ValueError(f"plateau_patience must be at least 1, got {self.plateau_patience}")
 
 
 @dataclass

@@ -542,7 +542,9 @@ _BASES = {
     "transfer": ("transfer", _transfer_config),
     "multi": ("transfer", _multi_config),
     "multi_kl": ("transfer", lambda zoo_dir, out: _multi_config(zoo_dir, out, "kl")),
+    "transfer_kl": ("transfer", lambda zoo_dir, out: _transfer_config(zoo_dir, out, "kl")),
     "sweep": ("sweep", lambda zoo_dir, out: _sweep_config(zoo_dir, out)),  # defined further down
+    "sweep_kl": ("sweep", lambda zoo_dir, out: _sweep_config(zoo_dir, out, methods=["kl"])),
 }
 
 
@@ -616,6 +618,24 @@ _BAD_VALUES = {
     "sweep_method_topk_not_kl": (
         _bad("sweep", "sweep.hyperparams", {"kl": {"topk": 2}, "kl_dp_sup": {"topk": 2}}),
         "sweep.hyperparams.kl_dp_sup.topk: only method 'kl' uses topk, not 'kl_dp_sup'",
+    ),
+    # a topk above the dataset's 4 classes exited 3 naming no key
+    "hp_topk_above_classes": (
+        _bad("transfer_kl", "transfer.hyperparams.topk", 99), "transfer.hyperparams.topk: 99 is more than"
+    ),
+    "sweep_topk_above_classes": (_bad("sweep_kl", "sweep.hyperparams.topk", 99), "sweep.hyperparams.topk: 99"),
+    "sweep_method_topk_above_classes": (
+        _bad("sweep", "sweep.hyperparams", {"kl": {"topk": 5}, "kl_dp_sup": {}}), "sweep.hyperparams.kl.topk: 5"
+    ),
+    # training values that ran without a word: a negative noise scale, a patience below 1
+    "zoo_augment_noise_negative": (
+        _bad("zoo", "zoo.models.1.train.augment_noise", -1), "zoo.models[1].train.augment_noise"
+    ),
+    "zoo_plateau_patience_zero": (
+        _bad("zoo", "zoo.models.1.train.plateau_patience", 0), "zoo.models[1].train.plateau_patience"
+    ),
+    "zoo_plateau_patience_negative": (
+        _bad("zoo", "zoo.models.0.train.plateau_patience", -3), "zoo.models[0].train.plateau_patience"
     ),
     # values that escaped main as tracebacks from numpy or the file system
     "hp_seed_negative": (_bad("transfer", "transfer.hyperparams.seed", -1), "seed"),

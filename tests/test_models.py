@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from flipxfer import models
 from flipxfer.autodiff import SgdState, ShapeError, Tape, Tensor, backward, np_softmax, sgd_step
 from flipxfer.config import digest
+from flipxfer.pool import thread_map
 from flipxfer.models import (
     Checkpoint,
     CheckpointError,
@@ -98,9 +102,9 @@ def test_cnn_forward_shapes_and_determinism():
     assert np.array_equal(a, b)
 
 
-def test_eval_chunk_holds_the_widest_im2col_near_4_mib():
+def test_eval_chunk_holds_the_widest_im2col_near_2_mib():
     spec = ModelSpec(family="cnn", depth=3, input_shape=(1, 8, 8), num_classes=10, channels=(8, 8, 8))
-    assert eval_chunk_rows(spec) == 113  # 4 MiB over 8*8 positions x 8*9 taps x 8 bytes
+    assert eval_chunk_rows(spec) == 56  # 2 MiB over 8*8 positions x 8*9 taps x 8 bytes
     assert eval_chunk_rows(MLP) is None
 
 
@@ -113,6 +117,80 @@ def test_chunked_cnn_eval_equals_row_by_row_forwards():
     one_by_one = [model_forward(spec, params, Tensor(x[i : i + 1])) for i in range(len(x))]
     assert np.array_equal(predict_logits(ck, x), np.concatenate([z.data for z, _ in one_by_one]))
     assert np.array_equal(predict_features(ck, x), np.concatenate([f.data for _, f in one_by_one]))
+
+
+# a CNN whose eval runs in chunks of 56 rows; batches of one chunk, three
+# chunks (over two threads at 2 usable CPUs), two chunks (fewer than 3 CPUs)
+_CHUNKED = ModelSpec(family="cnn", depth=2, input_shape=(1, 8, 8), num_classes=10, channels=(8, 4))
+_BATCHES = {"one_chunk": 56, "three_chunks": 2 * 56 + 1, "two_chunks": 56 + 1, "empty": 0}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", list(_BATCHES.values()), ids=list(_BATCHES))
+def test_threaded_cnn_eval_gives_the_whole_batch_bits(monkeypatch, cpus, n):
+    """However the chunks are grouped over threads, they come back in order:
+    the bits of one whole-batch forward, and each chunk forwarded once."""
+    assert eval_chunk_rows(_CHUNKED) == 56
+    ck = build(_CHUNKED, seed=7)
+    x = np.random.default_rng(3).normal(size=(n, 1, 8, 8))
+    whole_z, whole_f = model_forward(_CHUNKED, as_tensors(ck), Tensor(x))
+    calls = []
+
+    def counted(spec, params, batch, **kwargs):
+        calls.append((threading.current_thread(), batch.data[:1].tobytes()))  # a Thread, as idents are reused
+        return model_forward(spec, params, batch, **kwargs)
+
+    monkeypatch.setattr(models, "model_forward", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    chunks = max(1, -(-n // 56))
+    for predict, whole in ((predict_logits, whole_z), (predict_features, whole_f)):
+        calls.clear()
+        assert np.array_equal(predict(ck, x), whole.data)
+        assert len(calls) == chunks
+        # the calling thread forwards the first group, at least the first chunk
+        assert (threading.current_thread(), x[:1].tobytes()) in calls
+        assert len({thread for thread, _ in calls}) == min(cpus, chunks)
+
+
+def test_thread_map_keeps_item_order_with_more_threads_than_cores():
+    """Eight threads over 101 items, switching every microsecond: each item
+    mapped once, in order, and every helper joined."""
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert thread_map(lambda i: (i, sum(range(i * 50))), list(range(101)), 8) == [
+            (i, sum(range(i * 50))) for i in range(101)
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_threaded_cnn_eval_leaves_no_thread_running(monkeypatch):
+    ck = build(_CHUNKED, seed=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    before = threading.active_count()
+    predict_logits(ck, np.zeros((3 * 56, 1, 8, 8)))
+    assert threading.active_count() == before
+
+
+def test_a_helper_threads_exception_is_raised_in_the_caller(monkeypatch):
+    """Three chunks over two threads: the helper's group is the last chunk."""
+    ck = build(_CHUNKED, seed=7)
+    x = np.zeros((3 * 56, 1, 8, 8))
+    x[112:] = 1.0
+
+    def fails_on_the_last_chunk(spec, params, batch, **kwargs):
+        if batch.data[0, 0, 0, 0] == 1.0:
+            raise ArithmeticError("helper group")
+        return model_forward(spec, params, batch, **kwargs)
+
+    monkeypatch.setattr(models, "model_forward", fails_on_the_last_chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="helper group"):
+        predict_logits(ck, x)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])

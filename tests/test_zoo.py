@@ -13,7 +13,6 @@ import flipxfer
 from flipxfer.data import SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, load, predict_logits, save
 from flipxfer.analysis import correct_flags
-from flipxfer.pool import usable_cpus
 from flipxfer.zoo import (
     ManifestError,
     PairFilter,
@@ -177,10 +176,13 @@ def test_work_counts_multiply_adds_per_sample_times_epochs():
     assert _work(mlp, TrainConfig(epochs=0)) == 0
 
 
-# Trains a CNN and an MLP in pool workers, the CNN for 1 and then 3 epochs,
-# and prints the minor faults of each zoo's reaped workers.
-_WORKER_FAULTS = """
-import resource
+# Trains a CNN for the given epochs and an MLP on the given usable CPUs, and
+# prints the minor faults the zoo took in the process that trained it: the
+# reaped pool workers, or this process with one CPU.
+_ZOO_FAULTS = """
+import os, resource, sys
+cpus, cnn_epochs = map(int, sys.argv[1:])
+os.sched_getaffinity = lambda pid: set(range(cpus))
 from flipxfer.data import SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec
 from flipxfer.zoo import TrainConfig, pretrain_zoo
@@ -189,28 +191,39 @@ S = (1, 8, 8)
 train, val = train_val_pair(
     SyntheticConfig(classes=10, samples=1000, image_size=8, modes_per_class=2, seed=21, anchor_seed=22), val_samples=200
 )
-for cnn_epochs in (1, 3):
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    pretrain_zoo([
-        (ModelSpec("cnn", 3, S, 10, channels=(8, 8, 8)), TrainConfig(epochs=cnn_epochs, lr=0.04, init_seed=1, order_seed=1)),
-        (ModelSpec("mlp", 2, S, 10, width=32), TrainConfig(epochs=1, lr=0.06, init_seed=2, order_seed=2)),
-    ], train, val)
-    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+who = resource.RUSAGE_SELF if cpus == 1 else resource.RUSAGE_CHILDREN
+before = resource.getrusage(who).ru_minflt
+pretrain_zoo([
+    (ModelSpec("cnn", 3, S, 10, channels=(8, 8, 8)), TrainConfig(epochs=cnn_epochs, lr=0.04, init_seed=1, order_seed=1)),
+    (ModelSpec("mlp", 2, S, 10, width=32), TrainConfig(epochs=1, lr=0.06, init_seed=2, order_seed=2)),
+], train, val)
+print(resource.getrusage(who).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(usable_cpus() < 2, reason="the zoo trains in its own process with one usable CPU")
+def _zoo_faults(cpus: int, cnn_epochs: int) -> int:
+    """Each run is in a fresh interpreter, whose allocator has not yet seen a CNN."""
+    src = os.path.dirname(os.path.dirname(flipxfer.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-c", _ZOO_FAULTS, str(cpus), str(cnn_epochs)]
+    return int(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="workers set glibc's malloc thresholds")
 def test_pool_workers_do_not_page_fault_each_cnn_training_step():
     """A forked worker keeps a CNN step's freed temporaries (about 8 MB at
     batch 64) for the next step, so two more epochs add almost no minor
-    faults; with glibc's default thresholds they added about 1.5k per step.
-    Run in a fresh interpreter, whose allocator has not yet seen a CNN."""
-    src = os.path.dirname(os.path.dirname(flipxfer.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    run = subprocess.run([sys.executable, "-c", _WORKER_FAULTS], env=env, capture_output=True, text=True, check=True)
-    one_epoch, three_epochs = map(int, run.stdout.split())
+    faults; with glibc's default thresholds they added about 1.5k per step."""
+    one_epoch, three_epochs = _zoo_faults(2, 1), _zoo_faults(2, 3)
+    assert three_epochs - one_epoch < 5000, (one_epoch, three_epochs)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pool sets glibc's malloc thresholds")
+def test_a_zoo_on_one_cpu_does_not_page_fault_each_cnn_training_step():
+    """With one usable CPU the zoo trains in this process, which keeps freed
+    memory as a pool worker does, so two more epochs add almost no faults."""
+    one_epoch, three_epochs = _zoo_faults(1, 1), _zoo_faults(1, 3)
     assert three_epochs - one_epoch < 5000, (one_epoch, three_epochs)
 
 
