@@ -65,6 +65,7 @@ from .zoo import (
     pair_grid,
     pretrain_zoo,
     save_manifest,
+    spread_pairs,
 )
 
 DEFAULT_BINS = [-0.3, -0.1, -0.05, -0.02, 0.0, 0.02, 0.05, 0.1, 0.3]
@@ -109,6 +110,8 @@ def _resolve_dataset(d: dict) -> dict:
             r["idx"], "dataset.idx",
             **{k: (str, REQUIRED) for k in ("train_images", "train_labels", "val_images", "val_labels")},
         )
+        for k, path in r["idx"].items():
+            _path(path, f"dataset.idx.{k}")
     return {k: v for k, v in r.items() if v is not None}  # only the given source
 
 
@@ -209,13 +212,20 @@ def _commit(resolved: dict, files: dict) -> None:
     os.replace(marker + ".tmp", marker)
 
 
+def _path(path: str, key: str) -> str:
+    """``path``, the value of the config key ``key``. A NUL byte in it is a
+    config error, where ``open`` and ``os.makedirs`` would raise ValueError."""
+    if "\0" in path:
+        raise ConfigError(f"{key}: {path!r} contains a NUL byte")
+    return path
+
+
 def _check_out(cfg: dict, args) -> str:
     """The run's output directory, checked before the work; ``_commit`` creates it."""
     out = args.out or cfg["out"]
     if not out:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
-    if "\0" in out:
-        raise ConfigError(f"out: {out!r} contains a NUL byte")
+    _path(out, "out")
     nearest = os.path.abspath(out)
     while not os.path.exists(nearest):  # out itself, or the ancestor _commit would create it under
         nearest = os.path.dirname(nearest)
@@ -292,7 +302,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         "dataset": _resolve_dataset(cfg["dataset"]), "pairs": resolve(cfg["pairs"] or {}, "pairs", PairFilter)
     }
     resolved["out"] = _check_out(cfg, args)
-    manifest = load_manifest(resolved["manifest"])
+    manifest = load_manifest(_path(resolved["manifest"], "manifest"))
     _, val = _build_datasets(resolved["dataset"])
     pairs = _pair_grid(manifest, resolved["manifest"], PairFilter(**resolved["pairs"]))
     emb = None
@@ -303,6 +313,9 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             raise ConfigError(f"embeddings: {resolved['embeddings']} is not a numeric CSV: {e}") from e
         if emb.shape[0] != val.num_classes:
             raise ConfigError(f"embeddings: {emb.shape[0]} rows for {val.num_classes} classes")
+        nonfinite = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+        if nonfinite.size:
+            raise ConfigError(f"embeddings: {resolved['embeddings']} row {nonfinite[0] + 1} holds a non-finite value")
         zero = np.flatnonzero(np.linalg.norm(emb, axis=1) == 0.0)
         if zero.size:
             raise ConfigError(f"embeddings: {resolved['embeddings']} row {zero[0] + 1} has zero norm")
@@ -395,7 +408,7 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         raise ConfigError("transfer.hyperparams.topk: a parallel transfer does not use topk")
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "transfer": t}
     resolved["out"] = _check_out(cfg, args)
-    manifest = load_manifest(resolved["manifest"])
+    manifest = load_manifest(_path(resolved["manifest"], "manifest"))
     transfer_set, val = _build_datasets(resolved["dataset"])
     _check_topk(t["hyperparams"], "transfer.hyperparams", val.num_classes)
     hp = TransferHyperparams(**resolved["transfer"]["hyperparams"])
@@ -487,17 +500,13 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         raise ConfigError(f"sweep.bins: {e}") from e
     resolved = cfg | {"dataset": _resolve_dataset(cfg["dataset"]), "sweep": s}
     resolved["out"] = _check_out(cfg, args)
-    manifest = load_manifest(resolved["manifest"])
+    manifest = load_manifest(_path(resolved["manifest"], "manifest"))
     transfer_set, val = _build_datasets(resolved["dataset"])
     for m in methods:
         _check_topk(s["hyperparams"][m], hp_paths[m], val.num_classes)
     pairs = _pair_grid(manifest, resolved["manifest"], PairFilter(**resolved["sweep"]["pairs"]))
-    max_pairs = resolved["sweep"]["max_pairs"]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        # deterministic spread over the delta_acc range
-        pairs.sort(key=lambda p: (p[0].val_accuracy - p[1].val_accuracy, p[0].name, p[1].name))
-        keep = np.linspace(0, len(pairs) - 1, max_pairs).round().astype(int)
-        pairs = [pairs[i] for i in sorted(set(keep))]
+    if resolved["sweep"]["max_pairs"] is not None:
+        pairs = spread_pairs(pairs, resolved["sweep"]["max_pairs"])
     checkpoints = {e.name: manifest.load_checkpoint(e.name) for e in manifest.ok_entries()}
     for name, ck in checkpoints.items():
         check_dataset(ck, name, transfer_set, val)

@@ -31,6 +31,7 @@ __all__ = [
     "train_model",
     "pretrain_zoo",
     "pair_grid",
+    "spread_pairs",
     "save_manifest",
     "load_manifest",
 ]
@@ -232,7 +233,7 @@ def save_manifest(manifest: ZooManifest, path) -> None:
 def load_manifest(path) -> ZooManifest:
     """Read a UTF-8 manifest, each entry typed over the fields of ZooEntry by the
     config rule; every checkpoint path must stay inside the manifest's
-    directory, and every trained entry's accuracy in [0, 1]."""
+    directory, every name unique, and every trained entry's accuracy in [0, 1]."""
     root = os.path.dirname(os.path.abspath(path))
     try:
         with open(path, "rb") as f:
@@ -244,7 +245,11 @@ def load_manifest(path) -> ZooManifest:
         entries = [ZooEntry(**resolve(e, f"entries[{i}]", ZooEntry)) for i, e in enumerate(listed)]
     except ConfigError as e:
         raise ManifestError(f"{path}: {e}") from e
+    names: set[str] = set()
     for i, e in enumerate(entries):
+        if e.name in names:
+            raise ManifestError(f"{path}: entries[{i}].name: duplicate entry name {e.name!r}")
+        names.add(e.name)
         target = os.path.normpath(os.path.join(root, e.path))
         if "\0" in e.path or os.path.commonpath([root, target]) != root:
             raise ManifestError(f"{path}: entries[{i}].path: {e.path!r} is not a file in the manifest's directory")
@@ -293,3 +298,14 @@ def pair_grid(manifest: ZooManifest, flt: PairFilter | None = None) -> list[tupl
         for s in ok
         if t.name != s.name and flt.admits(t, s)
     ]
+
+
+def spread_pairs(pairs: list[tuple[ZooEntry, ZooEntry]], k: int) -> list[tuple[ZooEntry, ZooEntry]]:
+    """At most ``k`` pairs spread over the delta_acc range: the pairs sorted by
+    (delta_acc, teacher name, student name), taken at ``k`` evenly spaced
+    positions, both ends included. Every pair, in the order given, when ``k``
+    is at least their count."""
+    if k >= len(pairs):
+        return list(pairs)
+    ranked = sorted(pairs, key=lambda p: (p[0].val_accuracy - p[1].val_accuracy, p[0].name, p[1].name))
+    return [ranked[i] for i in np.linspace(0, len(ranked) - 1, k).round().astype(int)]

@@ -10,7 +10,7 @@ parity comparison, whose tolerance is absolute.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,9 +18,11 @@ import pytest
 from flipxfer import autodiff as ad
 from flipxfer.analysis import positive_flips, success_rate
 from flipxfer.autodiff import Tensor
+from flipxfer.cli import _sweep_task
 from flipxfer.data import Dataset, SyntheticConfig, stratified_subsample, train_val_pair
 from flipxfer.models import ModelSpec, build, predict_logits
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
+from flipxfer.pool import pool_map, usable_cpus
 from flipxfer.transfer import (
     MclState,
     PartitionMask,
@@ -35,7 +37,7 @@ from flipxfer.transfer import (
     topk_restricted_kl,
     xe_kl_loss,
 )
-from flipxfer.zoo import TrainConfig, train_model
+from flipxfer.zoo import TrainConfig, ZooManifest, pair_grid, pretrain_zoo, spread_pairs
 
 from conftest import record_criterion
 from oracles import analytic_grads, finite_diff_grads, max_rel_error, brute_force_flips
@@ -87,8 +89,8 @@ class Bench:
     train: Dataset
     val: Dataset
     transfer_set: Dataset
-    models: dict
-    accs: dict
+    manifest: ZooManifest
+    models: dict  # in ZOO_JOBS order
     val_logits: dict
     zoo_seconds: float
 
@@ -98,41 +100,34 @@ def bench() -> Bench:
     t0 = time.time()
     train, val = train_val_pair(DATASET, val_samples=2000, val_seed=2)
     transfer_set = stratified_subsample(train, 0.1, seed=11)
-    models = {}
-    for name, spec, cfg in ZOO_JOBS:
-        models[name] = train_model(spec, cfg, train, val, name=name)
-    accs = {n: ck.meta["val_accuracy"] for n, ck in models.items()}
+    manifest, trained = pretrain_zoo(
+        [(spec, cfg) for _, spec, cfg in ZOO_JOBS], train, val, names=[name for name, _, _ in ZOO_JOBS]
+    )
+    failed = [e.error for e in manifest.entries if e.failed]
+    assert not failed, failed
+    models = {name: trained[name] for name, _, _ in ZOO_JOBS}
     val_logits = {n: predict_logits(ck, val.inputs) for n, ck in models.items()}
-    return Bench(train, val, transfer_set, models, accs, val_logits, time.time() - t0)
+    return Bench(train, val, transfer_set, manifest, models, val_logits, time.time() - t0)
 
 
-def _sweep_pairs(bench: Bench) -> list[tuple[str, str]]:
-    names = list(bench.models)
-    pairs = [(t, s) for t in names for s in names if t != s]
-    pairs.sort(key=lambda p: (bench.accs[p[0]] - bench.accs[p[1]], p[0], p[1]))
-    keep = sorted(set(np.linspace(0, len(pairs) - 1, SWEEP_PAIR_BUDGET).round().astype(int)))
-    return [pairs[i] for i in keep]
+def _transfer_rows(bench: Bench, tasks: list[tuple[str, str, str, dict]]) -> list[dict]:
+    """The report row of each (teacher, student, method, hyperparams) task, run
+    as ``sweep`` runs it: on every usable CPU, in task order."""
+    rows = pool_map(_sweep_task, (bench.models, bench.transfer_set, bench.val), tasks, usable_cpus())
+    failed = [row for row in rows if "error" in row]
+    assert not failed, failed
+    return rows
 
 
 @pytest.fixture(scope="session")
 def sweep(bench: Bench) -> dict:
+    """The sweep's report rows by method, over the pairs ``sweep.max_pairs``
+    would keep."""
     t0 = time.time()
-    rows = []
-    for tname, sname in _sweep_pairs(bench):
-        entry = {"teacher": tname, "student": sname,
-                 "delta_acc": bench.accs[tname] - bench.accs[sname]}
-        for method in ("kl", "kl_dp_sup"):
-            res = run_transfer(
-                bench.models[sname], bench.models[tname], method, SWEEP_HP,
-                bench.transfer_set, bench.val, tname, sname,
-            )
-            entry[method] = res.doc["delta_transf"]
-            if method == "kl_dp_sup":
-                rate = res.doc.get("transfer_rate")
-                entry["rate_overall"] = rate["overall"] if rate else None
-                entry["rate_top2"] = rate["by_top_share"].get("2.0") if rate else None
-        rows.append(entry)
-    return {"rows": rows, "seconds": time.time() - t0}
+    methods = ("kl", "kl_dp_sup")
+    pairs = spread_pairs(pair_grid(bench.manifest), SWEEP_PAIR_BUDGET)
+    rows = _transfer_rows(bench, [(t.name, s.name, m, asdict(SWEEP_HP)) for t, s in pairs for m in methods])
+    return {m: [row for row in rows if row["method"] == m] for m in methods} | {"seconds": time.time() - t0}
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +235,13 @@ def test_c03_complementary_knowledge_exists(bench: Bench):
 # 4. success-rate ordering
 
 
-def _reports(rows, method):
-    return [{"delta_acc": r["delta_acc"], "delta_transf": r[method]} for r in rows]
-
-
 def test_c04_success_rate_ordering(sweep):
-    rows = sweep["rows"]
+    rows = sweep["kl"]
     deltas = [r["delta_acc"] for r in rows]
     assert len(rows) >= 20
     assert min(deltas) <= -0.10 and max(deltas) >= 0.10
-    sr_kl = success_rate(_reports(rows, "kl"))
-    sr_dp = success_rate(_reports(rows, "kl_dp_sup"))
+    sr_kl = success_rate(rows)
+    sr_dp = success_rate(sweep["kl_dp_sup"])
     ok = sr_dp >= sr_kl + 0.20 and sr_dp >= 0.70 and sweep["seconds"] < 3600
     record_criterion(
         4,
@@ -268,14 +259,14 @@ def test_c04_success_rate_ordering(sweep):
 
 
 def test_c05_weak_teacher_sign_flip(sweep):
-    weak = [r for r in sweep["rows"] if r["delta_acc"] <= -0.05]
-    assert len(weak) >= 3
-    mean_kl = float(np.mean([r["kl"] for r in weak]))
-    mean_dp = float(np.mean([r["kl_dp_sup"] for r in weak]))
+    weak = {m: [r["delta_transf"] for r in sweep[m] if r["delta_acc"] <= -0.05] for m in ("kl", "kl_dp_sup")}
+    assert len(weak["kl"]) >= 3
+    mean_kl = float(np.mean(weak["kl"]))
+    mean_dp = float(np.mean(weak["kl_dp_sup"]))
     ok = mean_kl < 0.0 and mean_dp >= 0.0
     record_criterion(
         5,
-        f"weak teachers (n={len(weak)}): mean kl {mean_kl*100:+.2f} pts, "
+        f"weak teachers (n={len(weak['kl'])}): mean kl {mean_kl*100:+.2f} pts, "
         f"mean kl_dp_sup {mean_dp*100:+.2f} pts",
         ok,
     )
@@ -317,14 +308,9 @@ def test_c06_mask_invariants(bench: Bench):
 
 
 def test_c07_unsupervised_parity(bench: Bench):
-    sups, unsups = [], []
-    for tname, sname in PARITY_PAIRS:
-        for method, out in (("kl_dp_sup", sups), ("kl_dp_unsup", unsups)):
-            res = run_transfer(
-                bench.models[sname], bench.models[tname], method, PARITY_HP,
-                bench.transfer_set, bench.val, tname, sname,
-            )
-            out.append(res.doc["delta_transf"])
+    methods = ("kl_dp_sup", "kl_dp_unsup")
+    rows = _transfer_rows(bench, [(t, s, m, asdict(PARITY_HP)) for t, s in PARITY_PAIRS for m in methods])
+    sups, unsups = ([r["delta_transf"] for r in rows if r["method"] == m] for m in methods)
     gap = abs(float(np.mean(sups)) - float(np.mean(unsups)))
     ok = gap <= 0.005 and len(PARITY_PAIRS) >= 5
     record_criterion(
@@ -372,11 +358,8 @@ def test_c09_multi_teacher_ordering(bench: Bench):
     t0 = time.time()
     student = bench.models[MULTI_STUDENT]
     teachers = [(n, bench.models[n]) for n in MULTI_TEACHERS]
-    singles = [
-        run_transfer(student, bench.models[t], "kl_dp_sup", SWEEP_HP,
-                     bench.transfer_set, bench.val, t, MULTI_STUDENT).doc["delta_transf"]
-        for t in MULTI_TEACHERS
-    ]
+    tasks = [(t, MULTI_STUDENT, "kl_dp_sup", asdict(SWEEP_HP)) for t in MULTI_TEACHERS]
+    singles = [row["delta_transf"] for row in _transfer_rows(bench, tasks)]
     best = max(singles)
 
     args = (student, teachers, "kl_dp_sup", SWEEP_HP, bench.transfer_set, bench.val)
@@ -403,8 +386,9 @@ def test_c09_multi_teacher_ordering(bench: Bench):
 
 
 def test_c10_transfer_rate_concentration(sweep):
-    top2 = [r["rate_top2"] for r in sweep["rows"] if r["rate_top2"] is not None]
-    overall = [r["rate_overall"] for r in sweep["rows"] if r["rate_overall"] is not None]
+    rows = sweep["kl_dp_sup"]
+    top2 = [r["transfer_rate_top2"] for r in rows if r["transfer_rate_top2"] is not None]
+    overall = [r["transfer_rate_overall"] for r in rows if r["transfer_rate_overall"] is not None]
     mean_top2 = float(np.mean(top2))
     mean_overall = float(np.mean(overall))
     ok = mean_top2 >= mean_overall

@@ -475,6 +475,10 @@ _BAD_MANIFESTS = {
     "string_val_accuracy": (_entry0(lambda e: e.update(val_accuracy="0.9")), "entries[0].val_accuracy: expected float"),
     "path_leaves_dir": (_entry0(lambda e: e.update(path="../" + e["path"])), "entries[0].path:"),
     "absolute_path": (_entry0(lambda e: e.update(path="/etc/passwd")), "entries[0].path:"),
+    "duplicate_name": (
+        lambda doc: json.dumps({"entries": [doc["entries"][0], doc["entries"][1] | {"name": doc["entries"][0]["name"]}]}),
+        "entries[1].name: duplicate entry name",
+    ),
 }
 
 
@@ -650,6 +654,12 @@ _BAD_VALUES = {
     ),
     # a NUL byte escaped main from os.makedirs; a bad subsample exited 3 or was ignored
     "out_nul": (_bad("zoo", "out", "o\0x"), "out"),
+    # a NUL byte in an input path escaped main from open()
+    "manifest_nul": (_bad("transfer", "manifest", "m\0x"), "manifest: 'm\\x00x' contains a NUL byte"),
+    "idx_nul": (
+        _bad("zoo", "dataset", {"idx": {"train_images": "i\0x", "train_labels": "l", "val_images": "i", "val_labels": "l"}}),
+        "dataset.idx.train_images: 'i\\x00x' contains a NUL byte",
+    ),
     "subsample_fraction_zero": (_bad("zoo", "dataset.subsample_fraction", 0), "dataset.subsample_fraction"),
     "subsample_fraction_above_one": (_bad("zoo", "dataset.subsample_fraction", 2), "dataset.subsample_fraction"),
 }
@@ -727,13 +737,19 @@ def test_malformed_embeddings_exits_2_naming_file(zoo_dir, tmp_path, capsys):
 
 
 def test_zero_norm_embeddings_row_exits_2_naming_file_and_row(zoo_dir, tmp_path, capsys):
-    emb_path = tmp_path / "emb.csv"
-    emb_path.write_text("1.0,2.0\n3.0,1.0\n0.0,0.0\n2.0,2.0\n")
-    conf = _flips_config(zoo_dir, tmp_path / "out")
-    conf["embeddings"] = str(emb_path)
-    assert main(["flips", "--config", _write(tmp_path / "flips.json", conf)]) == 2
-    assert f"config error: embeddings: {emb_path} row 3 has zero norm" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    """A zero-norm row, and a row holding nan or inf, which JSON cannot hold."""
+    for i, (text, fault) in enumerate([
+        ("1.0,2.0\n3.0,1.0\n0.0,0.0\n2.0,2.0\n", "row 3 has zero norm"),
+        ("1.0,2.0\n3.0,nan\n1.0,1.0\n2.0,2.0\n", "row 2 holds a non-finite value"),
+        ("1.0,2.0\n3.0,1.0\n1.0,1.0\n-inf,2.0\n", "row 4 holds a non-finite value"),
+    ]):
+        emb_path = tmp_path / f"emb{i}.csv"
+        emb_path.write_text(text)
+        conf = _flips_config(zoo_dir, tmp_path / f"out{i}")
+        conf["embeddings"] = str(emb_path)
+        assert main(["flips", "--config", _write(tmp_path / f"flips{i}.json", conf)]) == 2
+        assert f"config error: embeddings: {emb_path} {fault}" in capsys.readouterr().err
+        assert not (tmp_path / f"out{i}").exists()
 
 
 def test_transfer_rerun_from_resolved_config_identical_bytes(zoo_dir, tmp_path):

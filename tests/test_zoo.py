@@ -18,11 +18,14 @@ from flipxfer.zoo import (
     PairFilter,
     TrainConfig,
     TrainingDivergedError,
+    ZooEntry,
+    ZooManifest,
     _work,
     load_manifest,
     pair_grid,
     pretrain_zoo,
     save_manifest,
+    spread_pairs,
     train_model,
 )
 
@@ -291,3 +294,32 @@ def test_pair_grid_family_filter(six_model_zoo):
 def test_pair_grid_empty_result_is_empty_not_error(six_model_zoo):
     manifest, _, _ = six_model_zoo
     assert pair_grid(manifest, PairFilter(delta_acc_min=5.0)) == []
+
+
+def _manifest_of(accs: dict[str, float]) -> ZooManifest:
+    return ZooManifest([ZooEntry(n, f"{n}.ckpt", "", "mlp", {}, a, 0) for n, a in accs.items()])
+
+
+def _names(pairs):
+    return [(t.name, s.name) for t, s in pairs]
+
+
+def test_spread_pairs_keeps_k_distinct_pairs_in_delta_acc_order_with_both_ends():
+    pairs = pair_grid(_manifest_of({"a": 0.5, "b": 0.61, "c": 0.37, "d": 0.8, "e": 0.72}))
+    ranked = sorted(pairs, key=lambda p: (p[0].val_accuracy - p[1].val_accuracy, p[0].name, p[1].name))
+    kept = spread_pairs(pairs, 6)
+    assert _names(kept) == _names(ranked[i] for i in (0, 4, 8, 11, 15, 19))  # linspace(0, 19, 6), rounded
+    assert len(set(_names(kept))) == 6
+    assert _names(kept[::5]) == _names(ranked[::19])  # the lowest and the highest delta_acc
+
+
+def test_spread_pairs_breaks_delta_acc_ties_by_teacher_then_student_name():
+    pairs = pair_grid(_manifest_of({"c": 0.5, "a": 0.5, "b": 0.5}))
+    assert _names(spread_pairs(pairs, 2)) == [("a", "b"), ("c", "b")]
+    assert _names(spread_pairs(pairs[::-1], 3)) == [("a", "b"), ("b", "a"), ("c", "b")]
+
+
+@pytest.mark.parametrize("k", [20, 21])
+def test_spread_pairs_keeps_every_pair_in_the_given_order_from_k_pairs_up(k):
+    pairs = pair_grid(_manifest_of({"a": 0.5, "b": 0.61, "c": 0.37, "d": 0.8, "e": 0.72}))
+    assert _names(spread_pairs(pairs, k)) == _names(pairs)
