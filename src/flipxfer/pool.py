@@ -18,7 +18,11 @@ one step to the next.
 with the items split into one contiguous group per thread: this thread runs
 the first group and helper threads the rest, all joined before it returns.
 It pays where ``fn`` spends its time in numpy calls that release the GIL,
-such as a conv model's eval chunks.
+such as a conv model's eval chunks, or a transfer's SGD beside its
+before-transfer val forwards (``transfer.distill``). Calls may nest: the
+helper threads running anywhere in the process count against ``workers``,
+so a call made inside a helper while the others are busy runs in its own
+thread, and the process never runs more than ``workers`` of these threads.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ from functools import partial
 __all__ = ["usable_cpus", "keep_freed_memory", "pool_map", "thread_map"]
 
 _shared = None  # a worker's shared inputs; set by the pool initializer, in workers only
+
+# thread_map's helper threads running in this process; one count for the
+# process, because the CPUs every call shares are the process's
+_helpers = 0
+_helpers_lock = threading.Lock()
 
 # glibc's mallopt parameters, each set to the value its dynamic thresholds
 # top out at on 64-bit (an mmap threshold of 32 MiB, a trim threshold twice that)
@@ -90,33 +99,42 @@ def pool_map(fn, shared, tasks: list, workers: int) -> list:
 
 
 def thread_map(fn, items: list, workers: int) -> list:
-    """``[fn(item) for item in items]``, the items split into
-    ``min(workers, len(items))`` contiguous groups of near-equal size. This
-    thread runs the first group and one helper thread each of the others;
-    the helpers are joined before this returns or raises, so none outlives
-    the call. An exception a helper raises is raised here."""
-    n = min(workers, len(items))
+    """``[fn(item) for item in items]``, the items split into contiguous
+    groups of near-equal size, one per thread: this thread and
+    ``min(workers, len(items)) - 1`` helper threads, fewer while other calls
+    have helpers running, so the process's helpers stay below ``workers``.
+    This thread runs the first group. The helpers are joined before this
+    returns or raises, so none outlives the call. An exception this thread's
+    group raises is raised here; otherwise the first a helper raised is."""
+    global _helpers
+    with _helpers_lock:
+        n = max(1, min(workers - _helpers, len(items)))
+        _helpers += n - 1
     if n <= 1:
         return [fn(item) for item in items]
-    size, extra = divmod(len(items), n)
-    bounds = [i * size + min(i, extra) for i in range(n + 1)]
-    groups = [items[bounds[i] : bounds[i + 1]] for i in range(n)]
-    results: list = [None] * n
-
-    def run(i):
-        try:
-            results[i] = [fn(item) for item in groups[i]]
-        except BaseException as e:  # raised in the caller, after the join
-            results[i] = e
-
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, n)]
-    for t in helpers:
-        t.start()
     try:
-        results[0] = [fn(item) for item in groups[0]]
-    finally:
+        size, extra = divmod(len(items), n)
+        bounds = [i * size + min(i, extra) for i in range(n + 1)]
+        groups = [items[bounds[i] : bounds[i + 1]] for i in range(n)]
+        results: list = [None] * n
+
+        def run(i):
+            try:
+                results[i] = [fn(item) for item in groups[i]]
+            except BaseException as e:  # raised in the caller, after the join
+                results[i] = e
+
+        helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, n)]
         for t in helpers:
-            t.join()
+            t.start()
+        try:
+            results[0] = [fn(item) for item in groups[0]]
+        finally:
+            for t in helpers:
+                t.join()
+    finally:
+        with _helpers_lock:
+            _helpers -= n - 1
     for r in results[1:]:
         if isinstance(r, BaseException):
             raise r

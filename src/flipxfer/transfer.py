@@ -56,7 +56,7 @@ from .autodiff import (
 )
 from .data import Dataset, epoch_permutation
 from .models import Checkpoint, ModelSpec, as_tensors, model_forward, predict_features, predict_logits
-from .pool import keep_freed_memory
+from .pool import keep_freed_memory, thread_map, usable_cpus
 
 __all__ = [
     "METHODS",
@@ -543,6 +543,8 @@ class ValBaseline:
     measured with one ``seen`` memo share it: a sequential plan's stages
     (each stage's output is the next stage's student), and soup's branches
     and the soup itself (one student and its teachers, each forwarded once).
+    ``distill`` measures its baseline in a helper thread beside SGD and joins
+    it before returning, so one thread at a time extends a shared memo.
     """
 
     val_set: Dataset
@@ -621,6 +623,14 @@ def distill(
     for ``kl``/``xe_kl*``; DP ranks the frozen reference (by default the
     initial student) before every teacher.  Top-k KL and ``cd`` build their
     losses per batch and have no winner.
+
+    SGD never reads the baseline, so the two run side by side
+    (``pool.thread_map``): SGD in this thread, which keeps its tape, error
+    state and signals, and the baseline's val forwards in one helper thread,
+    joined before this returns or raises.  A diverged SGD raises
+    ``TransferDivergedError``; otherwise an error of the baseline is raised.
+    With one usable CPU both run here, SGD first.  The memo ``seen`` is
+    written by the helper only, and is complete when this returns.
     """
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -649,7 +659,6 @@ def distill(
         source_logits = [predict_logits(ck, x_tr) for ck in sources]
         winner = confidence_winner(source_logits, y_tr if method == "kl_dp_sup" else None)
         targets = winner_logprobs(winner, source_logits, temp)
-    baseline = ValBaseline.measure(student_ck, teacher_cks, val_set, seen)
 
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
     mcl = after_step = None
@@ -684,14 +693,21 @@ def distill(
         return {k: (mcl.slow[k] if mcl else params[k].data).copy() for k in student_ck.params}
 
     epochs = EpochStates(spec, fast_weights=[] if mcl else None)
-    for losses in sgd_epochs(
-        params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
-        functools.partial(TransferDivergedError, method), after_step,
-    ):
-        epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
-        epochs.weights.append(weights())
-        if mcl is not None:
-            epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
+
+    def train() -> None:
+        for losses in sgd_epochs(
+            params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
+            functools.partial(TransferDivergedError, method), after_step,
+        ):
+            epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
+            epochs.weights.append(weights())
+            if mcl is not None:
+                epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
+
+    _, baseline = thread_map(
+        lambda job: job(), [train, functools.partial(ValBaseline.measure, student_ck, teacher_cks, val_set, seen)],
+        usable_cpus(),
+    )
     return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
 
 

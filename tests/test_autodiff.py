@@ -434,6 +434,22 @@ def test_sgd_rejects_nonfinite_gradient():
     assert "layer.w" in str(exc.value)
 
 
+@pytest.mark.parametrize("lr, momentum, weight_decay", [(0.1, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.9, 0.1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_names_a_non_finite_gradient_at_any_lr(lr, momentum, weight_decay, bad):
+    """One finite check of the updated parameter catches every non-finite
+    gradient, at lr 0 too (0 * inf is NaN), and the message still names the
+    gradient; neither that parameter nor its velocity changes."""
+    p = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+    state = SgdState(lr=lr, momentum=momentum, weight_decay=weight_decay)
+    sgd_step(p, {"a": np.ones(3), "b": np.ones(2)}, state)
+    b, vb = p["b"].data.copy(), state.velocity["b"].copy()
+    with pytest.raises(NonFiniteError) as exc:
+        sgd_step(p, {"a": np.ones(3), "b": np.array([1.0, bad])}, state)
+    assert str(exc.value) == "non-finite value in gradient of parameter 'b'"
+    assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity["b"], vb)
+
+
 def test_sgd_rejects_an_update_that_overflows_a_parameter():
     p = {"layer.w": Tensor(np.array([1.0]), requires_grad=True)}
     with pytest.raises(NonFiniteError) as exc:

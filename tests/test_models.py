@@ -4,12 +4,13 @@ import re
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from flipxfer import models
+from flipxfer import models, pool
 from flipxfer.autodiff import SgdState, ShapeError, Tape, Tensor, backward, np_softmax, sgd_step
 from flipxfer.config import digest
 from flipxfer.pool import thread_map
@@ -191,6 +192,85 @@ def test_a_helper_threads_exception_is_raised_in_the_caller(monkeypatch):
     with pytest.raises(ArithmeticError, match="helper group"):
         predict_logits(ck, x)
     assert threading.active_count() == before
+
+
+def _peak_threads(items, outer, inner):
+    """Map ``items`` over ``outer`` threads, each item mapping its own three
+    leaves over ``inner``; the most threads that ran leaves at once."""
+    lock, running, peak = threading.Lock(), [0], [0]
+
+    def leaf(_):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.01)
+        with lock:
+            running[0] -= 1
+
+    thread_map(lambda _: thread_map(leaf, [0, 1, 2], inner), items, outer)
+    return peak[0]
+
+
+@pytest.mark.parametrize("outer, inner", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_nested_thread_maps_never_run_more_threads_than_workers(outer, inner):
+    """A call inside a helper counts the helpers already running anywhere in
+    the process: with every worker busy it runs in its own thread, and it
+    never starts more than its own ``workers`` leave free. Once the calls
+    return, a new one gets all of its workers again."""
+    before = threading.active_count()
+    assert _peak_threads([0] * outer, outer, inner) == max(outer, inner)
+    assert _peak_threads([0], 1, inner) == inner  # an outer call on one thread leaves every worker
+    assert threading.active_count() == before
+
+
+def test_two_calls_at_once_never_claim_the_same_free_workers(monkeypatch):
+    """Two nested calls start together, and a slowed ``min`` holds each
+    between reading the helper count and raising it. The count is read and
+    raised under one lock, so the second call waits, finds the workers taken
+    and runs in its own thread: four threads at most, not six."""
+    monkeypatch.setattr(pool, "min", lambda *a: time.sleep(0.02) or min(*a), raising=False)
+    before, alive = threading.active_count(), []
+
+    def leaf(j):
+        alive.append(threading.active_count())
+        time.sleep(0.01)
+        return j
+
+    assert thread_map(lambda i: thread_map(leaf, list(range(4)), 4), [0, 1], 4) == [list(range(4))] * 2
+    assert max(alive) - before + 1 == 4
+    assert threading.active_count() == before
+
+
+def test_a_raising_thread_map_gives_its_helpers_back():
+    def fails(i):
+        time.sleep(0.01)
+        raise ArithmeticError(f"item {i}")
+
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="item 0"):
+            thread_map(fails, [0, 1, 2], 3)
+    assert _peak_threads([0], 1, 3) == 3
+
+
+def test_a_cnn_eval_in_a_helper_thread_adds_no_node_to_the_training_threads_tape(monkeypatch):
+    """The training thread's tape is open while a helper forwards a chunked
+    CNN eval (as a transfer's baseline does beside SGD): the tape holds the
+    nodes of the training forward and nothing else."""
+    ck = build(_CHUNKED, seed=7)
+    x = np.random.default_rng(5).normal(size=(4 * 56, 1, 8, 8))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def train():
+        logits, _ = model_forward(_CHUNKED, as_tensors(ck), Tensor(x[:8]), train=True)
+        return logits
+
+    with Tape() as alone:
+        train()
+    with Tape() as tape:
+        logits, z = thread_map(lambda job: job(), [train, lambda: predict_logits(ck, x)], 3)
+    assert len(tape.nodes) == len(alone.nodes)
+    assert tape.nodes[-1].out is logits
+    assert np.array_equal(z, predict_logits(ck, x))
 
 
 @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])

@@ -2,6 +2,9 @@ import functools
 import hashlib
 import pickle
 import re
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -618,3 +621,147 @@ def test_diverged_error_survives_pickling(what):
     back = pickle.loads(pickle.dumps(e))
     assert type(back) is TransferDivergedError and str(back) == str(e)
     assert (back.method, back.epoch, back.step, back.what) == ("kl", 3, 7, what) and np.isnan(back.value)
+
+
+# ---------------------------------------------------------------------------
+# the baseline measured beside SGD
+
+# a CNN student whose eval runs in chunks of 56 rows: the 169-row val set is
+# four chunks, so the baseline's forward of it may itself use thread_map
+_CNN = ModelSpec(family="cnn", depth=2, input_shape=(1, 8, 8), num_classes=4, channels=(8, 4))
+_MLP = ModelSpec(family="mlp", depth=2, input_shape=(1, 8, 8), num_classes=4, width=8)
+
+
+def _image_dataset(seed, n):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 4
+    anchors = np.random.default_rng(99).normal(size=(4, 1, 8, 8)) * 2.0
+    return Dataset(anchors[labels] + rng.normal(size=(n, 1, 8, 8)), labels, 4)
+
+
+@pytest.fixture(scope="module")
+def cnn_sets():
+    return _image_dataset(1, 64), _image_dataset(2, 3 * 56 + 1)
+
+
+def _fingerprint(results) -> list:
+    """Each result's report document, trained checkpoint and epoch traces, as bytes."""
+    return [(dump_json(r.doc), r.student_after.digest(), dump_json(r.student_after.meta), repr(r.per_epoch))
+            for r in results]
+
+
+def _at_cpus(monkeypatch, cpus):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
+def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, method):
+    """SGD in this thread and the baseline in a helper (whose chunked eval
+    may start another) give the one-CPU report, checkpoint and traces."""
+    train, val = cnn_sets
+    hp = default_hyperparams(method, lr=0.05, epochs=2, batch_size=32, seed=3, mcl_every=1)
+    runs = []
+    for cpus in (1, 2, 3):
+        _at_cpus(monkeypatch, cpus)
+        runs.append(_fingerprint([run_transfer(build(_CNN, 1), build(_MLP, 2), method, hp, train, val)]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("protocol", ["sequential", "soup"])
+def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, protocol):
+    """Stages and branches share one val memo; each joins its baseline's
+    helper before the next reads the memo, so every state is forwarded once."""
+    import flipxfer.models as models
+    from flipxfer.multiteacher import sequential_transfer, soup_transfer
+
+    train, val = cnn_sets
+    teachers = [("a", build(_MLP, 2)), ("b", build(_MLP, 3))]
+    hp = TransferHyperparams(lr=0.05, epochs=1, batch_size=32, seed=3)
+    predict, val_forwards = models._predict, []
+
+    def counted(ck, batch):
+        val_forwards.append(batch is val.inputs)
+        return predict(ck, batch)
+
+    monkeypatch.setattr(models, "_predict", counted)
+    runs = []
+    for cpus in (1, 2, 3):
+        _at_cpus(monkeypatch, cpus)
+        val_forwards.clear()
+        if protocol == "sequential":
+            out = sequential_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, val, order="given")
+        else:
+            out = [soup_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, val)]
+        runs.append(_fingerprint(out))
+        # the student, each teacher and each trained state once (soup: two branches and the merge)
+        assert sum(val_forwards) == (5 if protocol == "sequential" else 6)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _val_forward_threads(monkeypatch, val, fail=None, delay=0.0):
+    """Patch transfer's forwards: record the thread of each val forward and,
+    when asked, make it sleep or raise."""
+    import flipxfer.transfer as transfer
+
+    threads = []
+
+    def patched(ck, batch):
+        if batch is val.inputs:
+            threads.append(threading.current_thread())
+            time.sleep(delay)
+            if fail is not None:
+                raise fail
+        return predict_logits(ck, batch)
+
+    monkeypatch.setattr(transfer, "predict_logits", patched)
+    return threads
+
+
+def test_the_baseline_runs_in_a_helper_thread_beside_sgd(cnn_sets, monkeypatch):
+    """At 2 CPUs the student's and teacher's val forwards run in one helper
+    thread; the after-forward of the report runs in this one."""
+    train, val = cnn_sets
+    _at_cpus(monkeypatch, 2)
+    threads = _val_forward_threads(monkeypatch, val)
+    before = threading.active_count()
+    run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", HP, train, val)
+    assert len(threads) == 3
+    assert threads[0] is threads[1] is not threading.current_thread()
+    assert threads[2] is threading.current_thread()
+    assert threading.active_count() == before
+
+
+def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
+    train, val = cnn_sets
+    _at_cpus(monkeypatch, 1)
+    threads = _val_forward_threads(monkeypatch, val)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", HP, train, val)
+    assert started == []
+    assert threads == [threading.current_thread()] * 3
+
+
+def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
+    """SGD diverges at its first step while the helper's forwards still
+    sleep: the divergence is raised once the helper is joined."""
+    train, val = cnn_sets
+    _at_cpus(monkeypatch, 2)
+    threads = _val_forward_threads(monkeypatch, val, delay=0.1)
+    before = threading.active_count()
+    with pytest.raises(TransferDivergedError, match="kl: non-finite"):
+        run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", replace(HP, lr=1e308), train, val)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threads[0] is not threading.current_thread()
+
+
+def test_a_baseline_error_reaches_the_caller_and_leaves_no_thread_running(cnn_sets, monkeypatch):
+    train, val = cnn_sets
+    _at_cpus(monkeypatch, 2)
+    threads = _val_forward_threads(monkeypatch, val, fail=ArithmeticError("val forward"))
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="val forward"):
+        run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", HP, train, val)
+    assert threading.active_count() == before
+    assert threads[0] is not threading.current_thread()
