@@ -9,6 +9,11 @@ sets relative to the full class pool, the post-transfer transfer rate,
 knowledge gain/loss, and sweep-level summaries (success rate and binned
 top-quartile transfer deltas).
 
+No flips is an outcome, not an error: entropy and transfer rate are None,
+top-share class sets empty, knowledge gain 0.0, class gains None, and so is
+the similarity of fewer than 2 classes.  Bad input raises ``AnalysisError``,
+as does the knowledge loss of a student with no correct prediction.
+
 Argmax ties break toward the lowest class index everywhere, so flips,
 masks, and accuracies agree on the same convention.
 """
@@ -21,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "AnalysisError",
-    "NoFlipsError",
     "FlipStats",
     "predictions",
     "correct_flags",
@@ -43,13 +47,6 @@ TOP_SHARE_LEVELS = (2.0, 5.0, 20.0, 50.0, 100.0)
 
 class AnalysisError(ValueError):
     pass
-
-
-class NoFlipsError(AnalysisError):
-    """Raised when a metric needs complementary knowledge and there is none."""
-
-    def __init__(self):
-        super().__init__("no complementary knowledge: zero positive flips")
 
 
 @dataclass(frozen=True)
@@ -97,11 +94,11 @@ def flip_stats_from_flags(flags: np.ndarray, labels: np.ndarray, num_classes: in
     return FlipStats(flags, counts, float(flags.mean()))
 
 
-def flip_entropy(stats: FlipStats) -> float:
-    """Shannon entropy (nats) of the per-class flip distribution."""
+def flip_entropy(stats: FlipStats) -> float | None:
+    """Shannon entropy (nats) of the per-class flip distribution, or None."""
     total = stats.total
     if total == 0:
-        raise NoFlipsError()
+        return None
     p = stats.per_class_counts[stats.per_class_counts > 0] / total
     return float(-np.sum(p * np.log(p)))
 
@@ -118,7 +115,7 @@ def top_share_classes(stats: FlipStats, x_percent: float) -> list[int]:
         raise AnalysisError(f"x_percent must be in (0, 100], got {x_percent}")
     total = stats.total
     if total == 0:
-        raise NoFlipsError()
+        return []
     order = classes_by_flips(stats)
     need = x_percent / 100.0 * total
     out: list[int] = []
@@ -130,13 +127,13 @@ def top_share_classes(stats: FlipStats, x_percent: float) -> list[int]:
             break
     return out
 
-def semantic_similarity(class_embeddings: np.ndarray, class_set) -> float:
+def semantic_similarity(class_embeddings: np.ndarray, class_set) -> float | None:
     """Mean pairwise cosine similarity within the set, relative to the mean
-    over all classes (ratio minus one)."""
+    over all classes (ratio minus one); None for a set of fewer than 2."""
     emb = np.asarray(class_embeddings, dtype=np.float64)
     idx = sorted(int(k) for k in class_set)
     if len(idx) < 2:
-        raise AnalysisError("class_set must contain at least 2 classes")
+        return None
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise AnalysisError("zero-norm class embedding")
@@ -157,7 +154,7 @@ def transfer_rate(
     flips_before: FlipStats,
     student_correct_after: np.ndarray,
     labels: np.ndarray,
-) -> dict:
+) -> dict | None:
     """Fraction of flip samples now answered correctly, overall and, keyed
     str(X), within the classes holding the top-X% of flips (TOP_SHARE_LEVELS)."""
     after = np.asarray(student_correct_after, dtype=bool)
@@ -166,7 +163,7 @@ def transfer_rate(
     if after.shape != flags.shape or labels.shape != flags.shape:
         raise AnalysisError("flags are not aligned")
     if flips_before.total == 0:
-        raise NoFlipsError()
+        return None
     out = {"overall": float(after[flags].mean()), "by_top_share": {}}
     for x in TOP_SHARE_LEVELS:
         keep = np.isin(labels, top_share_classes(flips_before, x))
@@ -186,29 +183,22 @@ def knowledge_gain_loss(
         raise AnalysisError("flags are not aligned")
     n_flips = int(flips.sum())
     n_before = int(before.sum())
-    if n_flips == 0:
-        raise NoFlipsError()
     if n_before == 0:
         raise AnalysisError("student had no correct predictions before transfer")
-    gain = float((flips & after).sum() / n_flips)
+    gain = float((flips & after).sum() / n_flips) if n_flips else 0.0
     loss = float((before & ~after).sum() / n_before)
     return gain, loss
 
 
 def per_class_gain(
     flips: FlipStats, after_correct: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Per class, the corrected share of its flips; NaN where a class has none."""
+) -> list[float | None]:
+    """Per class, the corrected share of its flips; None where a class has none."""
     after = np.asarray(after_correct, dtype=bool)
     labels = np.asarray(labels)
     c = flips.per_class_counts.size
     corrected = np.bincount(labels[flips.per_sample_flags & after], minlength=c)
-    with np.errstate(invalid="ignore"):
-        return np.where(
-            flips.per_class_counts > 0,
-            corrected / np.maximum(flips.per_class_counts, 1),
-            np.nan,
-        )
+    return [int(k) / int(n) if n else None for k, n in zip(corrected, flips.per_class_counts)]
 
 
 def success_rate(reports) -> float:

@@ -329,24 +329,18 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     per_class_rows = []
     for teacher, student in pairs:
         stats = positive_flips(logits[teacher.name], logits[student.name], val.labels)
-        entropy = flip_entropy(stats) if stats.total > 0 else None
         rec = {
             "teacher": teacher.name,
             "student": student.name,
             "delta_acc": teacher.val_accuracy - student.val_accuracy,
             "rho_pos": stats.rho_pos,
             "flip_count": stats.total,
-            "entropy": entropy,
+            "entropy": flip_entropy(stats),
             "per_class_counts": [int(c) for c in stats.per_class_counts],
         }
         if emb is not None and stats.total > 0:
             rec["semantic_similarity"] = {
-                str(int(x)): (
-                    semantic_similarity(emb, classes)
-                    if len(classes := top_share_classes(stats, x)) >= 2
-                    else None
-                )
-                for x in (2, 5, 10, 20, 50)
+                str(x): semantic_similarity(emb, top_share_classes(stats, x)) for x in (2, 5, 10, 20, 50)
             }
         records.append(rec)
         for rank, k in enumerate(classes_by_flips(stats)):

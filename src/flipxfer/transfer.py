@@ -256,10 +256,6 @@ def _temper(z: np.ndarray, temperature: float) -> np.ndarray:
     return z * (1.0 / temperature)
 
 
-def _as_student(student_logits) -> Tensor:
-    return student_logits if isinstance(student_logits, Tensor) else Tensor(student_logits)
-
-
 def soft_target_kl(student_logits: Tensor, target_logprobs: np.ndarray, temperature: float) -> Tensor:
     """(T^2/n) * sum_i KL(target_i || student_i) with a constant target.
 
@@ -278,7 +274,7 @@ def soft_target_kl(student_logits: Tensor, target_logprobs: np.ndarray, temperat
 
 def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> Tensor:
     """Soft-target distillation: teacher rows are the target distribution."""
-    student = _as_student(student_logits)
+    student = ad._as_tensor(student_logits)
     teacher = np.asarray(teacher_logits, dtype=np.float64)
     if temperature <= 0:
         raise TransferError(f"temperature must be positive, got {temperature}")
@@ -289,7 +285,7 @@ def kl_loss(student_logits, teacher_logits, temperature: float = 1.0) -> Tensor:
 
 def xe_loss(student_logits, labels) -> Tensor:
     """Mean cross-entropy against integer labels (temperature 1)."""
-    student = _as_student(student_logits)
+    student = ad._as_tensor(student_logits)
     labels = np.asarray(labels)
     n, c = student.data.shape
     onehot = np.zeros((n, c))
@@ -301,7 +297,7 @@ def xe_kl_loss(student_logits, teacher_logits, labels, lam: float, temperature: 
     """lam * KL + (1 - lam) * XE."""
     if not 0.0 <= lam <= 1.0:
         raise TransferError(f"lambda must be in [0,1], got {lam}")
-    student = _as_student(student_logits)
+    student = ad._as_tensor(student_logits)
     kl = kl_loss(student, teacher_logits, temperature)
     xe = xe_loss(student, labels)
     return ad.add(scale(kl, lam), scale(xe, 1.0 - lam))
@@ -372,7 +368,7 @@ def dp_masks_unsupervised(teacher_logits, st_logits) -> PartitionMask:
 def dp_loss(student_logits, teacher_logits, st_logits, mask: PartitionMask, temperature: float = 1.0) -> Tensor:
     """Partitioned distillation: per sample, distill from the teacher on m_t
     and from the frozen initial student on m_st; no auxiliary cross-entropy."""
-    student = _as_student(student_logits)
+    student = ad._as_tensor(student_logits)
     teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
     st_logits = np.asarray(st_logits, dtype=np.float64)
     if temperature <= 0:
@@ -388,7 +384,7 @@ def dp_loss(student_logits, teacher_logits, st_logits, mask: PartitionMask, temp
 def topk_restricted_kl(student_logits, teacher_logits, temperature: float, k: int) -> Tensor:
     """Distillation restricted per sample to the k most probable teacher
     classes, both distributions renormalized over that subset."""
-    student = _as_student(student_logits)
+    student = ad._as_tensor(student_logits)
     teacher = np.asarray(teacher_logits, dtype=np.float64)
     if student.data.shape != teacher.shape:
         raise ad.ShapeError("topk_restricted_kl", student.data.shape, teacher.shape)
@@ -416,7 +412,7 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
 def cd_loss(student_feats, teacher_feats) -> Tensor:
     """Match row-softmaxed cosine-similarity matrices of the two batches'
     L2-normalized features, teacher rows as the target, mean over rows."""
-    student = _as_student(student_feats)
+    student = ad._as_tensor(student_feats)
     teacher = np.asarray(teacher_feats, dtype=np.float64)
     n = teacher.shape[0]
     if n < 2:
@@ -507,8 +503,8 @@ def report_doc(method: str, hp: TransferHyperparams, teacher: str, student: str,
                rate: dict | None = None) -> dict:
     """The report document of one transfer, as ``report.json`` holds it:
     ``delta_acc`` is the best teacher's val accuracy minus the student's before
-    transfer, ``delta_transf`` the student's after minus before, and a NaN
-    class gain is null.  A sequential stage that diverged keeps the zero
+    transfer, ``delta_transf`` the student's after minus before, and a class
+    gain is null without flips.  A sequential stage that diverged keeps the zero
     deltas and no class gains, with null accuracies and ``rho_pos``."""
     doc = {
         "method": method,
@@ -522,7 +518,7 @@ def report_doc(method: str, hp: TransferHyperparams, teacher: str, student: str,
         "acc_after": None if acc_before is None else acc_before + delta_transf,
         "rho_pos": rho_pos,
         "hyperparams": asdict(hp),
-        "per_class_gain": [None if np.isnan(v) else float(v) for v in per_class_gain],
+        "per_class_gain": list(per_class_gain),
     }
     if rate is not None:
         doc["transfer_rate"] = rate
@@ -577,11 +573,6 @@ class ValBaseline:
         return _val_flags(self.seen, ck, self.val_set)
 
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
-        """Per-run gain/loss; gain is 0 when there is nothing to transfer."""
-        if self.flips.total == 0:
-            lost = float((self.before_correct & ~after_correct).sum())
-            total_before = float(self.before_correct.sum())
-            return 0.0, lost / total_before if total_before else 0.0
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
     def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
@@ -592,12 +583,11 @@ class ValBaseline:
         y = self.val_set.labels
         after_correct = self.correct(student_after)
         acc_after = float(after_correct.mean())
-        rate = transfer_rate(self.flips, after_correct, y) if self.flips.total else None
         student_after.meta.update({"val_accuracy": acc_after, **meta})
         doc = report_doc(
             method, hp, teacher, student, max(self.teacher_accs) - self.acc_before, acc_after - self.acc_before,
             *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
-            self.acc_before, self.flips.rho_pos, rate,
+            self.acc_before, self.flips.rho_pos, transfer_rate(self.flips, after_correct, y),
         )
         return TransferResult(student_after, doc, self, epochs)
 

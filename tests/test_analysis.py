@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from flipxfer.analysis import (
     AnalysisError,
     FlipStats,
-    NoFlipsError,
     binned_top_quartile_delta,
     flip_entropy,
     flip_stats_from_flags,
     knowledge_gain_loss,
+    per_class_gain,
     positive_flips,
     semantic_similarity,
     success_rate,
@@ -134,9 +134,8 @@ def test_entropy_direct_formula():
     assert expected == pytest.approx(np.log(4) - 0.5 * np.log(2), abs=1e-12)
 
 
-def test_entropy_zero_flips_errors():
-    with pytest.raises(NoFlipsError):
-        flip_entropy(_stats([0, 0]))
+def test_entropy_of_zero_flips_is_none():
+    assert flip_entropy(_stats([0, 0])) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,8 +185,9 @@ def test_top_share_monotone(counts, x1, x2):
 def test_top_share_rejects_bad_percent():
     with pytest.raises(AnalysisError):
         top_share_classes(_stats([1]), 0.0)
-    with pytest.raises(NoFlipsError):
-        top_share_classes(_stats([0, 0]), 50.0)
+    with pytest.raises(AnalysisError):
+        top_share_classes(_stats([0, 0]), 100.5)
+    assert top_share_classes(_stats([0, 0]), 50.0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +221,9 @@ def test_semantic_similarity_random_set_near_zero():
     assert abs(float(np.mean(diffs))) < 0.02
 
 
-def test_semantic_similarity_needs_two_classes():
-    with pytest.raises(AnalysisError):
-        semantic_similarity(np.eye(3), [1])
+def test_semantic_similarity_of_fewer_than_two_classes_is_none():
+    assert semantic_similarity(np.eye(3), [1]) is None
+    assert semantic_similarity(np.eye(3), []) is None
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,22 @@ def test_transfer_rate_none_corrected():
     stats, labels = _flip_fixture()
     rate = transfer_rate(stats, np.zeros(10, dtype=bool), labels)
     assert rate["overall"] == 0.0
+
+
+def test_transfer_rate_without_flips_is_none():
+    labels = np.array([0, 1, 1])
+    stats = flip_stats_from_flags(np.zeros(3, dtype=bool), labels, 2)
+    assert transfer_rate(stats, np.ones(3, dtype=bool), labels) is None
+    with pytest.raises(AnalysisError):
+        transfer_rate(stats, np.ones(2, dtype=bool), labels)
+
+
+def test_per_class_gain_is_none_for_a_class_without_flips():
+    stats, labels = _flip_fixture()
+    after = np.array([1, 0, 0, 1, 1, 1, 1, 1, 0, 0], dtype=bool)
+    assert per_class_gain(stats, after, labels) == [0.5, 0.0, 1.0, 1.0, 0.0]
+    none = flip_stats_from_flags(np.zeros(10, dtype=bool), labels, 6)
+    assert per_class_gain(none, after, labels) == [None] * 6
 
 
 def test_transfer_rate_fraction():
@@ -290,8 +306,7 @@ def test_gain_loss_random_predictions_monte_carlo():
 
 
 def test_gain_loss_empty_denominators():
-    with pytest.raises(NoFlipsError):
-        knowledge_gain_loss(np.ones(3, bool), np.ones(3, bool), np.zeros(3, bool))
+    assert knowledge_gain_loss(np.ones(3, bool), np.array([1, 0, 0], bool), np.zeros(3, bool)) == (0.0, 2 / 3)
     with pytest.raises(AnalysisError):
         knowledge_gain_loss(np.zeros(3, bool), np.ones(3, bool), np.ones(3, bool))
 

@@ -420,7 +420,8 @@ def test_flips_with_embeddings_reports_semantic_similarity(zoo_dir, tmp_path):
     doc = json.loads((out / "flips.json").read_text())
     flipped = [r for r in doc["pairs"] if r["flip_count"] > 0]
     assert flipped
-    assert any("semantic_similarity" in r for r in flipped)
+    # the class with the most flips alone holds 2% of them: a one-class set has no similarity
+    assert all(r["semantic_similarity"]["2"] is None for r in flipped)
 
 
 def test_cli_accepts_idx_dataset(zoo_dir, tmp_path):
@@ -895,6 +896,110 @@ def test_zero_accuracy_student_exits_3_and_fails_only_its_sweep_runs(tmp_path, c
     assert [r.split(",")[:3] for r in rows] == [["b", "a", "kl"]]
     failed = json.loads((tmp_path / "sw" / "summary.json").read_text())["failed"]
     assert [(f["teacher"], f["student"], f["method"]) for f in failed] == [("a", "b", "kl")]
+
+
+# ---------------------------------------------------------------------------
+# empty outcomes: no flips, and a student with no correct val prediction
+
+_SEPARATED = {"synthetic": {"classes": 4, "dims": 4, "anchor_scale": 10,
+                            "train": {"samples": 32, "seed": 1}, "val": {"samples": 16, "seed": 2}}}
+
+
+@pytest.fixture(scope="module")
+def swapped_zoo(tmp_path_factory):
+    """A zoo of four well-separated classes: ``right`` is right on every val
+    sample and ``twin`` is trained identically under another name; ``wrong``
+    and ``wrong2`` are ``right`` with its head columns rotated by one, so they
+    are wrong on every val sample and equal to each other."""
+    out = tmp_path_factory.mktemp("swapped_zoo")
+    trained = [{"name": n, "family": "mlp", "depth": 2, "width": 4, "train": {"epochs": 8, "lr": 0.05}}
+               for n in ("right", "twin")]
+    cfg = tmp_path_factory.mktemp("cfg") / "zoo.json"
+    assert main(["zoo", "--config", _write(cfg, {"dataset": _SEPARATED, "zoo": {"models": trained}, "out": str(out)})]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    right = next(e for e in doc["entries"] if e["name"] == "right")
+    assert [e["val_accuracy"] for e in doc["entries"]] == [1.0, 1.0]
+    ck = models.load(out / right["path"])
+    for name in ("wrong", "wrong2"):
+        params = dict(ck.params, **{k: np.roll(ck.params[k], 1, axis=-1) for k in ("fc2.w", "fc2.b")})
+        models.save(models.Checkpoint(ck.spec, params, dict(ck.meta, name=name, val_accuracy=0.0)), out / f"{name}.ckpt")
+        doc["entries"].append(right | {"name": name, "path": f"{name}.ckpt", "val_accuracy": 0.0})
+    (out / "manifest.json").write_text(json.dumps(doc))
+    return out
+
+
+def test_transfer_from_the_students_own_checkpoint_reports_the_empty_outcomes(zoo_dir, tmp_path):
+    """Teacher and student are one checkpoint, so there are no flips: no gain,
+    the lost share of the student's correct answers as the loss, a null gain
+    for every class, and no transfer_rate."""
+    from flipxfer.analysis import correct_flags
+    from flipxfer.cli import _build_datasets, _resolve_dataset
+    from flipxfer.models import predict_logits
+
+    out = tmp_path / "self"
+    conf = _transfer_config(zoo_dir, out, "xe_kl", lr=0.05)
+    conf["transfer"]["teacher"] = conf["transfer"]["student"]
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    _, val = _build_datasets(_resolve_dataset(_dataset_section()))
+    manifest = load_manifest(str(zoo_dir / "manifest.json"))
+    before = correct_flags(predict_logits(manifest.load_checkpoint("narrow"), val.inputs), val.labels)
+    after = correct_flags(predict_logits(models.load(out / "student_after.ckpt"), val.inputs), val.labels)
+    assert report["rho_pos"] == 0.0
+    assert report["knowledge_gain"] == 0.0
+    assert 0.0 < report["knowledge_loss"] == int((before & ~after).sum()) / int(before.sum())
+    assert report["per_class_gain"] == [None] * 4
+    assert "transfer_rate" not in report
+
+
+def test_flips_of_two_identical_checkpoints_report_no_entropy_and_no_similarity(swapped_zoo, tmp_path):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("1,0\n0,1\n1,1\n1,-1\n")
+    out = tmp_path / "flips"
+    conf = {"manifest": str(swapped_zoo / "manifest.json"), "dataset": _SEPARATED, "embeddings": str(emb),
+            "out": str(out)}
+    assert main(["flips", "--config", _write(tmp_path / "flips.json", conf)]) == 0
+    records = {(r["teacher"], r["student"]): r for r in json.loads((out / "flips.json").read_text())["pairs"]}
+    rows = {tuple(line.split(",")[:2]): line for line in (out / "entropy_vs_delta_acc.csv").read_text().splitlines()}
+    for pair in (("right", "twin"), ("twin", "right"), ("wrong", "wrong2")):
+        assert records[pair]["flip_count"] == 0
+        assert records[pair]["entropy"] is None
+        assert "semantic_similarity" not in records[pair]
+        assert rows[pair] == ",".join(pair) + ",0.0,0.0,"
+    # every val sample flips, four in each class: the top 2% to 20% are class 0
+    # alone, the top 50% classes 0 and 1, whose embeddings are orthogonal
+    flipped = records[("right", "wrong")]
+    assert flipped["per_class_counts"] == [4, 4, 4, 4]
+    assert flipped["semantic_similarity"] == {"2": None, "5": None, "10": None, "20": None, "50": -1.0}
+
+
+@pytest.mark.parametrize("teacher", ["right", "wrong2"], ids=["teacher_with_flips", "teacher_without_flips"])
+def test_transfer_into_a_student_with_no_correct_prediction_exits_3(swapped_zoo, tmp_path, capsys, teacher):
+    """Knowledge loss is a share of the student's correct answers before
+    transfer; without any it is undefined, whether the teacher has flips or not."""
+    out = tmp_path / "out"
+    conf = {"manifest": str(swapped_zoo / "manifest.json"), "dataset": _SEPARATED, "out": str(out),
+            "transfer": {"method": "kl", "teacher": teacher, "student": "wrong",
+                         "hyperparams": {"lr": 0.01, "epochs": 1, "batch_size": 16, "seed": 1}}}
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
+    assert "error: student had no correct predictions before transfer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_fails_each_run_into_a_student_with_no_correct_prediction(swapped_zoo, tmp_path, capsys):
+    out = tmp_path / "sw"
+    conf = {"manifest": str(swapped_zoo / "manifest.json"), "dataset": _SEPARATED, "out": str(out),
+            "sweep": {"methods": ["kl"], "hyperparams": {"lr": 0.01, "epochs": 1, "batch_size": 16, "seed": 1}}}
+    assert main(["sweep", "--config", _write(tmp_path / "sw.json", conf)]) == 3
+    err = capsys.readouterr().err
+    for teacher, student in (("wrong2", "wrong"), ("wrong", "wrong2"), ("right", "wrong")):
+        assert f"error: sweep run kl {teacher} -> {student}: student had no correct predictions" in err
+    rows = [r.split(",")[:2] for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert sorted(s for _, s in rows) == ["right"] * 3 + ["twin"] * 3
+    failed = json.loads((out / "summary.json").read_text())["failed"]
+    assert sorted((f["teacher"], f["student"]) for f in failed) == sorted(
+        (t, s) for s in ("wrong", "wrong2") for t in ("right", "twin", "wrong", "wrong2") if t != s
+    )
 
 
 def test_transfer_multi_sequential_string_val_accuracy_exits_3(zoo_dir, tmp_path, capsys):

@@ -514,7 +514,7 @@ def test_run_transfer_deterministic(toy_sets):
     for k in a.student_after.params:
         assert np.array_equal(a.student_after.params[k], b.student_after.params[k])
     assert (a.doc["delta_acc"], a.doc["delta_transf"]) == (b.doc["delta_acc"], b.doc["delta_transf"])
-    assert a.doc["per_class_gain"] == b.doc["per_class_gain"]  # a NaN gain is None in both
+    assert a.doc["per_class_gain"] == b.doc["per_class_gain"]  # a class without flips is None in both
 
 
 def test_run_transfer_mcl_tau_one_returns_init_bitwise(toy_sets):
