@@ -167,8 +167,8 @@ def _resolve_hyperparams(method: str, overrides: dict, seed_override: int | None
         hp["seed"] = seed_override
     try:
         TransferHyperparams(**hp)
-    except TransferError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    except TransferError as e:  # its message starts with the field's name
+        raise ConfigError(f"{path}.{e}") from e
     if hp["topk"] is not None and method != "kl":
         raise ConfigError(f"{path}.topk: only method 'kl' uses topk, not {method!r}")
     return hp

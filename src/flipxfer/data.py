@@ -14,7 +14,7 @@ train/val pair is produced by varying ``seed`` while pinning ``anchor_seed``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,11 +60,15 @@ class TruncatedIdxError(IdxFormatError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fixed-order sample collection; immutable after construction."""
+    """Fixed-order sample collection; immutable after construction, but for
+    ``correct``, the memo of ``transfer.val_correct`` (checkpoint digest ->
+    per-sample correctness on these samples), which starts empty in every new
+    set, a subset included, and is left out of ``repr`` and ``==``."""
 
     inputs: np.ndarray  # (n, *input_shape), float64
     labels: np.ndarray  # (n,), int64 in [0, num_classes)
     num_classes: int
+    correct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))

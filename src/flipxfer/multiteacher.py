@@ -74,13 +74,12 @@ def sequential_transfer(
     acc0 = None  # the original student's accuracy: the acc_before of the first stage that ran
     reference = student_ck if retain_original_reference else None
     current = student_ck
-    seen: dict[str, np.ndarray] = {}  # a stage's output is the next stage's student: forwarded once
     results: list[TransferResult] = []
     for name, teacher in teachers:
         try:
             res = run_transfer(
                 current, teacher, method, hp, transfer_set, val_set, teacher_name=name,
-                student_name=student_name, frozen_reference=reference, seen=seen,
+                student_name=student_name, frozen_reference=reference,
             )
         except TransferDivergedError as e:
             results.append(TransferResult(current, report_doc(method, hp, name, student_name) | {"failed": str(e)}))
@@ -144,9 +143,8 @@ def soup_transfer(
     variants' parameters uniformly and evaluate the merged model against the
     student's baseline over every teacher, measured from the branches' forwards."""
     _check_run("soup", "given", method, teachers)
-    seen: dict[str, np.ndarray] = {}  # the student and each teacher, forwarded once by the branches
     branches = [
-        run_transfer(student_ck, teacher, method, hp, transfer_set, val_set, name, student_name, seen=seen)
+        run_transfer(student_ck, teacher, method, hp, transfer_set, val_set, name, student_name)
         for name, teacher in teachers
     ]
     # canonical merge order: by branch checkpoint digest, so teacher order
@@ -161,7 +159,7 @@ def soup_transfer(
             for name in student_ck.params
         }
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
-    baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set, seen)
+    baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)
     res = baseline.result(
         method, hp, None, student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "soup"},

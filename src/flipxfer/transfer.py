@@ -85,6 +85,7 @@ __all__ = [
     "cd_loss",
     "check_dataset",
     "checkpoint_of",
+    "val_correct",
     "sgd_epochs",
     "distill",
     "run_transfer",
@@ -128,22 +129,23 @@ class TransferHyperparams:
     topk: int | None = None
 
     def __post_init__(self):
+        # each message starts with its field's name, which the CLI prefixes with the section's dotted key
         try:
             SgdState(lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay)
         except ValueError as e:
             raise TransferError(str(e)) from e
-        if self.temperature <= 0:
-            raise TransferError(f"temperature must be positive, got {self.temperature}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise TransferError(f"lambda must be in [0,1], got {self.lam}")
-        if not 0.0 <= self.mcl_tau <= 1.0:
-            raise TransferError(f"mcl_tau must be in [0,1], got {self.mcl_tau}")
-        if self.mcl_every < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise TransferError("mcl_every and batch_size must be positive, epochs nonnegative")
-        if self.seed < 0:
-            raise TransferError(f"seed must be nonnegative, got {self.seed}")
-        if self.topk is not None and self.topk < 1:  # the class count bounds it at run time
-            raise TransferError(f"topk must be at least 1, got {self.topk}")
+        for name, ok, rule in (
+            ("temperature", self.temperature > 0, "positive"),
+            ("lam", 0.0 <= self.lam <= 1.0, "in [0,1]"),
+            ("mcl_tau", 0.0 <= self.mcl_tau <= 1.0, "in [0,1]"),
+            ("mcl_every", self.mcl_every >= 1, "positive"),
+            ("epochs", self.epochs >= 0, "nonnegative"),
+            ("batch_size", self.batch_size >= 1, "positive"),
+            ("seed", self.seed >= 0, "nonnegative"),
+            ("topk", self.topk is None or self.topk >= 1, "at least 1"),  # the class count bounds it at run time
+        ):
+            if not ok:
+                raise TransferError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 def default_hyperparams(method: str, **overrides) -> TransferHyperparams:
@@ -214,7 +216,7 @@ class EpochStates:
 
     def traces(self, baseline: "ValBaseline") -> list[EpochTrace]:
         """One trace per epoch: its train loss, and its weights' val accuracy,
-        gain and loss against ``baseline``, forwarded through the baseline's
+        gain and loss against ``baseline``, forwarded through the val set's
         memo; the teacher's mask share, and (MCL) the fast weights' accuracy."""
         out = []
         for i, (train_loss, weights) in enumerate(zip(self.train_loss, self.weights)):
@@ -244,7 +246,7 @@ class TransferResult:
     @functools.cached_property
     def per_epoch(self) -> list[EpochTrace]:
         """One trace per epoch; the epochs' weights are forwarded over the val
-        set on first read, through the baseline's memo."""
+        set on first read, through its memo."""
         return self.epochs.traces(self.baseline) if self.epochs is not None else []
 
 
@@ -489,12 +491,16 @@ def checkpoint_of(base: Checkpoint, params: dict[str, Tensor]) -> Checkpoint:
     return Checkpoint(base.spec, {k: params[k].data.copy() for k in base.params}, dict(base.meta))
 
 
-def _val_flags(seen: dict[str, np.ndarray], ck: Checkpoint, val_set: Dataset) -> np.ndarray:
-    """ck's per-sample correctness on val_set, forwarded once per digest."""
+def val_correct(ck: Checkpoint, val_set: Dataset) -> np.ndarray:
+    """ck's per-sample correctness on val_set, read-only, forwarded once per
+    checkpoint digest for the life of the set: ``val_set.correct`` keeps the
+    flags.  Only one thread at a time writes a given set's memo, because
+    ``distill`` joins its baseline's helper before ``result`` reads."""
     key = ck.digest()
-    if key not in seen:
-        seen[key] = correct_flags(predict_logits(ck, val_set.inputs), val_set.labels)
-    return seen[key]
+    if key not in val_set.correct:
+        val_set.correct[key] = correct_flags(predict_logits(ck, val_set.inputs), val_set.labels)
+        val_set.correct[key].flags.writeable = False
+    return val_set.correct[key]
 
 
 def report_doc(method: str, hp: TransferHyperparams, teacher: str, student: str, delta_acc: float = 0.0,
@@ -532,45 +538,38 @@ class ValBaseline:
     single teacher, its own).  ``result`` measures a trained student against
     it and builds the transfer's report document.
 
-    Each weight state is forwarded over the val set once: ``correct`` keeps
-    the flags of every checkpoint it saw, by digest, so epoch traces read
-    after the report reuse its forward of the last epoch's weights (and,
-    with no epochs, the report reuses the untrained student's). Baselines
-    measured with one ``seen`` memo share it: a sequential plan's stages
-    (each stage's output is the next stage's student), and soup's branches
-    and the soup itself (one student and its teachers, each forwarded once).
-    ``distill`` measures its baseline in a helper thread beside SGD and joins
-    it before returning, so one thread at a time extends a shared memo.
+    Every checkpoint is forwarded through the val set's memo
+    (``val_correct``), once per weight state for the life of the set: epoch
+    traces read after the report reuse its forward of the last epoch's
+    weights, and a later transfer on the same set (a sequential plan's next
+    stage, a soup's next branch or merge, a sweep worker's next task) reuses
+    the forwards of every model that one before it saw.
     """
 
     val_set: Dataset
     before_correct: np.ndarray
     teacher_accs: list[float]
     flips: FlipStats
-    seen: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def measure(cls, student_ck: Checkpoint, teachers, val_set: Dataset,
-                seen: dict[str, np.ndarray] | None = None) -> "ValBaseline":
-        """Forward the student and each teacher not yet in ``seen`` (a
-        digest -> flags memo on this val set, which the baseline extends)."""
-        seen = {} if seen is None else seen
-        before = _val_flags(seen, student_ck, val_set)
+    def measure(cls, student_ck: Checkpoint, teachers, val_set: Dataset) -> "ValBaseline":
+        """The student's and each teacher's flags, from the val set's memo."""
+        before = val_correct(student_ck, val_set)
         any_teacher_correct = np.zeros(val_set.n, dtype=bool)
         accs = []
         for t in teachers:
-            correct = _val_flags(seen, t, val_set)
+            correct = val_correct(t, val_set)
             accs.append(float(correct.mean()))
             any_teacher_correct |= correct
         flips = flip_stats_from_flags(any_teacher_correct & ~before, val_set.labels, student_ck.spec.num_classes)
-        return cls(val_set, before, accs, flips, seen)
+        return cls(val_set, before, accs, flips)
 
     @property
     def acc_before(self) -> float:
         return float(self.before_correct.mean())
 
     def correct(self, ck: Checkpoint) -> np.ndarray:
-        return _val_flags(self.seen, ck, self.val_set)
+        return val_correct(ck, self.val_set)
 
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
@@ -601,10 +600,9 @@ def distill(
     val_set: Dataset,
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
-    seen: dict[str, np.ndarray] | None = None,
 ) -> tuple[ValBaseline, EpochStates, Checkpoint, np.ndarray | None]:
     """Distill named teachers into a pretrained student over a fixed epoch
-    budget.  Returns the baseline (measured with the val memo ``seen``), the
+    budget.  Returns the baseline (measured through the val set's memo), the
     epoch states (not yet forwarded over the val set), the trained checkpoint
     (MCL: the slow weights) and the per-sample winning source.
 
@@ -619,8 +617,7 @@ def distill(
     state and signals, and the baseline's val forwards in one helper thread,
     joined before this returns or raises.  A diverged SGD raises
     ``TransferDivergedError``; otherwise an error of the baseline is raised.
-    With one usable CPU both run here, SGD first.  The memo ``seen`` is
-    written by the helper only, and is complete when this returns.
+    With one usable CPU both run here, SGD first.
     """
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -695,7 +692,7 @@ def distill(
                 epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
 
     _, baseline = thread_map(
-        lambda job: job(), [train, functools.partial(ValBaseline.measure, student_ck, teacher_cks, val_set, seen)],
+        lambda job: job(), [train, functools.partial(ValBaseline.measure, student_ck, teacher_cks, val_set)],
         usable_cpus(),
     )
     return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
@@ -711,14 +708,14 @@ def run_transfer(
     teacher_name: str = "teacher",
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
-    seen: dict[str, np.ndarray] | None = None,
 ) -> TransferResult:
     """``distill`` with one teacher; DP's frozen retention reference is
-    ``frozen_reference``, by default the initial student, and ``seen`` the
-    val memo shared with other transfers on the same val set."""
+    ``frozen_reference``, by default the initial student.  Its val forwards go
+    through the val set's memo, which every transfer on that set shares, a
+    sweep worker's tasks included."""
     baseline, epochs, student_after, winner = distill(
         student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
-        frozen_reference, seen,
+        frozen_reference,
     )
     if method in DP_METHODS:
         epochs.teacher_share = float((winner == 1).mean())

@@ -16,10 +16,9 @@ import numpy as np
 from .autodiff import SgdState, Tensor
 from .config import REQUIRED, ConfigError, digest, parse_json, resolve, write_json
 from .data import Dataset, augment_batch
-from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward, predict_logits
+from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward
 from .pool import pool_map, usable_cpus
-from .transfer import checkpoint_of, sgd_epochs, xe_loss
-from .analysis import correct_flags
+from .transfer import checkpoint_of, sgd_epochs, val_correct, xe_loss
 
 __all__ = [
     "TrainConfig",
@@ -131,9 +130,9 @@ def train_model(
         return xe_loss(logits, train.labels[b])
 
     def val_accuracy(model: Checkpoint) -> float:
-        return float(correct_flags(predict_logits(model, val.inputs), val.labels).mean())
+        return float(val_correct(model, val).mean())
 
-    best_acc, stale, val_acc = -1.0, 0, None  # val_acc: the current weights', once measured
+    best_acc, stale = -1.0, 0
     for _ in sgd_epochs(
         params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn,
         lambda epoch, step, value, what=None: TrainingDivergedError(name, epoch, value, what),
@@ -147,11 +146,9 @@ def train_model(
                 if stale >= cfg.plateau_patience:
                     break
     out = checkpoint_of(ck, params)
-    if val_acc is None:
-        val_acc = val_accuracy(out)
     out.meta = {
         "seed": cfg.init_seed,
-        "val_accuracy": val_acc,
+        "val_accuracy": val_accuracy(out),  # with a plateau check, its last forward, from the memo
         "train_config_digest": digest(cfg),
         "name": name,
     }

@@ -674,6 +674,18 @@ def test_bad_config_value_exits_2_naming_key(zoo_dir, tmp_path, capsys, make, ke
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1), ("momentum", 1.5), ("weight_decay", -1), ("temperature", 0), ("lam", 1.5), ("mcl_tau", -0.5),
+    ("mcl_every", 0), ("epochs", -1), ("batch_size", 0), ("seed", -1), ("topk", 0),
+])
+def test_each_bad_hyperparameter_is_named_by_its_dotted_key(zoo_dir, tmp_path, capsys, key, value):
+    """Each field is checked on its own, and the message names the field and its value."""
+    command, doc = _bad("transfer", f"transfer.hyperparams.{key}", value)(zoo_dir, tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: transfer.hyperparams.{key} must be " in err and f", got {value}" in err
+
+
 _MISFITS = {
     # the zoo was trained on 8 dims and 4 classes; each once exited 1 with a traceback
     "transfer_dims": (_bad("transfer", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
@@ -1266,6 +1278,36 @@ def test_sweep_task_forwards_the_val_set_three_times(zoo_dir, monkeypatch, metho
     row = _sweep_task((checkpoints, transfer_set, val), ("wide", "narrow", method, hp))
     assert "error" not in row
     assert sum(calls) == 3
+
+
+def test_sweep_tasks_in_one_process_share_the_val_sets_memo(zoo_dir, monkeypatch):
+    """A worker keeps its val set from task to task, and the set keeps its
+    forwards: the second method on the same pair forwards only its trained
+    student, reading the student's and teacher's flags from the memo."""
+    from dataclasses import asdict
+
+    import flipxfer.models as models
+    from flipxfer.cli import _build_datasets, _resolve_dataset, _sweep_task
+    from flipxfer.transfer import default_hyperparams
+    from flipxfer.zoo import load_manifest
+
+    manifest = load_manifest(str(zoo_dir / "manifest.json"))
+    transfer_set, val = _build_datasets(_resolve_dataset(_dataset_section()))
+    checkpoints = {name: manifest.load_checkpoint(name) for name in ("wide", "narrow")}
+    calls = []
+    predict = models._predict
+
+    def counted(ck, batch):
+        calls.append(batch is val.inputs)
+        return predict(ck, batch)
+
+    monkeypatch.setattr(models, "_predict", counted)
+    for method, forwards in (("kl", 3), ("kl_dp_sup", 1)):
+        calls.clear()
+        hp = asdict(default_hyperparams(method, lr=0.01, epochs=1, batch_size=64, seed=1))
+        row = _sweep_task((checkpoints, transfer_set, val), ("wide", "narrow", method, hp))
+        assert "error" not in row
+        assert sum(calls) == forwards, method
 
 
 def test_json_flag_prints_summary(zoo_dir, tmp_path, capsys):

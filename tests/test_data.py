@@ -249,3 +249,16 @@ def test_epoch_permutation_pure_function():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(np.sort(a), np.arange(100))
+
+
+def test_every_new_set_starts_with_an_empty_memo_outside_repr_and_equality():
+    """``Dataset.correct``, the memo of val forwards, belongs to one set: a
+    subset, a stratified subsample and a set built on the same arrays start
+    empty, and neither ``repr`` nor ``==`` sees what the memo holds."""
+    ds = generate_synthetic(SyntheticConfig(classes=3, samples=30, dims=4, seed=1))
+    ds.correct["digest"] = np.ones(ds.n, dtype=bool)
+    same = Dataset(ds.inputs, ds.labels, ds.num_classes)
+    for new in (ds.subset(np.arange(10)), stratified_subsample(ds, 0.5, seed=0), same):
+        assert new.correct == {}
+    assert same == ds
+    assert "correct" not in repr(ds) and "digest" not in repr(ds)

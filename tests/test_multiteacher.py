@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flipxfer.data import SyntheticConfig, train_val_pair
+from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
 from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
@@ -212,6 +212,7 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
     is the previous stage's output, already forwarded. The original student's
     accuracy comes from the first stage."""
     train, val, student, teachers = setup
+    val = Dataset(val.inputs, val.labels, val.num_classes)  # an empty memo: no earlier test's forwards
     calls = _count_val_forwards(monkeypatch, val)
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
@@ -227,18 +228,20 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
 def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     """The branches forward the shared student once, and each its teacher and
     its trained weights; the soup adds only the merged weights, its baseline
-    measured over the branches' memo."""
+    measured over the val set's memo, which the branches filled."""
     train, val, student, teachers = setup
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
-    calls = _count_val_forwards(monkeypatch, val)
-    res = soup_transfer(student, list(two.items()), "kl_dp_sup", hp, train, val)
+    soup_val = Dataset(val.inputs, val.labels, val.num_classes)  # an empty memo: no earlier test's forwards
+    calls = _count_val_forwards(monkeypatch, soup_val)
+    res = soup_transfer(student, list(two.items()), "kl_dp_sup", hp, train, soup_val)
     assert sum(calls) == 2 * len(two) + 2
-    monkeypatch.undo()
     # the same report as a baseline measured from fresh forwards of every model
-    measured = ValBaseline.measure(student, list(two.values()), val).result(
+    fresh = Dataset(val.inputs, val.labels, val.num_classes)
+    measured = ValBaseline.measure(student, list(two.values()), fresh).result(
         "kl_dp_sup", hp, None, res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
     )
+    assert sum(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)  # the student, each teacher and the soup again
     assert res.baseline.teacher_accs == measured.baseline.teacher_accs
     assert res.doc["rho_pos"] == measured.doc["rho_pos"]
     assert repr({k: res.doc[k] for k in measured.doc}) == repr(measured.doc)  # soup adds only its own keys

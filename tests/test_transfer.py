@@ -35,6 +35,7 @@ from flipxfer.transfer import (
     sgd_epochs,
     soft_target_kl,
     topk_restricted_kl,
+    val_correct,
     winner_logprobs,
     xe_kl_loss,
     xe_loss,
@@ -448,6 +449,12 @@ def toy_sets():
     return _toy_dataset(1), _toy_dataset(2)
 
 
+def _fresh(ds: Dataset) -> Dataset:
+    """The same samples, the very arrays, in a new set whose memo of val
+    forwards is empty, so a test counts its own forwards."""
+    return Dataset(ds.inputs, ds.labels, ds.num_classes)
+
+
 def test_run_transfer_frozen_models_untouched(toy_sets):
     train, val = toy_sets
     student = build(SPEC, seed=1)
@@ -556,7 +563,7 @@ def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monke
     weights (MCL: slow and fast) but the last one's, which the report forwarded."""
     import flipxfer.transfer as transfer
 
-    train, val = toy_sets
+    train, val = toy_sets[0], _fresh(toy_sets[1])
     calls = []
 
     def counted(ck, batch):
@@ -572,6 +579,31 @@ def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monke
     assert sum(calls) == forwards(epochs)
     want = res.per_epoch[-1].val_accuracy if epochs else res.doc["acc_before"]
     assert res.doc["acc_before"] + res.doc["delta_transf"] == pytest.approx(want, abs=1e-15)
+
+
+def test_the_memo_of_val_forwards_is_per_val_set(toy_sets, monkeypatch):
+    """One checkpoint on two sets of the same samples is forwarded once on
+    each: the memo belongs to the set, not to the arrays. Its flags are
+    read-only, since every later transfer on the set reads them."""
+    import flipxfer.transfer as transfer
+
+    a, b = _fresh(toy_sets[1]), _fresh(toy_sets[1])
+    calls = []
+
+    def counted(ck, batch):
+        calls.append(batch is a.inputs)
+        return predict_logits(ck, batch)
+
+    monkeypatch.setattr(transfer, "predict_logits", counted)
+    ck = build(SPEC, 1)
+    flags = val_correct(ck, a)
+    assert val_correct(ck, a) is flags
+    assert sum(calls) == 1
+    assert np.array_equal(val_correct(build(SPEC, 1), b), flags)
+    assert sum(calls) == 2
+    assert list(a.correct) == list(b.correct) == [ck.digest()]
+    with pytest.raises(ValueError, match="read-only"):
+        flags[0] = not flags[0]
 
 
 @pytest.mark.parametrize("method, sources", [("kl", 1), ("kl_dp_sup", 2), ("kl_dp_unsup", 2), ("cd", 0)])
@@ -657,20 +689,25 @@ def _at_cpus(monkeypatch, cpus):
 @pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
 def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, method):
     """SGD in this thread and the baseline in a helper (whose chunked eval
-    may start another) give the one-CPU report, checkpoint and traces."""
+    may start another) give the one-CPU report, checkpoint and traces. Each
+    run has a val set of its own, so each forwards every state itself."""
     train, val = cnn_sets
     hp = default_hyperparams(method, lr=0.05, epochs=2, batch_size=32, seed=3, mcl_every=1)
     runs = []
     for cpus in (1, 2, 3):
         _at_cpus(monkeypatch, cpus)
-        runs.append(_fingerprint([run_transfer(build(_CNN, 1), build(_MLP, 2), method, hp, train, val)]))
+        fresh = _fresh(val)
+        runs.append(_fingerprint([run_transfer(build(_CNN, 1), build(_MLP, 2), method, hp, train, fresh)]))
+        # the student, the teacher and each epoch's weights (MCL: slow and fast)
+        assert len(fresh.correct) == 2 + hp.epochs * (2 if method == "xe_kl_mcl" else 1)
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("protocol", ["sequential", "soup"])
 def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, protocol):
-    """Stages and branches share one val memo; each joins its baseline's
-    helper before the next reads the memo, so every state is forwarded once."""
+    """Stages and branches share the val set's memo; each joins its baseline's
+    helper before the next reads the memo, so every state is forwarded once.
+    Each run has a val set of its own, so each forwards every state itself."""
     import flipxfer.models as models
     from flipxfer.multiteacher import sequential_transfer, soup_transfer
 
@@ -688,10 +725,11 @@ def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, 
     for cpus in (1, 2, 3):
         _at_cpus(monkeypatch, cpus)
         val_forwards.clear()
+        fresh = _fresh(val)
         if protocol == "sequential":
-            out = sequential_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, val, order="given")
+            out = sequential_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh, order="given")
         else:
-            out = [soup_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, val)]
+            out = [soup_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh)]
         runs.append(_fingerprint(out))
         # the student, each teacher and each trained state once (soup: two branches and the merge)
         assert sum(val_forwards) == (5 if protocol == "sequential" else 6)
@@ -720,7 +758,7 @@ def _val_forward_threads(monkeypatch, val, fail=None, delay=0.0):
 def test_the_baseline_runs_in_a_helper_thread_beside_sgd(cnn_sets, monkeypatch):
     """At 2 CPUs the student's and teacher's val forwards run in one helper
     thread; the after-forward of the report runs in this one."""
-    train, val = cnn_sets
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
     threads = _val_forward_threads(monkeypatch, val)
     before = threading.active_count()
@@ -732,7 +770,7 @@ def test_the_baseline_runs_in_a_helper_thread_beside_sgd(cnn_sets, monkeypatch):
 
 
 def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
-    train, val = cnn_sets
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 1)
     threads = _val_forward_threads(monkeypatch, val)
     started = []
@@ -746,7 +784,7 @@ def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
 def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
     """SGD diverges at its first step while the helper's forwards still
     sleep: the divergence is raised once the helper is joined."""
-    train, val = cnn_sets
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
     threads = _val_forward_threads(monkeypatch, val, delay=0.1)
     before = threading.active_count()
@@ -757,7 +795,7 @@ def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
 
 
 def test_a_baseline_error_reaches_the_caller_and_leaves_no_thread_running(cnn_sets, monkeypatch):
-    train, val = cnn_sets
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
     threads = _val_forward_threads(monkeypatch, val, fail=ArithmeticError("val forward"))
     before = threading.active_count()

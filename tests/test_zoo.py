@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flipxfer
-from flipxfer.data import SyntheticConfig, train_val_pair
+from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, load, predict_logits, save
 from flipxfer.analysis import correct_flags
 from flipxfer.zoo import (
@@ -186,7 +186,7 @@ _ZOO_FAULTS = """
 import os, resource, sys
 cpus, cnn_epochs = map(int, sys.argv[1:])
 os.sched_getaffinity = lambda pid: set(range(cpus))
-from flipxfer.data import SyntheticConfig, train_val_pair
+from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec
 from flipxfer.zoo import TrainConfig, pretrain_zoo
 
@@ -241,9 +241,9 @@ def test_plateau_early_exit_runs(small_sets):
 def test_plateau_reports_the_last_epochs_accuracy(small_sets, monkeypatch, epochs):
     """One val forward per epoch run; the final accuracy reuses the last."""
     import flipxfer.transfer as transfer
-    import flipxfer.zoo as zoo
 
     train, val = small_sets
+    val = Dataset(val.inputs, val.labels, val.num_classes)  # an empty memo: no earlier training's forwards
     calls, epochs_run = [], []
 
     def counted(ck, batch):
@@ -254,7 +254,7 @@ def test_plateau_reports_the_last_epochs_accuracy(small_sets, monkeypatch, epoch
         epochs_run.append(epoch)
         return permutation(n, seed, epoch)
 
-    monkeypatch.setattr(zoo, "predict_logits", counted)
+    monkeypatch.setattr(transfer, "predict_logits", counted)
     monkeypatch.setattr(transfer, "epoch_permutation", shuffle)
     ck = train_model(ModelSpec("mlp", 2, S, 10, width=12), TrainConfig(epochs=epochs, lr=0.05, plateau_patience=2),
                      train, val)
