@@ -302,6 +302,8 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         "dataset": _resolve_dataset(cfg["dataset"]), "pairs": resolve(cfg["pairs"] or {}, "pairs", PairFilter)
     }
     resolved["out"] = _check_out(cfg, args)
+    if resolved["embeddings"]:
+        _path(resolved["embeddings"], "embeddings")
     manifest = load_manifest(_path(resolved["manifest"], "manifest"))
     _, val = _build_datasets(resolved["dataset"])
     pairs = _pair_grid(manifest, resolved["manifest"], PairFilter(**resolved["pairs"]))

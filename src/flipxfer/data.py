@@ -22,10 +22,6 @@ __all__ = [
     "Dataset",
     "SyntheticConfig",
     "DataError",
-    "IdxFormatError",
-    "BadMagicError",
-    "CountMismatchError",
-    "TruncatedIdxError",
     "generate_synthetic",
     "train_val_pair",
     "load_idx",
@@ -39,23 +35,8 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class DataError(ValueError):
-    pass
-
-
-class IdxFormatError(DataError):
-    pass
-
-
-class BadMagicError(IdxFormatError):
-    pass
-
-
-class CountMismatchError(IdxFormatError):
-    pass
-
-
-class TruncatedIdxError(IdxFormatError):
-    pass
+    """A dataset that cannot be built or read. The message names the fault,
+    and for an IDX file the file as well."""
 
 
 @dataclass(frozen=True)
@@ -203,7 +184,7 @@ def train_val_pair(cfg: SyntheticConfig, val_samples: int, val_seed: int | None 
 
 def _read_be32(buf: bytes, off: int, path, what: str) -> int:
     if len(buf) < off + 4:
-        raise TruncatedIdxError(f"{path}: truncated before {what}")
+        raise DataError(f"{path}: truncated before {what}")
     return struct.unpack(">I", buf[off : off + 4])[0]
 
 
@@ -215,20 +196,20 @@ def load_idx(images_path, labels_path) -> Dataset:
         lbuf = f.read()
     magic = _read_be32(ibuf, 0, images_path, "magic")
     if magic != IDX_IMAGE_MAGIC:
-        raise BadMagicError(f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}")
+        raise DataError(f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}")
     n = _read_be32(ibuf, 4, images_path, "image count")
     rows = _read_be32(ibuf, 8, images_path, "row count")
     cols = _read_be32(ibuf, 12, images_path, "column count")
     if len(ibuf) < 16 + n * rows * cols:
-        raise TruncatedIdxError(f"{images_path}: payload shorter than {n}x{rows}x{cols} pixels")
+        raise DataError(f"{images_path}: payload shorter than {n}x{rows}x{cols} pixels")
     lmagic = _read_be32(lbuf, 0, labels_path, "magic")
     if lmagic != IDX_LABEL_MAGIC:
-        raise BadMagicError(f"{labels_path}: magic {lmagic:#010x}, expected {IDX_LABEL_MAGIC:#010x}")
+        raise DataError(f"{labels_path}: magic {lmagic:#010x}, expected {IDX_LABEL_MAGIC:#010x}")
     ln = _read_be32(lbuf, 4, labels_path, "label count")
     if ln != n:
-        raise CountMismatchError(f"{ln} labels for {n} images")
+        raise DataError(f"{ln} labels for {n} images")
     if len(lbuf) < 8 + n:
-        raise TruncatedIdxError(f"{labels_path}: payload shorter than {n} labels")
+        raise DataError(f"{labels_path}: payload shorter than {n} labels")
     if n == 0:
         raise DataError(f"{images_path}: empty dataset")
     pixels = np.frombuffer(ibuf, dtype=np.uint8, count=n * rows * cols, offset=16)

@@ -37,7 +37,7 @@ from .autodiff import (
     reshape,
 )
 from .config import REQUIRED, ConfigError, digest, parse_json, resolve, typed
-from .pool import thread_map, usable_cpus
+from .pool import thread_map
 
 MAGIC = b"XFKZ"
 VERSION = 1
@@ -45,19 +45,8 @@ _META_TYPES = {"val_accuracy": float, "name": str, "seed": int}
 
 
 class CheckpointError(ValueError):
-    """Base class for checkpoint (de)serialization failures."""
-
-
-class NotACheckpointError(CheckpointError):
-    """Magic bytes or version byte do not identify a checkpoint file."""
-
-
-class TruncatedCheckpointError(CheckpointError):
-    """File ends before the declared header or payload is complete."""
-
-
-class HeaderMismatchError(CheckpointError):
-    """Header contents disagree with the declared spec or payload."""
+    """A checkpoint that cannot be written or read: the message names the file
+    and the fault."""
 
 
 @dataclass(frozen=True)
@@ -244,8 +233,7 @@ def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         logits, feats = model_forward(ck.spec, params, Tensor(batch), train=False)
         return logits.data, feats.data
     starts = list(range(0, len(batch), rows))
-    parts = thread_map(lambda i: model_forward(ck.spec, params, Tensor(batch[i : i + rows]), train=False),
-                       starts, usable_cpus())
+    parts = thread_map(lambda i: model_forward(ck.spec, params, Tensor(batch[i : i + rows]), train=False), starts)
     return np.concatenate([z.data for z, _ in parts]), np.concatenate([f.data for _, f in parts])
 
 
@@ -293,14 +281,14 @@ def load(path) -> Checkpoint:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 5 or raw[:4] != MAGIC:
-        raise NotACheckpointError(f"{path}: not a checkpoint file")
+        raise CheckpointError(f"{path}: not a checkpoint file")
     if raw[4] != VERSION:
-        raise NotACheckpointError(f"{path}: unsupported checkpoint version {raw[4]}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {raw[4]}")
     if len(raw) < 9:
-        raise TruncatedCheckpointError(f"{path}: truncated before header length")
+        raise CheckpointError(f"{path}: truncated before header length")
     (hlen,) = struct.unpack("<I", raw[5:9])
     if len(raw) < 9 + hlen:
-        raise TruncatedCheckpointError(f"{path}: truncated header")
+        raise CheckpointError(f"{path}: truncated header")
     try:
         header = resolve(
             parse_json(raw[9 : 9 + hlen], "header"), "header",
@@ -308,24 +296,24 @@ def load(path) -> Checkpoint:
         )
         spec = ModelSpec(**resolve(header["spec"], "header.spec", ModelSpec))
     except ValueError as e:  # a ConfigError, or a spec ModelSpec rejects
-        raise HeaderMismatchError(f"{path}: malformed header ({e})") from e
+        raise CheckpointError(f"{path}: malformed header ({e})") from e
     names, shapes, meta = header["names"], header["shapes"], header["meta"]
     try:
         meta.update({k: typed(meta[k], hint, f"meta.{k}") for k, hint in _META_TYPES.items() if k in meta})
     except ConfigError as e:
-        raise HeaderMismatchError(f"{path}: {e}") from e
+        raise CheckpointError(f"{path}: {e}") from e
     expected = spec.param_shapes()
     if sorted(names) != sorted(expected) or set(shapes) != set(expected):
-        raise HeaderMismatchError(f"{path}: parameter names disagree with spec")
+        raise CheckpointError(f"{path}: parameter names disagree with spec")
     for name in names:
         if shapes[name] != list(expected[name]):
-            raise HeaderMismatchError(
+            raise CheckpointError(
                 f"{path}: shape of {name!r} is {shapes[name]}, spec says {list(expected[name])}"
             )
     payload = raw[9 + hlen :]
     total = spec.num_params()
     if len(payload) != 8 * total:
-        raise TruncatedCheckpointError(
+        raise CheckpointError(
             f"{path}: payload holds {len(payload) // 8} floats, header declares {total}"
         )
     params: dict[str, np.ndarray] = {}

@@ -2,27 +2,27 @@
 with the inputs they share sent once, and eval chunks in threads.
 
 ``pool_map(fn, shared, tasks, workers)`` returns ``[fn(shared, task) for task
-in tasks]``. With more than one worker the calls run in a process pool:
-``shared`` reaches each worker once, through the pool initializer (inherited,
-not pickled, where workers fork), while each task and its result are pickled.
-Tasks start in the order given and their results come back in it, so a
-caller that orders its tasks chooses which start first, and the results do
-not depend on the worker count.
+in tasks]``. With more than one worker the calls run in a process pool, at
+most one worker per task: ``shared`` reaches each worker once, through the
+pool initializer (inherited, not pickled, where workers fork), while each
+task and its result are pickled. Tasks start in the order given and their
+results come back in it, so a caller that orders its tasks chooses which
+start first, and the results do not depend on the worker count.
 
 Each worker lets its allocator keep freed memory from the start (glibc
 only; see ``keep_freed_memory``), as any process does once it trains
 (``transfer.sgd_epochs``), so a training step's temporaries are reused from
 one step to the next.
 
-``thread_map(fn, items, workers)`` returns ``[fn(item) for item in items]``
-with the items split into one contiguous group per thread: this thread runs
-the first group and helper threads the rest, all joined before it returns.
-It pays where ``fn`` spends its time in numpy calls that release the GIL,
-such as a conv model's eval chunks, or a transfer's SGD beside its
-before-transfer val forwards (``transfer.distill``). Calls may nest: the
-helper threads running anywhere in the process count against ``workers``,
-so a call made inside a helper while the others are busy runs in its own
-thread, and the process never runs more than ``workers`` of these threads.
+``thread_map(fn, items)`` returns ``[fn(item) for item in items]`` with the
+items split into one contiguous group per thread: this thread runs the first
+group and helper threads the rest, all joined before it returns. It pays
+where ``fn`` spends its time in numpy calls that release the GIL, such as a
+conv model's eval chunks, or a transfer's SGD beside its before-transfer val
+forwards (``transfer.distill``). Calls may nest: the helper threads running
+anywhere in the process count against the usable CPUs, so a call made inside
+a helper while the others are busy runs in its own thread, and the process
+never runs more of these threads than it has usable CPUs.
 """
 
 from __future__ import annotations
@@ -84,11 +84,13 @@ def _call(fn, task):
 
 
 def pool_map(fn, shared, tasks: list, workers: int) -> list:
-    """``fn(shared, task)`` for each task, in ``workers`` processes when more
-    than one, else in this process. ``fn`` is sent by its import path. An
+    """``fn(shared, task)`` for each task, in ``min(workers, len(tasks))``
+    processes when more than one (a pool starts all its workers at once),
+    else in this process. ``fn`` is sent by its import path. An
     exception a call raises is raised here, and the tasks not yet started
     are cancelled. A worker that ends before returning its task (killed by a
     signal or by the kernel when memory runs out) raises ``ChildProcessError``."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(shared, task) for task in tasks]
     try:
@@ -98,17 +100,17 @@ def pool_map(fn, shared, tasks: list, workers: int) -> list:
         raise ChildProcessError("a worker process ended before returning its task") from e
 
 
-def thread_map(fn, items: list, workers: int) -> list:
+def thread_map(fn, items: list) -> list:
     """``[fn(item) for item in items]``, the items split into contiguous
     groups of near-equal size, one per thread: this thread and
-    ``min(workers, len(items)) - 1`` helper threads, fewer while other calls
-    have helpers running, so the process's helpers stay below ``workers``.
-    This thread runs the first group. The helpers are joined before this
-    returns or raises, so none outlives the call. An exception this thread's
-    group raises is raised here; otherwise the first a helper raised is."""
+    ``min(usable_cpus(), len(items)) - 1`` helper threads, fewer while other
+    calls have helpers running, so the process's helpers stay below its
+    usable CPUs. This thread runs the first group. The helpers are joined
+    before this returns or raises, so none outlives the call. An exception
+    this thread's group raises is raised here; else the first a helper did."""
     global _helpers
     with _helpers_lock:
-        n = max(1, min(workers - _helpers, len(items)))
+        n = max(1, min(usable_cpus() - _helpers, len(items)))
         _helpers += n - 1
     if n <= 1:
         return [fn(item) for item in items]

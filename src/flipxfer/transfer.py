@@ -56,7 +56,7 @@ from .autodiff import (
 )
 from .data import Dataset, epoch_permutation
 from .models import Checkpoint, ModelSpec, as_tensors, model_forward, predict_features, predict_logits
-from .pool import keep_freed_memory, thread_map, usable_cpus
+from .pool import keep_freed_memory, thread_map
 
 __all__ = [
     "METHODS",
@@ -218,10 +218,10 @@ class EpochStates:
         """One trace per epoch: its train loss, and its weights' val accuracy,
         gain and loss against ``baseline``, forwarded through the val set's
         memo; the teacher's mask share, and (MCL) the fast weights' accuracy."""
-        out = []
+        out, val = [], baseline.val_set
         for i, (train_loss, weights) in enumerate(zip(self.train_loss, self.weights)):
-            now = baseline.correct(Checkpoint(self.spec, weights))
-            fast = None if self.fast_weights is None else baseline.correct(Checkpoint(self.spec, self.fast_weights[i]))
+            now = val_correct(Checkpoint(self.spec, weights), val)
+            fast = None if self.fast_weights is None else val_correct(Checkpoint(self.spec, self.fast_weights[i]), val)
             out.append(EpochTrace(
                 train_loss, float(now.mean()), *baseline.gain_loss(now), self.teacher_share,
                 None if fast is None else float(fast.mean()),
@@ -568,9 +568,6 @@ class ValBaseline:
     def acc_before(self) -> float:
         return float(self.before_correct.mean())
 
-    def correct(self, ck: Checkpoint) -> np.ndarray:
-        return val_correct(ck, self.val_set)
-
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
@@ -580,7 +577,7 @@ class ValBaseline:
         ``meta`` goes into its checkpoint, and ``epochs`` stay unforwarded
         until the result's traces are read."""
         y = self.val_set.labels
-        after_correct = self.correct(student_after)
+        after_correct = val_correct(student_after, self.val_set)
         acc_after = float(after_correct.mean())
         student_after.meta.update({"val_accuracy": acc_after, **meta})
         doc = report_doc(
@@ -692,8 +689,7 @@ def distill(
                 epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
 
     _, baseline = thread_map(
-        lambda job: job(), [train, functools.partial(ValBaseline.measure, student_ck, teacher_cks, val_set)],
-        usable_cpus(),
+        lambda job: job(), [train, functools.partial(ValBaseline.measure, student_ck, teacher_cks, val_set)]
     )
     return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
 

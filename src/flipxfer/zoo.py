@@ -188,9 +188,9 @@ def pretrain_zoo(
     entry's ``path``.
 
     The trainings are independent, so they run in one worker process per
-    usable CPU (at most one per model; in this process when that is one),
-    the largest by ``_work`` first. Each is deterministic given its config,
-    so no output bit depends on the worker count."""
+    usable CPU (``pool_map`` starts at most one per model, and none when
+    that is one), the largest by ``_work`` first. Each is deterministic
+    given its config, so no output bit depends on the worker count."""
     if len(specs) < 2:
         raise ValueError("a zoo needs at least 2 models")
     if names is None:
@@ -198,8 +198,7 @@ def pretrain_zoo(
     if len(names) != len(specs) or len(set(names)) != len(names):
         raise ValueError("model names must be unique and match the spec list")
     order = sorted(range(len(specs)), key=lambda i: -_work(*specs[i]))
-    workers = min(len(specs), usable_cpus())
-    results = pool_map(_train_task, (train, val), [(*specs[i], names[i]) for i in order], workers)
+    results = pool_map(_train_task, (train, val), [(*specs[i], names[i]) for i in order], usable_cpus())
     done = {names[i]: result for i, result in zip(order, results)}
     entries: list[ZooEntry] = []
     checkpoints: dict[str, Checkpoint] = {}

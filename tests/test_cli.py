@@ -661,6 +661,8 @@ _BAD_VALUES = {
         _bad("zoo", "dataset", {"idx": {"train_images": "i\0x", "train_labels": "l", "val_images": "i", "val_labels": "l"}}),
         "dataset.idx.train_images: 'i\\x00x' contains a NUL byte",
     ),
+    # a NUL byte in the embeddings path exited 3 with the raw byte in its message
+    "embeddings_nul": (_bad("flips", "embeddings", "a\0b.csv"), "embeddings: 'a\\x00b.csv' contains a NUL byte"),
     "subsample_fraction_zero": (_bad("zoo", "dataset.subsample_fraction", 0), "dataset.subsample_fraction"),
     "subsample_fraction_above_one": (_bad("zoo", "dataset.subsample_fraction", 2), "dataset.subsample_fraction"),
 }
@@ -1193,6 +1195,31 @@ def test_sweep_jobs_parallel_same_bytes(zoo_dir, tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_sweep_starts_no_more_workers_than_runs(zoo_dir, tmp_path, monkeypatch):
+    """A pool starts all its workers at once, so one beyond the run count
+    would be forked only to be reaped: two runs at ``--jobs 6`` start two
+    workers, and write the bytes of ``--jobs 1``."""
+    import flipxfer.pool as pool
+
+    started, init = tmp_path / "started", pool._init
+
+    def counted(shared):
+        with open(started, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        init(shared)
+
+    monkeypatch.setattr(pool, "_init", counted)
+    outs = []
+    for jobs in ("1", "6"):
+        out = tmp_path / f"jobs{jobs}"
+        conf = _sweep_config(zoo_dir, out, methods=["kl"], max_pairs=2)
+        assert main(["sweep", "--config", _write(tmp_path / f"{jobs}.json", conf), "--jobs", jobs]) == 0
+        outs.append(out)
+    assert len(set(started.read_text().split())) == 2
+    assert len((outs[1] / "sweep.csv").read_text().splitlines()) == 1 + 2
+    assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_records_failed_runs_and_exits_3(zoo_dir, tmp_path, capsys, jobs):
     """A failing run no longer aborts the sweep: the finished runs are written
@@ -1405,8 +1432,10 @@ def test_any_config_leaf_value_exits_0_2_or_3(tiny_configs, data):
     doc = _set_leaf(json.loads(json.dumps(tiny_configs[command])), data)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(pathlib.Path(tmp) / "cfg.json", doc)
-        argv = ["transfer" if command == "multi" else command, "--config", cfg, "--out", os.path.join(tmp, "out")]
-        assert main(argv) in (0, 2, 3)
+        out = os.path.join(tmp, "out")
+        code = main(["transfer" if command == "multi" else command, "--config", cfg, "--out", out])
+        assert code in (0, 2, 3)
+        assert code != 2 or not os.path.exists(out)  # a config error is raised before the commit
 
 
 @settings(max_examples=100, deadline=None)

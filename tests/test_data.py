@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from flipxfer.data import (
-    BadMagicError,
-    CountMismatchError,
     DataError,
     Dataset,
     SyntheticConfig,
-    TruncatedIdxError,
     class_anchors,
     epoch_permutation,
     generate_synthetic,
@@ -156,7 +153,7 @@ def test_idx_fixture_round_trip(tmp_path):
 def test_idx_count_mismatch(tmp_path):
     pixels = np.zeros((2, 2, 2), dtype=np.uint8)
     imgs, lbls = _write_idx_pair(tmp_path, pixels, [0, 1, 1])
-    with pytest.raises(CountMismatchError):
+    with pytest.raises(DataError, match="3 labels for 2 images"):
         load_idx(imgs, lbls)
 
 
@@ -165,7 +162,7 @@ def test_idx_empty_file_is_truncation(tmp_path):
     empty.write_bytes(b"")
     lbls = tmp_path / "labels.idx"
     lbls.write_bytes(struct.pack(">II", 0x00000801, 0))
-    with pytest.raises(TruncatedIdxError):
+    with pytest.raises(DataError, match="empty.idx: truncated before magic"):
         load_idx(empty, lbls)
 
 
@@ -174,7 +171,7 @@ def test_idx_bad_magic(tmp_path):
     imgs.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
     lbls = tmp_path / "labels.idx"
     lbls.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
-    with pytest.raises(BadMagicError):
+    with pytest.raises(DataError, match="magic 0xdeadbeef, expected 0x00000803"):
         load_idx(imgs, lbls)
 
 
@@ -183,7 +180,7 @@ def test_idx_truncated_pixels(tmp_path):
     imgs.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(5))  # needs 8
     lbls = tmp_path / "labels.idx"
     lbls.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(2))
-    with pytest.raises(TruncatedIdxError):
+    with pytest.raises(DataError, match="images.idx: payload shorter than 2x2x2 pixels"):
         load_idx(imgs, lbls)
 
 
