@@ -456,7 +456,7 @@ def _sweep_task(data, task):
     try:
         res = run_transfer(
             checkpoints[sname], checkpoints[tname], method, TransferHyperparams(**hp_dict), transfer_set, val_set,
-            teacher_name=tname, student_name=sname,
+            teacher_name=tname, student_name=sname, forward_epochs=False,  # a sweep writes no per-epoch traces
         )
     except (TransferError, TransferDivergedError, AnalysisError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}

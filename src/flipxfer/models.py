@@ -219,8 +219,8 @@ def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     size, so the chunks concatenate to the bits of one whole-batch forward.
     The chunks are split into one contiguous group per usable CPU, forwarded
     by this thread and helper threads (``pool.thread_map``), fewer while
-    other helpers run: inside a transfer's baseline helper, beside its SGD,
-    they stay in that thread. The bits do not depend on the thread count.
+    other helpers run: inside a transfer's eval helper, beside its SGD, they
+    stay in that thread. The bits do not depend on the thread count.
     Eval params do not require grad, so the helpers' ops record nothing on a
     tape the caller may have open.
     """

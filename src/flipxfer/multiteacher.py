@@ -143,8 +143,9 @@ def soup_transfer(
     variants' parameters uniformly and evaluate the merged model against the
     student's baseline over every teacher, measured from the branches' forwards."""
     _check_run("soup", "given", method, teachers)
-    branches = [
-        run_transfer(student_ck, teacher, method, hp, transfer_set, val_set, name, student_name)
+    branches = [  # nothing reads a branch's per-epoch traces, so its epochs stay unforwarded
+        run_transfer(student_ck, teacher, method, hp, transfer_set, val_set, name, student_name,
+                     forward_epochs=False)
         for name, teacher in teachers
     ]
     # canonical merge order: by branch checkpoint digest, so teacher order

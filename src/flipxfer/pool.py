@@ -18,11 +18,12 @@ one step to the next.
 items split into one contiguous group per thread: this thread runs the first
 group and helper threads the rest, all joined before it returns. It pays
 where ``fn`` spends its time in numpy calls that release the GIL, such as a
-conv model's eval chunks, or a transfer's SGD beside its before-transfer val
-forwards (``transfer.distill``). Calls may nest: the helper threads running
-anywhere in the process count against the usable CPUs, so a call made inside
-a helper while the others are busy runs in its own thread, and the process
-never runs more of these threads than it has usable CPUs.
+conv model's eval chunks, or a transfer's SGD beside its val forwards (the
+before-transfer baseline, then each finished epoch: ``transfer.distill``).
+Calls may nest: the helper threads running anywhere in the process count
+against the usable CPUs, so a call made inside a helper while the others are
+busy runs in its own thread, and the process never runs more of these
+threads than it has usable CPUs.
 """
 
 from __future__ import annotations

@@ -24,9 +24,11 @@ document, the one record of a transfer.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import asdict, dataclass, field
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -205,8 +207,9 @@ class EpochTrace:
 @dataclass
 class EpochStates:
     """What each epoch of a transfer left: its mean train loss and a copy of
-    its weights (MCL: the slow weights, plus the fast ones).  They are
-    forwarded over the val set only when ``traces`` is called."""
+    its weights (MCL: the slow weights, plus the fast ones).  ``distill``
+    forwards the weights over the val set beside SGD when asked to; else
+    they are forwarded when ``traces`` is called."""
 
     spec: ModelSpec
     train_loss: list[float] = field(default_factory=list)
@@ -216,8 +219,9 @@ class EpochStates:
 
     def traces(self, baseline: "ValBaseline") -> list[EpochTrace]:
         """One trace per epoch: its train loss, and its weights' val accuracy,
-        gain and loss against ``baseline``, forwarded through the val set's
-        memo; the teacher's mask share, and (MCL) the fast weights' accuracy."""
+        gain and loss against ``baseline``, read from the val set's memo (and
+        forwarded into it if ``distill`` did not); the teacher's mask share,
+        and (MCL) the fast weights' accuracy."""
         out, val = [], baseline.val_set
         for i, (train_loss, weights) in enumerate(zip(self.train_loss, self.weights)):
             now = val_correct(Checkpoint(self.spec, weights), val)
@@ -245,8 +249,9 @@ class TransferResult:
 
     @functools.cached_property
     def per_epoch(self) -> list[EpochTrace]:
-        """One trace per epoch; the epochs' weights are forwarded over the val
-        set on first read, through its memo."""
+        """One trace per epoch, built on first read from the val set's memo,
+        which holds the epochs' forwards already when ``distill`` ran them
+        beside SGD; else they are forwarded now."""
         return self.epochs.traces(self.baseline) if self.epochs is not None else []
 
 
@@ -494,13 +499,17 @@ def checkpoint_of(base: Checkpoint, params: dict[str, Tensor]) -> Checkpoint:
 def val_correct(ck: Checkpoint, val_set: Dataset) -> np.ndarray:
     """ck's per-sample correctness on val_set, read-only, forwarded once per
     checkpoint digest for the life of the set: ``val_set.correct`` keeps the
-    flags.  Only one thread at a time writes a given set's memo, because
-    ``distill`` joins its baseline's helper before ``result`` reads."""
+    flags.  ``distill``'s two threads write one set's memo at once: each
+    stores distinct states, a dict store is atomic under the GIL, and a state
+    both forward (equal weights reached twice) gives equal bits, of which the
+    memo keeps the first stored."""
     key = ck.digest()
-    if key not in val_set.correct:
-        val_set.correct[key] = correct_flags(predict_logits(ck, val_set.inputs), val_set.labels)
-        val_set.correct[key].flags.writeable = False
-    return val_set.correct[key]
+    flags = val_set.correct.get(key)
+    if flags is None:
+        flags = correct_flags(predict_logits(ck, val_set.inputs), val_set.labels)
+        flags.flags.writeable = False
+        flags = val_set.correct.setdefault(key, flags)
+    return flags
 
 
 def report_doc(method: str, hp: TransferHyperparams, teacher: str, student: str, delta_acc: float = 0.0,
@@ -539,11 +548,12 @@ class ValBaseline:
     it and builds the transfer's report document.
 
     Every checkpoint is forwarded through the val set's memo
-    (``val_correct``), once per weight state for the life of the set: epoch
-    traces read after the report reuse its forward of the last epoch's
-    weights, and a later transfer on the same set (a sequential plan's next
-    stage, a soup's next branch or merge, a sweep worker's next task) reuses
-    the forwards of every model that one before it saw.
+    (``val_correct``), once per weight state for the life of the set: the
+    report reuses the forward of the last epoch's weights when ``distill``
+    queued the epochs beside SGD, epoch traces read after a lazy report reuse
+    the report's, and a later transfer on the same set (a sequential plan's
+    next stage, a soup's next branch or merge, a sweep worker's next task)
+    reuses the forwards of every model that one before it saw.
     """
 
     val_set: Dataset
@@ -574,8 +584,8 @@ class ValBaseline:
     def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
                student_after: Checkpoint, teacher: str, student: str, meta: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
-        ``meta`` goes into its checkpoint, and ``epochs`` stay unforwarded
-        until the result's traces are read."""
+        ``meta`` goes into its checkpoint, and ``epochs`` become the result's
+        traces when they are read."""
         y = self.val_set.labels
         after_correct = val_correct(student_after, self.val_set)
         acc_after = float(after_correct.mean())
@@ -597,11 +607,13 @@ def distill(
     val_set: Dataset,
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
+    forward_epochs: bool = True,
 ) -> tuple[ValBaseline, EpochStates, Checkpoint, np.ndarray | None]:
     """Distill named teachers into a pretrained student over a fixed epoch
     budget.  Returns the baseline (measured through the val set's memo), the
-    epoch states (not yet forwarded over the val set), the trained checkpoint
-    (MCL: the slow weights) and the per-sample winning source.
+    epoch states (with ``forward_epochs``, already forwarded into that memo;
+    else forwarded when their traces are read), the trained checkpoint (MCL:
+    the slow weights) and the per-sample winning source.
 
     The KL family's target is built once, before SGD: per sample, the
     tempered distribution of the most confident frozen source, the teacher
@@ -609,12 +621,18 @@ def distill(
     initial student) before every teacher.  Top-k KL and ``cd`` build their
     losses per batch and have no winner.
 
-    SGD never reads the baseline, so the two run side by side
-    (``pool.thread_map``): SGD in this thread, which keeps its tape, error
-    state and signals, and the baseline's val forwards in one helper thread,
-    joined before this returns or raises.  A diverged SGD raises
-    ``TransferDivergedError``; otherwise an error of the baseline is raised.
-    With one usable CPU both run here, SGD first.
+    SGD never reads the val forwards, so they run beside it through an eval
+    queue (``pool.thread_map`` of two jobs): SGD in this thread, which keeps
+    its tape, error state and signals, and in one helper thread the
+    baseline's forwards, then, with ``forward_epochs``, each finished epoch's
+    weights (MCL: slow, then fast) as SGD queues them.  When SGD ends this
+    thread drains the queue beside the helper, so the report and the traces
+    read only the memo; either thread may forward any epoch state.  SGD
+    queues one stop per consumer however it ends, so the helper is joined
+    before this returns or raises.  A diverged SGD drops the queued states
+    and raises ``TransferDivergedError``; otherwise an error of this
+    thread's forwards is raised, else the helper's.  With one usable CPU
+    both jobs run here, SGD and its epochs' forwards first.
     """
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -677,20 +695,42 @@ def distill(
         return {k: (mcl.slow[k] if mcl else params[k].data).copy() for k in student_ck.params}
 
     epochs = EpochStates(spec, fast_weights=[] if mcl else None)
+    queue: SimpleQueue = SimpleQueue()  # epoch checkpoints to forward over val; None stops a consumer
+
+    def forward_queued() -> None:
+        while (ck := queue.get()) is not None:
+            val_correct(ck, val_set)
 
     def train() -> None:
-        for losses in sgd_epochs(
-            params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
-            functools.partial(TransferDivergedError, method), after_step,
-        ):
-            epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
-            epochs.weights.append(weights())
-            if mcl is not None:
-                epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
+        try:
+            for losses in sgd_epochs(
+                params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
+                functools.partial(TransferDivergedError, method), after_step,
+            ):
+                epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
+                epochs.weights.append(weights())
+                if mcl is not None:
+                    epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
+                if forward_epochs:
+                    queue.put(Checkpoint(spec, epochs.weights[-1]))
+                    if mcl is not None:
+                        queue.put(Checkpoint(spec, epochs.fast_weights[-1]))
+        except BaseException:
+            with contextlib.suppress(Empty):  # a run that raised has no traces to read
+                while True:
+                    queue.get_nowait()
+            raise
+        finally:
+            queue.put(None)  # one per consumer: this thread and the helper
+            queue.put(None)
+        forward_queued()
 
-    _, baseline = thread_map(
-        lambda job: job(), [train, functools.partial(ValBaseline.measure, student_ck, teacher_cks, val_set)]
-    )
+    def measure() -> ValBaseline:
+        baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
+        forward_queued()
+        return baseline
+
+    _, baseline = thread_map(lambda job: job(), [train, measure])
     return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
 
 
@@ -704,14 +744,16 @@ def run_transfer(
     teacher_name: str = "teacher",
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
+    forward_epochs: bool = True,
 ) -> TransferResult:
     """``distill`` with one teacher; DP's frozen retention reference is
     ``frozen_reference``, by default the initial student.  Its val forwards go
     through the val set's memo, which every transfer on that set shares, a
-    sweep worker's tasks included."""
+    sweep worker's tasks included; a caller that never reads ``per_epoch``
+    passes ``forward_epochs=False``, and the epochs stay unforwarded."""
     baseline, epochs, student_after, winner = distill(
         student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
-        frozen_reference,
+        frozen_reference, forward_epochs,
     )
     if method in DP_METHODS:
         epochs.teacher_share = float((winner == 1).mean())

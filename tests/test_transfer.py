@@ -1,10 +1,11 @@
 import functools
 import hashlib
+import itertools
 import pickle
 import re
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from flipxfer import autodiff as ad
 from flipxfer.autodiff import Tape, Tensor, backward, np_softmax
 from flipxfer.config import dump_json
 from flipxfer.data import Dataset
-from flipxfer.models import ModelSpec, as_tensors, build, model_forward, predict_logits
+from flipxfer.models import Checkpoint, ModelSpec, as_tensors, build, model_forward, predict_logits
 from flipxfer.transfer import (
     MclState,
     PartitionMask,
@@ -558,27 +559,35 @@ def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
 @pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monkeypatch, method, forwards, epochs):
-    """Student and teacher before and the trained weights for the report (none
-    with no epochs: the student's); reading the traces adds each epoch's
-    weights (MCL: slow and fast) but the last one's, which the report forwarded."""
+    """Lazy: student and teacher before and the trained weights for the report
+    (none with no epochs: the student's); reading the traces adds each epoch's
+    weights (MCL: slow and fast) but the last one's, which the report forwarded.
+    Eager (the default): every epoch state is forwarded beside SGD, the report
+    and the traces read the memo, and both give the lazy traces."""
     import flipxfer.transfer as transfer
 
-    train, val = toy_sets[0], _fresh(toy_sets[1])
+    train = toy_sets[0]
     calls = []
-
-    def counted(ck, batch):
-        calls.append(batch is val.inputs)
-        return predict_logits(ck, batch)
-
-    monkeypatch.setattr(transfer, "predict_logits", counted)
     hp = TransferHyperparams(lr=0.02, epochs=epochs, batch_size=32, seed=1, lam=0.7)
-    res = run_transfer(build(SPEC, 1), build(SPEC, 2), method, hp, train, val)
-    assert sum(calls) == (3 if epochs else 2)
-    assert len(res.per_epoch) == epochs
-    assert res.per_epoch is res.per_epoch  # forwarded on the first read, then kept
-    assert sum(calls) == forwards(epochs)
-    want = res.per_epoch[-1].val_accuracy if epochs else res.doc["acc_before"]
-    assert res.doc["acc_before"] + res.doc["delta_transf"] == pytest.approx(want, abs=1e-15)
+    runs = []
+    for forward_epochs in (False, True):
+        val = _fresh(toy_sets[1])
+        calls.clear()
+
+        def counted(ck, batch):
+            calls.append(batch is val.inputs)
+            return predict_logits(ck, batch)
+
+        monkeypatch.setattr(transfer, "predict_logits", counted)
+        res = run_transfer(build(SPEC, 1), build(SPEC, 2), method, hp, train, val, forward_epochs=forward_epochs)
+        assert sum(calls) == (forwards(epochs) if forward_epochs else 3 if epochs else 2)
+        assert len(res.per_epoch) == epochs
+        assert res.per_epoch is res.per_epoch  # traced on the first read, then kept
+        assert sum(calls) == forwards(epochs) == len(val.correct)
+        want = res.per_epoch[-1].val_accuracy if epochs else res.doc["acc_before"]
+        assert res.doc["acc_before"] + res.doc["delta_transf"] == pytest.approx(want, abs=1e-15)
+        runs.append(_fingerprint([res]))
+    assert runs[1] == runs[0]
 
 
 def test_the_memo_of_val_forwards_is_per_val_set(toy_sets, monkeypatch):
@@ -656,10 +665,10 @@ def test_diverged_error_survives_pickling(what):
 
 
 # ---------------------------------------------------------------------------
-# the baseline measured beside SGD
+# the val forwards beside SGD: the baseline, then each finished epoch
 
 # a CNN student whose eval runs in chunks of 56 rows: the 169-row val set is
-# four chunks, so the baseline's forward of it may itself use thread_map
+# four chunks, so each val forward of it may itself use thread_map
 _CNN = ModelSpec(family="cnn", depth=2, input_shape=(1, 8, 8), num_classes=4, channels=(8, 4))
 _MLP = ModelSpec(family="mlp", depth=2, input_shape=(1, 8, 8), num_classes=4, width=8)
 
@@ -686,99 +695,168 @@ def _at_cpus(monkeypatch, cpus):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-@pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
-def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, method):
-    """SGD in this thread and the baseline in a helper (whose chunked eval
-    may start another) give the one-CPU report, checkpoint and traces. Each
-    run has a val set of its own, so each forwards every state itself."""
-    train, val = cnn_sets
-    hp = default_hyperparams(method, lr=0.05, epochs=2, batch_size=32, seed=3, mcl_every=1)
-    runs = []
-    for cpus in (1, 2, 3):
-        _at_cpus(monkeypatch, cpus)
-        fresh = _fresh(val)
-        runs.append(_fingerprint([run_transfer(build(_CNN, 1), build(_MLP, 2), method, hp, train, fresh)]))
-        # the student, the teacher and each epoch's weights (MCL: slow and fast)
-        assert len(fresh.correct) == 2 + hp.epochs * (2 if method == "xe_kl_mcl" else 1)
-    assert runs[1] == runs[0] and runs[2] == runs[0]
-
-
-@pytest.mark.parametrize("protocol", ["sequential", "soup"])
-def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, protocol):
-    """Stages and branches share the val set's memo; each joins its baseline's
-    helper before the next reads the memo, so every state is forwarded once.
-    Each run has a val set of its own, so each forwards every state itself."""
+def _count_val_forwards(monkeypatch, val) -> list:
+    """Patch the model forward under every eval: one entry per forward of the
+    val set's rows, from any thread."""
     import flipxfer.models as models
-    from flipxfer.multiteacher import sequential_transfer, soup_transfer
 
-    train, val = cnn_sets
-    teachers = [("a", build(_MLP, 2)), ("b", build(_MLP, 3))]
-    hp = TransferHyperparams(lr=0.05, epochs=1, batch_size=32, seed=3)
-    predict, val_forwards = models._predict, []
+    predict, calls = models._predict, []
 
     def counted(ck, batch):
-        val_forwards.append(batch is val.inputs)
+        if batch is val.inputs:
+            calls.append(ck.digest())
         return predict(ck, batch)
 
     monkeypatch.setattr(models, "_predict", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
+def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, method):
+    """SGD in this thread, the baseline and the epochs' forwards in a helper
+    and, once SGD ends, in this thread too (each chunked eval may start
+    another), give the one-CPU report, checkpoint and traces; so do the lazy
+    epochs, forwarded when the traces are read. Each run has a val set of its
+    own, so each forwards every state itself, once."""
+    train, val = cnn_sets
+    hp = default_hyperparams(method, lr=0.05, epochs=2, batch_size=32, seed=3, mcl_every=1)
+    calls = _count_val_forwards(monkeypatch, val)
     runs = []
     for cpus in (1, 2, 3):
         _at_cpus(monkeypatch, cpus)
-        val_forwards.clear()
-        fresh = _fresh(val)
-        if protocol == "sequential":
-            out = sequential_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh, order="given")
-        else:
-            out = [soup_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh)]
-        runs.append(_fingerprint(out))
-        # the student, each teacher and each trained state once (soup: two branches and the merge)
-        assert sum(val_forwards) == (5 if protocol == "sequential" else 6)
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+        for forward_epochs in (True, False):
+            calls.clear()
+            fresh = _fresh(val)
+            res = run_transfer(build(_CNN, 1), build(_MLP, 2), method, hp, train, fresh, forward_epochs=forward_epochs)
+            runs.append(_fingerprint([res]))
+            # the student, the teacher and each epoch's weights (MCL: slow and fast)
+            assert len(calls) == len(set(calls)) == len(fresh.correct) == 2 + hp.epochs * (1 + (method == "xe_kl_mcl"))
+    assert all(run == runs[0] for run in runs)
 
 
-def _val_forward_threads(monkeypatch, val, fail=None, delay=0.0):
-    """Patch transfer's forwards: record the thread of each val forward and,
-    when asked, make it sleep or raise."""
+@pytest.mark.parametrize("protocol", ["sequential", "soup", "parallel"])
+def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, protocol):
+    """Stages and branches share the val set's memo; each joins its helper
+    before the next reads the memo, so every state is forwarded once, with
+    the epochs forwarded beside SGD or (lazy) when the traces are read. Each
+    run has a val set of its own, so each forwards every state itself."""
+    import flipxfer.multiteacher as multiteacher
+    from flipxfer.transfer import distill
+
+    train, val = cnn_sets
+    teachers = [("a", build(_MLP, 2)), ("b", build(_MLP, 3))]
+    hp = TransferHyperparams(lr=0.05, epochs=2, batch_size=32, seed=3)
+    calls = _count_val_forwards(monkeypatch, val)
+    runs = []
+    for cpus in (1, 2, 3):
+        _at_cpus(monkeypatch, cpus)
+        for forward_epochs in (True, False):
+            monkeypatch.setattr(multiteacher, "distill", functools.partial(distill, forward_epochs=forward_epochs))
+            monkeypatch.setattr(multiteacher, "run_transfer",
+                                functools.partial(run_transfer, forward_epochs=forward_epochs))
+            calls.clear()
+            fresh = _fresh(val)
+            if protocol == "sequential":
+                out = multiteacher.sequential_transfer(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh,
+                                                       order="given")
+            else:
+                run = getattr(multiteacher, f"{protocol}_transfer")
+                out = [run(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh)]
+            runs.append(_fingerprint(out))
+            # the student, each teacher, and each stage's epochs; the parallel run's epochs;
+            # or the soup's two branches' trained states and the merge
+            want = {"sequential": 3 + 2 * hp.epochs, "soup": 6, "parallel": 3 + hp.epochs}[protocol]
+            assert len(calls) == len(set(calls)) == len(fresh.correct) == want
+    assert all(run == runs[0] for run in runs)
+
+
+def test_sweep_tasks_and_soup_branches_forward_no_epoch_weights(toy_sets):
+    """Neither reads its per-epoch traces: at 3 epochs the val set's memo
+    holds only the student, the teachers and the trained states."""
+    from flipxfer.cli import _sweep_task
+    from flipxfer.multiteacher import soup_transfer
+
+    train, val = toy_sets
+    student, teachers = build(SPEC, 1), [("a", build(SPEC, 2)), ("b", build(SPEC, 3))]
+    hp = replace(HP, epochs=3)
+    trained = {}  # each teacher's transfer's epoch states, from an eager run
+    for name, teacher in teachers:
+        res = run_transfer(student, teacher, "kl", hp, train, _fresh(val))
+        trained[name] = [Checkpoint(SPEC, w).digest() for w in res.epochs.weights]
+        assert len(set(trained[name])) == hp.epochs
+    sweep_val = _fresh(val)
+    row = _sweep_task(({"s": student, "a": teachers[0][1]}, train, sweep_val), ("a", "s", "kl", asdict(hp)))
+    assert "error" not in row
+    assert set(sweep_val.correct) == {student.digest(), teachers[0][1].digest(), trained["a"][-1]}
+    soup_val = _fresh(val)
+    res = soup_transfer(student, teachers, "kl", hp, train, soup_val)
+    assert set(soup_val.correct) == {
+        student.digest(), *(t.digest() for _, t in teachers), trained["a"][-1], trained["b"][-1],
+        res.student_after.digest(),
+    }
+
+
+def _val_forwards(monkeypatch, val, before=None) -> list:
+    """Patch transfer's forwards: record each val forward's checkpoint digest
+    and thread, and first call ``before(ck)`` in that thread when given, to
+    sleep, wait or raise."""
     import flipxfer.transfer as transfer
 
-    threads = []
+    forwards = []
 
     def patched(ck, batch):
         if batch is val.inputs:
-            threads.append(threading.current_thread())
-            time.sleep(delay)
-            if fail is not None:
-                raise fail
+            forwards.append((ck.digest(), threading.current_thread()))
+            if before is not None:
+                before(ck)
         return predict_logits(ck, batch)
 
     monkeypatch.setattr(transfer, "predict_logits", patched)
-    return threads
+    return forwards
+
+
+def _raise(error):
+    raise error
+
+
+def _loss_hook(monkeypatch, hook):
+    """Patch the ``kl`` objective so ``hook(step)`` runs before each SGD step's
+    loss (steps counted from 0 across epochs); a true result makes the loss NaN."""
+    import flipxfer.transfer as transfer
+
+    kl, steps = transfer.soft_target_kl, itertools.count()
+    monkeypatch.setattr(transfer, "soft_target_kl", lambda *a: ad.scale(kl(*a), np.nan if hook(next(steps)) else 1.0))
 
 
 def test_the_baseline_runs_in_a_helper_thread_beside_sgd(cnn_sets, monkeypatch):
     """At 2 CPUs the student's and teacher's val forwards run in one helper
-    thread; the after-forward of the report runs in this one."""
+    thread; each epoch's weights in that helper or, once SGD ends, in this
+    thread; the report's forward of the trained weights is the last epoch's."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    threads = _val_forward_threads(monkeypatch, val)
+    forwards = _val_forwards(monkeypatch, val)
     before = threading.active_count()
-    run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", HP, train, val)
-    assert len(threads) == 3
-    assert threads[0] is threads[1] is not threading.current_thread()
-    assert threads[2] is threading.current_thread()
+    student, teacher = build(_CNN, 1), build(_MLP, 2)
+    res = run_transfer(student, teacher, "kl", HP, train, val)
+    by_state = dict(forwards)
+    assert len(forwards) == len(by_state) == 2 + HP.epochs
+    helper = by_state[student.digest()]
+    assert helper is by_state[teacher.digest()] is not threading.current_thread()
+    assert set(by_state.values()) <= {helper, threading.current_thread()}
+    assert res.student_after.digest() in by_state
     assert threading.active_count() == before
 
 
 def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 1)
-    threads = _val_forward_threads(monkeypatch, val)
+    forwards = _val_forwards(monkeypatch, val)
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
     run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", HP, train, val)
     assert started == []
-    assert threads == [threading.current_thread()] * 3
+    assert [t for _, t in forwards] == [threading.current_thread()] * (2 + HP.epochs)
 
 
 def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
@@ -786,20 +864,92 @@ def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
     sleep: the divergence is raised once the helper is joined."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    threads = _val_forward_threads(monkeypatch, val, delay=0.1)
+    forwards = _val_forwards(monkeypatch, val, before=lambda ck: time.sleep(0.1))
     before = threading.active_count()
     with pytest.raises(TransferDivergedError, match="kl: non-finite"):
         run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", replace(HP, lr=1e308), train, val)
     assert threading.active_count() == before
-    assert len(threads) == 2 and threads[0] is not threading.current_thread()
+    assert len(forwards) == 2 and forwards[0][1] is not threading.current_thread()
+
+
+def test_sgd_diverging_with_epochs_queued_drops_them_and_leaves_no_thread_running(cnn_sets, monkeypatch):
+    """SGD diverges at epoch 2 while the helper's first forward waits for
+    the join: the two queued epochs are dropped, the helper forwards only the
+    baseline, and the divergence is raised."""
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
+    _at_cpus(monkeypatch, 2)
+    joined = threading.Event()
+    join = threading.Thread.join
+    monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joined.set() or join(self, *a))
+    forwards = _val_forwards(monkeypatch, val, before=lambda ck: joined.wait(10))
+    _loss_hook(monkeypatch, lambda step: step >= 4)  # two steps an epoch: epoch 2, step 0
+    student, teacher = build(_CNN, 1), build(_MLP, 2)
+    before = threading.active_count()
+    with pytest.raises(TransferDivergedError, match="kl: non-finite loss nan at epoch 2, step 0"):
+        run_transfer(student, teacher, "kl", replace(HP, epochs=3), train, val)
+    assert threading.active_count() == before
+    assert [s for s, _ in forwards] == [student.digest(), teacher.digest()]
+    assert forwards[0][1] is forwards[1][1] is not threading.current_thread()
+
+
+def test_an_epoch_forward_failing_in_the_helper_beside_sgd_reaches_the_caller(cnn_sets, monkeypatch):
+    """The helper's forward of epoch 0 raises while SGD waits at epoch 1; SGD
+    ends, this thread forwards the later epochs, and the helper's error is
+    raised once it is joined."""
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
+    _at_cpus(monkeypatch, 2)
+    student, teacher = build(_CNN, 1), build(_MLP, 2)
+    failed = threading.Event()
+
+    def before(ck):
+        if not failed.is_set() and ck.digest() not in (student.digest(), teacher.digest()):
+            failed.set()
+            _raise(ArithmeticError("helper forward"))
+
+    forwards = _val_forwards(monkeypatch, val, before=before)
+    # SGD waits at epoch 1, step 0 for the helper's failure (and diverges if it never comes)
+    _loss_hook(monkeypatch, lambda step: step == 2 and not failed.wait(10))
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="helper forward"):
+        run_transfer(student, teacher, "kl", replace(HP, epochs=3), train, val)
+    assert threading.active_count() == threads
+    helper = forwards[0][1]
+    assert helper is not threading.current_thread()
+    assert [t for _, t in forwards] == [helper] * 3 + [threading.current_thread()] * 2
+
+
+def test_a_forward_failing_in_the_training_threads_drain_reaches_the_caller(cnn_sets, monkeypatch):
+    """The helper's first forward waits until this thread's drain has failed;
+    the helper then forwards the rest of the queue, and this thread's error is
+    raised once it is joined."""
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
+    _at_cpus(monkeypatch, 2)
+    failed = threading.Event()
+    me = threading.current_thread()
+
+    def before(ck):
+        if threading.current_thread() is not me:
+            failed.wait(10)
+        elif not failed.is_set():
+            failed.set()
+            _raise(ArithmeticError("drain forward"))
+
+    forwards = _val_forwards(monkeypatch, val, before=before)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="drain forward"):
+        run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", replace(HP, epochs=3), train, val)
+    assert threading.active_count() == threads
+    # this thread's drain took the first epoch; the helper, the baseline and the other two
+    assert len(forwards) == 5 and [t is me for _, t in forwards].count(True) == 1
 
 
 def test_a_baseline_error_reaches_the_caller_and_leaves_no_thread_running(cnn_sets, monkeypatch):
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    threads = _val_forward_threads(monkeypatch, val, fail=ArithmeticError("val forward"))
+    forwards = _val_forwards(monkeypatch, val, before=lambda ck: _raise(ArithmeticError("val forward")))
     before = threading.active_count()
+    student = build(_CNN, 1)
     with pytest.raises(ArithmeticError, match="val forward"):
-        run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", HP, train, val)
+        run_transfer(student, build(_MLP, 2), "kl", HP, train, val)
     assert threading.active_count() == before
-    assert threads[0] is not threading.current_thread()
+    assert dict(forwards)[student.digest()] is not threading.current_thread()
