@@ -107,9 +107,10 @@ class Tape:
 
 # The open tapes, innermost last, used by the one thread that trains.
 # Helper threads (pool.thread_map) run eval forwards only: a conv model's
-# eval chunks (models._predict), and a transfer's before-transfer val
-# forwards beside its SGD (transfer.distill). Eval params do not require
-# grad, so those ops add no node to the training thread's open tape.
+# eval chunks (models._predict), and a transfer's eval queue beside its SGD,
+# the baseline's and each epoch's val forwards (transfer.distill). Eval
+# params do not require grad, so those ops add no node to the training
+# thread's open tape.
 _tapes: list[Tape] = []
 
 

@@ -143,7 +143,7 @@ def soup_transfer(
     variants' parameters uniformly and evaluate the merged model against the
     student's baseline over every teacher, measured from the branches' forwards."""
     _check_run("soup", "given", method, teachers)
-    branches = [  # nothing reads a branch's per-epoch traces, so its epochs stay unforwarded
+    branches = [  # nothing reads a branch's per-epoch traces, so it keeps and forwards no epoch state
         run_transfer(student_ck, teacher, method, hp, transfer_set, val_set, name, student_name,
                      forward_epochs=False)
         for name, teacher in teachers

@@ -57,7 +57,7 @@ from .autodiff import (
     weighted_sum,
 )
 from .data import Dataset, epoch_permutation
-from .models import Checkpoint, ModelSpec, as_tensors, model_forward, predict_features, predict_logits
+from .models import Checkpoint, as_tensors, model_forward, predict_features, predict_logits
 from .pool import keep_freed_memory, thread_map
 
 __all__ = [
@@ -206,26 +206,24 @@ class EpochTrace:
 
 @dataclass
 class EpochStates:
-    """What each epoch of a transfer left: its mean train loss and a copy of
-    its weights (MCL: the slow weights, plus the fast ones).  ``distill``
-    forwards the weights over the val set beside SGD when asked to; else
-    they are forwarded when ``traces`` is called."""
+    """What each epoch of a transfer left: its mean train loss and a
+    checkpoint of its weights (MCL: the slow weights, plus the fast ones),
+    which ``distill``'s eval queue forwards over the val set beside SGD.  They
+    live until ``ValBaseline.result`` has built the transfer's traces."""
 
-    spec: ModelSpec
     train_loss: list[float] = field(default_factory=list)
-    weights: list[dict[str, np.ndarray]] = field(default_factory=list)
-    fast_weights: list[dict[str, np.ndarray]] | None = None
+    states: list[Checkpoint] = field(default_factory=list)
+    fast_states: list[Checkpoint] | None = None
     teacher_share: float | None = None  # DP and parallel: the share of samples a teacher won
 
     def traces(self, baseline: "ValBaseline") -> list[EpochTrace]:
         """One trace per epoch: its train loss, and its weights' val accuracy,
-        gain and loss against ``baseline``, read from the val set's memo (and
-        forwarded into it if ``distill`` did not); the teacher's mask share,
-        and (MCL) the fast weights' accuracy."""
+        gain and loss against ``baseline``, read from the val set's memo; the
+        teacher's mask share, and (MCL) the fast weights' accuracy."""
         out, val = [], baseline.val_set
-        for i, (train_loss, weights) in enumerate(zip(self.train_loss, self.weights)):
-            now = val_correct(Checkpoint(self.spec, weights), val)
-            fast = None if self.fast_weights is None else val_correct(Checkpoint(self.spec, self.fast_weights[i]), val)
+        for i, (train_loss, state) in enumerate(zip(self.train_loss, self.states)):
+            now = val_correct(state, val)
+            fast = None if self.fast_states is None else val_correct(self.fast_states[i], val)
             out.append(EpochTrace(
                 train_loss, float(now.mean()), *baseline.gain_loss(now), self.teacher_share,
                 None if fast is None else float(fast.mean()),
@@ -238,21 +236,16 @@ class TransferResult:
     """One transfer: the trained student and ``doc``, its report document
     (``report.json``, or a sequential stage in it), the one record of its
     outcome, which ``report_doc`` built and to which a multi-teacher protocol
-    adds the keys it owns.  ``baseline`` and ``epochs`` are None for a
-    sequential stage that diverged.
+    adds the keys it owns, and ``per_epoch``, one trace per epoch.
+    ``baseline`` is None for a sequential stage that diverged, and
+    ``per_epoch`` is empty for it, for a soup and for a transfer run without
+    ``forward_epochs``.
     """
 
     student_after: Checkpoint
     doc: dict
     baseline: "ValBaseline | None" = field(default=None, repr=False)
-    epochs: EpochStates | None = field(default=None, repr=False)
-
-    @functools.cached_property
-    def per_epoch(self) -> list[EpochTrace]:
-        """One trace per epoch, built on first read from the val set's memo,
-        which holds the epochs' forwards already when ``distill`` ran them
-        beside SGD; else they are forwarded now."""
-        return self.epochs.traces(self.baseline) if self.epochs is not None else []
+    per_epoch: list[EpochTrace] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +541,10 @@ class ValBaseline:
     it and builds the transfer's report document.
 
     Every checkpoint is forwarded through the val set's memo
-    (``val_correct``), once per weight state for the life of the set: the
-    report reuses the forward of the last epoch's weights when ``distill``
-    queued the epochs beside SGD, epoch traces read after a lazy report reuse
-    the report's, and a later transfer on the same set (a sequential plan's
+    (``val_correct``), once per weight state for the life of the set:
+    ``distill``'s eval queue forwards the baseline and each epoch beside SGD,
+    so the baseline, the report (the last epoch's weights) and the traces
+    read the memo, and a later transfer on the same set (a sequential plan's
     next stage, a soup's next branch or merge, a sweep worker's next task)
     reuses the forwards of every model that one before it saw.
     """
@@ -584,8 +577,8 @@ class ValBaseline:
     def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
                student_after: Checkpoint, teacher: str, student: str, meta: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
-        ``meta`` goes into its checkpoint, and ``epochs`` become the result's
-        traces when they are read."""
+        ``meta`` goes into its checkpoint, and ``epochs``, once the caller has
+        set their teacher share, become the result's traces."""
         y = self.val_set.labels
         after_correct = val_correct(student_after, self.val_set)
         acc_after = float(after_correct.mean())
@@ -595,7 +588,7 @@ class ValBaseline:
             *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
             self.acc_before, self.flips.rho_pos, transfer_rate(self.flips, after_correct, y),
         )
-        return TransferResult(student_after, doc, self, epochs)
+        return TransferResult(student_after, doc, self, [] if epochs is None else epochs.traces(self))
 
 
 def distill(
@@ -610,10 +603,10 @@ def distill(
     forward_epochs: bool = True,
 ) -> tuple[ValBaseline, EpochStates, Checkpoint, np.ndarray | None]:
     """Distill named teachers into a pretrained student over a fixed epoch
-    budget.  Returns the baseline (measured through the val set's memo), the
-    epoch states (with ``forward_epochs``, already forwarded into that memo;
-    else forwarded when their traces are read), the trained checkpoint (MCL:
-    the slow weights) and the per-sample winning source.
+    budget.  Returns the baseline and the epoch states (none without
+    ``forward_epochs``: the caller reads no traces), both forwarded into the
+    val set's memo, the trained checkpoint (MCL: the slow weights) and the
+    per-sample winning source.
 
     The KL family's target is built once, before SGD: per sample, the
     tempered distribution of the most confident frozen source, the teacher
@@ -623,16 +616,16 @@ def distill(
 
     SGD never reads the val forwards, so they run beside it through an eval
     queue (``pool.thread_map`` of two jobs): SGD in this thread, which keeps
-    its tape, error state and signals, and in one helper thread the
-    baseline's forwards, then, with ``forward_epochs``, each finished epoch's
-    weights (MCL: slow, then fast) as SGD queues them.  When SGD ends this
-    thread drains the queue beside the helper, so the report and the traces
-    read only the memo; either thread may forward any epoch state.  SGD
-    queues one stop per consumer however it ends, so the helper is joined
-    before this returns or raises.  A diverged SGD drops the queued states
-    and raises ``TransferDivergedError``; otherwise an error of this
-    thread's forwards is raised, else the helper's.  With one usable CPU
-    both jobs run here, SGD and its epochs' forwards first.
+    its tape, error state and signals, and in one helper thread the queue:
+    the student and each teacher, queued before SGD starts, then each
+    finished epoch's weights (MCL: slow, then fast) as SGD queues them.  When
+    SGD ends this thread drains the queue beside the helper; either thread
+    may forward any queued state.  SGD queues one stop per consumer however
+    it ends, so the helper is joined before this returns or raises.  A
+    diverged SGD drops every state no thread has taken, and raises
+    ``TransferDivergedError``; otherwise an error of this thread's forwards
+    is raised, else the helper's.  With one usable CPU both jobs run here,
+    SGD first, then the whole queue.
     """
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -694,8 +687,10 @@ def distill(
     def weights() -> dict[str, np.ndarray]:
         return {k: (mcl.slow[k] if mcl else params[k].data).copy() for k in student_ck.params}
 
-    epochs = EpochStates(spec, fast_weights=[] if mcl else None)
-    queue: SimpleQueue = SimpleQueue()  # epoch checkpoints to forward over val; None stops a consumer
+    epochs = EpochStates(fast_states=[] if mcl else None)
+    queue: SimpleQueue = SimpleQueue()  # checkpoints to forward over val; None stops a consumer
+    for ck in (student_ck, *teacher_cks):
+        queue.put(ck)
 
     def forward_queued() -> None:
         while (ck := queue.get()) is not None:
@@ -707,16 +702,16 @@ def distill(
                 params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
                 functools.partial(TransferDivergedError, method), after_step,
             ):
+                if not forward_epochs:
+                    continue
                 epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
-                epochs.weights.append(weights())
+                epochs.states.append(Checkpoint(spec, weights()))
+                queue.put(epochs.states[-1])
                 if mcl is not None:
-                    epochs.fast_weights.append({k: params[k].data.copy() for k in student_ck.params})
-                if forward_epochs:
-                    queue.put(Checkpoint(spec, epochs.weights[-1]))
-                    if mcl is not None:
-                        queue.put(Checkpoint(spec, epochs.fast_weights[-1]))
+                    epochs.fast_states.append(Checkpoint(spec, {k: params[k].data.copy() for k in student_ck.params}))
+                    queue.put(epochs.fast_states[-1])
         except BaseException:
-            with contextlib.suppress(Empty):  # a run that raised has no traces to read
+            with contextlib.suppress(Empty):  # a run that raised has no report to read
                 while True:
                     queue.get_nowait()
             raise
@@ -725,12 +720,8 @@ def distill(
             queue.put(None)
         forward_queued()
 
-    def measure() -> ValBaseline:
-        baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
-        forward_queued()
-        return baseline
-
-    _, baseline = thread_map(lambda job: job(), [train, measure])
+    thread_map(lambda job: job(), [train, forward_queued])
+    baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
     return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
 
 
@@ -750,7 +741,8 @@ def run_transfer(
     ``frozen_reference``, by default the initial student.  Its val forwards go
     through the val set's memo, which every transfer on that set shares, a
     sweep worker's tasks included; a caller that never reads ``per_epoch``
-    passes ``forward_epochs=False``, and the epochs stay unforwarded."""
+    passes ``forward_epochs=False``, and the transfer keeps no epoch state:
+    ``per_epoch`` is empty."""
     baseline, epochs, student_after, winner = distill(
         student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
         frozen_reference, forward_epochs,

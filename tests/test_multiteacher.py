@@ -9,6 +9,8 @@ from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, d
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.zoo import TrainConfig, train_model
 
+from conftest import count_val_forwards
+
 S = (1, 8, 8)
 HP = TransferHyperparams(lr=0.01, epochs=3, batch_size=32, seed=2)
 
@@ -192,20 +194,6 @@ def test_parallel_one_teacher_dp_sup_equals_run_transfer_per_epoch(setup):
         assert abs(p.mask_teacher_share - d.mask_teacher_share) <= 2**-52
 
 
-def _count_val_forwards(monkeypatch, val):
-    import flipxfer.models as models
-
-    calls = []
-    predict = models._predict
-
-    def counted(ck, batch):
-        calls.append(batch is val.inputs)
-        return predict(ck, batch)
-
-    monkeypatch.setattr(models, "_predict", counted)
-    return calls
-
-
 def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch):
     """Each stage forwards its teacher and its trained weights; the first
     stage also forwards the original student, and every later stage's student
@@ -213,12 +201,12 @@ def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch
     accuracy comes from the first stage."""
     train, val, student, teachers = setup
     val = Dataset(val.inputs, val.labels, val.num_classes)  # an empty memo: no earlier test's forwards
-    calls = _count_val_forwards(monkeypatch, val)
+    calls = count_val_forwards(monkeypatch, val)
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
     stages = sequential_transfer(student, list(two.items()), "kl_dp_sup", hp, train, val)
     assert len(stages) == 2
-    assert sum(calls) == 5
+    assert len(calls) == 5
     acc0 = float((predict_logits(student, val.inputs).argmax(axis=1) == val.labels).mean())
     assert stages[-1].doc["cumulative_delta_transf"] == (
         stages[-1].doc["acc_before"] + stages[-1].doc["delta_transf"] - acc0
@@ -233,15 +221,15 @@ def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     two = {"t_a": teachers["t_a"], "t_b": teachers["t_b"]}
     hp = TransferHyperparams(lr=0.01, epochs=1, batch_size=32, seed=2)
     soup_val = Dataset(val.inputs, val.labels, val.num_classes)  # an empty memo: no earlier test's forwards
-    calls = _count_val_forwards(monkeypatch, soup_val)
+    calls = count_val_forwards(monkeypatch, soup_val)
     res = soup_transfer(student, list(two.items()), "kl_dp_sup", hp, train, soup_val)
-    assert sum(calls) == 2 * len(two) + 2
+    assert len(calls) == 2 * len(two) + 2
     # the same report as a baseline measured from fresh forwards of every model
     fresh = Dataset(val.inputs, val.labels, val.num_classes)
     measured = ValBaseline.measure(student, list(two.values()), fresh).result(
         "kl_dp_sup", hp, None, res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
     )
-    assert sum(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)  # the student, each teacher and the soup again
+    assert len(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)  # the student, each teacher and the soup again
     assert res.baseline.teacher_accs == measured.baseline.teacher_accs
     assert res.doc["rho_pos"] == measured.doc["rho_pos"]
     assert repr({k: res.doc[k] for k in measured.doc}) == repr(measured.doc)  # soup adds only its own keys

@@ -4,7 +4,6 @@ import itertools
 import pickle
 import re
 import threading
-import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from flipxfer import autodiff as ad
 from flipxfer.autodiff import Tape, Tensor, backward, np_softmax
 from flipxfer.config import dump_json
 from flipxfer.data import Dataset
-from flipxfer.models import Checkpoint, ModelSpec, as_tensors, build, model_forward, predict_logits
+from flipxfer.models import ModelSpec, as_tensors, build, model_forward, predict_logits
 from flipxfer.transfer import (
     MclState,
     PartitionMask,
@@ -42,6 +41,7 @@ from flipxfer.transfer import (
     xe_loss,
 )
 
+from conftest import count_val_forwards
 from oracles import (
     analytic_grads,
     finite_diff_grads,
@@ -559,35 +559,32 @@ def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
 @pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_run_transfer_forwards_the_val_set_once_per_weight_state(toy_sets, monkeypatch, method, forwards, epochs):
-    """Lazy: student and teacher before and the trained weights for the report
-    (none with no epochs: the student's); reading the traces adds each epoch's
-    weights (MCL: slow and fast) but the last one's, which the report forwarded.
-    Eager (the default): every epoch state is forwarded beside SGD, the report
-    and the traces read the memo, and both give the lazy traces."""
-    import flipxfer.transfer as transfer
-
+    """With ``forward_epochs`` (the default) the eval queue forwards the
+    student, the teacher and every epoch state (MCL: slow and fast), and the
+    report and the traces read the memo, the trained weights being the last
+    epoch's. Without it the queue forwards the student and the teacher, the
+    report the trained weights (none with no epochs: the student's), and the
+    result has no traces; the report and the checkpoint are the same."""
     train = toy_sets[0]
-    calls = []
+    calls = count_val_forwards(monkeypatch, toy_sets[1])
     hp = TransferHyperparams(lr=0.02, epochs=epochs, batch_size=32, seed=1, lam=0.7)
-    runs = []
-    for forward_epochs in (False, True):
+    runs = {}
+    for forward_epochs in (True, False):
         val = _fresh(toy_sets[1])
         calls.clear()
-
-        def counted(ck, batch):
-            calls.append(batch is val.inputs)
-            return predict_logits(ck, batch)
-
-        monkeypatch.setattr(transfer, "predict_logits", counted)
         res = run_transfer(build(SPEC, 1), build(SPEC, 2), method, hp, train, val, forward_epochs=forward_epochs)
-        assert sum(calls) == (forwards(epochs) if forward_epochs else 3 if epochs else 2)
-        assert len(res.per_epoch) == epochs
-        assert res.per_epoch is res.per_epoch  # traced on the first read, then kept
-        assert sum(calls) == forwards(epochs) == len(val.correct)
-        want = res.per_epoch[-1].val_accuracy if epochs else res.doc["acc_before"]
-        assert res.doc["acc_before"] + res.doc["delta_transf"] == pytest.approx(want, abs=1e-15)
-        runs.append(_fingerprint([res]))
-    assert runs[1] == runs[0]
+        assert len(calls) == len(val.correct) == (forwards(epochs) if forward_epochs else 3 if epochs else 2)
+        runs[forward_epochs] = res
+    eager = runs[True]
+    assert len(eager.per_epoch) == epochs
+    want = eager.per_epoch[-1].val_accuracy if epochs else eager.doc["acc_before"]
+    assert eager.doc["acc_before"] + eager.doc["delta_transf"] == pytest.approx(want, abs=1e-15)
+    assert _fingerprint([runs[False]]) == _without_traces(_fingerprint([eager]))
+
+
+def test_a_transfer_without_forward_epochs_has_no_traces(toy_sets):
+    res = run_transfer(build(SPEC, 1), build(SPEC, 2), "kl", replace(HP, epochs=3), *toy_sets, forward_epochs=False)
+    assert res.per_epoch == []
 
 
 def test_the_memo_of_val_forwards_is_per_val_set(toy_sets, monkeypatch):
@@ -691,36 +688,25 @@ def _fingerprint(results) -> list:
             for r in results]
 
 
+def _without_traces(fingerprint) -> list:
+    """The fingerprint of the same results with no epoch traces."""
+    return [(*r[:3], repr([])) for r in fingerprint]
+
+
 def _at_cpus(monkeypatch, cpus):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def _count_val_forwards(monkeypatch, val) -> list:
-    """Patch the model forward under every eval: one entry per forward of the
-    val set's rows, from any thread."""
-    import flipxfer.models as models
-
-    predict, calls = models._predict, []
-
-    def counted(ck, batch):
-        if batch is val.inputs:
-            calls.append(ck.digest())
-        return predict(ck, batch)
-
-    monkeypatch.setattr(models, "_predict", counted)
-    return calls
-
-
 @pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
 def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, method):
-    """SGD in this thread, the baseline and the epochs' forwards in a helper
-    and, once SGD ends, in this thread too (each chunked eval may start
-    another), give the one-CPU report, checkpoint and traces; so do the lazy
-    epochs, forwarded when the traces are read. Each run has a val set of its
+    """SGD in this thread, the queued forwards in a helper and, once SGD
+    ends, in this thread too (each chunked eval may start another), give the
+    one-CPU report, checkpoint and traces; without ``forward_epochs``, the
+    same report and checkpoint and no traces. Each run has a val set of its
     own, so each forwards every state itself, once."""
     train, val = cnn_sets
     hp = default_hyperparams(method, lr=0.05, epochs=2, batch_size=32, seed=3, mcl_every=1)
-    calls = _count_val_forwards(monkeypatch, val)
+    calls = count_val_forwards(monkeypatch, val)
     runs = []
     for cpus in (1, 2, 3):
         _at_cpus(monkeypatch, cpus)
@@ -728,17 +714,21 @@ def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, m
             calls.clear()
             fresh = _fresh(val)
             res = run_transfer(build(_CNN, 1), build(_MLP, 2), method, hp, train, fresh, forward_epochs=forward_epochs)
-            runs.append(_fingerprint([res]))
-            # the student, the teacher and each epoch's weights (MCL: slow and fast)
-            assert len(calls) == len(set(calls)) == len(fresh.correct) == 2 + hp.epochs * (1 + (method == "xe_kl_mcl"))
-    assert all(run == runs[0] for run in runs)
+            runs.append((forward_epochs, _fingerprint([res])))
+            # the student, the teacher and each epoch's weights (MCL: slow and fast), the last of
+            # them the trained weights; without forward_epochs, the trained weights alone
+            states = hp.epochs * (1 + (method == "xe_kl_mcl")) if forward_epochs else 1
+            assert len(calls) == len(set(calls)) == len(fresh.correct) == 2 + states
+    want = {True: runs[0][1], False: _without_traces(runs[0][1])}
+    assert all(run == want[forward_epochs] for forward_epochs, run in runs)
 
 
 @pytest.mark.parametrize("protocol", ["sequential", "soup", "parallel"])
 def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, protocol):
     """Stages and branches share the val set's memo; each joins its helper
-    before the next reads the memo, so every state is forwarded once, with
-    the epochs forwarded beside SGD or (lazy) when the traces are read. Each
+    before the next reads the memo, so every state is forwarded once. Without
+    ``forward_epochs`` each stage or run forwards its trained weights but no
+    other epoch, and gives the same report and checkpoint and no traces. Each
     run has a val set of its own, so each forwards every state itself."""
     import flipxfer.multiteacher as multiteacher
     from flipxfer.transfer import distill
@@ -746,7 +736,7 @@ def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, 
     train, val = cnn_sets
     teachers = [("a", build(_MLP, 2)), ("b", build(_MLP, 3))]
     hp = TransferHyperparams(lr=0.05, epochs=2, batch_size=32, seed=3)
-    calls = _count_val_forwards(monkeypatch, val)
+    calls = count_val_forwards(monkeypatch, val)
     runs = []
     for cpus in (1, 2, 3):
         _at_cpus(monkeypatch, cpus)
@@ -762,12 +752,14 @@ def test_multi_teacher_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, 
             else:
                 run = getattr(multiteacher, f"{protocol}_transfer")
                 out = [run(build(_CNN, 1), teachers, "kl_dp_sup", hp, train, fresh)]
-            runs.append(_fingerprint(out))
+            runs.append((forward_epochs, _fingerprint(out)))
             # the student, each teacher, and each stage's epochs; the parallel run's epochs;
             # or the soup's two branches' trained states and the merge
-            want = {"sequential": 3 + 2 * hp.epochs, "soup": 6, "parallel": 3 + hp.epochs}[protocol]
+            states = hp.epochs if forward_epochs else 1  # the last epoch's are the trained weights
+            want = {"sequential": 3 + 2 * states, "soup": 6, "parallel": 3 + states}[protocol]
             assert len(calls) == len(set(calls)) == len(fresh.correct) == want
-    assert all(run == runs[0] for run in runs)
+    want = {True: runs[0][1], False: _without_traces(runs[0][1])}  # a soup has no traces either way
+    assert all(run == want[forward_epochs] for forward_epochs, run in runs)
 
 
 def test_sweep_tasks_and_soup_branches_forward_no_epoch_weights(toy_sets):
@@ -779,20 +771,20 @@ def test_sweep_tasks_and_soup_branches_forward_no_epoch_weights(toy_sets):
     train, val = toy_sets
     student, teachers = build(SPEC, 1), [("a", build(SPEC, 2)), ("b", build(SPEC, 3))]
     hp = replace(HP, epochs=3)
-    trained = {}  # each teacher's transfer's epoch states, from an eager run
+    trained = {}  # each teacher's transfer's trained state, the last of the epoch states an eager run forwards
     for name, teacher in teachers:
-        res = run_transfer(student, teacher, "kl", hp, train, _fresh(val))
-        trained[name] = [Checkpoint(SPEC, w).digest() for w in res.epochs.weights]
-        assert len(set(trained[name])) == hp.epochs
+        eager = _fresh(val)
+        trained[name] = run_transfer(student, teacher, "kl", hp, train, eager).student_after.digest()
+        epochs = set(eager.correct) - {student.digest(), teacher.digest()}
+        assert len(epochs) == hp.epochs and trained[name] in epochs
     sweep_val = _fresh(val)
     row = _sweep_task(({"s": student, "a": teachers[0][1]}, train, sweep_val), ("a", "s", "kl", asdict(hp)))
     assert "error" not in row
-    assert set(sweep_val.correct) == {student.digest(), teachers[0][1].digest(), trained["a"][-1]}
+    assert set(sweep_val.correct) == {student.digest(), teachers[0][1].digest(), trained["a"]}
     soup_val = _fresh(val)
     res = soup_transfer(student, teachers, "kl", hp, train, soup_val)
     assert set(soup_val.correct) == {
-        student.digest(), *(t.digest() for _, t in teachers), trained["a"][-1], trained["b"][-1],
-        res.student_after.digest(),
+        student.digest(), *(t.digest() for _, t in teachers), trained["a"], trained["b"], res.student_after.digest(),
     }
 
 
@@ -860,30 +852,42 @@ def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
 
 
 def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
-    """SGD diverges at its first step while the helper's forwards still
-    sleep: the divergence is raised once the helper is joined."""
+    """SGD diverges at its first step once the helper has taken the student,
+    whose forward then waits for the join: the teacher, still queued, is
+    dropped, and the divergence is raised once the helper is joined."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    forwards = _val_forwards(monkeypatch, val, before=lambda ck: time.sleep(0.1))
+    taken, joined = threading.Event(), threading.Event()
+    join = threading.Thread.join
+    monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joined.set() or join(self, *a))
+    forwards = _val_forwards(monkeypatch, val, before=lambda ck: taken.set() or joined.wait(10))
+    _loss_hook(monkeypatch, lambda step: not taken.wait(10))  # the first step waits; lr 1e308 diverges it
+    student = build(_CNN, 1)
     before = threading.active_count()
     with pytest.raises(TransferDivergedError, match="kl: non-finite"):
-        run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", replace(HP, lr=1e308), train, val)
+        run_transfer(student, build(_MLP, 2), "kl", replace(HP, lr=1e308), train, val)
     assert threading.active_count() == before
-    assert len(forwards) == 2 and forwards[0][1] is not threading.current_thread()
+    assert [s for s, _ in forwards] == [student.digest()] and forwards[0][1] is not threading.current_thread()
 
 
 def test_sgd_diverging_with_epochs_queued_drops_them_and_leaves_no_thread_running(cnn_sets, monkeypatch):
-    """SGD diverges at epoch 2 while the helper's first forward waits for
-    the join: the two queued epochs are dropped, the helper forwards only the
-    baseline, and the divergence is raised."""
+    """SGD diverges at epoch 2 once the helper has taken the teacher, whose
+    forward then waits for the join: the two queued epochs are dropped, the
+    helper forwards only the baseline, and the divergence is raised."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    joined = threading.Event()
+    student, teacher = build(_CNN, 1), build(_MLP, 2)
+    taken, joined = threading.Event(), threading.Event()
     join = threading.Thread.join
     monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joined.set() or join(self, *a))
-    forwards = _val_forwards(monkeypatch, val, before=lambda ck: joined.wait(10))
-    _loss_hook(monkeypatch, lambda step: step >= 4)  # two steps an epoch: epoch 2, step 0
-    student, teacher = build(_CNN, 1), build(_MLP, 2)
+
+    def teacher_waits(ck):
+        if ck.digest() == teacher.digest():
+            taken.set()
+            joined.wait(10)
+
+    forwards = _val_forwards(monkeypatch, val, before=teacher_waits)
+    _loss_hook(monkeypatch, lambda step: step >= 4 and taken.wait(10))  # two steps an epoch: epoch 2, step 0
     before = threading.active_count()
     with pytest.raises(TransferDivergedError, match="kl: non-finite loss nan at epoch 2, step 0"):
         run_transfer(student, teacher, "kl", replace(HP, epochs=3), train, val)
