@@ -62,7 +62,9 @@ class NonFiniteError(ValueError):
 
 
 class Tensor:
-    """Immutable-by-convention float64 array, optionally tracked on a tape."""
+    """A float64 array, optionally tracked on a tape.  No op changes its
+    inputs' arrays; ``sgd_step`` alone writes a parameter's array, in place,
+    between two tapes."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -474,7 +476,9 @@ class SgdState:
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: SgdState) -> None:
-    """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v.
+    """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v,
+    written into each parameter's own array, so a view of it (a checkpoint
+    that ``models.as_tensors`` wrapped) sees the update.
 
     A non-finite gradient, or an update that overflows a parameter, raises
     ``NonFiniteError`` naming the parameter, before that parameter changes.
@@ -494,4 +498,4 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Sgd
                     raise NonFiniteError(f"gradient of parameter {name!r}")
                 raise NonFiniteError(f"parameter {name!r} after its update")
             state.velocity[name] = v
-            p.data = theta
+            p.data[...] = theta

@@ -189,7 +189,9 @@ def model_forward(
 
 
 def as_tensors(ck: Checkpoint) -> dict[str, Tensor]:
-    return {k: Tensor(v.copy(), requires_grad=True) for k, v in ck.params.items()}
+    """Trainable tensors over ck's own arrays: ``sgd_step`` on them trains ck
+    in place, so a caller that must keep ck trains ``ck.copy()``."""
+    return {k: Tensor(v, requires_grad=True) for k, v in ck.params.items()}
 
 
 # Eval forwards of conv models run in row chunks whose widest im2col block

@@ -85,8 +85,8 @@ def sequential_transfer(
             results.append(TransferResult(current, report_doc(method, hp, name, student_name) | {"failed": str(e)}))
             continue
         if acc0 is None:
-            acc0 = res.baseline.acc_before
-        res.doc["cumulative_delta_transf"] = res.baseline.acc_before + res.doc["delta_transf"] - acc0
+            acc0 = res.doc["acc_before"]
+        res.doc["cumulative_delta_transf"] = res.doc["acc_before"] + res.doc["delta_transf"] - acc0
         results.append(res)
         current = res.student_after
     return results

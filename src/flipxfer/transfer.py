@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 from dataclasses import asdict, dataclass, field
 from queue import Empty, SimpleQueue
 
@@ -86,7 +85,6 @@ __all__ = [
     "topk_restricted_kl",
     "cd_loss",
     "check_dataset",
-    "checkpoint_of",
     "val_correct",
     "sgd_epochs",
     "distill",
@@ -167,12 +165,16 @@ def default_hyperparams(method: str, **overrides) -> TransferHyperparams:
 
 @dataclass
 class MclState:
-    """Slow/fast weight copies joined by momentum interpolation."""
+    """Slow and fast copies of the student's weights, joined by momentum
+    interpolation: ``fast`` is the tensors SGD trains, ``slow`` the arrays that
+    ``mcl_interpolate`` moves toward them, and ``steps`` counts its calls, one
+    per SGD step."""
 
     slow: dict[str, np.ndarray]
     fast: dict[str, Tensor]
     tau: float = 0.9999
     every: int = 2
+    steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -206,10 +208,11 @@ class EpochTrace:
 
 @dataclass
 class EpochStates:
-    """What each epoch of a transfer left: its mean train loss and a
-    checkpoint of its weights (MCL: the slow weights, plus the fast ones),
-    which ``distill``'s eval queue forwards over the val set beside SGD.  They
-    live until ``ValBaseline.result`` has built the transfer's traces."""
+    """What each epoch of a transfer left: its mean train loss and a copy of
+    its weights (MCL: the slow weights, plus the fast ones), taken with
+    ``Checkpoint.copy`` as the epoch ends, which ``distill``'s eval queue
+    forwards over the val set beside SGD while SGD trains on.  They live until
+    ``ValBaseline.result`` has built the transfer's traces."""
 
     train_loss: list[float] = field(default_factory=list)
     states: list[Checkpoint] = field(default_factory=list)
@@ -233,18 +236,18 @@ class EpochStates:
 
 @dataclass
 class TransferResult:
-    """One transfer: the trained student and ``doc``, its report document
-    (``report.json``, or a sequential stage in it), the one record of its
-    outcome, which ``report_doc`` built and to which a multi-teacher protocol
-    adds the keys it owns, and ``per_epoch``, one trace per epoch.
-    ``baseline`` is None for a sequential stage that diverged, and
-    ``per_epoch`` is empty for it, for a soup and for a transfer run without
-    ``forward_epochs``.
+    """One transfer: the trained student, a checkpoint of its own
+    (``distill`` trains a copy; a sequential stage that diverged keeps the
+    student it was given), and ``doc``, its report document (``report.json``,
+    or a sequential stage in it), the one record of its outcome, which
+    ``report_doc`` built and to which a multi-teacher protocol adds the keys
+    it owns, and ``per_epoch``, one trace per epoch.  ``per_epoch`` is empty
+    for a sequential stage that diverged, for a soup and for a transfer run
+    without ``forward_epochs``.
     """
 
     student_after: Checkpoint
     doc: dict
-    baseline: "ValBaseline | None" = field(default=None, repr=False)
     per_epoch: list[EpochTrace] = field(default_factory=list)
 
 
@@ -303,11 +306,11 @@ def xe_kl_loss(student_logits, teacher_logits, labels, lam: float, temperature: 
     return ad.add(scale(kl, lam), scale(xe, 1.0 - lam))
 
 
-def mcl_interpolate(state: MclState, iteration: int) -> None:
-    """slow <- tau*slow + (1-tau)*fast, applied when iteration % every == 0."""
-    if iteration < 1:
-        raise TransferError("iteration counter starts at 1")
-    if iteration % state.every != 0:
+def mcl_interpolate(state: MclState) -> None:
+    """Count one SGD step; after every ``every``-th, slow <- tau*slow +
+    (1-tau)*fast, each slow array replaced, not written in place."""
+    state.steps += 1
+    if state.steps % state.every != 0:
         return
     if state.tau == 1.0:
         return  # slow copy is pinned
@@ -484,11 +487,6 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
         yield losses
 
 
-def checkpoint_of(base: Checkpoint, params: dict[str, Tensor]) -> Checkpoint:
-    """A checkpoint of base's parameters, valued from the trained tensors."""
-    return Checkpoint(base.spec, {k: params[k].data.copy() for k in base.params}, dict(base.meta))
-
-
 def val_correct(ck: Checkpoint, val_set: Dataset) -> np.ndarray:
     """ck's per-sample correctness on val_set, read-only, forwarded once per
     checkpoint digest for the life of the set: ``val_set.correct`` keeps the
@@ -588,7 +586,7 @@ class ValBaseline:
             *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
             self.acc_before, self.flips.rho_pos, transfer_rate(self.flips, after_correct, y),
         )
-        return TransferResult(student_after, doc, self, [] if epochs is None else epochs.traces(self))
+        return TransferResult(student_after, doc, [] if epochs is None else epochs.traces(self))
 
 
 def distill(
@@ -605,8 +603,10 @@ def distill(
     """Distill named teachers into a pretrained student over a fixed epoch
     budget.  Returns the baseline and the epoch states (none without
     ``forward_epochs``: the caller reads no traces), both forwarded into the
-    val set's memo, the trained checkpoint (MCL: the slow weights) and the
-    per-sample winning source.
+    val set's memo, the trained checkpoint and the per-sample winning source.
+    SGD steps a ``student_ck.copy()`` in place, and that copy (MCL: a second
+    copy, the slow weights) is the trained checkpoint, so ``student_ck`` never
+    changes, even when SGD diverges.
 
     The KL family's target is built once, before SGD: per sample, the
     tempered distribution of the most confident frozen source, the teacher
@@ -636,7 +636,8 @@ def distill(
 
     x_tr, y_tr = transfer_set.inputs, transfer_set.labels
     temp = hp.temperature
-    params = as_tensors(student_ck)
+    trained = student_ck.copy()  # SGD trains it in place; the caller's student never changes
+    params = as_tensors(trained)
     winner = targets = z_teacher = t_feats = proj = None
     if method == "cd":
         t_feats = predict_features(teacher_cks[0], x_tr)
@@ -657,15 +658,11 @@ def distill(
 
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
     mcl = after_step = None
+    kept = trained  # the weights the transfer returns: MCL's slow copy
     if method == "xe_kl_mcl":
-        mcl = MclState(
-            slow={k: v.copy() for k, v in student_ck.params.items()},
-            fast={k: params[k] for k in student_ck.params},
-            tau=hp.mcl_tau,
-            every=hp.mcl_every,
-        )
-        iterations = itertools.count(1)
-        after_step = lambda: mcl_interpolate(mcl, next(iterations))
+        kept = student_ck.copy()
+        mcl = MclState(kept.params, params, hp.mcl_tau, hp.mcl_every)
+        after_step = functools.partial(mcl_interpolate, mcl)
     drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
 
     def loss_fn(b):
@@ -683,9 +680,6 @@ def distill(
             return scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
         cd = cd_loss(feats if proj is None else ad.matmul(feats, proj), t_feats[b])
         return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
-
-    def weights() -> dict[str, np.ndarray]:
-        return {k: (mcl.slow[k] if mcl else params[k].data).copy() for k in student_ck.params}
 
     epochs = EpochStates(fast_states=[] if mcl else None)
     queue: SimpleQueue = SimpleQueue()  # checkpoints to forward over val; None stops a consumer
@@ -705,10 +699,10 @@ def distill(
                 if not forward_epochs:
                     continue
                 epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
-                epochs.states.append(Checkpoint(spec, weights()))
+                epochs.states.append(kept.copy())
                 queue.put(epochs.states[-1])
                 if mcl is not None:
-                    epochs.fast_states.append(Checkpoint(spec, {k: params[k].data.copy() for k in student_ck.params}))
+                    epochs.fast_states.append(trained.copy())
                     queue.put(epochs.fast_states[-1])
         except BaseException:
             with contextlib.suppress(Empty):  # a run that raised has no report to read
@@ -722,7 +716,7 @@ def distill(
 
     thread_map(lambda job: job(), [train, forward_queued])
     baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
-    return baseline, epochs, Checkpoint(spec, weights(), dict(student_ck.meta)), winner
+    return baseline, epochs, kept, winner
 
 
 def run_transfer(

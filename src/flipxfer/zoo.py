@@ -18,7 +18,7 @@ from .config import REQUIRED, ConfigError, digest, parse_json, resolve, write_js
 from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward
 from .pool import pool_map, usable_cpus
-from .transfer import checkpoint_of, sgd_epochs, val_correct, xe_loss
+from .transfer import sgd_epochs, val_correct, xe_loss
 
 __all__ = [
     "TrainConfig",
@@ -115,7 +115,8 @@ def train_model(
     val: Dataset,
     name: str = "model",
 ) -> Checkpoint:
-    """Cross-entropy training with SGD; deterministic given the config."""
+    """Cross-entropy training with SGD; deterministic given the config.
+    Trains the checkpoint ``build`` gives, in place, and returns it."""
     if train.num_classes != spec.num_classes:
         raise ValueError(f"{name}: dataset has {train.num_classes} classes, spec {spec.num_classes}")
     ck = build(spec, cfg.init_seed)
@@ -129,8 +130,8 @@ def train_model(
         logits, _ = model_forward(spec, params, Tensor(xb), train=True, dropout_rng=drop_rng)
         return xe_loss(logits, train.labels[b])
 
-    def val_accuracy(model: Checkpoint) -> float:
-        return float(val_correct(model, val).mean())
+    def val_accuracy() -> float:
+        return float(val_correct(ck, val).mean())
 
     best_acc, stale = -1.0, 0
     for _ in sgd_epochs(
@@ -138,21 +139,20 @@ def train_model(
         lambda epoch, step, value, what=None: TrainingDivergedError(name, epoch, value, what),
     ):
         if cfg.plateau_patience is not None:
-            val_acc = val_accuracy(checkpoint_of(ck, params))
+            val_acc = val_accuracy()
             if val_acc > best_acc + 1e-12:
                 best_acc, stale = val_acc, 0
             else:
                 stale += 1
                 if stale >= cfg.plateau_patience:
                     break
-    out = checkpoint_of(ck, params)
-    out.meta = {
+    ck.meta = {
         "seed": cfg.init_seed,
-        "val_accuracy": val_accuracy(out),  # with a plateau check, its last forward, from the memo
+        "val_accuracy": val_accuracy(),  # with a plateau check, its last forward, from the memo
         "train_config_digest": digest(cfg),
         "name": name,
     }
-    return out
+    return ck
 
 
 def _work(spec: ModelSpec, cfg: TrainConfig) -> int:

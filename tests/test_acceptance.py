@@ -340,9 +340,9 @@ def test_c08_mcl_endpoints(bench: Bench):
     fast = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
     state = MclState(slow={"w": fast["w"].data.copy()}, fast=fast, tau=0.0, every=1)
     shadowed = True
-    for it in range(1, 51):
+    for _ in range(50):
         fast["w"].data = fast["w"].data - 0.01 * rng.normal(size=(4, 3))
-        mcl_interpolate(state, it)
+        mcl_interpolate(state)
         shadowed &= bool(np.array_equal(state.slow["w"], fast["w"].data))
     ok = pinned and shadowed
     record_criterion(8, "mcl endpoints: tau=1 pins weights bitwise, tau=0/N=1 shadows fast", ok)

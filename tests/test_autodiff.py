@@ -405,6 +405,15 @@ def test_sgd_plain_step():
     assert np.array_equal(p["w"].data, [-1.0])
 
 
+def test_sgd_writes_each_parameter_in_place():
+    """A view of a parameter taken before the step sees the update, as a
+    checkpoint does whose own arrays ``models.as_tensors`` wrapped."""
+    p = {"w": Tensor(np.array([1.0, 3.0]), requires_grad=True)}
+    view = p["w"].data[1:]
+    sgd_step(p, {"w": np.array([2.0, 2.0])}, SgdState(lr=1.0))
+    assert np.array_equal(view, [1.0])
+
+
 def test_sgd_lr_zero_is_bit_exact_identity():
     vals = RNG.normal(size=17)
     p = {"w": Tensor(vals.copy(), requires_grad=True)}

@@ -4,7 +4,6 @@ import re
 import struct
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -192,21 +191,22 @@ def test_a_helper_threads_exception_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def _peak_threads(items):
-    """Map ``items`` over threads, each item mapping its own three leaves
-    over threads; the most threads that ran leaves at once."""
-    lock, running, peak = threading.Lock(), [0], [0]
+def _leaf_threads(n, items, leaves=3):
+    """Map ``items`` over threads, each item mapping its own ``leaves`` leaves
+    over threads; the number of threads that ran leaves. Each thread's first
+    leaf waits at a barrier for ``n`` threads, so fewer than ``n`` threads at
+    once, or more, break it at its timeout (``BrokenBarrierError``)."""
+    barrier, this, ran = threading.Barrier(n, timeout=10), threading.local(), []
 
-    def leaf(_):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-        time.sleep(0.01)
-        with lock:
-            running[0] -= 1
+    def leaf(j):
+        if not hasattr(this, "ran"):
+            this.ran = True
+            ran.append(j)
+            barrier.wait()
+        return j
 
-    thread_map(lambda _: thread_map(leaf, [0, 1, 2]), items)
-    return peak[0]
+    assert thread_map(lambda _: thread_map(leaf, list(range(leaves))), items) == [list(range(leaves))] * len(items)
+    return len(ran)
 
 
 @pytest.mark.parametrize("cpus, outer", [(2, 2), (3, 3)])
@@ -217,27 +217,42 @@ def test_nested_thread_maps_never_run_more_threads_than_workers(monkeypatch, cpu
     CPU again."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     before = threading.active_count()
-    assert _peak_threads([0] * outer) == cpus
-    assert _peak_threads([0]) == cpus  # an outer call on one thread leaves every CPU
+    assert _leaf_threads(cpus, [0] * outer) == cpus
+    assert _leaf_threads(cpus, [0]) == cpus  # an outer call on one thread leaves every CPU
     assert threading.active_count() == before
 
 
+class _WaitedForLock:
+    """A lock whose second holder keeps it until another thread waits for it."""
+
+    def __init__(self):
+        self._lock, self.holders, self.waited = threading.Lock(), 0, threading.Event()
+        self.held_until_waited = False
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.waited.set()
+            self._lock.acquire()
+        self.holders += 1
+        if self.holders == 2:
+            self.held_until_waited = self.waited.wait(timeout=10)
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
 def test_two_calls_at_once_never_claim_the_same_free_workers(monkeypatch):
-    """Two nested calls start together, and a slowed ``min`` holds each
-    between reading the helper count and raising it. The count is read and
-    raised under one lock, so the second call waits, finds the workers taken
-    and runs in its own thread: four threads at most, not six."""
-    monkeypatch.setattr(pool, "min", lambda *a: time.sleep(0.02) or min(*a), raising=False)
+    """Two nested calls start together, and the first to take the helper
+    count's lock holds it until the second waits for it. The count is read
+    and raised under one lock, so the second call finds the workers taken and
+    runs in its own thread: four threads, not six."""
+    lock = _WaitedForLock()
+    monkeypatch.setattr(pool, "_helpers_lock", lock)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    before, alive = threading.active_count(), []
-
-    def leaf(j):
-        alive.append(threading.active_count())
-        time.sleep(0.01)
-        return j
-
-    assert thread_map(lambda i: thread_map(leaf, list(range(4))), [0, 1]) == [list(range(4))] * 2
-    assert max(alive) - before + 1 == 4
+    before = threading.active_count()
+    assert _leaf_threads(4, [0, 1], leaves=4) == 4
+    assert lock.held_until_waited
     assert threading.active_count() == before
 
 
@@ -245,13 +260,12 @@ def test_a_raising_thread_map_gives_its_helpers_back(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
     def fails(i):
-        time.sleep(0.01)
         raise ArithmeticError(f"item {i}")
 
     for _ in range(2):
         with pytest.raises(ArithmeticError, match="item 0"):
             thread_map(fails, [0, 1, 2])
-    assert _peak_threads([0]) == 3
+    assert _leaf_threads(3, [0]) == 3
 
 
 def test_a_cnn_eval_in_a_helper_thread_adds_no_node_to_the_training_threads_tape(monkeypatch):

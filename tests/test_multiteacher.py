@@ -225,11 +225,13 @@ def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     res = soup_transfer(student, list(two.items()), "kl_dp_sup", hp, train, soup_val)
     assert len(calls) == 2 * len(two) + 2
     # the same report as a baseline measured from fresh forwards of every model
-    fresh = Dataset(val.inputs, val.labels, val.num_classes)
-    measured = ValBaseline.measure(student, list(two.values()), fresh).result(
+    fresh = ValBaseline.measure(student, list(two.values()), Dataset(val.inputs, val.labels, val.num_classes))
+    measured = fresh.result(
         "kl_dp_sup", hp, None, res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
     )
     assert len(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)  # the student, each teacher and the soup again
-    assert res.baseline.teacher_accs == measured.baseline.teacher_accs
+    # the soup's baseline, measured over the memo its branches filled, forwards nothing more
+    assert ValBaseline.measure(student, list(two.values()), soup_val).teacher_accs == fresh.teacher_accs
+    assert len(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)
     assert res.doc["rho_pos"] == measured.doc["rho_pos"]
     assert repr({k: res.doc[k] for k in measured.doc}) == repr(measured.doc)  # soup adds only its own keys
