@@ -475,10 +475,12 @@ class SgdState:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
-def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: SgdState) -> None:
-    """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v,
-    written into each parameter's own array, so a view of it (a checkpoint
-    that ``models.as_tensors`` wrapped) sees the update.
+def sgd_step(params: dict[str, Tensor], state: SgdState) -> None:
+    """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v for
+    each parameter whose ``.grad`` is set, as ``backward`` left it, written
+    into the parameter's own array, so a view of it (a checkpoint that
+    ``models.as_tensors`` wrapped) sees the update.  A parameter whose
+    ``.grad`` is None keeps its value and its velocity.
 
     A non-finite gradient, or an update that overflows a parameter, raises
     ``NonFiniteError`` naming the parameter, before that parameter changes.
@@ -486,7 +488,9 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Sgd
     so a non-finite gradient makes the update non-finite (0 * inf is NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         for name, p in params.items():
-            g = grads[name]
+            g = p.grad
+            if g is None:
+                continue
             if g.shape != p.data.shape:
                 raise ShapeError(f"sgd_step({name})", g.shape, p.data.shape)
             v = state.velocity.get(name)

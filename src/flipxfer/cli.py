@@ -48,7 +48,7 @@ from .pool import pool_map
 from .transfer import (
     METHODS,
     EpochTrace,
-    TransferDivergedError,
+    TrainingDivergedError,
     TransferError,
     TransferHyperparams,
     check_dataset,
@@ -59,7 +59,6 @@ from .zoo import (
     ManifestError,
     PairFilter,
     TrainConfig,
-    TrainingDivergedError,
     ZooManifest,
     load_manifest,
     pair_grid,
@@ -458,7 +457,7 @@ def _sweep_task(data, task):
             checkpoints[sname], checkpoints[tname], method, TransferHyperparams(**hp_dict), transfer_set, val_set,
             teacher_name=tname, student_name=sname, forward_epochs=False,  # a sweep writes no per-epoch traces
         )
-    except (TransferError, TransferDivergedError, AnalysisError) as e:
+    except (TransferError, TrainingDivergedError, AnalysisError) as e:
         return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
     rate = res.doc.get("transfer_rate", {"overall": None, "by_top_share": {}})  # absent with no flips
     return res.doc | {"transfer_rate_overall": rate["overall"], "transfer_rate_top2": rate["by_top_share"].get("2.0")}
@@ -593,7 +592,6 @@ def main(argv=None) -> int:
         DataError,
         ManifestError,
         TrainingDivergedError,
-        TransferDivergedError,
         TransferError,
         AnalysisError,
         OSError,

@@ -19,7 +19,8 @@ import numpy as np
 from .data import Dataset
 from .models import Checkpoint
 from .transfer import (
-    TransferDivergedError,
+    EpochStates,
+    TrainingDivergedError,
     TransferError,
     TransferHyperparams,
     TransferResult,
@@ -81,7 +82,7 @@ def sequential_transfer(
                 current, teacher, method, hp, transfer_set, val_set, teacher_name=name,
                 student_name=student_name, frozen_reference=reference,
             )
-        except TransferDivergedError as e:
+        except TrainingDivergedError as e:
             results.append(TransferResult(current, report_doc(method, hp, name, student_name) | {"failed": str(e)}))
             continue
         if acc0 is None:
@@ -162,7 +163,7 @@ def soup_transfer(
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
     baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)
     res = baseline.result(
-        method, hp, None, student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
+        method, hp, EpochStates(), student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "soup"},
     )
     res.doc.update(branch_deltas=[r.doc["delta_transf"] for r in branches], mode="soup")

@@ -62,7 +62,7 @@ from .pool import keep_freed_memory, thread_map
 __all__ = [
     "METHODS",
     "TransferError",
-    "TransferDivergedError",
+    "TrainingDivergedError",
     "TransferHyperparams",
     "MclState",
     "PartitionMask",
@@ -99,19 +99,19 @@ class TransferError(ValueError):
     pass
 
 
-class TransferDivergedError(RuntimeError):
-    """Training hit a non-finite loss, or a non-finite gradient or updated
-    parameter (``what`` names it) behind a finite one; carries the failing
-    step for diagnosis."""
+class TrainingDivergedError(RuntimeError):
+    """``sgd_epochs`` hit a non-finite loss, or a non-finite gradient or
+    updated parameter (``what`` names it) behind a finite one: the one
+    divergence error of zoo training and of every transfer.  ``who`` is the
+    model's name in a zoo and the method in a transfer; the error carries the
+    failing epoch and step for diagnosis."""
 
-    def __init__(self, method: str, epoch: int, step: int, value: float, what: str | None = None):
-        self.method, self.epoch, self.step, self.value, self.what = method, epoch, step, value, what
-        super().__init__(
-            f"{method}: non-finite {what or f'loss {value!r}'} at epoch {epoch}, step {step}"
-        )
+    def __init__(self, who: str, epoch: int, step: int, value: float, what: str | None = None):
+        self.who, self.epoch, self.step, self.value, self.what = who, epoch, step, value, what
+        super().__init__(f"{who}: non-finite {what or f'loss {value!r}'} at epoch {epoch}, step {step}")
 
     def __reduce__(self):  # rebuilt from its fields, so it crosses a process boundary
-        return type(self), (self.method, self.epoch, self.step, self.value, self.what)
+        return type(self), (self.who, self.epoch, self.step, self.value, self.what)
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ class MclState:
 
     slow: dict[str, np.ndarray]
     fast: dict[str, Tensor]
-    tau: float = 0.9999
-    every: int = 2
+    tau: float
+    every: int
     steps: int = 0
 
 
@@ -454,15 +454,16 @@ def check_dataset(ck: Checkpoint, name: str, *datasets: Dataset) -> None:
 
 
 def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, batch_size: int,
-               seed: int, loss_fn, diverged, after_step=None):
+               seed: int, loss_fn, who: str, after_step=None):
     """Minibatch SGD over ``epochs`` seeded shuffles of ``n`` samples; yields
     each epoch's step losses so the caller can do its per-epoch work (or stop).
 
     ``loss_fn(b)`` builds the loss of the batch with sample indices ``b``
-    under an active tape.  A non-finite loss raises ``diverged(epoch, step,
-    value)``, and a non-finite gradient or updated parameter behind a finite
-    loss ``diverged(epoch, step, value, what)``, ``what`` naming the
-    parameter.  ``after_step()``, when given, runs after every update.
+    under an active tape; ``sgd_step`` then steps each of ``params`` whose
+    ``.grad`` is set, as ``backward`` left it.  A non-finite loss, or a non-finite gradient or updated
+    parameter behind a finite loss, raises ``TrainingDivergedError`` naming
+    ``who``, the epoch and the step (and the parameter).  ``after_step()``,
+    when given, runs after every update.
     """
     keep_freed_memory()  # each step's temporaries are reused, not faulted back in
     for epoch in range(epochs):
@@ -474,14 +475,13 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
                 loss = loss_fn(perm[start : start + batch_size])
             value = loss.item()
             if not np.isfinite(value):
-                raise diverged(epoch, step, value)
+                raise TrainingDivergedError(who, epoch, step, value)
             losses.append(value)
             backward(tape, loss)
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
             try:
-                sgd_step({k: params[k] for k in grads}, grads, opt)
+                sgd_step(params, opt)
             except ad.NonFiniteError as e:
-                raise diverged(epoch, step, value, e.what) from e
+                raise TrainingDivergedError(who, epoch, step, value, e.what) from e
             if after_step is not None:
                 after_step()
         yield losses
@@ -572,7 +572,7 @@ class ValBaseline:
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
-    def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates | None,
+    def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates,
                student_after: Checkpoint, teacher: str, student: str, meta: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
         ``meta`` goes into its checkpoint, and ``epochs``, once the caller has
@@ -586,7 +586,7 @@ class ValBaseline:
             *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
             self.acc_before, self.flips.rho_pos, transfer_rate(self.flips, after_correct, y),
         )
-        return TransferResult(student_after, doc, [] if epochs is None else epochs.traces(self))
+        return TransferResult(student_after, doc, epochs.traces(self))
 
 
 def distill(
@@ -623,9 +623,9 @@ def distill(
     may forward any queued state.  SGD queues one stop per consumer however
     it ends, so the helper is joined before this returns or raises.  A
     diverged SGD drops every state no thread has taken, and raises
-    ``TransferDivergedError``; otherwise an error of this thread's forwards
-    is raised, else the helper's.  With one usable CPU both jobs run here,
-    SGD first, then the whole queue.
+    ``TrainingDivergedError`` naming the method; otherwise an error of this
+    thread's forwards is raised, else the helper's.  With one usable CPU both
+    jobs run here, SGD first, then the whole queue.
     """
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -693,8 +693,7 @@ def distill(
     def train() -> None:
         try:
             for losses in sgd_epochs(
-                params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn,
-                functools.partial(TransferDivergedError, method), after_step,
+                params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn, method, after_step,
             ):
                 if not forward_epochs:
                     continue

@@ -18,11 +18,10 @@ from .config import REQUIRED, ConfigError, digest, parse_json, resolve, write_js
 from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward
 from .pool import pool_map, usable_cpus
-from .transfer import sgd_epochs, val_correct, xe_loss
+from .transfer import TrainingDivergedError, sgd_epochs, val_correct, xe_loss
 
 __all__ = [
     "TrainConfig",
-    "TrainingDivergedError",
     "ManifestError",
     "ZooEntry",
     "ZooManifest",
@@ -34,18 +33,6 @@ __all__ = [
     "save_manifest",
     "load_manifest",
 ]
-
-
-class TrainingDivergedError(RuntimeError):
-    """A non-finite training loss, or a non-finite gradient or updated
-    parameter (``what`` names it)."""
-
-    def __init__(self, name: str, epoch: int, value: float, what: str | None = None):
-        self.name, self.epoch, self.value, self.what = name, epoch, value, what
-        super().__init__(f"{name}: non-finite {what or f'training loss {value!r}'} at epoch {epoch}")
-
-    def __reduce__(self):  # rebuilt from its fields, so it crosses a process boundary
-        return type(self), (self.name, self.epoch, self.value, self.what)
 
 
 class ManifestError(ValueError):
@@ -134,10 +121,7 @@ def train_model(
         return float(val_correct(ck, val).mean())
 
     best_acc, stale = -1.0, 0
-    for _ in sgd_epochs(
-        params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn,
-        lambda epoch, step, value, what=None: TrainingDivergedError(name, epoch, value, what),
-    ):
+    for _ in sgd_epochs(params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn, name):
         if cfg.plateau_patience is not None:
             val_acc = val_accuracy()
             if val_acc > best_acc + 1e-12:

@@ -399,9 +399,16 @@ def test_log_softmax_logsumexp_property(z):
 # SGD
 
 
+def _step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: SgdState) -> None:
+    """``sgd_step`` on gradients set as ``backward`` leaves them."""
+    for name, g in grads.items():
+        params[name].grad = g
+    sgd_step(params, state)
+
+
 def test_sgd_plain_step():
     p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-    sgd_step(p, {"w": np.array([2.0])}, SgdState(lr=1.0))
+    _step(p, {"w": np.array([2.0])}, SgdState(lr=1.0))
     assert np.array_equal(p["w"].data, [-1.0])
 
 
@@ -410,28 +417,28 @@ def test_sgd_writes_each_parameter_in_place():
     checkpoint does whose own arrays ``models.as_tensors`` wrapped."""
     p = {"w": Tensor(np.array([1.0, 3.0]), requires_grad=True)}
     view = p["w"].data[1:]
-    sgd_step(p, {"w": np.array([2.0, 2.0])}, SgdState(lr=1.0))
+    _step(p, {"w": np.array([2.0, 2.0])}, SgdState(lr=1.0))
     assert np.array_equal(view, [1.0])
 
 
 def test_sgd_lr_zero_is_bit_exact_identity():
     vals = RNG.normal(size=17)
     p = {"w": Tensor(vals.copy(), requires_grad=True)}
-    sgd_step(p, {"w": RNG.normal(size=17)}, SgdState(lr=0.0, momentum=0.5, weight_decay=0.1))
+    _step(p, {"w": RNG.normal(size=17)}, SgdState(lr=0.0, momentum=0.5, weight_decay=0.1))
     assert np.array_equal(p["w"].data, vals)
 
 
 def test_sgd_momentum_recurrence():
     p = {"w": Tensor(np.array([0.0]), requires_grad=True)}
     state = SgdState(lr=0.1, momentum=0.9)
-    sgd_step(p, {"w": np.array([1.0])}, state)
-    sgd_step(p, {"w": np.array([1.0])}, state)
+    _step(p, {"w": np.array([1.0])}, state)
+    _step(p, {"w": np.array([1.0])}, state)
     assert p["w"].data[0] == pytest.approx(-0.29, abs=1e-15)
 
 
 def test_sgd_weight_decay_folds_into_gradient():
     p = {"w": Tensor(np.array([2.0]), requires_grad=True)}
-    sgd_step(p, {"w": np.array([0.0])}, SgdState(lr=0.5, weight_decay=0.1))
+    _step(p, {"w": np.array([0.0])}, SgdState(lr=0.5, weight_decay=0.1))
     # v = 0 + 0.1*2 = 0.2; w = 2 - 0.5*0.2
     assert p["w"].data[0] == pytest.approx(1.9, abs=1e-15)
 
@@ -439,7 +446,7 @@ def test_sgd_weight_decay_folds_into_gradient():
 def test_sgd_rejects_nonfinite_gradient():
     p = {"layer.w": Tensor(np.array([1.0]), requires_grad=True)}
     with pytest.raises(NonFiniteError) as exc:
-        sgd_step(p, {"layer.w": np.array([np.nan])}, SgdState(lr=0.1))
+        _step(p, {"layer.w": np.array([np.nan])}, SgdState(lr=0.1))
     assert "layer.w" in str(exc.value)
 
 
@@ -451,10 +458,10 @@ def test_sgd_names_a_non_finite_gradient_at_any_lr(lr, momentum, weight_decay, b
     gradient; neither that parameter nor its velocity changes."""
     p = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
     state = SgdState(lr=lr, momentum=momentum, weight_decay=weight_decay)
-    sgd_step(p, {"a": np.ones(3), "b": np.ones(2)}, state)
+    _step(p, {"a": np.ones(3), "b": np.ones(2)}, state)
     b, vb = p["b"].data.copy(), state.velocity["b"].copy()
     with pytest.raises(NonFiniteError) as exc:
-        sgd_step(p, {"a": np.ones(3), "b": np.array([1.0, bad])}, state)
+        _step(p, {"a": np.ones(3), "b": np.array([1.0, bad])}, state)
     assert str(exc.value) == "non-finite value in gradient of parameter 'b'"
     assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity["b"], vb)
 
@@ -462,9 +469,23 @@ def test_sgd_names_a_non_finite_gradient_at_any_lr(lr, momentum, weight_decay, b
 def test_sgd_rejects_an_update_that_overflows_a_parameter():
     p = {"layer.w": Tensor(np.array([1.0]), requires_grad=True)}
     with pytest.raises(NonFiniteError) as exc:
-        sgd_step(p, {"layer.w": np.array([10.0])}, SgdState(lr=1e308))
+        _step(p, {"layer.w": np.array([10.0])}, SgdState(lr=1e308))
     assert str(exc.value) == "non-finite value in parameter 'layer.w' after its update"
     assert p["layer.w"].data[0] == 1.0  # left as it was
+
+
+def test_sgd_skips_a_parameter_the_loss_did_not_reach():
+    """A tensor whose ``.grad`` is None, one that no ``backward`` reached,
+    keeps its value and its velocity under momentum and weight decay, while
+    the other tensor steps."""
+    p = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+    state = SgdState(lr=0.1, momentum=0.9, weight_decay=0.1)
+    _step(p, {"a": np.ones(3), "b": np.ones(2)}, state)
+    a, b, vb = p["a"].data.copy(), p["b"].data.copy(), state.velocity["b"].copy()
+    p["b"].grad = None
+    _step(p, {"a": np.ones(3)}, state)
+    assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity["b"], vb)
+    assert not np.array_equal(p["a"].data, a)
 
 
 # ---------------------------------------------------------------------------

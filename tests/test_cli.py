@@ -208,7 +208,7 @@ def test_transfer_naming_a_failed_model_exits_2_with_its_error(diverged_zoo, tmp
            "transfer": {"method": "kl", **transfer}, "out": str(tmp_path / "out")}
     assert main(["transfer", "--config", _write(tmp_path / "cfg.json", doc)]) == 2
     err = capsys.readouterr().err
-    assert f"config error: {key}: model 'b' failed to train (b: non-finite training loss" in err
+    assert f"config error: {key}: model 'b' failed to train (b: non-finite loss" in err
     assert "trained models: ['a']" in err
     assert not (tmp_path / "out").exists()
 
@@ -227,7 +227,7 @@ def test_zoo_with_a_non_finite_gradient_records_the_model_failed_and_exits_3(tmp
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
     entries = {e["name"]: e for e in manifest["entries"]}
     assert entries["a"]["failed"] and entries["a"]["val_accuracy"] is None
-    assert entries["a"]["error"] == "a: non-finite gradient of parameter 'fc2.w' at epoch 3"
+    assert entries["a"]["error"] == "a: non-finite gradient of parameter 'fc2.w' at epoch 3, step 1"
     assert not entries["b"]["failed"] and 0.0 <= entries["b"]["val_accuracy"] <= 1.0
     assert (out / "b.ckpt").exists() and not (out / "a.ckpt").exists()
     assert "error: 1 trainings diverged: a" in capsys.readouterr().err
@@ -247,7 +247,7 @@ def test_zoo_training_whose_update_overflows_a_parameter_records_the_model_faile
     assert main(["zoo", "--config", _write(tmp_path / "zoo.json", doc)]) == 3
     entries = {e["name"]: e for e in json.loads((out / "manifest.json").read_text())["entries"]}
     assert entries["a"]["failed"] and entries["a"]["val_accuracy"] is None
-    assert entries["a"]["error"] == "a: non-finite parameter 'fc1.w' after its update at epoch 0"
+    assert entries["a"]["error"] == "a: non-finite parameter 'fc1.w' after its update at epoch 0, step 0"
     assert not entries["b"]["failed"]
     assert sorted(p.name for p in out.iterdir()) == ["b.ckpt", "config.resolved.json", "manifest.json"]
     assert "error: 1 trainings diverged: a" in capsys.readouterr().err

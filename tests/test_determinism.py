@@ -3,8 +3,9 @@ at the real entry point.
 
 One chain of commands runs through ``python -m flipxfer.cli`` in
 subprocesses: a zoo of two MLPs and a CNN, flips with class embeddings,
-three transfers into the CNN (``kl_dp_sup``, ``xe_kl_mcl`` with its slow and
-fast weights, a sequential plan) and a two-worker sweep. The CNN's 200-row
+five transfers into the CNN (``kl``, ``kl_dp_sup``, ``xe_kl_mcl`` with its
+slow and fast weights, a sequential and a parallel plan) and a two-worker
+sweep. The CNN's 200-row
 val forward spans four eval chunks, so its evals run in threads where a
 process has two CPUs. The chain runs unpinned, with the child pinned to one
 CPU, and at two BLAS threads, each into the same ``out`` path, so the
@@ -29,9 +30,11 @@ _DATA = {"synthetic": {"classes": 8, "image_size": 8,
                        "train": {"samples": 64, "seed": 1}, "val": {"samples": VAL_ROWS, "seed": 2}}}
 _HP = {"epochs": 2, "batch_size": 16, "lr": 0.1}
 _TRANSFERS = {
+    "kl": {"method": "kl", "teacher": "m", "student": "c"},
     "kl_dp_sup": {"method": "kl_dp_sup", "teacher": "m", "student": "c"},
     "xe_kl_mcl": {"method": "xe_kl_mcl", "teacher": "m", "student": "c"},
     "sequential": {"method": "kl_dp_sup", "student": "c", "multi": {"mode": "sequential", "teachers": ["m", "n"]}},
+    "parallel": {"method": "kl_dp_sup", "student": "c", "multi": {"mode": "parallel", "teachers": ["m", "n"]}},
 }
 # eight finite, nonzero class embeddings with a nonzero mean pairwise cosine
 _EMBEDDINGS = "1,0\n0,1\n1,1\n1,-1\n2,1\n1,2\n2,-1\n-1,2\n"

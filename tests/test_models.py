@@ -519,7 +519,7 @@ def test_cnn_training_step_peak_memory():
             logits, _ = model_forward(spec, params, Tensor(x), train=True)
             loss = xe_loss(logits, y)
         backward(tape, loss)
-        sgd_step(params, {k: p.grad for k, p in params.items()}, opt)
+        sgd_step(params, opt)
 
     step()  # fills the im2col index cache and the momentum state
     tracemalloc.start()

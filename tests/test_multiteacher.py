@@ -5,7 +5,7 @@ import pytest
 
 from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
-from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
+from flipxfer.transfer import EpochStates, TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.zoo import TrainConfig, train_model
 
@@ -227,7 +227,7 @@ def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     # the same report as a baseline measured from fresh forwards of every model
     fresh = ValBaseline.measure(student, list(two.values()), Dataset(val.inputs, val.labels, val.num_classes))
     measured = fresh.result(
-        "kl_dp_sup", hp, None, res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
+        "kl_dp_sup", hp, EpochStates(), res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
     )
     assert len(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)  # the student, each teacher and the soup again
     # the soup's baseline, measured over the memo its branches filled, forwards nothing more

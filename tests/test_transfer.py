@@ -20,7 +20,7 @@ from flipxfer.transfer import (
     METHODS,
     MclState,
     PartitionMask,
-    TransferDivergedError,
+    TrainingDivergedError,
     TransferError,
     TransferHyperparams,
     cd_loss,
@@ -466,7 +466,7 @@ def test_run_transfer_frozen_models_untouched(toy_sets, method):
         return all(np.array_equal(ck.params[k], v) for ck, was in zip((student, teacher), kept)
                    for k, v in was.params.items())
 
-    with pytest.raises(TransferDivergedError):
+    with pytest.raises(TrainingDivergedError):
         run_transfer(student, teacher, method, replace(HP, lr=1e200), train, val)
     assert untouched()
     res = run_transfer(student, teacher, method, HP, train, val)
@@ -485,9 +485,8 @@ def test_sgd_epochs_reports_a_non_finite_loss_or_gradient_as_divergence(weight, 
     for a finite one whose gradient, weight * scale_by, overflows."""
     params = {"w": Tensor(np.zeros(1), requires_grad=True)}
     loss_fn = lambda b: ad.scale(ad.weighted_sum(params["w"], np.array([weight])), scale_by)
-    diverged = functools.partial(TransferDivergedError, "kl")
-    with np.errstate(over="ignore"), pytest.raises(TransferDivergedError) as exc:
-        list(sgd_epochs(params, ad.SgdState(lr=0.1), 1, 1, 1, 0, loss_fn, diverged))
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as exc:
+        list(sgd_epochs(params, ad.SgdState(lr=0.1), 1, 1, 1, 0, loss_fn, "kl"))
     assert str(exc.value) == message
     assert np.array_equal(params["w"].data, [0.0])  # no update was applied
 
@@ -656,14 +655,17 @@ def test_masks_partition_property(seed):
         assert np.all(mask.m_t ^ mask.m_st)
 
 
-@pytest.mark.parametrize("what", [None, "gradient of parameter 'fc1.w'"])
-def test_diverged_error_survives_pickling(what):
+@pytest.mark.parametrize("who, what", [
+    ("kl", None), ("kl", "gradient of parameter 'fc1.w'"), ("m", None), ("m", "gradient of parameter 'fc2.w'"),
+], ids=["None", "gradient of parameter 'fc1.w'", "zoo-None", "zoo-gradient of parameter 'fc2.w'"])
+def test_diverged_error_survives_pickling(who, what):
     """A pool worker's exception reaches the parent pickled: it must come back
-    with its message and fields, not break the pool."""
-    e = TransferDivergedError("kl", 3, 7, float("nan"), what)
+    with its message and fields, not break the pool. A sweep's worker raises
+    it naming the method, a zoo's naming the model."""
+    e = TrainingDivergedError(who, 3, 7, float("nan"), what)
     back = pickle.loads(pickle.dumps(e))
-    assert type(back) is TransferDivergedError and str(back) == str(e)
-    assert (back.method, back.epoch, back.step, back.what) == ("kl", 3, 7, what) and np.isnan(back.value)
+    assert type(back) is TrainingDivergedError and str(back) == str(e)
+    assert (back.who, back.epoch, back.step, back.what) == (who, 3, 7, what) and np.isnan(back.value)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +871,7 @@ def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
     _loss_hook(monkeypatch, lambda step: not taken.wait(10))  # the first step waits; lr 1e308 diverges it
     student = build(_CNN, 1)
     before = threading.active_count()
-    with pytest.raises(TransferDivergedError, match="kl: non-finite"):
+    with pytest.raises(TrainingDivergedError, match="kl: non-finite"):
         run_transfer(student, build(_MLP, 2), "kl", replace(HP, lr=1e308), train, val)
     assert threading.active_count() == before
     assert [s for s, _ in forwards] == [student.digest()] and forwards[0][1] is not threading.current_thread()
@@ -894,7 +896,7 @@ def test_sgd_diverging_with_epochs_queued_drops_them_and_leaves_no_thread_runnin
     forwards = _val_forwards(monkeypatch, val, before=teacher_waits)
     _loss_hook(monkeypatch, lambda step: step >= 4 and taken.wait(10))  # two steps an epoch: epoch 2, step 0
     before = threading.active_count()
-    with pytest.raises(TransferDivergedError, match="kl: non-finite loss nan at epoch 2, step 0"):
+    with pytest.raises(TrainingDivergedError, match="kl: non-finite loss nan at epoch 2, step 0"):
         run_transfer(student, teacher, "kl", replace(HP, epochs=3), train, val)
     assert threading.active_count() == before
     assert [s for s, _ in forwards] == [student.digest(), teacher.digest()]

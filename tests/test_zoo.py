@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import pickle
 import platform
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from flipxfer.zoo import (
     ManifestError,
     PairFilter,
     TrainConfig,
-    TrainingDivergedError,
     ZooEntry,
     ZooManifest,
     _work,
@@ -157,16 +155,6 @@ def test_divergent_training_marked_failed(small_sets):
     assert "non-finite" in failed[0].error
     assert len(manifest.ok_entries()) == 1
     assert set(checkpoints) == {e.name for e in manifest.ok_entries()}  # no checkpoint for a failure
-
-
-@pytest.mark.parametrize("what", [None, "gradient of parameter 'fc2.w'"])
-def test_training_diverged_error_survives_pickling(what):
-    """A pool worker's exception reaches the parent pickled: it must come back
-    with its message and fields, not break the pool."""
-    e = TrainingDivergedError("m", 2, float("inf"), what)
-    back = pickle.loads(pickle.dumps(e))
-    assert type(back) is TrainingDivergedError and str(back) == str(e)
-    assert (back.name, back.epoch, back.value, back.what) == ("m", 2, float("inf"), what)
 
 
 def test_work_counts_multiply_adds_per_sample_times_epochs():
