@@ -413,12 +413,13 @@ def gather_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Each row divided by max(its L2 norm, 1e-12), as
+    ``torch.nn.functional.normalize`` does: a row whose norm is at least
+    1e-12 is ``x / norm`` bit for bit, and an all-zero row stays zero."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("l2_normalize_rows", x.data.shape, ("n", "d"))
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("l2_normalize_rows: zero-norm row")
+    norms = np.maximum(np.linalg.norm(x.data, axis=1, keepdims=True), 1e-12)
     y = x.data / norms
 
     def bwd(g):

@@ -391,7 +391,7 @@ def topk_restricted_kl(student_logits, teacher_logits, temperature: float, k: in
     teacher = np.asarray(teacher_logits, dtype=np.float64)
     if student.data.shape != teacher.shape:
         raise ad.ShapeError("topk_restricted_kl", student.data.shape, teacher.shape)
-    n, c = teacher.shape
+    c = teacher.shape[1]
     if not 1 <= k <= c:
         raise TransferError(f"k must be in [1, {c}], got {k}")
     if temperature <= 0:
@@ -399,40 +399,26 @@ def topk_restricted_kl(student_logits, teacher_logits, temperature: float, k: in
     lt = np_log_softmax(_temper(teacher, temperature))
     idx = np.argsort(-lt, axis=1, kind="stable")[:, :k]  # ties to lowest class id
     lt_sub = np.take_along_axis(lt, idx, axis=1)
-    lt_renorm = lt_sub - _logsumexp(lt_sub)  # renormalize over the kept subset
-    coeff = temperature * temperature / n
-    weights = -coeff * np.exp(lt_renorm)
-    bias = -float(np.sum(weights * lt_renorm))
-    ls_sub = log_softmax(gather_cols(scale(student, 1.0 / temperature), idx))
-    return weighted_sum(ls_sub, weights, bias)
-
-
-def _logsumexp(z: np.ndarray) -> np.ndarray:
-    zmax = np.max(z, axis=1, keepdims=True)
-    return zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))
+    return soft_target_kl(gather_cols(student, idx), np_log_softmax(lt_sub), temperature)
 
 
 def cd_loss(student_feats, teacher_feats) -> Tensor:
     """Match row-softmaxed cosine-similarity matrices of the two batches'
-    L2-normalized features, teacher rows as the target, mean over rows."""
+    L2-normalized features, teacher rows as the target, mean over rows.
+
+    Both sides go through ``l2_normalize_rows`` and ``gram``, so equal
+    features give bit-equal similarity matrices and an exactly zero loss.
+    A row is divided by max(its norm, 1e-12): an all-zero feature row has
+    zero similarity to every row, itself too.  A one-row batch's only
+    similarity is its own, so its loss is 0.0 and its gradient zero.
+    """
     student = ad._as_tensor(student_feats)
     teacher = np.asarray(teacher_feats, dtype=np.float64)
     n = teacher.shape[0]
-    if n < 2:
-        raise TransferError("cd_loss needs a batch of at least 2 samples")
     if student.data.shape[0] != n:
         raise ad.ShapeError("cd_loss", student.data.shape, teacher.shape)
-    norms = np.linalg.norm(teacher, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise TransferError("cd_loss: zero-norm teacher feature")
-    unit_t = teacher / norms
-    # same einsum path as the student-side gram op, so equal features give
-    # bit-equal similarity matrices and an exactly zero loss
-    target_logprobs = np_log_softmax(ad._mm_nt(unit_t, unit_t))
-    if np.any(np.linalg.norm(student.data, axis=1) == 0.0):
-        raise TransferError("cd_loss: zero-norm student feature")
-    sim_s = gram(l2_normalize_rows(student))
-    ls = log_softmax(sim_s)
+    target_logprobs = np_log_softmax(gram(l2_normalize_rows(teacher)).data)
+    ls = log_softmax(gram(l2_normalize_rows(student)))
     weights = -np.exp(target_logprobs) / n
     bias = -float(np.sum(weights * target_logprobs))
     return weighted_sum(ls, weights, bias)
@@ -676,8 +662,6 @@ def distill(
             xe = xe_loss(logits, y_tr[b])
             return ad.add(scale(kl, hp.lam), scale(xe, 1.0 - hp.lam))
         xe = xe_loss(logits, y_tr[b])  # cd
-        if b.size < 2:
-            return scale(xe, 1.0 - hp.lam)  # singleton batch has no pairs
         cd = cd_loss(feats if proj is None else ad.matmul(feats, proj), t_feats[b])
         return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
 

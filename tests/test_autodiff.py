@@ -335,6 +335,17 @@ def test_grad_l2_normalize_rows():
     check_op(lambda: ad.weighted_sum(ad.l2_normalize_rows(x), wts), {"x": x})
 
 
+def test_l2_normalize_rows_is_x_over_norm_down_to_1e_12():
+    """A row whose norm is at least 1e-12 is ``x / norm`` bit for bit; a
+    smaller one is divided by 1e-12, so a zero row stays zero."""
+    x = RNG.normal(size=(200, 5)) * 10.0 ** RNG.uniform(-11.5, 6, size=(200, 1))
+    assert np.linalg.norm(x, axis=1).min() >= 1e-12
+    want = x / np.linalg.norm(x, axis=1, keepdims=True)
+    assert ad.l2_normalize_rows(x).data.tobytes() == want.tobytes()
+    tiny = np.array([[0.0, 0.0], [3e-13, -4e-13]])
+    assert ad.l2_normalize_rows(tiny).data.tobytes() == (tiny / 1e-12).tobytes()
+
+
 def test_grad_gram():
     x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
     wts = RNG.normal(size=(4, 4))

@@ -527,6 +527,28 @@ def test_transfer_report_and_epochs(zoo_dir, tmp_path):
     assert (out / "student_after.ckpt").exists()
 
 
+def test_cd_transfer_from_a_teacher_with_zero_feature_rows_exits_0(zoo_dir, tmp_path):
+    """The teacher's hidden units read only the first input, so every sample
+    whose first input is not positive has an all-zero feature row: a row the
+    contrastive objective divides by 1e-12, not by its norm, and stays zero."""
+    from flipxfer.cli import _build_datasets, _resolve_dataset
+
+    zoo = _copy_zoo(zoo_dir, tmp_path / "zoo")
+    conf = _transfer_config(zoo, tmp_path / "out", "cd")
+    teacher = zoo / f"{conf['transfer']['teacher']}.ckpt"
+    ck = models.load(teacher)
+    ck.params["fc1.w"][:] = 0.0
+    ck.params["fc1.w"][0] = 1.0
+    ck.params["fc1.b"][:] = 0.0
+    models.save(ck, teacher)
+    train, _ = _build_datasets(_resolve_dataset(_dataset_section()))
+    zero_rows = ~models.predict_features(ck, train.inputs).any(axis=1)
+    assert 0 < zero_rows.sum() < train.n
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["method"] == "cd" and np.isfinite(report["delta_transf"])
+
+
 def test_transfer_unknown_method_exits_2(zoo_dir, tmp_path, capsys):
     cfg = tmp_path / "tr.json"
     assert main(["transfer", "--config", _write(cfg, _transfer_config(zoo_dir, tmp_path / "o", method="fancy"))]) == 2

@@ -3,9 +3,10 @@ at the real entry point.
 
 One chain of commands runs through ``python -m flipxfer.cli`` in
 subprocesses: a zoo of two MLPs and a CNN, flips with class embeddings,
-five transfers into the CNN (``kl``, ``kl_dp_sup``, ``xe_kl_mcl`` with its
-slow and fast weights, a sequential and a parallel plan) and a two-worker
-sweep. The CNN's 200-row
+six transfers into the CNN (``kl``, ``kl_dp_sup``, ``xe_kl_mcl`` with its
+slow and fast weights, ``cd``, whose 8-wide CNN features meet the 6-wide
+teacher's through the trained projection, a sequential and a parallel plan)
+and a two-worker sweep. The CNN's 200-row
 val forward spans four eval chunks, so its evals run in threads where a
 process has two CPUs. The chain runs unpinned, with the child pinned to one
 CPU, and at two BLAS threads, each into the same ``out`` path, so the
@@ -33,6 +34,7 @@ _TRANSFERS = {
     "kl": {"method": "kl", "teacher": "m", "student": "c"},
     "kl_dp_sup": {"method": "kl_dp_sup", "teacher": "m", "student": "c"},
     "xe_kl_mcl": {"method": "xe_kl_mcl", "teacher": "m", "student": "c"},
+    "cd": {"method": "cd", "teacher": "n", "student": "c"},
     "sequential": {"method": "kl_dp_sup", "student": "c", "multi": {"mode": "sequential", "teachers": ["m", "n"]}},
     "parallel": {"method": "kl_dp_sup", "student": "c", "multi": {"mode": "parallel", "teachers": ["m", "n"]}},
 }
