@@ -19,7 +19,6 @@ import numpy as np
 from .data import Dataset
 from .models import Checkpoint
 from .transfer import (
-    EpochStates,
     TrainingDivergedError,
     TransferError,
     TransferHyperparams,
@@ -118,13 +117,12 @@ def parallel_transfer(
     # tie-breaking uses the given teacher sequence, so no reordering here;
     # kl compares maximum probabilities, as the unsupervised rule does
     rule = "kl_dp_sup" if method == "kl_dp_sup" else "kl_dp_unsup"
-    baseline, epochs, student_after, winner = distill(
+    baseline, per_epoch, student_after, winner = distill(
         student_ck, teachers, rule, hp, transfer_set, val_set, student_name
     )
     source_share = np.bincount(winner, minlength=len(teachers) + 1) / transfer_set.n
-    epochs.teacher_share = float(1.0 - source_share[0])
     res = baseline.result(
-        method, hp, epochs, student_after, f"parallel[{'+'.join(n for n, _ in teachers)}]", student_name,
+        method, hp, per_epoch, student_after, f"parallel[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "parallel"},
     )
     res.doc.update(source_share=[float(s) for s in source_share], mode="parallel")
@@ -163,7 +161,7 @@ def soup_transfer(
     student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
     baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)
     res = baseline.result(
-        method, hp, EpochStates(), student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
+        method, hp, [], student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,
         meta={"transfer_method": "soup"},
     )
     res.doc.update(branch_deltas=[r.doc["delta_transf"] for r in branches], mode="soup")

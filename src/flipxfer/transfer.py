@@ -16,8 +16,9 @@ the adapting student only; frozen sources enter as constants.
 
 Zoo training runs the one minibatch-SGD loop here (``sgd_epochs``); single-
 and multi-teacher transfer run one training path on it (``distill``), whose
-KL-family target comes from the one confidence rule (``confidence_winner``)
-before SGD and equals the per-batch objectives' bit for bit.  ``ValBaseline``
+KL-family target, top-k included, comes from the one confidence rule
+(``confidence_winner``) before SGD and equals the per-batch objectives' bit
+for bit.  ``ValBaseline``
 measures every before/after outcome, and ``report_doc`` builds its report
 document, the one record of a transfer.
 """
@@ -67,7 +68,6 @@ __all__ = [
     "MclState",
     "PartitionMask",
     "EpochTrace",
-    "EpochStates",
     "TransferResult",
     "ValBaseline",
     "report_doc",
@@ -198,6 +198,11 @@ class PartitionMask:
 
 @dataclass
 class EpochTrace:
+    """What one epoch of a transfer left, measured once ``distill`` has joined
+    its eval queue: the epoch's mean train loss, its weights' val accuracy,
+    gain and loss against the baseline, the share of transfer samples a
+    teacher won (DP and parallel), and the fast weights' val accuracy (MCL)."""
+
     train_loss: float
     val_accuracy: float
     gain: float
@@ -207,43 +212,15 @@ class EpochTrace:
 
 
 @dataclass
-class EpochStates:
-    """What each epoch of a transfer left: its mean train loss and a copy of
-    its weights (MCL: the slow weights, plus the fast ones), taken with
-    ``Checkpoint.copy`` as the epoch ends, which ``distill``'s eval queue
-    forwards over the val set beside SGD while SGD trains on.  They live until
-    ``ValBaseline.result`` has built the transfer's traces."""
-
-    train_loss: list[float] = field(default_factory=list)
-    states: list[Checkpoint] = field(default_factory=list)
-    fast_states: list[Checkpoint] | None = None
-    teacher_share: float | None = None  # DP and parallel: the share of samples a teacher won
-
-    def traces(self, baseline: "ValBaseline") -> list[EpochTrace]:
-        """One trace per epoch: its train loss, and its weights' val accuracy,
-        gain and loss against ``baseline``, read from the val set's memo; the
-        teacher's mask share, and (MCL) the fast weights' accuracy."""
-        out, val = [], baseline.val_set
-        for i, (train_loss, state) in enumerate(zip(self.train_loss, self.states)):
-            now = val_correct(state, val)
-            fast = None if self.fast_states is None else val_correct(self.fast_states[i], val)
-            out.append(EpochTrace(
-                train_loss, float(now.mean()), *baseline.gain_loss(now), self.teacher_share,
-                None if fast is None else float(fast.mean()),
-            ))
-        return out
-
-
-@dataclass
 class TransferResult:
     """One transfer: the trained student, a checkpoint of its own
     (``distill`` trains a copy; a sequential stage that diverged keeps the
     student it was given), and ``doc``, its report document (``report.json``,
     or a sequential stage in it), the one record of its outcome, which
     ``report_doc`` built and to which a multi-teacher protocol adds the keys
-    it owns, and ``per_epoch``, one trace per epoch.  ``per_epoch`` is empty
-    for a sequential stage that diverged, for a soup and for a transfer run
-    without ``forward_epochs``.
+    it owns, and ``per_epoch``, the traces ``distill`` returned, one per
+    epoch.  ``per_epoch`` is empty for a sequential stage that diverged, for
+    a soup and for a transfer run without ``forward_epochs``.
     """
 
     student_after: Checkpoint
@@ -384,6 +361,16 @@ def dp_loss(student_logits, teacher_logits, st_logits, mask: PartitionMask, temp
     return soft_target_kl(student, targets, temperature)
 
 
+def _topk_target(logprobs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``logprobs``, the columns of its k most probable classes
+    (ties to the lowest class id) and the target renormalized over them."""
+    c = logprobs.shape[1]
+    if not 1 <= k <= c:
+        raise TransferError(f"k must be in [1, {c}], got {k}")
+    cols = np.argsort(-logprobs, axis=1, kind="stable")[:, :k]
+    return cols, np_log_softmax(np.take_along_axis(logprobs, cols, axis=1))
+
+
 def topk_restricted_kl(student_logits, teacher_logits, temperature: float, k: int) -> Tensor:
     """Distillation restricted per sample to the k most probable teacher
     classes, both distributions renormalized over that subset."""
@@ -391,15 +378,10 @@ def topk_restricted_kl(student_logits, teacher_logits, temperature: float, k: in
     teacher = np.asarray(teacher_logits, dtype=np.float64)
     if student.data.shape != teacher.shape:
         raise ad.ShapeError("topk_restricted_kl", student.data.shape, teacher.shape)
-    c = teacher.shape[1]
-    if not 1 <= k <= c:
-        raise TransferError(f"k must be in [1, {c}], got {k}")
     if temperature <= 0:
         raise TransferError(f"temperature must be positive, got {temperature}")
-    lt = np_log_softmax(_temper(teacher, temperature))
-    idx = np.argsort(-lt, axis=1, kind="stable")[:, :k]  # ties to lowest class id
-    lt_sub = np.take_along_axis(lt, idx, axis=1)
-    return soft_target_kl(gather_cols(student, idx), np_log_softmax(lt_sub), temperature)
+    cols, target = _topk_target(np_log_softmax(_temper(teacher, temperature)), k)
+    return soft_target_kl(gather_cols(student, cols), target, temperature)
 
 
 def cd_loss(student_feats, teacher_feats) -> Tensor:
@@ -558,11 +540,11 @@ class ValBaseline:
     def gain_loss(self, after_correct: np.ndarray) -> tuple[float, float]:
         return knowledge_gain_loss(self.before_correct, after_correct, self.flips.per_sample_flags)
 
-    def result(self, method: str, hp: TransferHyperparams, epochs: EpochStates,
+    def result(self, method: str, hp: TransferHyperparams, per_epoch: list[EpochTrace],
                student_after: Checkpoint, teacher: str, student: str, meta: dict) -> TransferResult:
         """Evaluate the transferred student and report it against the baseline;
-        ``meta`` goes into its checkpoint, and ``epochs``, once the caller has
-        set their teacher share, become the result's traces."""
+        ``meta`` goes into its checkpoint, and ``per_epoch``, the traces
+        ``distill`` returned (none for a soup), into the result."""
         y = self.val_set.labels
         after_correct = val_correct(student_after, self.val_set)
         acc_after = float(after_correct.mean())
@@ -572,7 +554,7 @@ class ValBaseline:
             *self.gain_loss(after_correct), per_class_gain(self.flips, after_correct, y),
             self.acc_before, self.flips.rho_pos, transfer_rate(self.flips, after_correct, y),
         )
-        return TransferResult(student_after, doc, epochs.traces(self))
+        return TransferResult(student_after, doc, per_epoch)
 
 
 def distill(
@@ -585,11 +567,12 @@ def distill(
     student_name: str = "student",
     frozen_reference: Checkpoint | None = None,
     forward_epochs: bool = True,
-) -> tuple[ValBaseline, EpochStates, Checkpoint, np.ndarray | None]:
+) -> tuple[ValBaseline, list[EpochTrace], Checkpoint, np.ndarray | None]:
     """Distill named teachers into a pretrained student over a fixed epoch
-    budget.  Returns the baseline and the epoch states (none without
-    ``forward_epochs``: the caller reads no traces), both forwarded into the
-    val set's memo, the trained checkpoint and the per-sample winning source.
+    budget.  Returns the baseline, one trace per epoch (none without
+    ``forward_epochs``: the caller reads no traces), the trained checkpoint
+    and the per-sample winning source (none for ``cd``).  A DP rule's traces
+    carry the share of samples a teacher won, ``(winner != 0).mean()``.
     SGD steps a ``student_ck.copy()`` in place, and that copy (MCL: a second
     copy, the slow weights) is the trained checkpoint, so ``student_ck`` never
     changes, even when SGD diverges.
@@ -597,8 +580,10 @@ def distill(
     The KL family's target is built once, before SGD: per sample, the
     tempered distribution of the most confident frozen source, the teacher
     for ``kl``/``xe_kl*``; DP ranks the frozen reference (by default the
-    initial student) before every teacher.  Top-k KL and ``cd`` build their
-    losses per batch and have no winner.
+    initial student) before every teacher.  ``kl`` with ``topk`` restricts
+    that target to each sample's k most probable classes, and each batch
+    gathers the student's logits at those columns.  ``cd`` builds its loss
+    per batch and has no winner.
 
     SGD never reads the val forwards, so they run beside it through an eval
     queue (``pool.thread_map`` of two jobs): SGD in this thread, which keeps
@@ -624,7 +609,7 @@ def distill(
     temp = hp.temperature
     trained = student_ck.copy()  # SGD trains it in place; the caller's student never changes
     params = as_tensors(trained)
-    winner = targets = z_teacher = t_feats = proj = None
+    winner = targets = cols = t_feats = proj = None
     if method == "cd":
         t_feats = predict_features(teacher_cks[0], x_tr)
         w_s, w_t = spec.feature_width(), teacher_cks[0].spec.feature_width()
@@ -634,13 +619,13 @@ def distill(
             t_feats = t_feats @ (rng.normal(size=(w_t, d)) / np.sqrt(w_t))
             bound = np.sqrt(6.0 / w_s)
             params["cd_proj.w"] = proj = Tensor(rng.uniform(-bound, bound, size=(w_s, d)), requires_grad=True)
-    elif method == "kl" and hp.topk is not None:
-        z_teacher = predict_logits(teacher_cks[0], x_tr)
     else:
         sources = ([frozen_reference or student_ck] if method in DP_METHODS else []) + teacher_cks
         source_logits = [predict_logits(ck, x_tr) for ck in sources]
         winner = confidence_winner(source_logits, y_tr if method == "kl_dp_sup" else None)
         targets = winner_logprobs(winner, source_logits, temp)
+        if method == "kl" and hp.topk is not None:
+            cols, targets = _topk_target(targets, hp.topk)
 
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
     mcl = after_step = None
@@ -653,19 +638,16 @@ def distill(
 
     def loss_fn(b):
         logits, feats = model_forward(spec, params, Tensor(x_tr[b]), train=True, dropout_rng=drop_rng)
-        if z_teacher is not None:
-            return topk_restricted_kl(logits, z_teacher[b], temp, hp.topk)
-        if targets is not None:
-            kl = soft_target_kl(logits, targets[b], temp)
-            if method not in ("xe_kl", "xe_kl_mcl"):
-                return kl
-            xe = xe_loss(logits, y_tr[b])
-            return ad.add(scale(kl, hp.lam), scale(xe, 1.0 - hp.lam))
-        xe = xe_loss(logits, y_tr[b])  # cd
-        cd = cd_loss(feats if proj is None else ad.matmul(feats, proj), t_feats[b])
-        return ad.add(scale(cd, hp.lam), scale(xe, 1.0 - hp.lam))
+        if method == "cd":
+            term = cd_loss(feats if proj is None else ad.matmul(feats, proj), t_feats[b])
+        else:
+            term = soft_target_kl(logits if cols is None else gather_cols(logits, cols[b]), targets[b], temp)
+        if method not in ("xe_kl", "xe_kl_mcl", "cd"):
+            return term
+        return ad.add(scale(term, hp.lam), scale(xe_loss(logits, y_tr[b]), 1.0 - hp.lam))
 
-    epochs = EpochStates(fast_states=[] if mcl else None)
+    train_loss: list[float] = []
+    states: list[list[Checkpoint]] = []  # per epoch, its weights (MCL: slow, then fast)
     queue: SimpleQueue = SimpleQueue()  # checkpoints to forward over val; None stops a consumer
     for ck in (student_ck, *teacher_cks):
         queue.put(ck)
@@ -681,12 +663,10 @@ def distill(
             ):
                 if not forward_epochs:
                     continue
-                epochs.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
-                epochs.states.append(kept.copy())
-                queue.put(epochs.states[-1])
-                if mcl is not None:
-                    epochs.fast_states.append(trained.copy())
-                    queue.put(epochs.fast_states[-1])
+                train_loss.append(float(np.mean(losses)) if losses else float("nan"))
+                states.append([kept.copy(), trained.copy()] if mcl else [kept.copy()])
+                for ck in states[-1]:
+                    queue.put(ck)
         except BaseException:
             with contextlib.suppress(Empty):  # a run that raised has no report to read
                 while True:
@@ -699,7 +679,13 @@ def distill(
 
     thread_map(lambda job: job(), [train, forward_queued])
     baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)
-    return baseline, epochs, kept, winner
+    share = float((winner != 0).mean()) if method in DP_METHODS else None
+    per_epoch = []
+    for loss, (state, *fast) in zip(train_loss, states):  # every state read from the memo
+        now = val_correct(state, val_set)
+        fast_acc = float(val_correct(fast[0], val_set).mean()) if fast else None
+        per_epoch.append(EpochTrace(loss, float(now.mean()), *baseline.gain_loss(now), share, fast_acc))
+    return baseline, per_epoch, kept, winner
 
 
 def run_transfer(
@@ -720,13 +706,11 @@ def run_transfer(
     sweep worker's tasks included; a caller that never reads ``per_epoch``
     passes ``forward_epochs=False``, and the transfer keeps no epoch state:
     ``per_epoch`` is empty."""
-    baseline, epochs, student_after, winner = distill(
+    baseline, per_epoch, student_after, _ = distill(
         student_ck, [(teacher_name, teacher_ck)], method, hp, transfer_set, val_set, student_name,
         frozen_reference, forward_epochs,
     )
-    if method in DP_METHODS:
-        epochs.teacher_share = float((winner == 1).mean())
     return baseline.result(
-        method, hp, epochs, student_after, teacher_name, student_name,
+        method, hp, per_epoch, student_after, teacher_name, student_name,
         meta={"transfer_method": method, "teacher": teacher_name},
     )

@@ -18,7 +18,7 @@ from .config import REQUIRED, ConfigError, digest, parse_json, resolve, write_js
 from .data import Dataset, augment_batch
 from .models import Checkpoint, ModelSpec, as_tensors, build, load, model_forward
 from .pool import pool_map, usable_cpus
-from .transfer import TrainingDivergedError, sgd_epochs, val_correct, xe_loss
+from .transfer import TrainingDivergedError, check_dataset, sgd_epochs, val_correct, xe_loss
 
 __all__ = [
     "TrainConfig",
@@ -103,10 +103,10 @@ def train_model(
     name: str = "model",
 ) -> Checkpoint:
     """Cross-entropy training with SGD; deterministic given the config.
-    Trains the checkpoint ``build`` gives, in place, and returns it."""
-    if train.num_classes != spec.num_classes:
-        raise ValueError(f"{name}: dataset has {train.num_classes} classes, spec {spec.num_classes}")
+    Trains the checkpoint ``build`` gives, in place, and returns it; a train
+    or val set that does not fit ``spec`` is a ``TransferError`` before any step."""
     ck = build(spec, cfg.init_seed)
+    check_dataset(ck, name, train, val)
     params = as_tensors(ck)
     opt = SgdState(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     drop_rng = np.random.default_rng(np.random.SeedSequence([cfg.order_seed, 0xD1]))

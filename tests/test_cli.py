@@ -728,6 +728,46 @@ def test_dataset_that_does_not_fit_the_zoo_exits_3(zoo_dir, tmp_path, capsys, ma
     assert f"error: dataset {what} does not match model {model}: dataset {got}, model {want}" in err
 
 
+def _idx_files(tmp_path, name, n, rows, cols, classes):
+    """An IDX image and label file pair of n images; the labels cycle through the classes."""
+    images, labels = tmp_path / f"{name}_images.idx", tmp_path / f"{name}_labels.idx"
+    pixels = np.random.default_rng(n).integers(0, 256, size=n * rows * cols, dtype=np.uint8)
+    images.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % classes for i in range(n)))
+    return str(images), str(labels)
+
+
+@pytest.mark.parametrize("rows, classes, what, got, want", [
+    (5, 3, "input shape", "(1, 5, 5)", "(1, 4, 4)"),
+    (4, 4, "class count", "4", "3"),
+], ids=["val_images_5x5", "val_classes_4"])
+def test_idx_zoo_whose_val_set_does_not_fit_exits_3_before_training(tmp_path, monkeypatch, capsys,
+                                                                     rows, classes, what, got, want):
+    """The zoo's specs come from the train set, and each model is checked
+    against the val set too before its first step. A 5x5 val set against 4x4
+    train images once trained every model and then ended in a traceback; a
+    4-class val set against 3 train classes exited 0 with val accuracies that
+    a later ``flips`` rejected."""
+    import flipxfer.zoo as zoo
+
+    epochs = []
+    monkeypatch.setattr(zoo, "sgd_epochs", lambda *args: epochs.append(args) or iter(()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the trainings run in this process
+    train_images, train_labels = _idx_files(tmp_path, "train", 24, 4, 4, 3)
+    val_images, val_labels = _idx_files(tmp_path, "val", 12, rows, rows, classes)
+    doc = {
+        "dataset": {"idx": {"train_images": train_images, "train_labels": train_labels,
+                            "val_images": val_images, "val_labels": val_labels}},
+        "zoo": {"models": [{"name": "a", "family": "mlp", "depth": 2, "width": 4, "train": {"epochs": 1}},
+                           {"name": "b", "family": "mlp", "depth": 2, "width": 3, "train": {"epochs": 1}}]},
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", doc)]) == 3
+    assert f"error: dataset {what} does not match model a: dataset {got}, model {want}" in capsys.readouterr().err
+    assert epochs == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_flag_with_nul_byte_exits_2(tmp_path, capsys):
     conf = _write(tmp_path / "cfg.json", _zoo_config(tmp_path / "out"))
     assert main(["zoo", "--config", conf, "--out", str(tmp_path / "o\0x")]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
-from flipxfer.transfer import EpochStates, TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
+from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.zoo import TrainConfig, train_model
 
@@ -179,9 +179,7 @@ def test_retain_original_reference_flag(setup):
 
 def test_parallel_one_teacher_dp_sup_equals_run_transfer_per_epoch(setup):
     """DP is parallel transfer with one teacher: the same weights, report
-    values and epoch traces, bit for bit, except the teacher's mask share.
-    DP counts the teacher's wins and parallel takes one minus the frozen
-    student's share, so the two may differ in the last bit."""
+    values and epoch traces, the teacher's mask share included, bit for bit."""
     train, val, student, teachers = setup
     par = parallel_transfer(student, [("t_a", teachers["t_a"])], "kl_dp_sup", HP, train, val)
     direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", HP, train, val, "t_a")
@@ -191,7 +189,27 @@ def test_parallel_one_teacher_dp_sup_equals_run_transfer_per_epoch(setup):
     assert len(par.per_epoch) == len(direct.per_epoch) == HP.epochs
     for p, d in zip(par.per_epoch, direct.per_epoch):
         assert (p.val_accuracy, p.gain, p.loss, p.train_loss) == (d.val_accuracy, d.gain, d.loss, d.train_loss)
-        assert abs(p.mask_teacher_share - d.mask_teacher_share) <= 2**-52
+        assert p.mask_teacher_share == d.mask_teacher_share
+
+
+def test_parallel_and_dp_compute_the_teacher_share_by_one_rule(setup, monkeypatch):
+    """The mask share is the share of samples a teacher won, counted where
+    the winner is, for one teacher or several. With 21 of 300 samples kept
+    by the frozen student, 1 - 21/300 and 279/300 differ in the last bit:
+    both protocols report 279/300."""
+    import flipxfer.transfer as transfer
+
+    train, val, student, teachers = setup
+    n, kept = 300, 21
+    assert 1.0 - kept / n != (n - kept) / n
+    winner = np.ones(n, dtype=np.intp)
+    winner[np.random.default_rng(0).permutation(n)[:kept]] = 0
+    monkeypatch.setattr(transfer, "confidence_winner", lambda logits, labels=None: winner)
+    subset, hp = train.subset(np.arange(n)), replace(HP, epochs=1)
+    par = parallel_transfer(student, [("t_a", teachers["t_a"])], "kl_dp_sup", hp, subset, val)
+    direct = run_transfer(student, teachers["t_a"], "kl_dp_sup", hp, subset, val, "t_a")
+    assert par.per_epoch[0].mask_teacher_share == direct.per_epoch[0].mask_teacher_share == (n - kept) / n
+    assert par.doc["source_share"] == [kept / n, (n - kept) / n]
 
 
 def test_sequential_forwards_the_val_set_once_per_stage_state(setup, monkeypatch):
@@ -227,7 +245,7 @@ def test_soup_forwards_the_val_set_once_per_state(setup, monkeypatch):
     # the same report as a baseline measured from fresh forwards of every model
     fresh = ValBaseline.measure(student, list(two.values()), Dataset(val.inputs, val.labels, val.num_classes))
     measured = fresh.result(
-        "kl_dp_sup", hp, EpochStates(), res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
+        "kl_dp_sup", hp, [], res.student_after.copy(), res.doc["teacher"], res.doc["student"], {}
     )
     assert len(calls) == 2 * len(two) + 2 + (1 + len(two) + 1)  # the student, each teacher and the soup again
     # the soup's baseline, measured over the memo its branches filled, forwards nothing more

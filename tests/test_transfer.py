@@ -23,6 +23,7 @@ from flipxfer.transfer import (
     TrainingDivergedError,
     TransferError,
     TransferHyperparams,
+    _topk_target,
     cd_loss,
     check_dataset,
     confidence_winner,
@@ -265,19 +266,24 @@ def _loss_and_grad(build, s):
     return loss.item(), z.grad
 
 
-@pytest.mark.parametrize("method", ["kl", "xe_kl", "kl_dp_sup", "kl_dp_unsup"])
+@pytest.mark.parametrize("method", ["kl", "xe_kl", "kl_dp_sup", "kl_dp_unsup", "kl_topk"])
 @pytest.mark.parametrize("batch", [1, 7, 32, 64])
 @pytest.mark.parametrize("temp", [0.5, 1.0, 2.0, 4.0])
 def test_precomputed_target_rows_equal_the_per_batch_objective(method, batch, temp):
     """The rows of a target built on the whole set give the loss and the
-    student-logit gradient of the per-batch objective, bit for bit."""
+    student-logit gradient of the per-batch objective, bit for bit. For
+    ``kl`` with ``topk`` 3 the target is restricted once, and a batch gathers
+    the student's logits at its rows' columns."""
     rng = np.random.default_rng([batch, int(temp * 10), len(method)])
     n, c, lam = 150, 6, 0.3
     teacher, st_ = rng.normal(size=(n, c), scale=3), rng.normal(size=(n, c), scale=3)
     labels = rng.integers(0, c, size=n)
-    sources = [teacher] if method in ("kl", "xe_kl") else [st_, teacher]
+    sources = [st_, teacher] if method.startswith("kl_dp") else [teacher]
     winner = confidence_winner(sources, labels if method == "kl_dp_sup" else None)
     targets = winner_logprobs(winner, sources, temp)
+    cols = None
+    if method == "kl_topk":
+        cols, targets = _topk_target(targets, 3)
     for _ in range(5):
         b = rng.choice(n, size=batch, replace=False)
         s = rng.normal(size=(batch, c), scale=3)
@@ -287,11 +293,13 @@ def test_precomputed_target_rows_equal_the_per_batch_objective(method, batch, te
             want = lambda z: xe_kl_loss(z, teacher[b], labels[b], lam, temp)
         elif method == "kl_dp_sup":
             want = lambda z: dp_loss(z, teacher[b], st_[b], dp_masks_supervised(teacher[b], st_[b], labels[b]), temp)
-        else:
+        elif method == "kl_dp_unsup":
             want = lambda z: dp_loss(z, teacher[b], st_[b], dp_masks_unsupervised(teacher[b], st_[b]), temp)
+        else:
+            want = lambda z: topk_restricted_kl(z, teacher[b], temp, 3)
 
         def got(z):
-            kl = soft_target_kl(z, targets[b], temp)
+            kl = soft_target_kl(z if cols is None else ad.gather_cols(z, cols[b]), targets[b], temp)
             if method != "xe_kl":
                 return kl
             xe = xe_loss(z, labels[b])
@@ -608,6 +616,17 @@ def test_run_transfer_cd_projection_when_widths_differ(toy_sets):
     assert np.isfinite(res.doc["delta_transf"])
     assert res.student_after.digest() == "5740de04f724fc8c"
     assert hashlib.sha256(dump_json(res.doc).encode()).hexdigest()[:16] == "5d54e216289985cb"
+
+
+def test_run_transfer_kl_topk_bits_are_pinned(toy_sets):
+    """``kl`` with ``topk`` 2 at temperature 2 trains on the top-k restriction
+    of the target built once before SGD: fixed bits for the trained student,
+    its report and its traces, the same as when each batch built its own."""
+    train, val = toy_sets
+    res = run_transfer(build(SPEC, 1), build(SPEC, 2), "kl", replace(HP, topk=2, epochs=3, temperature=2.0), train, val)
+    assert res.student_after.digest() == "4bc5cb97f5106973"
+    assert hashlib.sha256(dump_json(res.doc).encode()).hexdigest()[:16] == "89ef38b2a944d2d2"
+    assert hashlib.sha256(repr(res.per_epoch).encode()).hexdigest()[:16] == "bbfbe146be09bbe1"
 
 
 @pytest.mark.parametrize("method, forwards", [("kl", lambda e: e + 2), ("xe_kl_mcl", lambda e: 2 * e + 2)])
