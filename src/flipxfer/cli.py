@@ -323,7 +323,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     logits = {}
     for e in manifest.ok_entries():
         ck = manifest.load_checkpoint(e.name)
-        check_dataset(ck, e.name, val)
+        check_dataset(ck, e.name, val=val)
         logits[e.name] = predict_logits(ck, val.inputs)
     class_sizes = np.bincount(val.labels, minlength=val.num_classes)
     records = []
@@ -504,7 +504,7 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         pairs = spread_pairs(pairs, resolved["sweep"]["max_pairs"])
     checkpoints = {e.name: manifest.load_checkpoint(e.name) for e in manifest.ok_entries()}
     for name, ck in checkpoints.items():
-        check_dataset(ck, name, transfer_set, val)
+        check_dataset(ck, name, transfer=transfer_set, val=val)
     tasks = [(t.name, st.name, m, resolved["sweep"]["hyperparams"][m]) for t, st in pairs for m in methods]
     _log(f"sweep: {len(pairs)} pairs x {len(methods)} methods = {len(tasks)} runs")
     rows = pool_map(_sweep_task, (checkpoints, transfer_set, val), tasks, args.jobs)

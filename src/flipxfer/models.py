@@ -8,7 +8,8 @@ float64 so checkpoints round-trip bit-exactly.
 
 Checkpoint file layout: magic ``XFKZ``, one version byte, little-endian
 uint32 header length, UTF-8 JSON header (spec, parameter names and shapes,
-meta), then the raw little-endian float64 payload in header order.  On load
+meta), then the raw little-endian float64 payload in header order: the
+checkpoint's ``flat`` vector, whose views are its parameters.  On load
 the header is typed by ``config.resolve``: its spec against the fields of
 ``ModelSpec``, so a spec value follows the rule of a config value, and the
 meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) by ``typed``.
@@ -120,14 +121,42 @@ class ModelSpec:
         return self.channels[-1]
 
 
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """One view of ``flat`` per name, at its shape, laid out in ``shapes`` order."""
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[off : off + size].reshape(shape)
+        off += size
+    return views
+
+
 @dataclass
 class Checkpoint:
+    """A model's weights: ``params``' arrays are views into ``flat``, one
+    C-contiguous float64 vector in ``params`` order, which ``save`` writes as
+    the payload.  The constructor copies the arrays it is given into a new
+    ``flat``, so ``copy()`` is one vector copy; a pickle carries ``flat``,
+    not the views, and lays the views out again."""
+
     spec: ModelSpec
     params: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate(list(self.params.values()), axis=None, dtype=np.float64)
+        self.params = _views(self.flat, {k: np.shape(v) for k, v in self.params.items()})
+
+    def __getstate__(self):
+        return self.spec, {k: v.shape for k, v in self.params.items()}, self.meta, self.flat
+
+    def __setstate__(self, state):
+        self.spec, shapes, self.meta, self.flat = state
+        self.params = _views(self.flat, shapes)
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(self.spec, {k: v.copy() for k, v in self.params.items()}, dict(self.meta))
+        return Checkpoint(self.spec, self.params, dict(self.meta))
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -189,8 +218,9 @@ def model_forward(
 
 
 def as_tensors(ck: Checkpoint) -> dict[str, Tensor]:
-    """Trainable tensors over ck's own arrays: ``sgd_step`` on them trains ck
-    in place, so a caller that must keep ck trains ``ck.copy()``."""
+    """Trainable tensors over ck's own arrays, the views of ``ck.flat``:
+    ``sgd_step`` on them steps ``ck.flat`` as one vector and trains ck in
+    place, so a caller that must keep ck trains ``ck.copy()``."""
     return {k: Tensor(v, requires_grad=True) for k, v in ck.params.items()}
 
 
@@ -253,16 +283,18 @@ def predict_features(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
 # serialization
 
 
-def _check_finite(path, name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
+def _check_finite(path, ck: Checkpoint) -> None:
+    """Raise naming the first parameter, in ``params`` order, with a non-finite value."""
+    if not np.isfinite(ck.flat).all():
+        name = next(k for k, v in ck.params.items() if not np.isfinite(v).all())
         raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
 
 
 def save(ck: Checkpoint, path) -> None:
-    """Write ``ck`` to ``path``; a non-finite parameter is refused before the file is opened."""
+    """Write ``ck`` to ``path``, its ``flat`` as the payload, in one write; a
+    non-finite parameter is refused before the file is opened."""
+    _check_finite(path, ck)
     names = list(ck.params.keys())
-    for name in names:
-        _check_finite(path, name, ck.params[name])
     header = {
         "spec": asdict(ck.spec),
         "names": names,
@@ -275,11 +307,13 @@ def save(ck: Checkpoint, path) -> None:
         f.write(bytes([VERSION]))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for name in names:
-            f.write(ck.params[name].astype("<f8").tobytes())
+        f.write(ck.flat.astype("<f8").tobytes())
 
 
 def load(path) -> Checkpoint:
+    """Read a checkpoint ``save`` wrote: its ``flat`` is the payload, converted
+    in one copy; a non-finite parameter is rejected, naming the file and the
+    parameter."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 5 or raw[:4] != MAGIC:
@@ -318,12 +352,7 @@ def load(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: payload holds {len(payload) // 8} floats, header declares {total}"
         )
-    params: dict[str, np.ndarray] = {}
-    off = 0
-    for name in names:  # each laid out at its spec shape, in the header's order
-        cnt = int(np.prod(expected[name]))
-        arr = np.frombuffer(payload, dtype="<f8", count=cnt, offset=off).astype(np.float64)
-        _check_finite(path, name, arr)
-        params[name] = arr.reshape(expected[name])
-        off += 8 * cnt
-    return Checkpoint(spec, params, meta)
+    # one copy of the payload, in the header's order, is the checkpoint's flat
+    ck = Checkpoint(spec, _views(np.frombuffer(payload, dtype="<f8"), {k: expected[k] for k in names}), meta)
+    _check_finite(path, ck)
+    return ck

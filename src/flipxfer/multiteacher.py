@@ -152,7 +152,7 @@ def soup_transfer(
     ordered = sorted(branches, key=lambda r: r.student_after.digest())
     k = len(ordered)
     if all(r.student_after.digest() == ordered[0].student_after.digest() for r in ordered):
-        merged = {name: v.copy() for name, v in ordered[0].student_after.params.items()}
+        merged = ordered[0].student_after.params  # the Checkpoint below copies it
     else:
         merged = {
             name: sum(r.student_after.params[name] for r in ordered) / k

@@ -168,7 +168,8 @@ class MclState:
     """Slow and fast copies of the student's weights, joined by momentum
     interpolation: ``fast`` is the tensors SGD trains, ``slow`` the arrays that
     ``mcl_interpolate`` moves toward them, and ``steps`` counts its calls, one
-    per SGD step."""
+    per SGD step.  ``distill`` gives each copy's ``flat`` vector as its one
+    entry, so the interpolation is one vector expression."""
 
     slow: dict[str, np.ndarray]
     fast: dict[str, Tensor]
@@ -285,7 +286,7 @@ def xe_kl_loss(student_logits, teacher_logits, labels, lam: float, temperature: 
 
 def mcl_interpolate(state: MclState) -> None:
     """Count one SGD step; after every ``every``-th, slow <- tau*slow +
-    (1-tau)*fast, each slow array replaced, not written in place."""
+    (1-tau)*fast, written into each slow array in place."""
     state.steps += 1
     if state.steps % state.every != 0:
         return
@@ -296,9 +297,9 @@ def mcl_interpolate(state: MclState) -> None:
         if fast.shape != slow.shape:
             raise ad.ShapeError("mcl_interpolate", fast.shape, slow.shape)
         if state.tau == 0.0:
-            state.slow[name] = fast.copy()
+            slow[...] = fast
         else:
-            state.slow[name] = state.tau * slow + (1.0 - state.tau) * fast
+            slow[...] = state.tau * slow + (1.0 - state.tau) * fast
 
 
 def confidence_winner(source_logits, labels=None) -> np.ndarray:
@@ -410,15 +411,16 @@ def cd_loss(student_feats, teacher_feats) -> Tensor:
 # the shared training loop and before/after report
 
 
-def check_dataset(ck: Checkpoint, name: str, *datasets: Dataset) -> None:
-    """Reject a dataset whose class count or input shape differs from the model's."""
-    for ds in datasets:
+def check_dataset(ck: Checkpoint, name: str, **sets: Dataset) -> None:
+    """Reject a dataset whose class count or input shape differs from the
+    model's; the message names the set by its keyword (train, transfer, val)."""
+    for label, ds in sets.items():
         for what, got, want in (
             ("class count", ds.num_classes, ck.spec.num_classes),
             ("input shape", ds.input_shape, ck.spec.input_shape),
         ):
             if got != want:
-                raise TransferError(f"dataset {what} does not match model {name}: dataset {got}, model {want}")
+                raise TransferError(f"{label} set {what} does not match model {name}: set {got}, model {want}")
 
 
 def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, batch_size: int,
@@ -602,7 +604,7 @@ def distill(
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     spec = student_ck.spec
     for name, ck in [(student_name, student_ck), *teachers]:  # fitting one dataset, they fit each other
-        check_dataset(ck, name, transfer_set, val_set)
+        check_dataset(ck, name, transfer=transfer_set, val=val_set)
     teacher_cks = [t for _, t in teachers]
 
     x_tr, y_tr = transfer_set.inputs, transfer_set.labels
@@ -632,7 +634,7 @@ def distill(
     kept = trained  # the weights the transfer returns: MCL's slow copy
     if method == "xe_kl_mcl":
         kept = student_ck.copy()
-        mcl = MclState(kept.params, params, hp.mcl_tau, hp.mcl_every)
+        mcl = MclState({"flat": kept.flat}, {"flat": Tensor(trained.flat)}, hp.mcl_tau, hp.mcl_every)
         after_step = functools.partial(mcl_interpolate, mcl)
     drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
 

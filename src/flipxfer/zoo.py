@@ -106,7 +106,7 @@ def train_model(
     Trains the checkpoint ``build`` gives, in place, and returns it; a train
     or val set that does not fit ``spec`` is a ``TransferError`` before any step."""
     ck = build(spec, cfg.init_seed)
-    check_dataset(ck, name, train, val)
+    check_dataset(ck, name, train=train, val=val)
     params = as_tensors(ck)
     opt = SgdState(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     drop_rng = np.random.default_rng(np.random.SeedSequence([cfg.order_seed, 0xD1]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flipxfer.autodiff import Tape, Tensor, backward, _mm, _mm_nt, _mm_tn
+from flipxfer.autodiff import NonFiniteError, SgdState, ShapeError, Tape, Tensor, backward, _mm, _mm_nt, _mm_tn
 
 
 def finite_diff_grads(loss_fn, params: dict[str, Tensor], h: float = 1e-6) -> dict[str, np.ndarray]:
@@ -61,6 +61,31 @@ def max_rel_error(a: dict[str, np.ndarray], b: dict[str, np.ndarray], floor: flo
 
 # ---------------------------------------------------------------------------
 # reference 3x3 conv: fancy-index im2col gather and np.add.at col2im
+
+
+def reference_sgd_step(params: dict[str, Tensor], state: SgdState) -> None:
+    """SGD one parameter at a time: v <- momentum*v + grad + weight_decay*theta
+    and theta <- theta - lr*v for each parameter whose ``.grad`` is set, the
+    velocity replaced, not written in place; a parameter's first velocity is
+    its update.  A non-finite updated parameter raises before that parameter
+    changes, naming its gradient when that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = p.grad
+            if g is None:
+                continue
+            if g.shape != p.data.shape:
+                raise ShapeError(f"sgd_step({name})", g.shape, p.data.shape)
+            v = state.velocity.get(name)
+            upd = g if state.weight_decay == 0.0 else g + state.weight_decay * p.data
+            v = upd if v is None else state.momentum * v + upd
+            theta = p.data - state.lr * v
+            if not np.isfinite(theta).all():
+                if not np.isfinite(g).all():
+                    raise NonFiniteError(f"gradient of parameter {name!r}")
+                raise NonFiniteError(f"parameter {name!r} after its update")
+            state.velocity[name] = v
+            p.data[...] = theta
 
 
 def _conv_indices(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from flipxfer.autodiff import (
     sgd_step,
 )
 
-from oracles import analytic_grads, finite_diff_grads, max_rel_error, reference_conv2d
+from flipxfer.models import ModelSpec, as_tensors, build, model_forward
+from oracles import analytic_grads, finite_diff_grads, max_rel_error, reference_conv2d, reference_sgd_step
 
 RNG = np.random.default_rng(1234)
 
@@ -497,6 +499,117 @@ def test_sgd_skips_a_parameter_the_loss_did_not_reach():
     _step(p, {"a": np.ones(3)}, state)
     assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity["b"], vb)
     assert not np.array_equal(p["a"].data, a)
+
+
+# A depth-3 MLP whose parameters are views of one checkpoint vector, beside a
+# standalone tensor, as distill's cd_proj.w is
+DEEP = ModelSpec("mlp", 3, (1, 4, 4), 5, width=6)
+
+
+def _flat_and_standalone(seed: int) -> tuple[np.ndarray, dict[str, Tensor]]:
+    ck = build(DEEP, seed)
+    params = as_tensors(ck)
+    params["cd_proj.w"] = Tensor(np.random.default_rng(seed).normal(size=(6, 3)), requires_grad=True)
+    return ck.flat, params
+
+
+def _bits(arrays: dict[str, np.ndarray]) -> dict[str, bytes]:
+    return {k: v.tobytes() for k, v in arrays.items()}
+
+
+@pytest.mark.parametrize("momentum, weight_decay", [(0.9, 1e-3), (0.0, 0.0)])
+def test_flat_sgd_equals_the_per_parameter_loop_bit_for_bit(momentum, weight_decay):
+    """200 steps of one-vector SGD give the bits of stepping each parameter
+    alone, values and velocities: fc2.b has no gradient on every third step
+    (its first step is the second), the standalone tensor on every fifth, and
+    some gradients hold signed zeros, whose sign a first velocity keeps."""
+    flat, fast = _flat_and_standalone(3)
+    _, slow = _flat_and_standalone(3)
+    slow = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in slow.items()}
+    fast_state, slow_state = (SgdState(lr=0.05, momentum=momentum, weight_decay=weight_decay) for _ in range(2))
+    rng = np.random.default_rng(7)
+    for i in range(200):
+        for name, p in fast.items():
+            g = rng.normal(size=p.data.shape) * rng.choice([1e-3, 1.0, 30.0])
+            g[rng.random(g.shape) < 0.2] = rng.choice([0.0, -0.0])
+            skip = (name == "fc2.b" and i % 3 == 0) or (name == "cd_proj.w" and i % 5 == 2)
+            p.grad = None if skip else g
+            slow[name].grad = None if skip else g.copy()
+        sgd_step(fast, fast_state)
+        reference_sgd_step(slow, slow_state)
+        assert _bits({k: p.data for k, p in fast.items()}) == _bits({k: p.data for k, p in slow.items()})
+        assert _bits(fast_state.velocity) == _bits(slow_state.velocity)
+    assert all(fast[k].data.base is flat for k in DEEP.param_shapes())
+    vector = fast_state.velocity["fc1.w"].base
+    assert all(fast_state.velocity[k].base is vector for k in DEEP.param_shapes())
+
+
+@pytest.mark.parametrize("bad, named", [(("fc2.w", "fc3.b", "cd_proj.w"), "fc2.w"), (("cd_proj.w",), "cd_proj.w")])
+@pytest.mark.parametrize("kind", ["gradient", "update"])
+def test_a_non_finite_step_names_the_first_parameter_and_writes_nothing(bad, named, kind):
+    """The error names the first parameter, in params order, whose update is
+    not finite, and no parameter or velocity changes: not the checkpoint's
+    vector, whose own update is finite when only the standalone tensor fails."""
+    flat, params = _flat_and_standalone(5)
+    state = SgdState(lr=10.0, momentum=0.9, weight_decay=1e-3)
+    rng = np.random.default_rng(8)
+    for p in params.values():
+        p.grad = 1e-3 * rng.normal(size=p.data.shape)
+    sgd_step(params, state)
+    values, velocity = _bits({k: p.data for k, p in params.items()}), _bits(state.velocity)
+    for name, p in params.items():
+        p.grad = 1e-3 * rng.normal(size=p.data.shape)
+        if name in bad:
+            p.grad.flat[-1] = np.nan if kind == "gradient" else 1e308
+    with pytest.raises(NonFiniteError) as exc:
+        sgd_step(params, state)
+    what = f"gradient of parameter {named!r}" if kind == "gradient" else f"parameter {named!r} after its update"
+    assert str(exc.value) == f"non-finite value in {what}"
+    assert _bits({k: p.data for k, p in params.items()}) == values
+    assert _bits(state.velocity) == velocity
+    assert all(params[k].data.base is flat for k in DEEP.param_shapes())
+
+
+# ---------------------------------------------------------------------------
+# products formed by a backward
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts of the gradient products formed: a @ b.T (an input's) and a.T @ b (a weight's)."""
+    calls = Counter()
+    for name in ("_mm_nt", "_mm_tn"):
+        def counted(a, b, _name=name, _mm=getattr(ad, name)):
+            calls[_name] += 1
+            return _mm(a, b)
+
+        monkeypatch.setattr(ad, name, counted)
+    return calls
+
+
+def test_an_mlp_backward_forms_only_the_products_it_reads(products):
+    """One backward of a depth-3 MLP forms a weight-gradient product per
+    layer and an input-gradient product for the two layers whose input is a
+    hidden layer: the first layer's input is the data, which needs no gradient."""
+    params = as_tensors(build(DEEP, 0))
+    with Tape() as tape:
+        logits, _ = model_forward(DEEP, params, Tensor(RNG.normal(size=(7, 1, 4, 4))))
+        loss = ad.weighted_sum(logits, RNG.normal(size=(7, 5)))
+    products.clear()
+    backward(tape, loss)
+    assert products == {"_mm_nt": 2, "_mm_tn": 3}
+    assert all(p.grad is not None for p in params.values())
+
+
+@pytest.mark.parametrize("tracked, formed", [("a", "_mm_nt"), ("b", "_mm_tn")])
+def test_a_matmul_forms_the_product_of_its_one_tracked_operand(products, tracked, formed):
+    a = Tensor(RNG.normal(size=(4, 3)), requires_grad=tracked == "a")
+    b = Tensor(RNG.normal(size=(3, 2)), requires_grad=tracked == "b")
+    with Tape() as tape:
+        loss = ad.weighted_sum(ad.matmul(a, b), RNG.normal(size=(4, 2)))
+    backward(tape, loss)
+    assert products == {formed: 1}
+    assert (a.grad is None) == (tracked == "b") and (b.grad is None) == (tracked == "a")
 
 
 # ---------------------------------------------------------------------------

@@ -712,20 +712,21 @@ def test_each_bad_hyperparameter_is_named_by_its_dotted_key(zoo_dir, tmp_path, c
 
 _MISFITS = {
     # the zoo was trained on 8 dims and 4 classes; each once exited 1 with a traceback
-    "transfer_dims": (_bad("transfer", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
-    "flips_dims": (_bad("flips", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
-    "sweep_dims": (_bad("sweep", "dataset.synthetic.dims", 9), "input shape", "narrow", "(9,)", "(8,)"),
-    "flips_classes": (_bad("flips", "dataset.synthetic.classes", 5), "class count", "narrow", "5", "4"),
-    "parallel_classes": (_bad("multi", "dataset.synthetic.classes", 5), "class count", "narrow", "5", "4"),
+    # the first set checked names the misfit: transfer before val, and flips reads val alone
+    "transfer_dims": (_bad("transfer", "dataset.synthetic.dims", 9), "transfer", "input shape", "narrow", "(9,)", "(8,)"),
+    "flips_dims": (_bad("flips", "dataset.synthetic.dims", 9), "val", "input shape", "narrow", "(9,)", "(8,)"),
+    "sweep_dims": (_bad("sweep", "dataset.synthetic.dims", 9), "transfer", "input shape", "narrow", "(9,)", "(8,)"),
+    "flips_classes": (_bad("flips", "dataset.synthetic.classes", 5), "val", "class count", "narrow", "5", "4"),
+    "parallel_classes": (_bad("multi", "dataset.synthetic.classes", 5), "transfer", "class count", "narrow", "5", "4"),
 }
 
 
-@pytest.mark.parametrize("make, what, model, got, want", list(_MISFITS.values()), ids=list(_MISFITS))
-def test_dataset_that_does_not_fit_the_zoo_exits_3(zoo_dir, tmp_path, capsys, make, what, model, got, want):
+@pytest.mark.parametrize("make, which, what, model, got, want", list(_MISFITS.values()), ids=list(_MISFITS))
+def test_dataset_that_does_not_fit_the_zoo_exits_3(zoo_dir, tmp_path, capsys, make, which, what, model, got, want):
     command, doc = make(zoo_dir, tmp_path / "out")
     assert main([command, "--config", _write(tmp_path / "cfg.json", doc)]) == 3
     err = capsys.readouterr().err
-    assert f"error: dataset {what} does not match model {model}: dataset {got}, model {want}" in err
+    assert f"error: {which} set {what} does not match model {model}: set {got}, model {want}" in err
 
 
 def _idx_files(tmp_path, name, n, rows, cols, classes):
@@ -763,7 +764,7 @@ def test_idx_zoo_whose_val_set_does_not_fit_exits_3_before_training(tmp_path, mo
         "out": str(tmp_path / "out"),
     }
     assert main(["zoo", "--config", _write(tmp_path / "zoo.json", doc)]) == 3
-    assert f"error: dataset {what} does not match model a: dataset {got}, model {want}" in capsys.readouterr().err
+    assert f"error: val set {what} does not match model a: set {got}, model {want}" in capsys.readouterr().err
     assert epochs == []
     assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,8 @@
+import hashlib
+import io
 import json
 import os
+import pickle
 import re
 import struct
 import sys
@@ -325,6 +328,83 @@ def test_round_trip_is_bit_exact(tmp_path):
     for name in ck.params:
         assert np.array_equal(back.params[name], ck.params[name])
         assert back.params[name].dtype == np.float64
+
+
+def _assert_flat(ck: Checkpoint) -> None:
+    """ck's arrays are views of ck.flat, one C-contiguous float64 vector, in params order."""
+    assert ck.flat.ndim == 1 and ck.flat.dtype == np.float64 and ck.flat.flags.c_contiguous
+    offset = 0
+    for name, v in ck.params.items():
+        assert v.flags.c_contiguous and v.ctypes.data == ck.flat.ctypes.data + 8 * offset, name
+        offset += v.size
+    assert offset == ck.flat.size
+
+
+class _ArrayCounter(pickle.Pickler):
+    def __init__(self):
+        super().__init__(io.BytesIO())
+        self.arrays = 0
+
+    def persistent_id(self, obj):
+        self.arrays += isinstance(obj, np.ndarray)
+
+
+def test_every_checkpoint_is_views_of_one_vector(tmp_path):
+    """build, load, copy, the constructor and a pickle round trip each lay
+    the parameters out as views of one new vector in params order, which is
+    the payload order; a pickle carries that vector alone."""
+    ck = build(CNN, seed=9)
+    save(ck, tmp_path / "m.ckpt")
+    assert (tmp_path / "m.ckpt").read_bytes().endswith(ck.flat.astype("<f8").tobytes())
+    arrays = {k: v.copy() for k, v in ck.params.items()}
+    made = [
+        load(tmp_path / "m.ckpt"),
+        ck.copy(),
+        Checkpoint(CNN, arrays),
+        *(pickle.loads(pickle.dumps(ck, protocol=p)) for p in (4, 5)),
+    ]
+    for other in [ck, *made]:
+        _assert_flat(other)
+        assert list(other.params) == list(CNN.param_shapes())
+        assert other.flat.tobytes() == ck.flat.tobytes()
+    assert not any(np.shares_memory(o.flat, ck.flat) or np.shares_memory(o.flat, arrays["head.w"]) for o in made)
+    counter = _ArrayCounter()
+    counter.dump(ck)
+    assert counter.arrays == 1
+
+
+def _trained(spec: ModelSpec, steps: int) -> Checkpoint:
+    """A checkpoint after ``steps`` SGD steps with momentum, weight decay and dropout."""
+    ck = build(spec, seed=4)
+    params = as_tensors(ck)
+    rng, drop = np.random.default_rng(11), np.random.default_rng(12)
+    x, y = rng.normal(size=(steps, 16, *spec.input_shape)), rng.integers(0, 10, size=(steps, 16))
+    opt = SgdState(lr=0.05, momentum=0.9, weight_decay=1e-3)
+    for i in range(steps):
+        with Tape() as tape:
+            logits, _ = model_forward(spec, params, Tensor(x[i]), train=True, dropout_rng=drop)
+            loss = xe_loss(logits, y[i])
+        backward(tape, loss)
+        sgd_step(params, opt)
+    return ck
+
+
+@pytest.mark.parametrize("make, ck_digest, file_digest", [
+    (lambda: build(MLP, 0), "be3ecdfb19651378", "97ede8e02caff0b3"),
+    (lambda: build(CNN, 9), "e337ee0c4ae31d04", "a50f36d4de76cbc5"),
+    (lambda: _trained(ModelSpec("mlp", 3, (1, 8, 8), 10, width=12, dropout=0.1), 30),
+     "bf842ee840fb58f6", "02a08e1c8833831f"),
+    (lambda: _trained(CNN, 10), "428d5404f3d08795", "e197cba88e489f47"),
+], ids=["mlp", "cnn", "trained_mlp", "trained_cnn"])
+def test_checkpoint_digest_and_file_bytes_are_pinned(tmp_path, make, ck_digest, file_digest):
+    """``Checkpoint.digest()``, by which ``soup_transfer`` orders its merge,
+    and the bytes ``save`` writes, pinned from the per-parameter layout and
+    SGD loop that the one vector per model replaced."""
+    ck = make()
+    ck.meta.update({"name": "m", "val_accuracy": 0.5})
+    save(ck, tmp_path / "m.ckpt")
+    assert ck.digest() == ck_digest
+    assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()[:16] == file_digest
 
 
 def test_corrupted_magic_is_not_a_checkpoint(tmp_path):

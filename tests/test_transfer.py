@@ -557,16 +557,17 @@ def test_run_transfer_rejects_class_mismatch(toy_sets):
 
 
 @pytest.mark.parametrize("dataset, message", [
-    (lambda d: Dataset(d.inputs, d.labels, 5), "class count does not match model student: dataset 5, model 4"),
-    (lambda d: Dataset(d.inputs[:, :5], d.labels, 4), "input shape does not match model student: dataset (5,), model (6,)"),
+    (lambda d: Dataset(d.inputs, d.labels, 5), "class count does not match model student: set 5, model 4"),
+    (lambda d: Dataset(d.inputs[:, :5], d.labels, 4), "input shape does not match model student: set (5,), model (6,)"),
 ])
 def test_run_transfer_rejects_a_dataset_that_does_not_fit(toy_sets, dataset, message):
+    """The message names the set that misfits."""
     train, val = toy_sets
-    for sets in ((dataset(train), val), (train, dataset(val))):
-        with pytest.raises(TransferError, match=re.escape(message)):
+    for which, sets in (("transfer", (dataset(train), val)), ("val", (train, dataset(val)))):
+        with pytest.raises(TransferError, match=re.escape(f"{which} set {message}")):
             run_transfer(build(SPEC, 1), build(SPEC, 2), "kl", HP, *sets, student_name="student")
-    with pytest.raises(TransferError, match=re.escape(message)):
-        check_dataset(build(SPEC, 1), "student", train, dataset(val))
+    with pytest.raises(TransferError, match=re.escape(f"val set {message}")):
+        check_dataset(build(SPEC, 1), "student", train=train, val=dataset(val))
 
 
 def test_run_transfer_rejects_unknown_method(toy_sets):
