@@ -13,7 +13,8 @@ config, its files (name -> writer of a path) and its summary, and
 
 Logging goes to stderr; stdout stays silent unless ``--json`` asks for the
 machine-readable summary.  Exit codes: 0 ok, 2 config error, 3 runtime
-failure.
+failure, an allocation that fails (``MemoryError``) included; each failure is
+one line on stderr.
 
 Accuracies, deltas, and bin edges are fractions in [0, 1] throughout the
 emitted JSON/CSV (0.01 = one accuracy point).
@@ -35,14 +36,14 @@ from .analysis import (
     binned_top_quartile_delta,
     classes_by_flips,
     flip_entropy,
-    positive_flips,
+    flip_stats_from_flags,
     semantic_similarity,
     success_rate,
     top_share_classes,
 )
 from .config import REQUIRED, ConfigError, dump_json, parse_json, resolve, write_json
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
-from .models import CheckpointError, ModelSpec, predict_logits, save
+from .models import CheckpointError, ModelSpec, save
 from .multiteacher import check_plan, parallel_transfer, sequential_doc, sequential_transfer, soup_transfer
 from .pool import pool_map
 from .transfer import (
@@ -54,6 +55,7 @@ from .transfer import (
     check_dataset,
     default_hyperparams,
     run_transfer,
+    val_correct,
 )
 from .zoo import (
     ManifestError,
@@ -320,16 +322,16 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
         zero = np.flatnonzero(np.linalg.norm(emb, axis=1) == 0.0)
         if zero.size:
             raise ConfigError(f"embeddings: {resolved['embeddings']} row {zero[0] + 1} has zero norm")
-    logits = {}
+    correct = {}  # a flip reads only top-1 classes: see analysis.positive_flips
     for e in manifest.ok_entries():
         ck = manifest.load_checkpoint(e.name)
         check_dataset(ck, e.name, val=val)
-        logits[e.name] = predict_logits(ck, val.inputs)
+        correct[e.name] = val_correct(ck, val)
     class_sizes = np.bincount(val.labels, minlength=val.num_classes)
     records = []
     per_class_rows = []
     for teacher, student in pairs:
-        stats = positive_flips(logits[teacher.name], logits[student.name], val.labels)
+        stats = flip_stats_from_flags(correct[teacher.name] & ~correct[student.name], val.labels, val.num_classes)
         rec = {
             "teacher": teacher.name,
             "student": student.name,
@@ -447,6 +449,14 @@ def cmd_transfer(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     return 3 if failed else 0, resolved, files, report_doc
 
 
+def _message(e: Exception) -> str:
+    """An error's one-line message; a ``MemoryError`` says it ran out of memory
+    (numpy's names the allocation)."""
+    if isinstance(e, MemoryError):
+        return f"out of memory: {e}" if str(e) else "out of memory"
+    return str(e)
+
+
 def _sweep_task(data, task):
     """One sweep run's row; a run that fails returns its error instead. ``data``
     is what every run reads: the checkpoints by name and the two datasets."""
@@ -457,8 +467,8 @@ def _sweep_task(data, task):
             checkpoints[sname], checkpoints[tname], method, TransferHyperparams(**hp_dict), transfer_set, val_set,
             teacher_name=tname, student_name=sname, forward_epochs=False,  # a sweep writes no per-epoch traces
         )
-    except (TransferError, TrainingDivergedError, AnalysisError) as e:
-        return {"teacher": tname, "student": sname, "method": method, "error": str(e)}
+    except (TransferError, TrainingDivergedError, AnalysisError, MemoryError) as e:
+        return {"teacher": tname, "student": sname, "method": method, "error": _message(e)}
     rate = res.doc.get("transfer_rate", {"overall": None, "by_top_share": {}})  # absent with no flips
     return res.doc | {"transfer_rate_overall": rate["overall"], "transfer_rate_top2": rate["by_top_share"].get("2.0")}
 
@@ -595,8 +605,9 @@ def main(argv=None) -> int:
         TransferError,
         AnalysisError,
         OSError,
+        MemoryError,
     ) as e:
-        _log(f"error: {e}")
+        _log(f"error: {_message(e)}")
         return 3
     if args.json:
         sys.stdout.write(dump_json(summary))

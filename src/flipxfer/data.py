@@ -14,6 +14,7 @@ train/val pair is produced by varying ``seed`` while pinning ``anchor_seed``.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,8 +100,11 @@ class SyntheticConfig:
             raise DataError("label_noise must be in [0,1)")
         if self.sigma <= 0 or self.anchor_scale < 0:
             raise DataError("sigma must be positive, anchor_scale nonnegative")
-        if any(v is not None and v < 1 for v in (self.dims, self.image_size)):
-            raise DataError("dims / image_size must be positive")
+        if self.dims is not None and self.dims < 1:
+            raise DataError("dims must be positive")
+        if self.image_size is not None and self.image_size < 3:
+            # _smooth's two zero-padded 3x3 blurs turn a smaller template into a constant
+            raise DataError(f"image_size must be at least 3, got {self.image_size}")
         if self.seed < 0 or self.effective_anchor_seed < 0:
             raise DataError("seed and anchor_seed must be nonnegative")
 
@@ -146,7 +150,14 @@ def _shift2d(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
-    """Balanced draw from the configured mixture; same config, same bytes."""
+    """Balanced draw from the configured mixture; same config, same bytes.
+
+    A draw whose inputs (its largest array) no address space holds raises
+    ``MemoryError``, as an allocation that fails does, before any is made.
+    """
+    nbytes = cfg.samples * (cfg.dims or cfg.image_size**2) * 8
+    if nbytes > sys.maxsize:
+        raise MemoryError(f"Unable to allocate {nbytes} bytes for the inputs of {cfg.samples} samples")
     anchors = class_anchors(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A11]))
     per_class = cfg.samples // cfg.classes

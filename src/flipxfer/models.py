@@ -15,6 +15,35 @@ the header is typed by ``config.resolve``: its spec against the fields of
 meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) by ``typed``.
 Every parameter value must be finite: ``save`` refuses and ``load`` rejects
 any other, naming the file and the parameter.
+
+Eval forwards.  ``predict_logits`` and ``predict_features`` run the tape ops,
+whose einsum products make every row's bits independent of the batch; their
+bits are outputs (distillation targets, ``cd`` features).  A val-set forward
+is read only through its argmax, so ``predict_classes`` forwards it with
+``np.matmul`` and proves, row by row, that its top-1 class is the argmax of
+the einsum logits; the rows it cannot prove take that argmax itself.
+
+Why the proof holds (Higham, Accuracy and Stability of Numerical
+Algorithms, 3.1).  Let h* be the forward in exact arithmetic on the same
+inputs and weights.  By induction over the layers, every value of a row, in
+the BLAS forward and in any other evaluation order of the same operations
+(einsum's, at any batch size), is within delta of h*: delta is 0 at the
+inputs.  An affine or conv output is b_j + sum_k h_k W_kj over a fan-in of
+K.  The error carried in adds at most sum_k |h_k - h*_k| |W_kj| <= ||W||
+delta, ||W|| being W's largest column sum of absolute values.  Rounding that
+(K+1)-term sum in any order, as gemm and einsum do (not by a fast method
+such as Strassen's), with or without fused multiply-adds, adds at
+most gamma_{K+1} (sum_k |h_k| |W_kj| + |b_j|), gamma_n = n u / (1 - n u),
+u = 2**-53; and |h_k| is at most m, the row's largest absolute value in
+the BLAS forward, there, and at most m + 2 delta in any other order, whose
+values are within delta of h*, itself within delta of the BLAS values.
+ReLU moves no two values further apart.  A mean over P pixels, rounded,
+adds at most gamma_{P+1} (m + 2 delta).  Underflow adds at most 2**-1075
+to a rounded product or quotient, covered by a (K + 1) 2**-1074 term per
+layer, and with every such sum below 2**1000 no order overflows.  So at the
+logits both forwards are within E = delta of h*, and within 2 E of each
+other: a BLAS top logit ahead of every other by more than 4 E is ahead, and
+tied with none, in the einsum logits too.
 """
 
 from __future__ import annotations
@@ -244,28 +273,36 @@ def eval_chunk_rows(spec: ModelSpec) -> int | None:
     return max(1, _EVAL_IM2COL_BYTES // (h * w * widest * 9 * 8))
 
 
-def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (logits, features), forwarded in chunks of eval_chunk_rows.
+def _eval_chunks(ck: Checkpoint, batch: np.ndarray, forward) -> list:
+    """``forward(chunk)`` for each eval chunk of the float64 ``batch``, rows in
+    order: one call for an MLP, chunks of eval_chunk_rows for a conv model.
 
-    The ops' einsum products sum each row in the same order at any batch
-    size, so the chunks concatenate to the bits of one whole-batch forward.
     The chunks are split into one contiguous group per usable CPU, forwarded
     by this thread and helper threads (``pool.thread_map``), fewer while
     other helpers run: inside a transfer's eval helper, beside its SGD, they
-    stay in that thread. The bits do not depend on the thread count.
+    stay in that thread.
+    """
+    if batch.shape[1:] != ck.spec.input_shape:
+        raise ShapeError("predict(batch)", batch.shape[1:], ck.spec.input_shape)
+    rows = eval_chunk_rows(ck.spec) or len(batch)
+    if len(batch) <= rows:
+        return [forward(batch)]
+    return thread_map(lambda i: forward(batch[i : i + rows]), list(range(0, len(batch), rows)))
+
+
+def _predict(ck: Checkpoint, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (logits, features), forwarded in ``_eval_chunks``.
+
+    The ops' einsum products sum each row in the same order at any batch
+    size, so the chunks concatenate to the bits of one whole-batch forward,
+    and the bits do not depend on the thread count.
     Eval params do not require grad, so the helpers' ops record nothing on a
     tape the caller may have open.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[1:] != ck.spec.input_shape:
-        raise ShapeError("predict(batch)", batch.shape[1:], ck.spec.input_shape)
     params = {k: Tensor(v) for k, v in ck.params.items()}
-    rows = eval_chunk_rows(ck.spec) or len(batch)
-    if len(batch) <= rows:
-        logits, feats = model_forward(ck.spec, params, Tensor(batch), train=False)
-        return logits.data, feats.data
-    starts = list(range(0, len(batch), rows))
-    parts = thread_map(lambda i: model_forward(ck.spec, params, Tensor(batch[i : i + rows]), train=False), starts)
+    parts = _eval_chunks(
+        ck, np.asarray(batch, dtype=np.float64), lambda x: model_forward(ck.spec, params, Tensor(x), train=False)
+    )
     return np.concatenate([z.data for z, _ in parts]), np.concatenate([f.data for _, f in parts])
 
 
@@ -277,6 +314,127 @@ def predict_logits(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
 def predict_features(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
     """Eval-mode pre-head features (n x feature_width)."""
     return _predict(ck, batch)[1]
+
+
+# The rounding model of predict_classes: float64's unit roundoff; its smallest
+# subnormal, which bounds the absolute error an underflowing product or
+# quotient adds; and a magnitude below which no sum the bound covers overflows.
+_U, _TINY, _HUGE = 2.0**-53, 2.0**-1074, 2.0**1000
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of a k-term dot product."""
+    return k * _U / (1 - k * _U)
+
+
+def _max_abs(h: np.ndarray) -> np.ndarray:
+    """Each row's largest absolute value, without an ``abs(h)`` temporary."""
+    axes = tuple(range(1, h.ndim))
+    return np.maximum(h.max(axis=axes), -h.min(axis=axes))
+
+
+def _layer_norms(ck: Checkpoint) -> list[tuple[np.ndarray, np.ndarray, float, float, int]]:
+    """Per affine or conv layer, in forward order: (W as a fan-in x out matrix,
+    b, ||W||, max|b|, fan-in K), where ||W|| is W's largest column sum of
+    absolute values, the infinity norm of the map from a row to its outputs."""
+    layers = []
+    for name in (k.removesuffix(".w") for k in ck.spec.param_shapes() if k.endswith(".w")):
+        w, b = ck.params[f"{name}.w"], ck.params[f"{name}.b"]
+        if w.ndim == 4:  # a conv's rows in _bounded_logits' im2col order: kernel row, column, channel
+            w = w.transpose(2, 3, 1, 0).reshape(-1, len(w))
+        layers.append((w, b, float(np.abs(w).sum(axis=0).max()), float(np.abs(b).max()), len(w)))
+    return layers
+
+
+def _bounded_logits(spec: ModelSpec, layers: list, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk's eval logits by ``np.matmul``, each row's error bound E, and
+    the largest magnitude of a sum its bound covers (the row's ``reach``).
+
+    Per row, delta starts at 0; an affine or conv layer sets it to ||W||
+    delta + gamma_{K+1} (||W|| (m + 2 delta) + max|b|) + (K + 1) 2**-1074,
+    m being the row's largest absolute input value; ReLU keeps it; the
+    average over P pixels adds gamma_{P+1} (m + 2 delta) + 2**-1074.  E is
+    its value at the logits (the module docstring proves it).  A conv builds
+    its im2col for a third of the rows at a time, so a third of the block is
+    in memory at once.
+    """
+    n = len(x)
+    delta, reach = np.zeros(n), np.zeros(n)
+
+    def layer(z, m, w, b, norm, bias, k):
+        """The output, ``z`` (the product h @ w) plus the bias, and the bound past it."""
+        nonlocal delta, reach
+        z += b
+        r = norm * (m + 2 * delta) + bias
+        delta = norm * delta + _gamma(k + 1) * r + (k + 1) * _TINY
+        reach = np.maximum(reach, r)
+        return z
+
+    if spec.family == "mlp":
+        h = x.reshape(n, math.prod(spec.input_shape))
+        for i, params in enumerate(layers):
+            h = layer(h @ params[0], _max_abs(h), *params)
+            if i < len(layers) - 1:
+                np.maximum(h, 0.0, out=h)
+        return h, delta, reach
+    _, hgt, wdt = spec.input_shape
+    h, third = x.transpose(0, 2, 3, 1), max(1, -(-n // 3))  # NHWC
+    for w, *params in layers[:-1]:
+        cin = h.shape[3]
+        xp = np.zeros((n, hgt + 2, wdt + 2, cin))
+        xp[:, 1 : 1 + hgt, 1 : 1 + wdt] = h
+        s, z = xp.strides, np.empty((n * hgt * wdt, w.shape[1]))
+        for i in range(0, n, third):
+            # im2col of a third of the rows: per output pixel, kernel rows 0-2,
+            # each a run of three padded pixels' channels
+            k = min(third, n - i)
+            cols = np.lib.stride_tricks.as_strided(xp[i:], (k, hgt, wdt, 3, 3 * cin), (*s[:3], s[1], s[3]))
+            np.matmul(cols.reshape(k * hgt * wdt, 9 * cin), w, out=z[i * hgt * wdt : (i + k) * hgt * wdt])
+        z = layer(z, _max_abs(h), w, *params)
+        h = np.maximum(z, 0.0, out=z).reshape(n, hgt, wdt, w.shape[1])
+    pixels, bound = hgt * wdt, _max_abs(h) + 2 * delta
+    delta = delta + _gamma(pixels + 1) * bound + _TINY
+    reach = np.maximum(reach, pixels * bound)  # the pixel sum's magnitude
+    feats = h.mean(axis=(1, 2))
+    return layer(feats @ layers[-1][0], _max_abs(feats), *layers[-1]), delta, reach
+
+
+def predict_classes(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
+    """Eval-mode top-1 class per row: ``np.argmax(predict_logits(ck, batch),
+    axis=1)`` exactly, the lowest index on a tie, at BLAS speed.
+
+    Each chunk of ``_eval_chunks`` is forwarded by ``np.matmul`` with a
+    per-row bound E (``_bounded_logits``) on how far any evaluation order's
+    logits, einsum's included, are from the exact ones.  So where this
+    forward's top logit beats every other by more than 4 E, einsum's logits
+    are within 2 E of these, keep that class on top, and tie with none.
+    The test is made with slack for E's own rounding: E is a sum of
+    products of nonnegative terms, and none of its paths rounds more than D
+    times (the fan-ins plus 8 per layer, and 16 more), so its computed value
+    is at least (1 - gamma_D) times its real one.  A row with a
+    non-finite value, or a reach of 2**1000 or more, is not certified.  Every
+    other row's class is the argmax of ``predict_logits``; its forward is
+    batch-invariant, so those rows' bits are the whole batch's.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    layers = _layer_norms(ck)
+    slack = 1 + 4 * _gamma(sum(k + 8 for *_, k in layers) + 16)
+
+    def certified(x):
+        with np.errstate(all="ignore"):  # a row that overflows is not certified, and takes the exact path
+            z, e, reach = _bounded_logits(ck.spec, layers, x)
+        rows = np.arange(len(z))
+        top = np.argmax(z, axis=1)
+        best = z[rows, top]
+        z[rows, top] = -np.inf
+        return top, (best - z.max(axis=1) > 4 * slack * e) & (reach < _HUGE)
+
+    parts = _eval_chunks(ck, batch, certified)
+    classes, sure = (np.concatenate(a) for a in zip(*parts))
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        classes[unsure] = np.argmax(predict_logits(ck, batch[unsure]), axis=1)
+    return classes
 
 
 # ---------------------------------------------------------------------------

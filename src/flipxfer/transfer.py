@@ -35,7 +35,6 @@ import numpy as np
 from . import autodiff as ad
 from .analysis import (
     FlipStats,
-    correct_flags,
     flip_stats_from_flags,
     knowledge_gain_loss,
     per_class_gain,
@@ -57,7 +56,7 @@ from .autodiff import (
     weighted_sum,
 )
 from .data import Dataset, epoch_permutation
-from .models import Checkpoint, as_tensors, model_forward, predict_features, predict_logits
+from .models import Checkpoint, as_tensors, model_forward, predict_classes, predict_features, predict_logits
 from .pool import keep_freed_memory, thread_map
 
 __all__ = [
@@ -460,14 +459,21 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
 def val_correct(ck: Checkpoint, val_set: Dataset) -> np.ndarray:
     """ck's per-sample correctness on val_set, read-only, forwarded once per
     checkpoint digest for the life of the set: ``val_set.correct`` keeps the
-    flags.  ``distill``'s two threads write one set's memo at once: each
+    flags.  A val forward is read only through its top-1 class, so it runs
+    through ``predict_classes``: a BLAS forward carries a per-row bound E on
+    how far any evaluation order's logits are from the exact ones, so a row
+    whose top logit leads by more than 4 E has einsum's argmax, untied (the
+    proof is in ``models``' docstring); the other rows take the argmax of
+    ``predict_logits``.  The flags are ``correct_flags(predict_logits(...))``
+    bit for bit.
+    ``distill``'s two threads write one set's memo at once: each
     stores distinct states, a dict store is atomic under the GIL, and a state
     both forward (equal weights reached twice) gives equal bits, of which the
     memo keeps the first stored."""
     key = ck.digest()
     flags = val_set.correct.get(key)
     if flags is None:
-        flags = correct_flags(predict_logits(ck, val_set.inputs), val_set.labels)
+        flags = predict_classes(ck, val_set.inputs) == val_set.labels
         flags.flags.writeable = False
         flags = val_set.correct.setdefault(key, flags)
     return flags

@@ -12,18 +12,19 @@ def record_criterion(number: int, description: str, passed: bool) -> None:
 
 
 def count_val_forwards(monkeypatch, val) -> list:
-    """Patch the model forward under every eval: one entry, the checkpoint's
-    digest, per forward of the val set's rows, from any thread."""
-    import flipxfer.models as models
+    """Patch the val forward under every eval, ``transfer.val_correct``'s
+    ``predict_classes``: one entry, the checkpoint's digest, per forward of
+    the val set's rows, from any thread."""
+    import flipxfer.transfer as transfer
 
-    predict, calls = models._predict, []
+    predict, calls = transfer.predict_classes, []
 
     def counted(ck, batch):
         if batch is val.inputs:
             calls.append(ck.digest())
         return predict(ck, batch)
 
-    monkeypatch.setattr(models, "_predict", counted)
+    monkeypatch.setattr(transfer, "predict_classes", counted)
     return calls
 
 

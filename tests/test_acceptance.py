@@ -27,6 +27,7 @@ from flipxfer.transfer import (
     MclState,
     PartitionMask,
     TransferHyperparams,
+    ValBaseline,
     cd_loss,
     dp_loss,
     dp_masks_supervised,
@@ -192,7 +193,19 @@ def test_c02_flip_oracle(bench: Bench):
         and np.array_equal(stats.per_class_counts, counts)
         and stats.rho_pos == rho
     )
-    record_criterion(2, f"flip oracle exact on {labels.size} samples", ok)
+    # the production path: a transfer's baseline flips, from predict_classes
+    # (val_correct), equal positive_flips on the exact logits for every pair
+    val = Dataset(bench.val.inputs, labels, CLASSES)  # an empty memo: every model forwarded here
+    pairs = [(t, s) for t in bench.models for s in bench.models if t != s]
+    for t, s in pairs:
+        got = ValBaseline.measure(bench.models[s], [bench.models[t]], val).flips
+        want = positive_flips(bench.val_logits[t], bench.val_logits[s], labels)
+        ok = ok and (
+            np.array_equal(got.per_sample_flags, want.per_sample_flags)
+            and np.array_equal(got.per_class_counts, want.per_class_counts)
+            and got.rho_pos == want.rho_pos
+        )
+    record_criterion(2, f"flip oracle exact on {labels.size} samples; production flips equal on {len(pairs)} pairs", ok)
     assert ok
 
 

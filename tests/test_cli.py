@@ -1326,6 +1326,57 @@ def test_sweep_whose_worker_dies_exits_3_writing_nothing(zoo_dir, tmp_path, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_task_out_of_memory_is_its_error_row(zoo_dir, tmp_path, monkeypatch, capsys, jobs):
+    """A run whose allocation fails is one failed row, as a divergence is: the
+    other runs are written, and the sweep exits 3 naming the allocation."""
+    import flipxfer.cli as cli
+
+    run = cli.run_transfer
+
+    def kl_dp_sup_runs_out(*args, **kwargs):
+        if args[2] == "kl_dp_sup":
+            raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2**60,) and data type float64")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_transfer", kl_dp_sup_runs_out)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", _write(tmp_path / "sw.json", _sweep_config(zoo_dir, out)), "--jobs", str(jobs)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: sweep run kl_dp_sup ") == err.count("out of memory: Unable to allocate 8.00 EiB") > 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert {f["method"] for f in summary["failed"]} == {"kl_dp_sup"}
+    assert all(f["error"].startswith("out of memory: Unable to allocate") for f in summary["failed"])
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(summary["failed"])
+
+
+@pytest.mark.parametrize("samples", [2**60, 10**15])
+def test_zoo_whose_draw_cannot_be_allocated_exits_3_in_one_line(tmp_path, capsys, samples):
+    """2**60 samples exceed numpy's largest array, 10**15 the address space:
+    neither allocation touches memory, and each ends in exit 3 with one
+    line on stderr, not a traceback, and no out."""
+    cfg = _zoo_config(tmp_path / "out")
+    cfg["dataset"]["synthetic"]["train"]["samples"] = samples
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_zoo_of_images_below_3_pixels_exits_2_naming_image_size(tmp_path, capsys, size):
+    """Such images smooth to constant templates; the zoo used to report the
+    degenerate data as diverged trainings."""
+    cfg = _zoo_config(tmp_path / "out")
+    synthetic = cfg["dataset"]["synthetic"]
+    del synthetic["dims"]
+    synthetic["image_size"] = size
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: dataset.synthetic: image_size must be at least 3, got {size}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_jobs_below_1_is_a_usage_error(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as e:
@@ -1348,7 +1399,7 @@ def test_sweep_task_forwards_the_val_set_three_times(zoo_dir, monkeypatch, metho
     """Student, teacher and the trained weights: a sweep row reads no epoch trace."""
     from dataclasses import asdict
 
-    import flipxfer.models as models
+    import flipxfer.transfer as transfer
     from flipxfer.cli import _build_datasets, _resolve_dataset, _sweep_task
     from flipxfer.transfer import default_hyperparams
     from flipxfer.zoo import load_manifest
@@ -1357,13 +1408,13 @@ def test_sweep_task_forwards_the_val_set_three_times(zoo_dir, monkeypatch, metho
     transfer_set, val = _build_datasets(_resolve_dataset(_dataset_section()))
     hp = asdict(default_hyperparams(method, lr=0.01, epochs=epochs, batch_size=64, seed=1))
     calls = []
-    predict = models._predict
+    predict = transfer.predict_classes
 
     def counted(ck, batch):
         calls.append(batch is val.inputs)
         return predict(ck, batch)
 
-    monkeypatch.setattr(models, "_predict", counted)
+    monkeypatch.setattr(transfer, "predict_classes", counted)
     checkpoints = {name: manifest.load_checkpoint(name) for name in ("wide", "narrow")}
     row = _sweep_task((checkpoints, transfer_set, val), ("wide", "narrow", method, hp))
     assert "error" not in row
@@ -1376,7 +1427,7 @@ def test_sweep_tasks_in_one_process_share_the_val_sets_memo(zoo_dir, monkeypatch
     student, reading the student's and teacher's flags from the memo."""
     from dataclasses import asdict
 
-    import flipxfer.models as models
+    import flipxfer.transfer as transfer
     from flipxfer.cli import _build_datasets, _resolve_dataset, _sweep_task
     from flipxfer.transfer import default_hyperparams
     from flipxfer.zoo import load_manifest
@@ -1385,13 +1436,13 @@ def test_sweep_tasks_in_one_process_share_the_val_sets_memo(zoo_dir, monkeypatch
     transfer_set, val = _build_datasets(_resolve_dataset(_dataset_section()))
     checkpoints = {name: manifest.load_checkpoint(name) for name in ("wide", "narrow")}
     calls = []
-    predict = models._predict
+    predict = transfer.predict_classes
 
     def counted(ck, batch):
         calls.append(batch is val.inputs)
         return predict(ck, batch)
 
-    monkeypatch.setattr(models, "_predict", counted)
+    monkeypatch.setattr(transfer, "predict_classes", counted)
     for method, forwards in (("kl", 3), ("kl_dp_sup", 1)):
         calls.clear()
         hp = asdict(default_hyperparams(method, lr=0.01, epochs=1, batch_size=64, seed=1))

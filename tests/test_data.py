@@ -97,10 +97,16 @@ def test_image_draw_is_byte_equal_to_per_sample_shift_loop(modes, size, noise):
 @pytest.mark.parametrize("modes", [1, 4])
 @pytest.mark.parametrize("scale", [0.0, 1.5])
 def test_templates_are_byte_equal_to_per_template_loop(size, modes, scale):
-    # size 1 hits the 1e-12 std floor; scale 0 keeps each zero's sign
-    cfg = SyntheticConfig(
+    # scale 0 keeps each zero's sign; below 3 pixels the two 3x3 blurs make
+    # every template constant, so such a config is rejected
+    kwargs = dict(
         classes=3, samples=3, image_size=size, modes_per_class=modes, anchor_scale=scale, seed=4, anchor_seed=11
     )
+    if size < 3:
+        with pytest.raises(DataError, match=f"image_size must be at least 3, got {size}"):
+            SyntheticConfig(**kwargs)
+        return
+    cfg = SyntheticConfig(**kwargs)
     anchors = class_anchors(cfg)
     assert anchors.shape == (3, modes, size, size)
     assert anchors.tobytes() == reference_class_anchors(cfg).tobytes()

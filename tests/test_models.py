@@ -9,8 +9,12 @@ import sys
 import threading
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipxfer import models, pool
 from flipxfer.autodiff import SgdState, ShapeError, Tape, Tensor, backward, np_softmax, sgd_step
@@ -25,6 +29,7 @@ from flipxfer.models import (
     eval_chunk_rows,
     load,
     model_forward,
+    predict_classes,
     predict_features,
     predict_logits,
     save,
@@ -310,6 +315,135 @@ def test_mlp_eval_is_one_forward(monkeypatch):
     monkeypatch.setattr(models, "model_forward", counted)
     predict_logits(build(MLP, seed=2), np.zeros((5000, 32)))
     assert calls == [5000]
+
+
+# predict_classes: certified BLAS classes, the rest from predict_logits
+
+# an MLP, a one-chunk CNN and a CNN whose eval runs in chunks of 56 rows
+_CLASSIFIERS = {
+    "mlp": lambda width, depth: ModelSpec("mlp", depth, (2, 3), 4, width=width),
+    "cnn": lambda width, depth: ModelSpec("cnn", depth, (2, 4, 4), 4, channels=(width,) * depth),
+    "cnn_chunked": lambda width, depth: ModelSpec("cnn", 2, (1, 8, 8), 4, channels=(8, width)),
+}
+
+
+def _exact_rows(ck, x) -> tuple[np.ndarray, np.ndarray]:
+    """predict_classes's classes, and a flag per row: whether it took the
+    exact path, ``predict_logits`` over the rows the bound left uncertified."""
+    with mock.patch.object(models, "predict_logits", wraps=models.predict_logits) as exact:
+        classes = predict_classes(ck, x)
+    sent = {row.tobytes() for call in exact.call_args_list for row in call.args[1]}
+    return classes, np.array([row.tobytes() in sent for row in x], dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(list(_CLASSIFIERS)),
+    width=st.integers(1, 6),
+    depth=st.integers(1, 3),
+    rows=st.sampled_from([0, 1, 2, 57, 120]),
+    case=st.sampled_from(["random", "scaled", "zero_head", "twin_columns", "near_twin_columns", "overflow"]),
+    seed=st.integers(0, 2**16),
+)
+def test_predict_classes_is_the_argmax_of_predict_logits(family, width, depth, rows, case, seed):
+    """Every row's class is einsum's argmax, the lowest index on a tie.
+    Ties (a zero head: every logit equal; two equal head columns), near-ties
+    (two head columns an ulp apart) and overflow cannot be certified and
+    take the exact path; and the bound E covers the gap between the BLAS
+    and the einsum logits."""
+    spec = _CLASSIFIERS[family](width, depth)
+    ck = build(spec, seed)
+    rng = np.random.default_rng(seed)
+    head_w, head_b = list(ck.params)[-2:]
+    ck.params[head_b][:] = rng.normal(size=spec.num_classes, scale=0.1)
+    if case == "scaled":
+        ck.flat *= 10.0 ** rng.integers(-3, 4)
+    elif case == "zero_head":
+        ck.params[head_w][:] = ck.params[head_b][:] = 0.0
+    elif case in ("twin_columns", "near_twin_columns"):
+        ck.params[head_w][:, 3] = ck.params[head_w][:, 1]
+        ck.params[head_b][3] = ck.params[head_b][1]
+        if case == "near_twin_columns":  # logits 1 and 3 a few ulps apart: too close to certify
+            ck.params[head_w][:, 3] = np.nextafter(ck.params[head_w][:, 3], np.inf)
+    elif case == "overflow":
+        ck.flat *= 2.0**1020
+    x = rng.normal(size=(rows, *spec.input_shape))
+    with np.errstate(all="ignore"):
+        logits = predict_logits(ck, x)
+        classes, exact = _exact_rows(ck, x)
+    assert np.array_equal(classes, np.argmax(logits, axis=1))
+    if case == "zero_head":
+        assert np.array_equal(classes, np.zeros(rows, dtype=int)) and exact.all()
+    elif case == "twin_columns":
+        assert exact[np.isin(classes, (1, 3))].all() and not (classes == 3).any()
+    elif case == "near_twin_columns":
+        assert exact[np.isin(classes, (1, 3))].all()
+    elif case == "overflow":
+        assert exact.all()
+    else:
+        z, e, reach = models._bounded_logits(spec, models._layer_norms(ck), x)
+        assert (np.abs(z - logits).max(axis=1, initial=0.0) <= 2 * e).all()
+        assert (reach < 2.0**1000).all()
+
+
+@pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
+def test_predict_classes_of_a_model_one_unit_wide(spec):
+    """A model one unit wide: its hidden unit is 0 wherever ReLU cuts it, and
+    the rows where the bias alone decides still get einsum's class."""
+    spec = ModelSpec(spec.family, spec.depth, spec.input_shape, 10, width=1 if spec.family == "mlp" else None,
+                     channels=None if spec.family == "mlp" else (1,))
+    ck = build(spec, seed=3)
+    ck.params[list(ck.params)[-1]][:] = np.linspace(0.0, 0.5, 10)
+    x = np.random.default_rng(3).normal(size=(200, *spec.input_shape))
+    assert np.array_equal(predict_classes(ck, x), np.argmax(predict_logits(ck, x), axis=1))
+
+
+@pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
+def test_predict_classes_sends_every_near_tie_to_the_exact_path(spec):
+    """Head columns 1 and 3 an ulp apart: a row whose top class is either is
+    closer to a tie than its bound, and only the exact forward may name it."""
+    ck = build(spec, seed=5)
+    w, b = ck.params["fc2.w" if spec is MLP else "head.w"], ck.params["fc2.b" if spec is MLP else "head.b"]
+    w[:, 3] = np.nextafter(w[:, 1], np.inf)
+    b[1] = b[3] = 10.0  # classes 1 and 3 on top in every row
+    x = np.random.default_rng(5).normal(size=(100, *spec.input_shape))
+    classes, exact = _exact_rows(ck, x)
+    assert np.array_equal(classes, np.argmax(predict_logits(ck, x), axis=1))
+    near = np.isin(classes, (1, 3))
+    assert near.sum() > 50 and exact[near].all()
+
+
+def test_predict_classes_certifies_every_row_of_a_random_cnn():
+    """A generic CNN's rows are all certified: the exact path forwards none."""
+    spec = ModelSpec("cnn", 3, (1, 8, 8), 10, channels=(8, 8, 8))
+    ck = build(spec, seed=4)
+    x = np.random.default_rng(4).normal(size=(3 * 56 + 5, 1, 8, 8))
+    classes, exact = _exact_rows(ck, x)
+    assert np.array_equal(classes, np.argmax(predict_logits(ck, x), axis=1))
+    assert not exact.any()
+
+
+def test_predict_classes_holds_a_third_of_an_im2col_block_at_a_time():
+    """One chunk of three 8-channel convs: each conv builds its im2col for a
+    third of the rows at a time, so the forward's peak, padded buffer and
+    outputs included, stays below one whole block (2 MiB)."""
+    spec = ModelSpec("cnn", 3, (1, 8, 8), 10, channels=(8, 8, 8))
+    ck = build(spec, seed=4)
+    rows = eval_chunk_rows(spec)
+    x = np.random.default_rng(4).normal(size=(rows, 1, 8, 8))
+    predict_classes(ck, x)  # a first call, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        predict_classes(ck, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 64 * 8 * 9 * 8
+
+
+def test_predict_classes_rejects_a_misshapen_batch():
+    with pytest.raises(ShapeError):
+        predict_classes(build(MLP, seed=1), np.zeros((3, 31)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from flipxfer import autodiff as ad
 from flipxfer.autodiff import Tape, Tensor, backward, np_softmax
 from flipxfer.config import dump_json
 from flipxfer.data import Dataset
-from flipxfer.models import ModelSpec, as_tensors, build, model_forward, predict_logits
+from flipxfer.models import ModelSpec, as_tensors, build, model_forward, predict_classes, predict_logits
 from flipxfer.transfer import (
     METHODS,
     MclState,
@@ -672,9 +672,9 @@ def test_the_memo_of_val_forwards_is_per_val_set(toy_sets, monkeypatch):
 
     def counted(ck, batch):
         calls.append(batch is a.inputs)
-        return predict_logits(ck, batch)
+        return predict_classes(ck, batch)
 
-    monkeypatch.setattr(transfer, "predict_logits", counted)
+    monkeypatch.setattr(transfer, "predict_classes", counted)
     ck = build(SPEC, 1)
     flags = val_correct(ck, a)
     assert val_correct(ck, a) is flags
@@ -878,9 +878,9 @@ def _val_forwards(monkeypatch, val, before=None) -> list:
             forwards.append((ck.digest(), threading.current_thread()))
             if before is not None:
                 before(ck)
-        return predict_logits(ck, batch)
+        return predict_classes(ck, batch)
 
-    monkeypatch.setattr(transfer, "predict_logits", patched)
+    monkeypatch.setattr(transfer, "predict_classes", patched)
     return forwards
 
 

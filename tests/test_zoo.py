@@ -10,7 +10,7 @@ import pytest
 
 import flipxfer
 from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
-from flipxfer.models import ModelSpec, load, predict_logits, save
+from flipxfer.models import ModelSpec, load, predict_classes, predict_logits, save
 from flipxfer.analysis import correct_flags
 from flipxfer.zoo import (
     ManifestError,
@@ -236,13 +236,13 @@ def test_plateau_reports_the_last_epochs_accuracy(small_sets, monkeypatch, epoch
 
     def counted(ck, batch):
         calls.append(batch is val.inputs)
-        return predict_logits(ck, batch)
+        return predict_classes(ck, batch)
 
     def shuffle(n, seed, epoch, permutation=transfer.epoch_permutation):
         epochs_run.append(epoch)
         return permutation(n, seed, epoch)
 
-    monkeypatch.setattr(transfer, "predict_logits", counted)
+    monkeypatch.setattr(transfer, "predict_classes", counted)
     monkeypatch.setattr(transfer, "epoch_permutation", shuffle)
     ck = train_model(ModelSpec("mlp", 2, S, 10, width=12), TrainConfig(epochs=epochs, lr=0.05, plateau_patience=2),
                      train, val)
