@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -460,51 +459,15 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 # optimizer
 
 
-def _adjacent(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``b`` starts where ``a`` ends, both C-contiguous views of one
-    C-contiguous 1-D float64 vector (a checkpoint's ``flat``)."""
-    base = a.base
-    return (
-        b.base is base
-        and isinstance(base, np.ndarray)
-        and base.ndim == 1
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-        and a.flags.c_contiguous
-        and b.flags.c_contiguous
-        and b.ctypes.data == a.ctypes.data + a.nbytes
-    )
-
-
-@dataclass
-class _Run:
-    """Parameters that ``sgd_step`` steps as one vector: their names and
-    tensors, their offsets into ``theta``, the vector their arrays tile (a
-    parameter's own array for a run of one), and ``velocity``, laid out as
-    ``theta``, with a view of it per parameter."""
-
-    names: list[str]
-    tensors: list[Tensor]
-    offsets: list[int]
-    theta: np.ndarray
-    velocity: np.ndarray
-    views: list[np.ndarray]
-
-
 @dataclass
 class SgdState:
-    """SGD with classic momentum and decay folded into the gradient.
-
-    ``velocity`` maps a parameter's name to its velocity, from its first
-    step on; the arrays are views of one flat velocity per vector of
-    parameters that ``sgd_step`` steps. ``sgd_step`` keeps the runs it laid
-    out while the same tensors, arrays and missing gradients come back."""
+    """SGD with classic momentum and decay folded into the gradient; from
+    ``sgd_step``'s first call, ``velocity`` holds one per vector it steps, in order."""
 
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-    _layout: tuple[list, list[_Run]] = field(default=((), ()), init=False, repr=False, compare=False)
+    velocity: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         for name in ("lr", "momentum", "weight_decay"):
@@ -518,93 +481,45 @@ class SgdState:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
-def _runs(params: dict[str, Tensor], state: SgdState) -> list[_Run]:
-    """The parameters whose ``.grad`` is set, in runs of consecutive ones
-    whose arrays tile one vector, each with a flat velocity that holds the
-    velocities of ``state``.
-
-    A parameter without a velocity starts at -0.0, so ``momentum * v + upd``
-    is ``upd`` bit for bit on its first step, at any momentum."""
-    key = []
-    for name, p in params.items():
-        if p.grad is not None and p.grad.shape != p.data.shape:
-            raise ShapeError(f"sgd_step({name})", p.grad.shape, p.data.shape)
-        key += (name, p, p.data, p.grad is None)
-    old = state._layout[0]
-    if len(key) == len(old) and all(map(operator.is_, key, old)):
-        return state._layout[1]
-    groups: list[list[tuple[str, Tensor]]] = []
-    for name, p in params.items():
-        if p.grad is None:
-            continue
-        if groups and _adjacent(groups[-1][-1][1].data, p.data):
-            groups[-1].append((name, p))
-        else:
-            groups.append([(name, p)])
-    runs = []
-    for group in groups:
-        names, tensors = [name for name, _ in group], [p for _, p in group]
-        offsets = np.cumsum([0, *(p.data.size for p in tensors)]).tolist()
-        theta = tensors[0].data
-        if len(group) > 1:
-            start = (theta.ctypes.data - theta.base.ctypes.data) // theta.itemsize
-            theta = theta.base[start : start + offsets[-1]]
-        velocity = np.full(theta.shape, -0.0)
-        views = [velocity] if len(group) == 1 else [
-            velocity[a:b].reshape(p.data.shape) for p, a, b in zip(tensors, offsets, offsets[1:])
-        ]
-        for name, view in zip(names, views):
-            if name in state.velocity:
-                view[...] = state.velocity[name]
-        runs.append(_Run(names, tensors, offsets, theta, velocity, views))
-    state._layout = (key, runs)
-    return runs
-
-
-def _non_finite(run: _Run, theta: np.ndarray) -> NonFiniteError:
-    """The error for the first parameter of ``run`` whose slice of ``theta``
-    is not finite: its gradient, when that is not finite, else its update."""
-    flat = theta.reshape(-1)
-    name, t = next(
-        (name, t) for name, t, a, b in zip(run.names, run.tensors, run.offsets, run.offsets[1:])
-        if not np.isfinite(flat[a:b]).all()
-    )
-    if not np.isfinite(t.grad).all():
-        return NonFiniteError(f"gradient of parameter {name!r}")
-    return NonFiniteError(f"parameter {name!r} after its update")
-
-
-def sgd_step(params: dict[str, Tensor], state: SgdState) -> None:
+def sgd_step(vectors: list[tuple[np.ndarray, dict[str, Tensor]]], state: SgdState) -> None:
     """v <- momentum*v + grad + weight_decay*theta; theta <- theta - lr*v for
-    each parameter whose ``.grad`` is set, as ``backward`` left it, written
-    into the parameter's own array, so a view of it (a checkpoint that
-    ``models.as_tensors`` wrapped) sees the update.  A parameter whose
-    ``.grad`` is None keeps its value and its velocity, bit for bit.
+    each ``(vector, tensors)`` pair: a C-contiguous 1-D float64 vector and the
+    tensors whose arrays tile it in order (a checkpoint's ``flat`` and
+    ``models.as_tensors``' views of it, or a tensor's own array, flattened).
+    Their ``.grad``s, as ``backward`` left them, are gathered into one
+    gradient, elementwise ops step the vector, and theta is written into it,
+    so every view sees the update, with the bits of a step of each tensor
+    alone.  ``state.velocity`` gets one velocity per vector at the first call,
+    all -0.0, so a vector's first ``momentum * v + upd`` is ``upd`` bit for
+    bit; give the same vectors in the same order at every call.
 
-    Parameters whose arrays tile one vector (a checkpoint's ``flat``) step
-    as that vector: their gradients are gathered into one, and one set of
-    elementwise ops updates it; any other tensor (``distill``'s ``cd_proj.w``)
-    is a vector of its own.  The ops are elementwise, so the bits equal a
-    step of each parameter alone.
-
-    A non-finite gradient, or an update that overflows a parameter, raises
-    ``NonFiniteError`` before any parameter or velocity changes, naming the
-    first parameter, in ``params`` order, whose update is not finite.  One
-    check of the updated parameters covers both: ``lr`` is nonnegative, so a
-    non-finite gradient makes the update non-finite (0 * inf is NaN)."""
-    runs = _runs(params, state)
+    A vector none of whose tensors has a gradient keeps its value and its
+    velocity; one only some of whose tensors have one is a ValueError.  A
+    non-finite gradient, or an update that overflows a parameter, raises
+    ``NonFiniteError`` before any vector or velocity changes, naming the
+    first such parameter in the given order: ``lr`` is nonnegative, so one
+    check of theta covers both (0 * inf is NaN)."""
+    if not state.velocity:
+        state.velocity = [np.full(vector.shape, -0.0) for vector, _ in vectors]
     steps = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        for run in runs:
-            grads = [t.grad for t in run.tensors]
-            g = grads[0] if len(grads) == 1 else np.concatenate(grads, axis=None)
-            upd = g if state.weight_decay == 0.0 else g + state.weight_decay * run.theta
-            v = state.momentum * run.velocity + upd
-            theta = run.theta - state.lr * v
-            if not np.isfinite(theta).all():
-                raise _non_finite(run, theta)
-            steps.append((theta, v))
-    for run, (theta, v) in zip(runs, steps):
-        run.theta[...] = theta
-        run.velocity[...] = v
-        state.velocity.update(zip(run.names, run.views))
+        for i, (vector, tensors) in enumerate(vectors):
+            grads = [t.grad for t in tensors.values() if t.grad is not None]
+            if len(grads) < len(tensors):
+                if not grads:
+                    continue  # no backward reached this vector
+                raise ValueError(f"sgd_step: {len(tensors) - len(grads)} of {list(tensors)} have no gradient")
+            g = np.concatenate(grads, axis=None)
+            upd = g if state.weight_decay == 0.0 else g + state.weight_decay * vector
+            v = state.momentum * state.velocity[i] + upd
+            theta = vector - state.lr * v
+            if not np.isfinite(theta).all():  # name the tensor whose slice holds the first non-finite value
+                ends = np.cumsum([t.data.size for t in tensors.values()])
+                name, t = list(tensors.items())[np.searchsorted(ends, np.argmin(np.isfinite(theta)), side="right")]
+                if not np.isfinite(t.grad).all():
+                    raise NonFiniteError(f"gradient of parameter {name!r}")
+                raise NonFiniteError(f"parameter {name!r} after its update")
+            steps.append((i, vector, theta, v))
+    for i, vector, theta, v in steps:
+        vector[...] = theta
+        state.velocity[i] = v  # SgdState's own array: no view of it reads the old one

@@ -13,8 +13,10 @@ config, its files (name -> writer of a path) and its summary, and
 
 Logging goes to stderr; stdout stays silent unless ``--json`` asks for the
 machine-readable summary.  Exit codes: 0 ok, 2 config error, 3 runtime
-failure, an allocation that fails (``MemoryError``) included; each failure is
-one line on stderr.
+failure, an allocation that fails (``MemoryError``) included, 130 SIGINT
+(Ctrl-C) and 143 SIGTERM, which end the worker processes too (during
+``_commit`` they can leave a partial ``out``); each failure is one line on
+stderr, ``interrupted`` for a signal.
 
 Accuracies, deltas, and bin edges are fractions in [0, 1] throughout the
 emitted JSON/CSV (0.01 = one accuracy point).
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import signal
 import sys
 from dataclasses import astuple, fields
 from functools import partial
@@ -45,7 +48,7 @@ from .config import REQUIRED, ConfigError, dump_json, parse_json, resolve, write
 from .data import DataError, Dataset, SyntheticConfig, load_idx, stratified_subsample, train_val_pair
 from .models import CheckpointError, ModelSpec, save
 from .multiteacher import check_plan, parallel_transfer, sequential_doc, sequential_transfer, soup_transfer
-from .pool import pool_map
+from .pool import keep_freed_memory, pool_map
 from .transfer import (
     METHODS,
     EpochTrace,
@@ -588,8 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {"zoo": cmd_zoo, "flips": cmd_flips, "transfer": cmd_transfer, "sweep": cmd_sweep}
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(143)  # SIGTERM, raised in the main thread as SIGINT is; its exit code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keep_freed_memory()  # eval forwards reuse their temporaries too, as training steps do
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         cfg = _load_config(args.config)
         code, resolved, files, summary = _COMMANDS[args.command](cfg, args)
@@ -609,6 +618,11 @@ def main(argv=None) -> int:
     ) as e:
         _log(f"error: {_message(e)}")
         return 3
+    except KeyboardInterrupt as e:
+        _log("interrupted")
+        return e.args[0] if e.args else 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if args.json:
         sys.stdout.write(dump_json(summary))
     return code

@@ -52,6 +52,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -141,7 +142,7 @@ class ModelSpec:
         return shapes
 
     def num_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.param_shapes().values())
+        return sum(math.prod(s) for s in self.param_shapes().values())
 
     def feature_width(self) -> int:
         """Width of the pre-head representation (used by feature losses)."""
@@ -197,7 +198,10 @@ class Checkpoint:
 
 
 def build(spec: ModelSpec, seed: int) -> Checkpoint:
-    """Initialize a checkpoint: Kaiming-uniform fan-in weights, zero biases."""
+    """Initialize a checkpoint: Kaiming-uniform fan-in weights, zero biases;
+    ``MemoryError`` for parameters that no address space holds."""
+    if (n := spec.num_params()) * 8 > sys.maxsize:
+        raise MemoryError(f"Unable to allocate {n * 8} bytes for a model's {n} parameters")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params: dict[str, np.ndarray] = {}
     for name, shape in spec.param_shapes().items():
@@ -247,9 +251,10 @@ def model_forward(
 
 
 def as_tensors(ck: Checkpoint) -> dict[str, Tensor]:
-    """Trainable tensors over ck's own arrays, the views of ``ck.flat``:
-    ``sgd_step`` on them steps ``ck.flat`` as one vector and trains ck in
-    place, so a caller that must keep ck trains ``ck.copy()``."""
+    """Trainable tensors over ck's own arrays, the views of ``ck.flat``, in
+    ``ck.params`` order: ``sgd_step`` is given them with ``ck.flat``, the
+    vector they tile, steps that vector and so trains ck in place; a caller
+    that must keep ck trains ``ck.copy()``."""
     return {k: Tensor(v, requires_grad=True) for k, v in ck.params.items()}
 
 

@@ -149,16 +149,10 @@ def soup_transfer(
     ]
     # canonical merge order: by branch checkpoint digest, so teacher order
     # cannot change the floating-point sum
-    ordered = sorted(branches, key=lambda r: r.student_after.digest())
-    k = len(ordered)
-    if all(r.student_after.digest() == ordered[0].student_after.digest() for r in ordered):
-        merged = ordered[0].student_after.params  # the Checkpoint below copies it
-    else:
-        merged = {
-            name: sum(r.student_after.params[name] for r in ordered) / k
-            for name in student_ck.params
-        }
-    student_after = Checkpoint(student_ck.spec, merged, dict(student_ck.meta))
+    ordered = [r.student_after for r in sorted(branches, key=lambda r: r.student_after.digest())]
+    student_after = Checkpoint(student_ck.spec, ordered[0].params, dict(student_ck.meta))  # a copy
+    if any(ck.digest() != ordered[0].digest() for ck in ordered):  # equal branches merge to themselves
+        student_after.flat[...] = sum(ck.flat for ck in ordered) / len(ordered)
     baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)
     res = baseline.result(
         method, hp, [], student_after, f"soup[{'+'.join(n for n, _ in teachers)}]", student_name,

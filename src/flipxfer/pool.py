@@ -29,11 +29,12 @@ threads than it has usable CPUs.
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
 import os
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 
 __all__ = ["usable_cpus", "keep_freed_memory", "pool_map", "thread_map"]
 
@@ -78,6 +79,8 @@ def _init(shared) -> None:
     global _shared
     _shared = shared
     keep_freed_memory()
+    for sig in (signal.SIGINT, signal.SIGTERM):  # the parent takes both, and ends its workers
+        signal.signal(sig, signal.SIG_IGN)
 
 
 def _call(fn, task):
@@ -90,15 +93,27 @@ def pool_map(fn, shared, tasks: list, workers: int) -> list:
     else in this process. ``fn`` is sent by its import path. An
     exception a call raises is raised here, and the tasks not yet started
     are cancelled. A worker that ends before returning its task (killed by a
-    signal or by the kernel when memory runs out) raises ``ChildProcessError``."""
+    signal or by the kernel when memory runs out) raises ``ChildProcessError``.
+    Workers ignore SIGINT and SIGTERM: a ``KeyboardInterrupt`` here (the CLI
+    raises one on SIGTERM too) kills them all before it is raised."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(shared, task) for task in tasks]
-    try:
-        with ProcessPoolExecutor(workers, initializer=_init, initargs=(shared,)) as ex:
-            return list(ex.map(partial(_call, fn), tasks))
-    except BrokenProcessPool as e:
-        raise ChildProcessError("a worker process ended before returning its task") from e
+    with ProcessPoolExecutor(workers, initializer=_init, initargs=(shared,)) as ex:
+        futures = []
+        try:
+            futures += (ex.submit(_call, fn, task) for task in tasks)
+            return [f.result() for f in futures]
+        except KeyboardInterrupt:  # else shutdown would wait for the tasks the workers hold
+            for p in multiprocessing.active_children():  # the workers: the program starts no other
+                p.kill()
+            raise  # the pool fails the futures; cancelling them too races with that in Python 3.11
+        except BrokenProcessPool as e:
+            raise ChildProcessError("a worker process ended before returning its task") from e
+        except BaseException:
+            for f in futures:  # a task raised: cancel the ones not yet started
+                f.cancel()
+            raise
 
 
 def thread_map(fn, items: list) -> list:

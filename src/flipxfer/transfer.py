@@ -165,13 +165,13 @@ def default_hyperparams(method: str, **overrides) -> TransferHyperparams:
 @dataclass
 class MclState:
     """Slow and fast copies of the student's weights, joined by momentum
-    interpolation: ``fast`` is the tensors SGD trains, ``slow`` the arrays that
-    ``mcl_interpolate`` moves toward them, and ``steps`` counts its calls, one
-    per SGD step.  ``distill`` gives each copy's ``flat`` vector as its one
-    entry, so the interpolation is one vector expression."""
+    interpolation: ``fast`` is the vector SGD trains (``distill`` gives its
+    copy's ``flat``), ``slow`` the vector of the same shape that
+    ``mcl_interpolate`` moves toward it, and ``steps`` counts its calls, one
+    per SGD step."""
 
-    slow: dict[str, np.ndarray]
-    fast: dict[str, Tensor]
+    slow: np.ndarray
+    fast: np.ndarray
     tau: float
     every: int
     steps: int = 0
@@ -285,20 +285,14 @@ def xe_kl_loss(student_logits, teacher_logits, labels, lam: float, temperature: 
 
 def mcl_interpolate(state: MclState) -> None:
     """Count one SGD step; after every ``every``-th, slow <- tau*slow +
-    (1-tau)*fast, written into each slow array in place."""
+    (1-tau)*fast, written into the slow vector in place."""
     state.steps += 1
-    if state.steps % state.every != 0:
+    if state.steps % state.every != 0 or state.tau == 1.0:  # tau 1 pins the slow copy
         return
-    if state.tau == 1.0:
-        return  # slow copy is pinned
-    for name, slow in state.slow.items():
-        fast = state.fast[name].data
-        if fast.shape != slow.shape:
-            raise ad.ShapeError("mcl_interpolate", fast.shape, slow.shape)
-        if state.tau == 0.0:
-            slow[...] = fast
-        else:
-            slow[...] = state.tau * slow + (1.0 - state.tau) * fast
+    if state.tau == 0.0:
+        state.slow[...] = state.fast
+    else:
+        state.slow[...] = state.tau * state.slow + (1.0 - state.tau) * state.fast
 
 
 def confidence_winner(source_logits, labels=None) -> np.ndarray:
@@ -422,14 +416,14 @@ def check_dataset(ck: Checkpoint, name: str, **sets: Dataset) -> None:
                 raise TransferError(f"{label} set {what} does not match model {name}: set {got}, model {want}")
 
 
-def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, batch_size: int,
-               seed: int, loss_fn, who: str, after_step=None):
+def sgd_epochs(vectors: list[tuple[np.ndarray, dict[str, Tensor]]], opt: SgdState, n: int, epochs: int,
+               batch_size: int, seed: int, loss_fn, who: str, after_step=None):
     """Minibatch SGD over ``epochs`` seeded shuffles of ``n`` samples; yields
     each epoch's step losses so the caller can do its per-epoch work (or stop).
 
     ``loss_fn(b)`` builds the loss of the batch with sample indices ``b``
-    under an active tape; ``sgd_step`` then steps each of ``params`` whose
-    ``.grad`` is set, as ``backward`` left it.  A non-finite loss, or a non-finite gradient or updated
+    under an active tape; ``sgd_step`` then steps each of ``vectors`` by the
+    gradients ``backward`` left on its tensors.  A non-finite loss, or a non-finite gradient or updated
     parameter behind a finite loss, raises ``TrainingDivergedError`` naming
     ``who``, the epoch and the step (and the parameter).  ``after_step()``,
     when given, runs after every update.
@@ -448,7 +442,7 @@ def sgd_epochs(params: dict[str, Tensor], opt: SgdState, n: int, epochs: int, ba
             losses.append(value)
             backward(tape, loss)
             try:
-                sgd_step(params, opt)
+                sgd_step(vectors, opt)
             except ad.NonFiniteError as e:
                 raise TrainingDivergedError(who, epoch, step, value, e.what) from e
             if after_step is not None:
@@ -617,6 +611,7 @@ def distill(
     temp = hp.temperature
     trained = student_ck.copy()  # SGD trains it in place; the caller's student never changes
     params = as_tensors(trained)
+    vectors = [(trained.flat, params)]  # sgd_step's: the student's, then cd's projection
     winner = targets = cols = t_feats = proj = None
     if method == "cd":
         t_feats = predict_features(teacher_cks[0], x_tr)
@@ -626,7 +621,8 @@ def distill(
             rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xCD]))
             t_feats = t_feats @ (rng.normal(size=(w_t, d)) / np.sqrt(w_t))
             bound = np.sqrt(6.0 / w_s)
-            params["cd_proj.w"] = proj = Tensor(rng.uniform(-bound, bound, size=(w_s, d)), requires_grad=True)
+            proj = Tensor(rng.uniform(-bound, bound, size=(w_s, d)), requires_grad=True)
+            vectors.append((proj.data.reshape(-1), {"cd_proj.w": proj}))
     else:
         sources = ([frozen_reference or student_ck] if method in DP_METHODS else []) + teacher_cks
         source_logits = [predict_logits(ck, x_tr) for ck in sources]
@@ -636,12 +632,10 @@ def distill(
             cols, targets = _topk_target(targets, hp.topk)
 
     opt = SgdState(lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay)
-    mcl = after_step = None
-    kept = trained  # the weights the transfer returns: MCL's slow copy
+    after_step, kept = None, trained  # kept: the weights the transfer returns, MCL's slow copy
     if method == "xe_kl_mcl":
         kept = student_ck.copy()
-        mcl = MclState({"flat": kept.flat}, {"flat": Tensor(trained.flat)}, hp.mcl_tau, hp.mcl_every)
-        after_step = functools.partial(mcl_interpolate, mcl)
+        after_step = functools.partial(mcl_interpolate, MclState(kept.flat, trained.flat, hp.mcl_tau, hp.mcl_every))
     drop_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 0xD0]))
 
     def loss_fn(b):
@@ -667,12 +661,12 @@ def distill(
     def train() -> None:
         try:
             for losses in sgd_epochs(
-                params, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn, method, after_step,
+                vectors, opt, transfer_set.n, hp.epochs, hp.batch_size, hp.seed, loss_fn, method, after_step,
             ):
                 if not forward_epochs:
                     continue
                 train_loss.append(float(np.mean(losses)) if losses else float("nan"))
-                states.append([kept.copy(), trained.copy()] if mcl else [kept.copy()])
+                states.append([kept.copy(), trained.copy()] if after_step else [kept.copy()])
                 for ck in states[-1]:
                     queue.put(ck)
         except BaseException:

@@ -121,7 +121,7 @@ def train_model(
         return float(val_correct(ck, val).mean())
 
     best_acc, stale = -1.0, 0
-    for _ in sgd_epochs(params, opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn, name):
+    for _ in sgd_epochs([(ck.flat, params)], opt, train.n, cfg.epochs, cfg.batch_size, cfg.order_seed, loss_fn, name):
         if cfg.plateau_patience is not None:
             val_acc = val_accuracy()
             if val_acc > best_acc + 1e-12:

@@ -63,12 +63,13 @@ def max_rel_error(a: dict[str, np.ndarray], b: dict[str, np.ndarray], floor: flo
 # reference 3x3 conv: fancy-index im2col gather and np.add.at col2im
 
 
-def reference_sgd_step(params: dict[str, Tensor], state: SgdState) -> None:
-    """SGD one parameter at a time: v <- momentum*v + grad + weight_decay*theta
-    and theta <- theta - lr*v for each parameter whose ``.grad`` is set, the
-    velocity replaced, not written in place; a parameter's first velocity is
-    its update.  A non-finite updated parameter raises before that parameter
-    changes, naming its gradient when that is not finite."""
+def reference_sgd_step(params: dict[str, Tensor], velocity: dict[str, np.ndarray], state: SgdState) -> None:
+    """SGD one parameter at a time, its velocity kept in ``velocity`` by name:
+    v <- momentum*v + grad + weight_decay*theta and theta <- theta - lr*v for
+    each parameter whose ``.grad`` is set, the velocity replaced, not written
+    in place; a parameter's first velocity is its update.  A non-finite
+    updated parameter raises before that parameter changes, naming its
+    gradient when that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
             g = p.grad
@@ -76,7 +77,7 @@ def reference_sgd_step(params: dict[str, Tensor], state: SgdState) -> None:
                 continue
             if g.shape != p.data.shape:
                 raise ShapeError(f"sgd_step({name})", g.shape, p.data.shape)
-            v = state.velocity.get(name)
+            v = velocity.get(name)
             upd = g if state.weight_decay == 0.0 else g + state.weight_decay * p.data
             v = upd if v is None else state.momentum * v + upd
             theta = p.data - state.lr * v
@@ -84,7 +85,7 @@ def reference_sgd_step(params: dict[str, Tensor], state: SgdState) -> None:
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"gradient of parameter {name!r}")
                 raise NonFiniteError(f"parameter {name!r} after its update")
-            state.velocity[name] = v
+            velocity[name] = v
             p.data[...] = theta
 
 

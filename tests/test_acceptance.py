@@ -350,13 +350,13 @@ def test_c08_mcl_endpoints(bench: Bench):
 
     # tau=0, N=1: the slow copy shadows the fast weights after every step
     rng = np.random.default_rng(0)
-    fast = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
-    state = MclState(slow={"w": fast["w"].data.copy()}, fast=fast, tau=0.0, every=1)
+    fast = rng.normal(size=12)
+    state = MclState(slow=fast.copy(), fast=fast, tau=0.0, every=1)
     shadowed = True
     for _ in range(50):
-        fast["w"].data = fast["w"].data - 0.01 * rng.normal(size=(4, 3))
+        fast[...] = fast - 0.01 * rng.normal(size=12)
         mcl_interpolate(state)
-        shadowed &= bool(np.array_equal(state.slow["w"], fast["w"].data))
+        shadowed &= bool(np.array_equal(state.slow, fast))
     ok = pinned and shadowed
     record_criterion(8, "mcl endpoints: tau=1 pins weights bitwise, tau=0/N=1 shadows fast", ok)
     assert pinned

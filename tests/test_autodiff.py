@@ -412,11 +412,16 @@ def test_log_softmax_logsumexp_property(z):
 # SGD
 
 
+def _vectors(params: dict[str, Tensor]) -> list[tuple[np.ndarray, dict[str, Tensor]]]:
+    """Each standalone tensor as a vector of its own."""
+    return [(p.data.reshape(-1), {name: p}) for name, p in params.items()]
+
+
 def _step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: SgdState) -> None:
     """``sgd_step`` on gradients set as ``backward`` leaves them."""
     for name, g in grads.items():
         params[name].grad = g
-    sgd_step(params, state)
+    sgd_step(_vectors(params), state)
 
 
 def test_sgd_plain_step():
@@ -472,11 +477,11 @@ def test_sgd_names_a_non_finite_gradient_at_any_lr(lr, momentum, weight_decay, b
     p = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
     state = SgdState(lr=lr, momentum=momentum, weight_decay=weight_decay)
     _step(p, {"a": np.ones(3), "b": np.ones(2)}, state)
-    b, vb = p["b"].data.copy(), state.velocity["b"].copy()
+    b, vb = p["b"].data.copy(), state.velocity[1].copy()
     with pytest.raises(NonFiniteError) as exc:
         _step(p, {"a": np.ones(3), "b": np.array([1.0, bad])}, state)
     assert str(exc.value) == "non-finite value in gradient of parameter 'b'"
-    assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity["b"], vb)
+    assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity[1], vb)
 
 
 def test_sgd_rejects_an_update_that_overflows_a_parameter():
@@ -488,16 +493,16 @@ def test_sgd_rejects_an_update_that_overflows_a_parameter():
 
 
 def test_sgd_skips_a_parameter_the_loss_did_not_reach():
-    """A tensor whose ``.grad`` is None, one that no ``backward`` reached,
-    keeps its value and its velocity under momentum and weight decay, while
-    the other tensor steps."""
+    """A vector none of whose tensors has a ``.grad``, one that no
+    ``backward`` reached, keeps its value and its velocity under momentum and
+    weight decay, while the other vector steps."""
     p = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
     state = SgdState(lr=0.1, momentum=0.9, weight_decay=0.1)
     _step(p, {"a": np.ones(3), "b": np.ones(2)}, state)
-    a, b, vb = p["a"].data.copy(), p["b"].data.copy(), state.velocity["b"].copy()
+    a, b, vb = p["a"].data.copy(), p["b"].data.copy(), state.velocity[1].copy()
     p["b"].grad = None
     _step(p, {"a": np.ones(3)}, state)
-    assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity["b"], vb)
+    assert np.array_equal(p["b"].data, b) and np.array_equal(state.velocity[1], vb)
     assert not np.array_equal(p["a"].data, a)
 
 
@@ -513,60 +518,81 @@ def _flat_and_standalone(seed: int) -> tuple[np.ndarray, dict[str, Tensor]]:
     return ck.flat, params
 
 
+def _pairs(flat: np.ndarray, params: dict[str, Tensor]) -> list[tuple[np.ndarray, dict[str, Tensor]]]:
+    """``sgd_step``'s vectors, as ``distill`` gives them: the checkpoint's, then the standalone tensor's."""
+    model = {k: params[k] for k in DEEP.param_shapes()}
+    return [(flat, model), (params["cd_proj.w"].data.reshape(-1), {"cd_proj.w": params["cd_proj.w"]})]
+
+
 def _bits(arrays: dict[str, np.ndarray]) -> dict[str, bytes]:
     return {k: v.tobytes() for k, v in arrays.items()}
+
+
+def test_sgd_refuses_a_vector_only_part_of_which_has_a_gradient():
+    """A step cannot skip one view of a vector: a vector some of whose
+    tensors have no gradient raises, and nothing changes."""
+    ck = build(DEEP, 0)
+    params, before = as_tensors(ck), ck.flat.copy()
+    for name, p in params.items():
+        p.grad = None if name == "fc2.b" else np.ones(p.data.shape)
+    state = SgdState(lr=0.1, momentum=0.9)
+    with pytest.raises(ValueError, match="1 of .* have no gradient"):
+        sgd_step([(ck.flat, params)], state)
+    assert np.array_equal(ck.flat, before) and np.all(state.velocity[0] == 0.0)
 
 
 @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 1e-3), (0.0, 0.0)])
 def test_flat_sgd_equals_the_per_parameter_loop_bit_for_bit(momentum, weight_decay):
     """200 steps of one-vector SGD give the bits of stepping each parameter
-    alone, values and velocities: fc2.b has no gradient on every third step
-    (its first step is the second), the standalone tensor on every fifth, and
-    some gradients hold signed zeros, whose sign a first velocity keeps."""
+    alone, values and velocities: the checkpoint's vector has no gradient on
+    every seventh step (its first step is the first), the standalone tensor
+    on every fifth, and some gradients hold signed zeros, whose sign a first
+    velocity keeps."""
     flat, fast = _flat_and_standalone(3)
     _, slow = _flat_and_standalone(3)
     slow = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in slow.items()}
     fast_state, slow_state = (SgdState(lr=0.05, momentum=momentum, weight_decay=weight_decay) for _ in range(2))
+    slow_velocity: dict[str, np.ndarray] = {}
     rng = np.random.default_rng(7)
     for i in range(200):
         for name, p in fast.items():
             g = rng.normal(size=p.data.shape) * rng.choice([1e-3, 1.0, 30.0])
             g[rng.random(g.shape) < 0.2] = rng.choice([0.0, -0.0])
-            skip = (name == "fc2.b" and i % 3 == 0) or (name == "cd_proj.w" and i % 5 == 2)
+            skip = (name != "cd_proj.w" and i % 7 == 3) or (name == "cd_proj.w" and i % 5 == 2)
             p.grad = None if skip else g
             slow[name].grad = None if skip else g.copy()
-        sgd_step(fast, fast_state)
-        reference_sgd_step(slow, slow_state)
+        sgd_step(_pairs(flat, fast), fast_state)
+        reference_sgd_step(slow, slow_velocity, slow_state)
         assert _bits({k: p.data for k, p in fast.items()}) == _bits({k: p.data for k, p in slow.items()})
-        assert _bits(fast_state.velocity) == _bits(slow_state.velocity)
+        model_velocity = np.concatenate([slow_velocity[k] for k in DEEP.param_shapes()], axis=None)
+        assert fast_state.velocity[0].tobytes() == model_velocity.tobytes()
+        assert fast_state.velocity[1].tobytes() == slow_velocity["cd_proj.w"].tobytes()
     assert all(fast[k].data.base is flat for k in DEEP.param_shapes())
-    vector = fast_state.velocity["fc1.w"].base
-    assert all(fast_state.velocity[k].base is vector for k in DEEP.param_shapes())
 
 
 @pytest.mark.parametrize("bad, named", [(("fc2.w", "fc3.b", "cd_proj.w"), "fc2.w"), (("cd_proj.w",), "cd_proj.w")])
 @pytest.mark.parametrize("kind", ["gradient", "update"])
 def test_a_non_finite_step_names_the_first_parameter_and_writes_nothing(bad, named, kind):
-    """The error names the first parameter, in params order, whose update is
-    not finite, and no parameter or velocity changes: not the checkpoint's
+    """The error names the first parameter, in the given order, whose update
+    is not finite, and no parameter or velocity changes: not the checkpoint's
     vector, whose own update is finite when only the standalone tensor fails."""
     flat, params = _flat_and_standalone(5)
     state = SgdState(lr=10.0, momentum=0.9, weight_decay=1e-3)
     rng = np.random.default_rng(8)
     for p in params.values():
         p.grad = 1e-3 * rng.normal(size=p.data.shape)
-    sgd_step(params, state)
-    values, velocity = _bits({k: p.data for k, p in params.items()}), _bits(state.velocity)
+    sgd_step(_pairs(flat, params), state)
+    values, velocity = _bits({k: p.data for k, p in params.items()}), [v.tobytes() for v in state.velocity]
     for name, p in params.items():
         p.grad = 1e-3 * rng.normal(size=p.data.shape)
         if name in bad:
             p.grad.flat[-1] = np.nan if kind == "gradient" else 1e308
     with pytest.raises(NonFiniteError) as exc:
-        sgd_step(params, state)
+        sgd_step(_pairs(flat, params), state)
     what = f"gradient of parameter {named!r}" if kind == "gradient" else f"parameter {named!r} after its update"
     assert str(exc.value) == f"non-finite value in {what}"
     assert _bits({k: p.data for k, p in params.items()}) == values
-    assert _bits(state.velocity) == velocity
+    assert [v.tobytes() for v in state.velocity] == velocity
     assert all(params[k].data.base is flat for k in DEEP.param_shapes())
 
 

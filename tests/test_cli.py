@@ -3,8 +3,12 @@ import os
 import pathlib
 import re
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -386,6 +390,23 @@ def test_flips_outputs(zoo_dir, tmp_path):
     assert csv_lines[0] == "teacher,student,delta_acc,rho_pos,entropy"
     assert len(csv_lines) == 7
     assert (out / "per_class_flips.csv").exists()
+
+
+def test_flips_keeps_freed_memory_before_its_first_forward(zoo_dir, tmp_path, monkeypatch):
+    """``main`` lets the allocator keep freed memory before it dispatches a
+    command, so flips' val forwards reuse their temporaries as training steps
+    do; the SIGTERM handler it installs is gone when it returns."""
+    import flipxfer.cli as cli
+    import flipxfer.transfer as transfer
+
+    events, forward = [], transfer.predict_classes
+    monkeypatch.setattr(cli, "keep_freed_memory", lambda: events.append("keep"))
+    monkeypatch.setattr(transfer, "predict_classes", lambda *a: events.append("forward") or forward(*a))
+    before = signal.getsignal(signal.SIGTERM)
+    cfg = _write(tmp_path / "flips.json", _flips_config(zoo_dir, tmp_path / "flips"))
+    assert main(["flips", "--config", cfg]) == 0
+    assert events[:2] == ["keep", "forward"] and events.count("keep") == 1
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_flips_rho_matches_brute_force(zoo_dir, tmp_path):
@@ -1283,6 +1304,50 @@ def test_sweep_starts_no_more_workers_than_runs(zoo_dir, tmp_path, monkeypatch):
     assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
 
+def _group_is_gone(pgid: int, wait: float = 5.0) -> bool:
+    """Whether no process is left in the process group ``pgid``, polled for ``wait`` seconds."""
+    deadline = time.monotonic() + wait
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.parametrize("sig, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"])
+def test_a_signalled_sweep_exits_with_its_code_and_leaves_no_worker(zoo_dir, tmp_path, sig, code):
+    """A signal to a ``--jobs 2`` sweep, once its workers run transfers far
+    longer than the test, ends it with one ``interrupted`` line after its
+    log, no traceback, no out, and no process left in its group: the
+    workers ignore the signal and the parent kills them."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "sw.json", _sweep_config(
+        zoo_dir, out, methods=["kl"], hyperparams={"lr": 0.01, "epochs": 10**6, "batch_size": 64, "seed": 1}))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "flipxfer.cli", "sweep", "--config", cfg, "--jobs", "2"]
+    # SIGINT at its default, so Python raises KeyboardInterrupt for it even
+    # when the tests run where SIGINT is ignored, as a shell's background job
+    restore = lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            preexec_fn=restore)
+    try:
+        log = proc.stderr.readline()  # written just before the pool starts
+        assert log.startswith("sweep: 6 pairs x 1 methods"), log
+        time.sleep(0.5)
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30) == code
+        assert proc.stderr.read() == "interrupted\n"
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.stderr.close()
+    assert not out.exists()
+    assert _group_is_gone(proc.pid)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_records_failed_runs_and_exits_3(zoo_dir, tmp_path, capsys, jobs):
     """A failing run no longer aborts the sweep: the finished runs are written
@@ -1361,6 +1426,19 @@ def test_zoo_whose_draw_cannot_be_allocated_exits_3_in_one_line(tmp_path, capsys
     assert main(["zoo", "--config", _write(tmp_path / "zoo.json", cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_zoo_model_whose_parameters_cannot_be_allocated_exits_3_in_one_line(tmp_path, capsys):
+    """An MLP of width 2**60 has more parameters than any address space
+    holds: exit 3 with one error line after the zoo's log, as a draw too
+    large ends, not numpy's "array is too big" traceback."""
+    cfg = _zoo_config(tmp_path / "out")
+    cfg["zoo"]["models"][0]["width"] = 2**60
+    assert main(["zoo", "--config", _write(tmp_path / "zoo.json", cfg)]) == 3
+    n = (8 + 1 + 4) * 2**60 + 4  # fc1.w and fc1.b over 8 dims, fc2.w and fc2.b into 4 classes
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [f"error: out of memory: Unable to allocate {8 * n} bytes for a model's {n} parameters"]
     assert not (tmp_path / "out").exists()
 
 
@@ -1529,13 +1607,19 @@ _JSON_VALUES = st.one_of(
 )
 
 
+# the sizes a config gives: their leaves also draw the smallest sizes and one
+# that no address space holds, never a mid-sized one that would really allocate
+_SIZE_LEAVES = ("samples", "image_size", "dims", "width")
+_SIZE_VALUES = st.one_of(_JSON_VALUES, st.sampled_from([1, 2, 2**60]))
+
+
 def _set_leaf(doc, data):
     """Replace one drawn leaf of ``doc`` with a drawn JSON value."""
     *parents, leaf = data.draw(st.sampled_from(_leaves(doc)))
     node = doc
     for k in parents:
         node = node[k]
-    node[leaf] = data.draw(_JSON_VALUES)
+    node[leaf] = data.draw(_SIZE_VALUES if leaf in _SIZE_LEAVES else _JSON_VALUES)
     return doc
 
 

@@ -519,7 +519,7 @@ def _trained(spec: ModelSpec, steps: int) -> Checkpoint:
             logits, _ = model_forward(spec, params, Tensor(x[i]), train=True, dropout_rng=drop)
             loss = xe_loss(logits, y[i])
         backward(tape, loss)
-        sgd_step(params, opt)
+        sgd_step([(ck.flat, params)], opt)
     return ck
 
 
@@ -723,7 +723,8 @@ def test_cnn_training_step_peak_memory():
     the heap was trimmed after every step, so each step page-faulted its
     temporaries back in."""
     spec = ModelSpec("cnn", 3, (1, 8, 8), 10, channels=(8, 8, 8))
-    params = as_tensors(build(spec, seed=3))
+    ck = build(spec, seed=3)
+    params = as_tensors(ck)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(64, 1, 8, 8)), rng.integers(0, 10, size=64)
     opt = SgdState(lr=0.05)
@@ -733,7 +734,7 @@ def test_cnn_training_step_peak_memory():
             logits, _ = model_forward(spec, params, Tensor(x), train=True)
             loss = xe_loss(logits, y)
         backward(tape, loss)
-        sgd_step(params, opt)
+        sgd_step([(ck.flat, params)], opt)
 
     step()  # fills the im2col index cache and the momentum state
     tracemalloc.start()

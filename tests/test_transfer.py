@@ -133,38 +133,36 @@ def test_xe_matches_oracle():
 
 
 def _mcl(tau, every=1):
-    slow = {"w": np.array([0.0, 0.0])}
-    fast = {"w": Tensor(np.array([1.0, 2.0]))}
-    return MclState(slow=slow, fast=fast, tau=tau, every=every)
+    return MclState(slow=np.array([0.0, 0.0]), fast=np.array([1.0, 2.0]), tau=tau, every=every)
 
 
 def test_mcl_tau_one_pins_slow_bitwise():
     state = _mcl(1.0)
-    before = state.slow["w"].copy()
+    before = state.slow.copy()
     for _ in range(9):
         mcl_interpolate(state)
-    assert np.array_equal(state.slow["w"], before)
+    assert np.array_equal(state.slow, before)
 
 
 def test_mcl_tau_zero_copies_fast():
     state = _mcl(0.0)
     mcl_interpolate(state)
-    assert np.array_equal(state.slow["w"], state.fast["w"].data)
+    assert np.array_equal(state.slow, state.fast)
 
 
 def test_mcl_momentum_value():
     state = _mcl(0.9999)
-    state.fast["w"].data = np.array([1.0, 1.0])
+    state.fast[...] = 1.0
     mcl_interpolate(state)
-    assert state.slow["w"][0] == pytest.approx(1e-4, rel=1e-9)
+    assert state.slow[0] == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_mcl_respects_interval():
     state = _mcl(0.5, every=2)
     mcl_interpolate(state)  # skipped
-    assert np.array_equal(state.slow["w"], [0.0, 0.0])
+    assert np.array_equal(state.slow, [0.0, 0.0])
     mcl_interpolate(state)  # applied
-    assert np.allclose(state.slow["w"], [0.5, 1.0])
+    assert np.allclose(state.slow, [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +417,9 @@ def test_cd_projection_steps_with_its_own_batch_gradient(monkeypatch):
 
     step, grads = transfer.sgd_step, []
 
-    def spy(params, opt):
-        grads.append(params["cd_proj.w"].grad.copy())
-        step(params, opt)
+    def spy(vectors, opt):
+        grads.append(vectors[-1][1]["cd_proj.w"].grad.copy())
+        step(vectors, opt)
 
     monkeypatch.setattr(transfer, "sgd_step", spy)
     full = _toy_dataset(3)
@@ -544,7 +542,7 @@ def test_sgd_epochs_reports_a_non_finite_loss_or_gradient_as_divergence(weight, 
     params = {"w": Tensor(np.zeros(1), requires_grad=True)}
     loss_fn = lambda b: ad.scale(ad.weighted_sum(params["w"], np.array([weight])), scale_by)
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as exc:
-        list(sgd_epochs(params, ad.SgdState(lr=0.1), 1, 1, 1, 0, loss_fn, "kl"))
+        list(sgd_epochs([(params["w"].data, params)], ad.SgdState(lr=0.1), 1, 1, 1, 0, loss_fn, "kl"))
     assert str(exc.value) == message
     assert np.array_equal(params["w"].data, [0.0])  # no update was applied
 
@@ -772,6 +770,45 @@ def _without_traces(fingerprint) -> list:
 
 def _at_cpus(monkeypatch, cpus):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class _FirstStep(Exception):
+    """Ends a transfer at its first SGD step, once the step's vectors are read."""
+
+
+@pytest.mark.parametrize("lam", [None, 1.0], ids=["default_lam", "lam_1"])
+@pytest.mark.parametrize("student_spec", [_MLP, _CNN], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("method, topk, teacher_width", [
+    *((m, None, 8) for m in METHODS), ("kl", 2, 8), ("cd", None, 5),
+])
+def test_every_objective_reaches_every_trainable_tensor(cnn_sets, monkeypatch, student_spec, method, topk,
+                                                        teacher_width, lam):
+    """At a transfer's first step every tensor that ``sgd_step`` is given
+    holds a gradient, for every method, ``kl`` with ``topk``, at the default
+    lam and at lam 1 (``xe`` still reaches the logits, through
+    ``scale(xe, 0.0)``), for an MLP and a CNN student, and with ``cd``'s
+    projection where the feature widths differ: the student's vector is tiled
+    by all of its parameters, so ``sgd_step`` never has to skip part of it."""
+    import flipxfer.transfer as transfer
+
+    seen = []
+
+    def spy(vectors, opt):
+        seen.extend((vector.size, {name: t.grad is not None for name, t in tensors.items()})
+                    for vector, tensors in vectors)
+        raise _FirstStep
+
+    monkeypatch.setattr(transfer, "sgd_step", spy)
+    train, val = cnn_sets[0], _fresh(cnn_sets[1])
+    hp = default_hyperparams(method, epochs=1, topk=topk, **({} if lam is None else {"lam": lam}))
+    teacher = build(replace(_MLP, width=teacher_width), 2)
+    with pytest.raises(_FirstStep):
+        run_transfer(build(student_spec, 1), teacher, method, hp, train, val)
+    projected = student_spec.feature_width() != teacher_width
+    assert (method == "cd" and projected) == (len(seen) == 2)
+    (size, reached), *proj = seen
+    assert size == student_spec.num_params() and list(reached) == list(student_spec.param_shapes())
+    assert all(reached.values()) and all(all(r.values()) for _, r in proj)
 
 
 @pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
