@@ -253,7 +253,7 @@ def cmd_zoo(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     specs: list[tuple[ModelSpec, TrainConfig]] = []
     names: list[str] = []
     for i, m in enumerate(resolved["zoo"]["models"]):
-        arch = {k: v for k, v in m.items() if k not in ("name", "train")} | {"channels": m["channels"] or None}
+        arch = {k: v for k, v in m.items() if k not in ("name", "train")}
         try:
             spec = ModelSpec(**arch, input_shape=train.input_shape, num_classes=train.num_classes)
         except ValueError as e:
@@ -486,9 +486,11 @@ def cmd_sweep(cfg: dict, args) -> tuple[int, dict, dict, dict]:
     methods = s["methods"]
     if not methods:
         raise ConfigError("sweep.methods: need a non-empty list")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"sweep.methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise ConfigError(f"sweep.methods: method {m!r} is listed twice")
     overrides = s["hyperparams"] or {}
     # either one flat override dict for every method, or a per-method mapping
     # (the resolved-config form, so reruns from it validate unchanged)

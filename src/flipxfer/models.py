@@ -2,19 +2,20 @@
 
 Two families are supported: plain MLPs (``depth`` affine layers of a fixed
 hidden ``width``) and small CNNs (one 3x3 same-padded conv per entry of
-``channels``, then global average pooling and an affine head).  Weights use
-Kaiming-uniform fan-in scaling, biases start at zero, and all parameters are
-float64 so checkpoints round-trip bit-exactly.
+``channels``, then global average pooling and an affine head), which differ
+only in ``ModelSpec.layers()``, the one table every reader of a spec uses.
+Weights use Kaiming-uniform fan-in scaling, biases start at zero, and all
+parameters are float64 so checkpoints round-trip bit-exactly.
 
 Checkpoint file layout: magic ``XFKZ``, one version byte, little-endian
 uint32 header length, UTF-8 JSON header (spec, parameter names and shapes,
-meta), then the raw little-endian float64 payload in header order: the
-checkpoint's ``flat`` vector, whose views are its parameters.  On load
-the header is typed by ``config.resolve``: its spec against the fields of
-``ModelSpec``, so a spec value follows the rule of a config value, and the
-meta keys a zoo writes (``val_accuracy``, ``name``, ``seed``) by ``typed``.
-Every parameter value must be finite: ``save`` refuses and ``load`` rejects
-any other, naming the file and the parameter.
+meta), then the raw little-endian float64 payload in header order: ``save``
+writes a checkpoint's ``flat`` in spec order; ``load`` lays any order out in
+spec order.  On load the header is typed by ``config.resolve``: its spec
+against the fields of ``ModelSpec``, so a spec value follows the rule of a
+config value, and the meta keys a zoo writes (``val_accuracy``, ``name``,
+``seed``) by ``typed``.  Every parameter value must be finite: ``save``
+refuses and ``load`` rejects any other, naming the file and the parameter.
 
 Eval forwards.  ``predict_logits`` and ``predict_features`` run the tape ops,
 whose einsum products make every row's bits independent of the batch; their
@@ -109,9 +110,13 @@ class ModelSpec:
         if any(d <= 0 for d in self.input_shape):
             raise ValueError("input_shape extents must be positive")
         if self.family == "mlp":
+            if self.channels is not None:
+                raise ValueError("an mlp spec reads no channels")
             if self.width is None or self.width < 1:
                 raise ValueError("mlp spec requires a positive width")
         else:
+            if self.width is not None:
+                raise ValueError("a cnn spec reads no width")
             if self.channels is None or len(self.channels) == 0:
                 raise ValueError("cnn spec requires a channel sequence")
             object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
@@ -122,33 +127,34 @@ class ModelSpec:
             if len(self.input_shape) != 3:
                 raise ValueError("cnn input_shape must be (channels, height, width)")
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Named parameter shapes in forward order."""
-        shapes: dict[str, tuple[int, ...]] = {}
+    def layers(self) -> list[tuple[str, str, int, int]]:
+        """The one listing of the architecture: (name, kind, inputs, outputs)
+        per layer in forward order, kind ``"affine"`` or ``"conv"`` (3x3, same
+        padding; its inputs and outputs are channels).  Every layer but the
+        last is followed by ReLU and dropout, and a CNN pools before its head."""
         if self.family == "mlp":
-            d_in = int(np.prod(self.input_shape))
-            dims = [d_in] + [self.width] * (self.depth - 1) + [self.num_classes]
-            for i in range(self.depth):
-                shapes[f"fc{i + 1}.w"] = (dims[i], dims[i + 1])
-                shapes[f"fc{i + 1}.b"] = (dims[i + 1],)
-        else:
-            cin = self.input_shape[0]
-            for i, cout in enumerate(self.channels):
-                shapes[f"conv{i + 1}.w"] = (cout, cin, 3, 3)
-                shapes[f"conv{i + 1}.b"] = (cout,)
-                cin = cout
-            shapes["head.w"] = (cin, self.num_classes)
-            shapes["head.b"] = (self.num_classes,)
+            dims = [math.prod(self.input_shape)] + [self.width] * (self.depth - 1) + [self.num_classes]
+            return [(f"fc{i + 1}", "affine", dims[i], dims[i + 1]) for i in range(self.depth)]
+        dims = [self.input_shape[0], *self.channels]
+        return [(f"conv{i + 1}", "conv", dims[i], dims[i + 1]) for i in range(self.depth)] + [
+            ("head", "affine", dims[-1], self.num_classes)
+        ]
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Named parameter shapes in forward order: per layer, ``<name>.w``
+        (inputs x outputs, or a conv's outputs x inputs x 3 x 3), then ``<name>.b``."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        for name, kind, cin, cout in self.layers():
+            shapes[f"{name}.w"] = (cout, cin, 3, 3) if kind == "conv" else (cin, cout)
+            shapes[f"{name}.b"] = (cout,)
         return shapes
 
     def num_params(self) -> int:
         return sum(math.prod(s) for s in self.param_shapes().values())
 
     def feature_width(self) -> int:
-        """Width of the pre-head representation (used by feature losses)."""
-        if self.family == "mlp":
-            return self.width if self.depth > 1 else int(np.prod(self.input_shape))
-        return self.channels[-1]
+        """Width of the pre-head representation (used by feature losses): the head's inputs."""
+        return self.layers()[-1][2]
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -161,57 +167,52 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
-    """A model's weights: ``params``' arrays are views into ``flat``, one
-    C-contiguous float64 vector in ``params`` order, which ``save`` writes as
-    the payload.  The constructor copies the arrays it is given into a new
-    ``flat``, so ``copy()`` is one vector copy; a pickle carries ``flat``,
-    not the views, and lays the views out again."""
+    """A model: its spec, its weights ``flat``, one C-contiguous float64 vector
+    in ``spec.param_shapes()`` order that ``save`` writes as the payload, and
+    meta.  The constructor keeps ``flat``, not a copy, so a checkpoint over a
+    row of a stacked array trains that row.  ``params`` are views of ``flat``,
+    laid out anew at each read; a pickle carries spec, flat and meta."""
 
     spec: ModelSpec
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
     meta: dict = field(default_factory=dict)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat = np.concatenate(list(self.params.values()), axis=None, dtype=np.float64)
-        self.params = _views(self.flat, {k: np.shape(v) for k, v in self.params.items()})
+        f, n = self.flat, self.spec.num_params()
+        if not (isinstance(f, np.ndarray) and f.dtype == np.float64 and f.shape == (n,) and f.flags.c_contiguous):
+            raise ValueError(f"a checkpoint's weights are one C-contiguous float64 vector of {n} values")
 
-    def __getstate__(self):
-        return self.spec, {k: v.shape for k, v in self.params.items()}, self.meta, self.flat
-
-    def __setstate__(self, state):
-        self.spec, shapes, self.meta, self.flat = state
-        self.params = _views(self.flat, shapes)
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return _views(self.flat, self.spec.param_shapes())
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(self.spec, self.params, dict(self.meta))
+        return Checkpoint(self.spec, self.flat.copy(), dict(self.meta))
 
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(digest(self.spec).encode())
-        for name in sorted(self.params):
+        for name, v in sorted(self.params.items()):  # names are unique: no array is compared
             h.update(name.encode())
-            h.update(self.params[name].astype("<f8").tobytes())
+            h.update(v.astype("<f8").tobytes())
         return h.hexdigest()[:16]
 
 
 def build(spec: ModelSpec, seed: int) -> Checkpoint:
-    """Initialize a checkpoint: Kaiming-uniform fan-in weights, zero biases;
-    ``MemoryError`` for parameters that no address space holds."""
+    """Initialize a checkpoint: Kaiming-uniform fan-in weights, drawn layer by
+    layer, zero biases; ``MemoryError`` for parameters that no address space holds."""
     if (n := spec.num_params()) * 8 > sys.maxsize:
         raise MemoryError(f"Unable to allocate {n * 8} bytes for a model's {n} parameters")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params: dict[str, np.ndarray] = {}
-    for name, shape in spec.param_shapes().items():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape)
-        else:
-            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
-            bound = math.sqrt(6.0 / fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape)
-    return Checkpoint(spec, params, {"seed": int(seed)})
+    ck = Checkpoint(spec, np.zeros(n), {"seed": int(seed)})
+    params = ck.params
+    for name, kind, cin, _ in spec.layers():
+        w = params[f"{name}.w"]
+        bound = math.sqrt(6.0 / (cin * 9 if kind == "conv" else cin))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return ck
 
 
 def model_forward(
@@ -226,28 +227,18 @@ def model_forward(
     Dropout fires only when train=True and the spec asks for it; eval-mode
     inference is a pure function of (params, input).
     """
-    n = x.data.shape[0]
+    layers = spec.layers()
     use_drop = train and spec.dropout > 0.0
     if use_drop and dropout_rng is None:
         raise ValueError("train-mode dropout requires a seeded generator")
-    if spec.family == "mlp":
-        h = reshape(x, (n, int(np.prod(spec.input_shape))))
-        feats = h
-        for i in range(spec.depth - 1):
-            h = relu(affine(h, params[f"fc{i + 1}.w"], params[f"fc{i + 1}.b"]))
-            if use_drop:
-                h = dropout(h, spec.dropout, dropout_rng)
-            feats = h
-        logits = affine(h, params[f"fc{spec.depth}.w"], params[f"fc{spec.depth}.b"])
-    else:
-        h = x
-        for i in range(len(spec.channels)):
-            h = relu(conv2d(h, params[f"conv{i + 1}.w"], params[f"conv{i + 1}.b"]))
-            if use_drop:
-                h = dropout(h, spec.dropout, dropout_rng)
-        feats = global_avg_pool(h)
-        logits = affine(feats, params["head.w"], params["head.b"])
-    return logits, feats
+    h = x if layers[0][1] == "conv" else reshape(x, (x.data.shape[0], layers[0][2]))
+    for name, kind, _, _ in layers[:-1]:
+        h = relu((conv2d if kind == "conv" else affine)(h, params[f"{name}.w"], params[f"{name}.b"]))
+        if use_drop:
+            h = dropout(h, spec.dropout, dropout_rng)
+    feats = global_avg_pool(h) if h.data.ndim == 4 else h
+    head = layers[-1][0]
+    return affine(feats, params[f"{head}.w"], params[f"{head}.b"]), feats
 
 
 def as_tensors(ck: Checkpoint) -> dict[str, Tensor]:
@@ -271,11 +262,10 @@ def eval_chunk_rows(spec: ModelSpec) -> int | None:
     Every conv keeps its input's height and width, so each layer's im2col holds
     h*w*cin*9 float64 values per row; the widest layer sets the chunk.
     """
-    if spec.family != "cnn":
+    convs = [cin for _, kind, cin, _ in spec.layers() if kind == "conv"]
+    if not convs:
         return None
-    c, h, w = spec.input_shape
-    widest = max((c, *spec.channels[:-1]))
-    return max(1, _EVAL_IM2COL_BYTES // (h * w * widest * 9 * 8))
+    return max(1, _EVAL_IM2COL_BYTES // (math.prod(spec.input_shape[1:]) * max(convs) * 9 * 8))
 
 
 def _eval_chunks(ck: Checkpoint, batch: np.ndarray, forward) -> list:
@@ -338,70 +328,64 @@ def _max_abs(h: np.ndarray) -> np.ndarray:
     return np.maximum(h.max(axis=axes), -h.min(axis=axes))
 
 
-def _layer_norms(ck: Checkpoint) -> list[tuple[np.ndarray, np.ndarray, float, float, int]]:
-    """Per affine or conv layer, in forward order: (W as a fan-in x out matrix,
-    b, ||W||, max|b|, fan-in K), where ||W|| is W's largest column sum of
+def _layer_norms(ck: Checkpoint) -> list[tuple[str, np.ndarray, np.ndarray, float, float, int]]:
+    """Per layer of ``spec.layers()``: (kind, W as a fan-in x out matrix, b,
+    ||W||, max|b|, fan-in K), where ||W|| is W's largest column sum of
     absolute values, the infinity norm of the map from a row to its outputs."""
-    layers = []
-    for name in (k.removesuffix(".w") for k in ck.spec.param_shapes() if k.endswith(".w")):
-        w, b = ck.params[f"{name}.w"], ck.params[f"{name}.b"]
-        if w.ndim == 4:  # a conv's rows in _bounded_logits' im2col order: kernel row, column, channel
-            w = w.transpose(2, 3, 1, 0).reshape(-1, len(w))
-        layers.append((w, b, float(np.abs(w).sum(axis=0).max()), float(np.abs(b).max()), len(w)))
+    layers, params = [], ck.params
+    for name, kind, _, cout in ck.spec.layers():
+        w, b = params[f"{name}.w"], params[f"{name}.b"]
+        if kind == "conv":  # rows in _conv_product's im2col order: kernel row, column, channel
+            w = w.transpose(2, 3, 1, 0).reshape(-1, cout)
+        layers.append((kind, w, b, float(np.abs(w).sum(axis=0).max()), float(np.abs(b).max()), len(w)))
     return layers
+
+
+def _conv_product(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The 3x3 same-padded conv product of NHWC ``h`` with ``w`` (``_layer_norms``'
+    matrix) by ``np.matmul``, one row per output pixel.  The im2col is built
+    for a third of the rows at a time, so a third of the block is in memory at once."""
+    n, hgt, wdt, cin = h.shape
+    xp = np.zeros((n, hgt + 2, wdt + 2, cin))
+    xp[:, 1 : 1 + hgt, 1 : 1 + wdt] = h
+    s, z, third = xp.strides, np.empty((n * hgt * wdt, w.shape[1])), max(1, -(-n // 3))
+    for i in range(0, n, third):
+        # per output pixel, kernel rows 0-2, each a run of three padded pixels' channels
+        k = min(third, n - i)
+        cols = np.lib.stride_tricks.as_strided(xp[i:], (k, hgt, wdt, 3, 3 * cin), (*s[:3], s[1], s[3]))
+        np.matmul(cols.reshape(k * hgt * wdt, 9 * cin), w, out=z[i * hgt * wdt : (i + k) * hgt * wdt])
+    return z
 
 
 def _bounded_logits(spec: ModelSpec, layers: list, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk's eval logits by ``np.matmul``, each row's error bound E, and
-    the largest magnitude of a sum its bound covers (the row's ``reach``).
+    the largest magnitude of a sum its bound covers (the row's ``reach``),
+    in one pass over ``layers`` (``_layer_norms``) for either family.
 
     Per row, delta starts at 0; an affine or conv layer sets it to ||W||
     delta + gamma_{K+1} (||W|| (m + 2 delta) + max|b|) + (K + 1) 2**-1074,
     m being the row's largest absolute input value; ReLU keeps it; the
-    average over P pixels adds gamma_{P+1} (m + 2 delta) + 2**-1074.  E is
-    its value at the logits (the module docstring proves it).  A conv builds
-    its im2col for a third of the rows at a time, so a third of the block is
-    in memory at once.
+    average over P pixels before a CNN's head adds gamma_{P+1} (m + 2 delta)
+    + 2**-1074.  E is its value at the logits (the module docstring proves it).
     """
     n = len(x)
     delta, reach = np.zeros(n), np.zeros(n)
-
-    def layer(z, m, w, b, norm, bias, k):
-        """The output, ``z`` (the product h @ w) plus the bias, and the bound past it."""
-        nonlocal delta, reach
+    h = x.transpose(0, 2, 3, 1) if layers[0][0] == "conv" else x.reshape(n, math.prod(spec.input_shape))  # NHWC
+    for i, (kind, w, b, norm, bias, k) in enumerate(layers):
+        if h.ndim == 4 and kind == "affine":  # a CNN's pooling
+            pixels, bound = h.shape[1] * h.shape[2], _max_abs(h) + 2 * delta
+            delta = delta + _gamma(pixels + 1) * bound + _TINY
+            reach = np.maximum(reach, pixels * bound)  # the pixel sum's magnitude
+            h = h.mean(axis=(1, 2))
+        z = _conv_product(h, w) if kind == "conv" else h @ w
         z += b
-        r = norm * (m + 2 * delta) + bias
+        r = norm * (_max_abs(h) + 2 * delta) + bias
         delta = norm * delta + _gamma(k + 1) * r + (k + 1) * _TINY
         reach = np.maximum(reach, r)
-        return z
-
-    if spec.family == "mlp":
-        h = x.reshape(n, math.prod(spec.input_shape))
-        for i, params in enumerate(layers):
-            h = layer(h @ params[0], _max_abs(h), *params)
-            if i < len(layers) - 1:
-                np.maximum(h, 0.0, out=h)
-        return h, delta, reach
-    _, hgt, wdt = spec.input_shape
-    h, third = x.transpose(0, 2, 3, 1), max(1, -(-n // 3))  # NHWC
-    for w, *params in layers[:-1]:
-        cin = h.shape[3]
-        xp = np.zeros((n, hgt + 2, wdt + 2, cin))
-        xp[:, 1 : 1 + hgt, 1 : 1 + wdt] = h
-        s, z = xp.strides, np.empty((n * hgt * wdt, w.shape[1]))
-        for i in range(0, n, third):
-            # im2col of a third of the rows: per output pixel, kernel rows 0-2,
-            # each a run of three padded pixels' channels
-            k = min(third, n - i)
-            cols = np.lib.stride_tricks.as_strided(xp[i:], (k, hgt, wdt, 3, 3 * cin), (*s[:3], s[1], s[3]))
-            np.matmul(cols.reshape(k * hgt * wdt, 9 * cin), w, out=z[i * hgt * wdt : (i + k) * hgt * wdt])
-        z = layer(z, _max_abs(h), w, *params)
-        h = np.maximum(z, 0.0, out=z).reshape(n, hgt, wdt, w.shape[1])
-    pixels, bound = hgt * wdt, _max_abs(h) + 2 * delta
-    delta = delta + _gamma(pixels + 1) * bound + _TINY
-    reach = np.maximum(reach, pixels * bound)  # the pixel sum's magnitude
-    feats = h.mean(axis=(1, 2))
-    return layer(feats @ layers[-1][0], _max_abs(feats), *layers[-1]), delta, reach
+        if i < len(layers) - 1:
+            np.maximum(z, 0.0, out=z)
+        h = z.reshape(*h.shape[:-1], w.shape[1])
+    return h, delta, reach
 
 
 def predict_classes(ck: Checkpoint, batch: np.ndarray) -> np.ndarray:
@@ -457,11 +441,11 @@ def save(ck: Checkpoint, path) -> None:
     """Write ``ck`` to ``path``, its ``flat`` as the payload, in one write; a
     non-finite parameter is refused before the file is opened."""
     _check_finite(path, ck)
-    names = list(ck.params.keys())
+    shapes = ck.spec.param_shapes()
     header = {
         "spec": asdict(ck.spec),
-        "names": names,
-        "shapes": {k: list(ck.params[k].shape) for k in names},
+        "names": list(shapes),
+        "shapes": {k: list(v) for k, v in shapes.items()},
         "meta": ck.meta,
     }
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
@@ -474,9 +458,9 @@ def save(ck: Checkpoint, path) -> None:
 
 
 def load(path) -> Checkpoint:
-    """Read a checkpoint ``save`` wrote: its ``flat`` is the payload, converted
-    in one copy; a non-finite parameter is rejected, naming the file and the
-    parameter."""
+    """Read a checkpoint ``save`` wrote: its ``flat`` is the payload, laid out
+    in spec order in one copy; a non-finite parameter is rejected, naming the
+    file and the parameter."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 5 or raw[:4] != MAGIC:
@@ -515,7 +499,8 @@ def load(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: payload holds {len(payload) // 8} floats, header declares {total}"
         )
-    # one copy of the payload, in the header's order, is the checkpoint's flat
-    ck = Checkpoint(spec, _views(np.frombuffer(payload, dtype="<f8"), {k: expected[k] for k in names}), meta)
+    # one copy of the payload, laid out in spec order, is the checkpoint's flat
+    parts = _views(np.frombuffer(payload, dtype="<f8"), {k: expected[k] for k in names})
+    ck = Checkpoint(spec, np.concatenate([parts[k] for k in expected], axis=None, dtype=np.float64), meta)
     _check_finite(path, ck)
     return ck

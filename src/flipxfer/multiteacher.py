@@ -150,7 +150,7 @@ def soup_transfer(
     # canonical merge order: by branch checkpoint digest, so teacher order
     # cannot change the floating-point sum
     ordered = [r.student_after for r in sorted(branches, key=lambda r: r.student_after.digest())]
-    student_after = Checkpoint(student_ck.spec, ordered[0].params, dict(student_ck.meta))  # a copy
+    student_after = Checkpoint(student_ck.spec, ordered[0].flat.copy(), dict(student_ck.meta))
     if any(ck.digest() != ordered[0].digest() for ck in ordered):  # equal branches merge to themselves
         student_after.flat[...] = sum(ck.flat for ck in ordered) / len(ordered)
     baseline = ValBaseline.measure(student_ck, [t for _, t in teachers], val_set)

@@ -142,12 +142,8 @@ def train_model(
 def _work(spec: ModelSpec, cfg: TrainConfig) -> int:
     """A training's size: multiply-adds per sample (every 3x3 conv keeps its
     input's size, so it runs at each input pixel) times epochs."""
-    pixels = int(np.prod(spec.input_shape[1:])) if spec.family == "cnn" else 1
-    per_sample = sum(
-        int(np.prod(shape)) * (pixels if name.startswith("conv") else 1)
-        for name, shape in spec.param_shapes().items()
-        if name.endswith(".w")
-    )
+    pixels = int(np.prod(spec.input_shape[1:]))
+    per_sample = sum(cin * cout * (9 * pixels if kind == "conv" else 1) for _, kind, cin, cout in spec.layers())
     return per_sample * cfg.epochs
 
 

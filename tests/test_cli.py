@@ -696,6 +696,17 @@ _BAD_VALUES = {
         _bad("zoo", "zoo.models.1", {"name": "mid", "family": "cnn", "depth": 2, "channels": [3]}),
         "zoo.models[1]: cnn depth must equal len(channels)",
     ),
+    # a value the family does not read trained, and went into the spec digest and the header
+    "zoo_cnn_width": (
+        _bad("zoo", "zoo.models.0", {"name": "wide", "family": "cnn", "depth": 1, "channels": [3], "width": 64}),
+        "zoo.models[0]: a cnn spec reads no width",
+    ),
+    "zoo_mlp_channels": (_bad("zoo", "zoo.models.1.channels", [9, 9]), "zoo.models[1]: an mlp spec reads no channels"),
+    "zoo_mlp_no_channels": (_bad("zoo", "zoo.models.1.channels", []), "zoo.models[1]: an mlp spec reads no channels"),
+    # a method listed twice ran, wrote and summarized each of its runs twice
+    "sweep_method_twice": (
+        _bad("sweep", "sweep.methods", ["kl", "kl_dp_sup", "kl"]), "sweep.methods: method 'kl' is listed twice"
+    ),
     # a NUL byte escaped main from os.makedirs; a bad subsample exited 3 or was ignored
     "out_nul": (_bad("zoo", "out", "o\0x"), "out"),
     # a NUL byte in an input path escaped main from open()
@@ -954,6 +965,18 @@ _BAD_SPECS = {
 }
 
 
+def test_checkpoint_spec_with_a_field_its_family_does_not_read_exits_3(zoo_dir, tmp_path, capsys):
+    """narrow is an MLP: a header spec that also lists channels is malformed,
+    not an MLP whose digest carries channels it ignores."""
+    zoo = _copy_zoo(zoo_dir, tmp_path / "zoo")
+    entry = next(e for e in json.loads((zoo / "manifest.json").read_text())["entries"] if e["name"] == "narrow")
+    _edit_header(zoo / entry["path"], _spec(channels=[3]))
+    conf = _transfer_config(zoo, tmp_path / "out")
+    assert main(["transfer", "--config", _write(tmp_path / "tr.json", conf)]) == 3
+    assert f"error: {zoo / entry['path']}: malformed header (an mlp spec reads no channels)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("edit, floats, key", list(_BAD_SPECS.values()), ids=list(_BAD_SPECS))
 def test_wrong_type_checkpoint_spec_exits_3_naming_file_and_key(zoo_dir, tmp_path, capsys, edit, floats, key):
     """A checkpoint spec value is typed as a config value is: each of these
@@ -1019,8 +1042,10 @@ def swapped_zoo(tmp_path_factory):
     assert [e["val_accuracy"] for e in doc["entries"]] == [1.0, 1.0]
     ck = models.load(out / right["path"])
     for name in ("wrong", "wrong2"):
-        params = dict(ck.params, **{k: np.roll(ck.params[k], 1, axis=-1) for k in ("fc2.w", "fc2.b")})
-        models.save(models.Checkpoint(ck.spec, params, dict(ck.meta, name=name, val_accuracy=0.0)), out / f"{name}.ckpt")
+        wrong = models.Checkpoint(ck.spec, ck.flat.copy(), dict(ck.meta, name=name, val_accuracy=0.0))
+        for k in ("fc2.w", "fc2.b"):
+            wrong.params[k][...] = np.roll(ck.params[k], 1, axis=-1)
+        models.save(wrong, out / f"{name}.ckpt")
         doc["entries"].append(right | {"name": name, "path": f"{name}.ckpt", "val_accuracy": 0.0})
     (out / "manifest.json").write_text(json.dumps(doc))
     return out

@@ -35,7 +35,7 @@ from flipxfer.models import (
     save,
 )
 from flipxfer.transfer import xe_loss
-from flipxfer.zoo import TrainConfig
+from flipxfer.zoo import TrainConfig, _work
 
 MLP = ModelSpec(family="mlp", depth=2, input_shape=(32,), num_classes=10, width=16)
 CNN = ModelSpec(family="cnn", depth=1, input_shape=(1, 8, 8), num_classes=10, channels=(4,))
@@ -49,6 +49,35 @@ def test_mlp_param_count_closed_form():
 def test_cnn_param_count_closed_form():
     # conv 1*4*9+4 plus head 4*10+10
     assert CNN.num_params() == 90
+
+
+# param_shapes (in order), num_params, feature_width and zoo._work at 2 epochs,
+# recorded before ModelSpec.layers() became their one source
+_SPEC_TABLE = [
+    ('mlp', 1, (8,), [(8, 5), (5,)], 45, 8, 80),
+    ('mlp', 1, (3, 4, 4), [(48, 5), (5,)], 245, 48, 480),
+    ('cnn', 1, (1, 5, 5), [(4, 1, 3, 3), (4,), (4, 5), (5,)], 65, 4, 1840),
+    ('cnn', 1, (3, 4, 4), [(4, 3, 3, 3), (4,), (4, 5), (5,)], 137, 4, 3496),
+    ('mlp', 2, (8,), [(8, 6), (6,), (6, 5), (5,)], 89, 6, 156),
+    ('mlp', 2, (3, 4, 4), [(48, 6), (6,), (6, 5), (5,)], 329, 6, 636),
+    ('cnn', 2, (1, 5, 5), [(4, 1, 3, 3), (4,), (7, 4, 3, 3), (7,), (7, 5), (5,)], 339, 7, 14470),
+    ('cnn', 2, (3, 4, 4), [(4, 3, 3, 3), (4,), (7, 4, 3, 3), (7,), (7, 5), (5,)], 411, 7, 11590),
+    ('mlp', 3, (8,), [(8, 6), (6,), (6, 6), (6,), (6, 5), (5,)], 131, 6, 228),
+    ('mlp', 3, (3, 4, 4), [(48, 6), (6,), (6, 6), (6,), (6, 5), (5,)], 371, 6, 708),
+    ('cnn', 3, (1, 5, 5), [(4, 1, 3, 3), (4,), (7, 4, 3, 3), (7,), (2, 7, 3, 3), (2,), (2, 5), (5,)], 442, 2, 20720),
+    ('cnn', 3, (3, 4, 4), [(4, 3, 3, 3), (4,), (7, 4, 3, 3), (7,), (2, 7, 3, 3), (2,), (2, 5), (5,)], 514, 2, 15572),
+]
+
+
+@pytest.mark.parametrize("family, depth, shape, shapes, n, features, work", _SPEC_TABLE)
+def test_every_quantity_of_a_spec_is_pinned(family, depth, shape, shapes, n, features, work):
+    """MLPs over flat and image inputs and CNNs over two image shapes, depths 1-3."""
+    arch = {"width": 6} if family == "mlp" else {"channels": (4, 7, 2)[:depth]}
+    spec = ModelSpec(family, depth, shape, 5, **arch)
+    assert list(spec.param_shapes().values()) == shapes
+    layers = [f"fc{i}" for i in range(1, depth + 1)] if family == "mlp" else [f"conv{i}" for i in range(1, depth + 1)] + ["head"]
+    assert list(spec.param_shapes()) == [f"{name}.{p}" for name in layers for p in "wb"]
+    assert (spec.num_params(), spec.feature_width(), _work(spec, TrainConfig(epochs=2))) == (n, features, work)
 
 
 def test_build_is_deterministic():
@@ -77,7 +106,7 @@ def test_unsupported_family_rejected():
 
 def test_zero_weight_model_gives_uniform_softmax():
     ck = build(MLP, seed=0)
-    ck = Checkpoint(ck.spec, {k: np.zeros_like(v) for k, v in ck.params.items()}, {})
+    ck = Checkpoint(ck.spec, np.zeros_like(ck.flat), {})
     logits = predict_logits(ck, np.random.default_rng(0).normal(size=(5, 32)))
     assert np.array_equal(logits, np.zeros((5, 10)))
     assert np.allclose(np_softmax(logits), 0.1, atol=1e-15)
@@ -484,27 +513,62 @@ class _ArrayCounter(pickle.Pickler):
 
 
 def test_every_checkpoint_is_views_of_one_vector(tmp_path):
-    """build, load, copy, the constructor and a pickle round trip each lay
-    the parameters out as views of one new vector in params order, which is
-    the payload order; a pickle carries that vector alone."""
+    """build, load, copy and a pickle round trip each lay the parameters out
+    as views of one new vector in params order, which is the payload order;
+    a pickle carries that vector alone."""
     ck = build(CNN, seed=9)
     save(ck, tmp_path / "m.ckpt")
     assert (tmp_path / "m.ckpt").read_bytes().endswith(ck.flat.astype("<f8").tobytes())
-    arrays = {k: v.copy() for k, v in ck.params.items()}
     made = [
         load(tmp_path / "m.ckpt"),
         ck.copy(),
-        Checkpoint(CNN, arrays),
         *(pickle.loads(pickle.dumps(ck, protocol=p)) for p in (4, 5)),
     ]
     for other in [ck, *made]:
         _assert_flat(other)
         assert list(other.params) == list(CNN.param_shapes())
         assert other.flat.tobytes() == ck.flat.tobytes()
-    assert not any(np.shares_memory(o.flat, ck.flat) or np.shares_memory(o.flat, arrays["head.w"]) for o in made)
+    assert not any(np.shares_memory(o.flat, ck.flat) for o in made)
     counter = _ArrayCounter()
     counter.dump(ck)
     assert counter.arrays == 1
+
+
+def test_a_checkpoint_over_a_row_of_a_stack_trains_that_row():
+    """The constructor keeps the vector it is given: a checkpoint over row i
+    of a (K, P) array is a view of that row, and SGD on it steps the row in
+    place, leaving the other rows as they were."""
+    stack = np.stack([build(MLP, seed=s).flat for s in range(3)])
+    before = stack.copy()
+    ck = Checkpoint(MLP, stack[1])
+    assert np.shares_memory(ck.flat, stack[1]) and not np.shares_memory(ck.flat, stack[0::2])
+    _assert_flat(ck)
+    params = as_tensors(ck)
+    with Tape() as tape:
+        logits, _ = model_forward(MLP, params, Tensor(np.random.default_rng(0).normal(size=(8, 32))))
+        loss = xe_loss(logits, np.arange(8) % 10)
+    backward(tape, loss)
+    sgd_step([(ck.flat, params)], SgdState(lr=0.1, momentum=0.9, weight_decay=1e-3))
+    assert not np.array_equal(stack[1], before[1])
+    assert np.array_equal(stack[[0, 2]], before[[0, 2]])
+
+
+@pytest.mark.parametrize("flat", [
+    np.zeros(MLP.num_params() - 1),
+    np.zeros(MLP.num_params() + 1),
+    np.zeros(MLP.num_params(), dtype=np.float32),
+    np.zeros((1, MLP.num_params())),
+    np.zeros(2 * MLP.num_params())[::2],
+    list(np.zeros(MLP.num_params())),
+], ids=["short", "long", "float32", "2d", "strided", "list"])
+def test_a_checkpoint_refuses_weights_of_the_wrong_length_dtype_or_layout(flat):
+    with pytest.raises(ValueError, match=f"one C-contiguous float64 vector of {MLP.num_params()} values"):
+        Checkpoint(MLP, flat)
+
+
+def test_checkpoints_compare_by_identity():
+    ck = build(MLP, seed=0)
+    assert ck == ck and ck != ck.copy()
 
 
 def _trained(spec: ModelSpec, steps: int) -> Checkpoint:
@@ -589,6 +653,28 @@ def _rewrite_header(path, edit, floats=None):
     blob = json.dumps(edit(json.loads(raw[9 : 9 + hlen])), sort_keys=True).encode()
     payload = raw[9 + hlen :] if floats is None else np.zeros(floats).tobytes()
     path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def test_a_header_listing_its_parameters_in_another_order_loads_in_spec_order(tmp_path):
+    """A header whose names are permuted, with its payload in that order,
+    loads with every named array equal, laid out in spec order; saved back,
+    it is the file ``save`` writes."""
+    ck = build(MLP, seed=5)
+    path = tmp_path / "model.ckpt"
+    save(ck, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9 : 9 + hlen])
+    header["names"] = names = ["fc2.b", "fc1.w", "fc2.w", "fc1.b"]
+    blob = json.dumps(header, sort_keys=True).encode()
+    payload = b"".join(ck.params[k].tobytes() for k in names)
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + payload)
+    back = load(path)
+    _assert_flat(back)
+    assert list(back.params) == list(MLP.param_shapes())
+    assert all(np.array_equal(back.params[k], ck.params[k]) for k in names)
+    save(back, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == raw
 
 
 def test_header_shape_disagreement_detected(tmp_path):
@@ -692,7 +778,7 @@ def test_meta_of_every_kind_the_program_writes_loads_unchanged(tmp_path):
     ]
     path = tmp_path / "model.ckpt"
     for meta in metas:
-        save(Checkpoint(MLP, build(MLP, seed=0).params, meta), path)
+        save(Checkpoint(MLP, build(MLP, seed=0).flat, meta), path)
         assert repr(sorted(load(path).meta.items())) == repr(sorted(meta.items()))  # types too: 3 is not 3.0
     _rewrite_header(path, _meta(val_accuracy=1))
     assert load(path).meta["val_accuracy"] == 1.0 and type(load(path).meta["val_accuracy"]) is float
@@ -703,7 +789,7 @@ def test_header_never_holds_nan_or_infinity(tmp_path, value):
     """save refuses a meta value JSON does not have, and load rejects a header holding one."""
     path = tmp_path / "model.ckpt"
     with pytest.raises(ValueError, match="JSON compliant"):
-        save(Checkpoint(MLP, build(MLP, seed=0).params, {"note": value}), path)
+        save(Checkpoint(MLP, build(MLP, seed=0).flat, {"note": value}), path)
     _rewrite_header(path, _meta(note=value))
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: malformed header \(header: .* is not JSON"):
         load(path)
