@@ -117,9 +117,12 @@ def parallel_transfer(
     # tie-breaking uses the given teacher sequence, so no reordering here;
     # kl compares maximum probabilities, as the unsupervised rule does
     rule = "kl_dp_sup" if method == "kl_dp_sup" else "kl_dp_unsup"
-    baseline, per_epoch, student_after, winner = distill(
-        student_ck, teachers, rule, hp, transfer_set, val_set, student_name
-    )
+    try:
+        baseline, per_epoch, student_after, winner = distill(
+            student_ck, teachers, rule, hp, transfer_set, val_set, student_name
+        )
+    except TrainingDivergedError as e:  # it names the rule; the run is the method's
+        raise TrainingDivergedError(method, e.epoch, e.step, e.value, e.what) from e
     source_share = np.bincount(winner, minlength=len(teachers) + 1) / transfer_set.n
     res = baseline.result(
         method, hp, per_epoch, student_after, f"parallel[{'+'.join(n for n, _ in teachers)}]", student_name,

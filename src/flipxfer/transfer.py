@@ -25,10 +25,9 @@ document, the one record of a transfer.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import asdict, dataclass, field
-from queue import Empty, SimpleQueue
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -460,16 +459,14 @@ def val_correct(ck: Checkpoint, val_set: Dataset) -> np.ndarray:
     proof is in ``models``' docstring); the other rows take the argmax of
     ``predict_logits``.  The flags are ``correct_flags(predict_logits(...))``
     bit for bit.
-    ``distill``'s two threads write one set's memo at once: each
-    stores distinct states, a dict store is atomic under the GIL, and a state
-    both forward (equal weights reached twice) gives equal bits, of which the
-    memo keeps the first stored."""
+    A transfer's memo has one writer at a time: ``distill``'s helper while
+    SGD runs, then the calling thread once the helper is joined."""
     key = ck.digest()
     flags = val_set.correct.get(key)
     if flags is None:
         flags = predict_classes(ck, val_set.inputs) == val_set.labels
         flags.flags.writeable = False
-        flags = val_set.correct.setdefault(key, flags)
+        val_set.correct[key] = flags
     return flags
 
 
@@ -589,16 +586,15 @@ def distill(
 
     SGD never reads the val forwards, so they run beside it through an eval
     queue (``pool.thread_map`` of two jobs): SGD in this thread, which keeps
-    its tape, error state and signals, and in one helper thread the queue:
-    the student and each teacher, queued before SGD starts, then each
-    finished epoch's weights (MCL: slow, then fast) as SGD queues them.  When
-    SGD ends this thread drains the queue beside the helper; either thread
-    may forward any queued state.  SGD queues one stop per consumer however
-    it ends, so the helper is joined before this returns or raises.  A
-    diverged SGD drops every state no thread has taken, and raises
-    ``TrainingDivergedError`` naming the method; otherwise an error of this
-    thread's forwards is raised, else the helper's.  With one usable CPU both
-    jobs run here, SGD first, then the whole queue.
+    its tape, error state and signals and forwards nothing, and in one helper
+    thread the queue's one consumer, which forwards in order the student and
+    each teacher, queued before SGD starts, then each finished epoch's
+    weights (MCL: slow, then fast) as SGD queues them.  SGD queues one stop
+    however it ends, so the helper forwards every state queued before it and
+    is joined before this returns or raises.  SGD's error is raised (a
+    divergence as ``TrainingDivergedError`` naming the method), else the
+    helper's.  With one usable CPU both jobs run here, SGD first, then the
+    whole queue.
     """
     if method not in METHODS:
         raise TransferError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -650,7 +646,7 @@ def distill(
 
     train_loss: list[float] = []
     states: list[list[Checkpoint]] = []  # per epoch, its weights (MCL: slow, then fast)
-    queue: SimpleQueue = SimpleQueue()  # checkpoints to forward over val; None stops a consumer
+    queue: SimpleQueue = SimpleQueue()  # checkpoints to forward over val; None stops the helper
     for ck in (student_ck, *teacher_cks):
         queue.put(ck)
 
@@ -669,15 +665,8 @@ def distill(
                 states.append([kept.copy(), trained.copy()] if after_step else [kept.copy()])
                 for ck in states[-1]:
                     queue.put(ck)
-        except BaseException:
-            with contextlib.suppress(Empty):  # a run that raised has no report to read
-                while True:
-                    queue.get_nowait()
-            raise
         finally:
-            queue.put(None)  # one per consumer: this thread and the helper
             queue.put(None)
-        forward_queued()
 
     thread_map(lambda job: job(), [train, forward_queued])
     baseline = ValBaseline.measure(student_ck, teacher_cks, val_set)

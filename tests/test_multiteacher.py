@@ -5,7 +5,9 @@ import pytest
 
 from flipxfer.data import Dataset, SyntheticConfig, train_val_pair
 from flipxfer.models import ModelSpec, predict_logits
-from flipxfer.transfer import TransferError, TransferHyperparams, ValBaseline, distill, run_transfer
+from flipxfer.transfer import (
+    TrainingDivergedError, TransferError, TransferHyperparams, ValBaseline, distill, run_transfer,
+)
 from flipxfer.multiteacher import parallel_transfer, sequential_transfer, soup_transfer
 from flipxfer.zoo import TrainConfig, train_model
 
@@ -94,6 +96,16 @@ def test_parallel_unsupervised_mode_runs(setup):
     train, val, student, teachers = setup
     res = parallel_transfer(student, list(teachers.items()), "kl_dp_unsup", HP, train, val)
     assert np.isfinite(res.doc["delta_transf"])
+
+
+@pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "kl_dp_unsup"])
+def test_a_diverging_parallel_transfer_names_its_method(setup, method):
+    """A parallel run trains under a DP rule, but its divergence names the
+    method it was asked for, as a single-teacher run's does."""
+    train, val, student, teachers = setup
+    with pytest.raises(TrainingDivergedError, match=f"^{method}: non-finite") as err:
+        parallel_transfer(student, list(teachers.items()), method, replace(HP, lr=1e200), train, val)
+    assert err.value.who == method
 
 
 def test_soup_identical_branches_bitwise(setup):

@@ -813,11 +813,11 @@ def test_every_objective_reaches_every_trainable_tensor(cnn_sets, monkeypatch, s
 
 @pytest.mark.parametrize("method", ["kl", "kl_dp_sup", "xe_kl_mcl", "cd"])
 def test_run_transfer_bits_do_not_depend_on_usable_cpus(cnn_sets, monkeypatch, method):
-    """SGD in this thread, the queued forwards in a helper and, once SGD
-    ends, in this thread too (each chunked eval may start another), give the
-    one-CPU report, checkpoint and traces; without ``forward_epochs``, the
-    same report and checkpoint and no traces. Each run has a val set of its
-    own, so each forwards every state itself, once."""
+    """SGD in this thread and the queued forwards in a helper (each chunked
+    eval may start another) give the one-CPU report, checkpoint and traces;
+    without ``forward_epochs``, the same report and checkpoint and no traces.
+    Each run has a val set of its own, so each forwards every state itself,
+    once."""
     train, val = cnn_sets
     hp = default_hyperparams(method, lr=0.05, epochs=2, batch_size=32, seed=3, mcl_every=1)
     calls = count_val_forwards(monkeypatch, val)
@@ -934,23 +934,33 @@ def _loss_hook(monkeypatch, hook):
     monkeypatch.setattr(transfer, "soft_target_kl", lambda *a: ad.scale(kl(*a), np.nan if hook(next(steps)) else 1.0))
 
 
+def _hold_until_joined(monkeypatch) -> threading.Event:
+    """An event set when this thread first joins a helper: a helper forward
+    that waits on it holds the queue until SGD has ended."""
+    joined = threading.Event()
+    join = threading.Thread.join
+    monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joined.set() or join(self, *a))
+    return joined
+
+
 def test_the_baseline_runs_in_a_helper_thread_beside_sgd(cnn_sets, monkeypatch):
-    """At 2 CPUs the student's and teacher's val forwards run in one helper
-    thread; each epoch's weights in that helper or, once SGD ends, in this
-    thread; the report's forward of the trained weights is the last epoch's."""
+    """At 2 CPUs every val forward runs in one helper thread, in queue order:
+    the student's forward waits until SGD has ended and this thread joins the
+    helper, so every epoch's weights are still queued then, and this thread
+    forwards none of them. The report's forward of the trained weights is
+    the last epoch's."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    forwards = _val_forwards(monkeypatch, val)
-    before = threading.active_count()
+    joined = _hold_until_joined(monkeypatch)
     student, teacher = build(_CNN, 1), build(_MLP, 2)
-    res = run_transfer(student, teacher, "kl", HP, train, val)
-    by_state = dict(forwards)
-    assert len(forwards) == len(by_state) == 2 + HP.epochs
-    helper = by_state[student.digest()]
-    assert helper is by_state[teacher.digest()] is not threading.current_thread()
-    assert set(by_state.values()) <= {helper, threading.current_thread()}
-    assert res.student_after.digest() in by_state
+    forwards = _val_forwards(monkeypatch, val, before=lambda ck: ck.digest() != student.digest() or joined.wait(10))
+    before = threading.active_count()
+    res = run_transfer(student, teacher, "kl", replace(HP, epochs=3), train, val)
     assert threading.active_count() == before
+    digests, threads = zip(*forwards)
+    assert len(set(digests)) == len(digests) == 5
+    assert digests[:2] == (student.digest(), teacher.digest()) and digests[-1] == res.student_after.digest()
+    assert set(threads) == {threads[0]} and threads[0] is not threading.current_thread()
 
 
 def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
@@ -967,33 +977,35 @@ def test_with_one_usable_cpu_a_transfer_starts_no_thread(cnn_sets, monkeypatch):
 
 def test_a_diverged_sgd_leaves_no_thread_running(cnn_sets, monkeypatch):
     """SGD diverges at its first step once the helper has taken the student,
-    whose forward then waits for the join: the teacher, still queued, is
-    dropped, and the divergence is raised once the helper is joined."""
+    whose forward then waits for the join: the divergence is raised once the
+    helper is joined, and the helper still forwards the teacher, queued
+    before the stop."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
-    taken, joined = threading.Event(), threading.Event()
-    join = threading.Thread.join
-    monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joined.set() or join(self, *a))
+    taken, joined = threading.Event(), _hold_until_joined(monkeypatch)
     forwards = _val_forwards(monkeypatch, val, before=lambda ck: taken.set() or joined.wait(10))
     _loss_hook(monkeypatch, lambda step: not taken.wait(10))  # the first step waits; lr 1e308 diverges it
-    student = build(_CNN, 1)
+    student, teacher = build(_CNN, 1), build(_MLP, 2)
     before = threading.active_count()
     with pytest.raises(TrainingDivergedError, match="kl: non-finite"):
-        run_transfer(student, build(_MLP, 2), "kl", replace(HP, lr=1e308), train, val)
+        run_transfer(student, teacher, "kl", replace(HP, lr=1e308), train, val)
     assert threading.active_count() == before
-    assert [s for s, _ in forwards] == [student.digest()] and forwards[0][1] is not threading.current_thread()
+    assert [s for s, _ in forwards] == [student.digest(), teacher.digest()]
+    assert forwards[0][1] is forwards[1][1] is not threading.current_thread()
 
 
-def test_sgd_diverging_with_epochs_queued_drops_them_and_leaves_no_thread_running(cnn_sets, monkeypatch):
+def test_sgd_diverging_with_epochs_queued_forwards_them_and_leaves_no_thread_running(cnn_sets, monkeypatch):
     """SGD diverges at epoch 2 once the helper has taken the teacher, whose
-    forward then waits for the join: the two queued epochs are dropped, the
-    helper forwards only the baseline, and the divergence is raised."""
+    forward then waits for the join: the divergence is raised once the helper
+    is joined, and the helper forwards the two epochs queued before the stop,
+    in order, the weights a 2-epoch run ends with last."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
-    _at_cpus(monkeypatch, 2)
     student, teacher = build(_CNN, 1), build(_MLP, 2)
-    taken, joined = threading.Event(), threading.Event()
-    join = threading.Thread.join
-    monkeypatch.setattr(threading.Thread, "join", lambda self, *a: joined.set() or join(self, *a))
+    ref_val = _fresh(val)
+    trained = run_transfer(student, teacher, "kl", HP, train, ref_val).student_after.digest()
+    first = set(ref_val.correct) - {student.digest(), teacher.digest(), trained}
+    _at_cpus(monkeypatch, 2)
+    taken, joined = threading.Event(), _hold_until_joined(monkeypatch)
 
     def teacher_waits(ck):
         if ck.digest() == teacher.digest():
@@ -1006,14 +1018,14 @@ def test_sgd_diverging_with_epochs_queued_drops_them_and_leaves_no_thread_runnin
     with pytest.raises(TrainingDivergedError, match="kl: non-finite loss nan at epoch 2, step 0"):
         run_transfer(student, teacher, "kl", replace(HP, epochs=3), train, val)
     assert threading.active_count() == before
-    assert [s for s, _ in forwards] == [student.digest(), teacher.digest()]
-    assert forwards[0][1] is forwards[1][1] is not threading.current_thread()
+    assert [s for s, _ in forwards] == [student.digest(), teacher.digest(), *first, trained]
+    assert len({t for _, t in forwards}) == 1 and forwards[0][1] is not threading.current_thread()
 
 
 def test_an_epoch_forward_failing_in_the_helper_beside_sgd_reaches_the_caller(cnn_sets, monkeypatch):
     """The helper's forward of epoch 0 raises while SGD waits at epoch 1; SGD
-    ends, this thread forwards the later epochs, and the helper's error is
-    raised once it is joined."""
+    ends, the helper's error is raised once it is joined, and this thread
+    forwards none of the later epochs."""
     train, val = cnn_sets[0], _fresh(cnn_sets[1])
     _at_cpus(monkeypatch, 2)
     student, teacher = build(_CNN, 1), build(_MLP, 2)
@@ -1033,32 +1045,7 @@ def test_an_epoch_forward_failing_in_the_helper_beside_sgd_reaches_the_caller(cn
     assert threading.active_count() == threads
     helper = forwards[0][1]
     assert helper is not threading.current_thread()
-    assert [t for _, t in forwards] == [helper] * 3 + [threading.current_thread()] * 2
-
-
-def test_a_forward_failing_in_the_training_threads_drain_reaches_the_caller(cnn_sets, monkeypatch):
-    """The helper's first forward waits until this thread's drain has failed;
-    the helper then forwards the rest of the queue, and this thread's error is
-    raised once it is joined."""
-    train, val = cnn_sets[0], _fresh(cnn_sets[1])
-    _at_cpus(monkeypatch, 2)
-    failed = threading.Event()
-    me = threading.current_thread()
-
-    def before(ck):
-        if threading.current_thread() is not me:
-            failed.wait(10)
-        elif not failed.is_set():
-            failed.set()
-            _raise(ArithmeticError("drain forward"))
-
-    forwards = _val_forwards(monkeypatch, val, before=before)
-    threads = threading.active_count()
-    with pytest.raises(ArithmeticError, match="drain forward"):
-        run_transfer(build(_CNN, 1), build(_MLP, 2), "kl", replace(HP, epochs=3), train, val)
-    assert threading.active_count() == threads
-    # this thread's drain took the first epoch; the helper, the baseline and the other two
-    assert len(forwards) == 5 and [t is me for _, t in forwards].count(True) == 1
+    assert [t for _, t in forwards] == [helper] * 3
 
 
 def test_a_baseline_error_reaches_the_caller_and_leaves_no_thread_running(cnn_sets, monkeypatch):
