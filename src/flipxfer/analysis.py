@@ -27,9 +27,8 @@ import numpy as np
 __all__ = [
     "AnalysisError",
     "FlipStats",
-    "predictions",
-    "correct_flags",
     "positive_flips",
+    "flip_stats_from_flags",
     "flip_entropy",
     "classes_by_flips",
     "top_share_classes",
@@ -62,15 +61,6 @@ class FlipStats:
         return int(self.per_class_counts.sum())
 
 
-def predictions(logits: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties go to the lowest class index."""
-    return np.argmax(np.asarray(logits), axis=1)
-
-
-def correct_flags(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return predictions(logits) == np.asarray(labels)
-
-
 def positive_flips(
     teacher_logits: np.ndarray, student_logits: np.ndarray, labels: np.ndarray
 ) -> FlipStats:
@@ -84,7 +74,7 @@ def positive_flips(
         )
     if teacher_logits.shape[0] != labels.shape[0]:
         raise AnalysisError("labels do not align with logits")
-    flags = (predictions(teacher_logits) == labels) & (predictions(student_logits) != labels)
+    flags = (np.argmax(teacher_logits, axis=1) == labels) & (np.argmax(student_logits, axis=1) != labels)
     return flip_stats_from_flags(flags, labels, teacher_logits.shape[1])
 
 
@@ -100,7 +90,7 @@ def flip_entropy(stats: FlipStats) -> float | None:
     if total == 0:
         return None
     p = stats.per_class_counts[stats.per_class_counts > 0] / total
-    return float(-np.sum(p * np.log(p)))
+    return float(0.0 - np.sum(p * np.log(p)))  # 0 - s, not -s: one class gives +0.0
 
 
 def classes_by_flips(stats: FlipStats) -> np.ndarray:

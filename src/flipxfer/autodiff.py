@@ -44,11 +44,12 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    """Operand shapes do not conform; records the op name and the shapes."""
+    """Operand shapes do not conform; records the op name and the shapes,
+    whose dims are ints or, where a check expects only a rank, names."""
 
     def __init__(self, op: str, *shapes):
         self.op = op
-        self.shapes = tuple(tuple(int(d) for d in s) for s in shapes)
+        self.shapes = tuple(tuple(d if isinstance(d, str) else int(d) for d in s) for s in shapes)
         shown = " vs ".join(str(s) for s in self.shapes)
         super().__init__(f"{op}: incompatible shapes {shown}")
 
@@ -72,10 +73,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def item(self) -> float:
         return float(self.data)
@@ -309,7 +306,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("conv2d(input)", x.data.shape, ("n", "c", "h", "w"))
     n, cin, h, wdt = x.data.shape
     if w.data.ndim != 4 or w.data.shape[1:] != (cin, 3, 3):
-        raise ShapeError("conv2d(kernel)", w.data.shape, (x.data.shape))
+        raise ShapeError("conv2d(kernel)", w.data.shape, (w.data.shape[0] if w.data.ndim else "cout", cin, 3, 3))
     cout = w.data.shape[0]
     if b.data.shape != (cout,):
         raise ShapeError("conv2d(bias)", b.data.shape, (cout,))

@@ -353,16 +353,7 @@ def cmd_flips(cfg: dict, args) -> tuple[int, dict, dict, dict]:
             cnt = int(stats.per_class_counts[k])
             if cnt == 0:
                 break
-            per_class_rows.append(
-                (
-                    teacher.name,
-                    student.name,
-                    rank,
-                    int(k),
-                    cnt,
-                    cnt / int(class_sizes[k]) if class_sizes[k] else None,
-                )
-            )
+            per_class_rows.append((teacher.name, student.name, rank, int(k), cnt, cnt / int(class_sizes[k])))
     files = {
         "flips.json": partial(write_json, {"pairs": records}),
         "per_class_flips.csv": partial(

@@ -9,13 +9,14 @@ parameters are float64 so checkpoints round-trip bit-exactly.
 
 Checkpoint file layout: magic ``XFKZ``, one version byte, little-endian
 uint32 header length, UTF-8 JSON header (spec, parameter names and shapes,
-meta), then the raw little-endian float64 payload in header order: ``save``
-writes a checkpoint's ``flat`` in spec order; ``load`` lays any order out in
-spec order.  On load the header is typed by ``config.resolve``: its spec
-against the fields of ``ModelSpec``, so a spec value follows the rule of a
-config value, and the meta keys a zoo writes (``val_accuracy``, ``name``,
-``seed``) by ``typed``.  Every parameter value must be finite: ``save``
-refuses and ``load`` rejects any other, naming the file and the parameter.
+meta), then the raw little-endian float64 payload: a checkpoint's ``flat``,
+in spec order, the order the header's names list.  ``load`` reads only that
+layout, the one ``save`` writes.  On load the header is typed by
+``config.resolve``: its spec against the fields of ``ModelSpec``, so a spec
+value follows the rule of a config value, and the meta keys a zoo writes
+(``val_accuracy``, ``name``, ``seed``) by ``typed``.  Every parameter value
+must be finite: ``save`` refuses and ``load`` rejects any other, naming the
+file and the parameter.
 
 Eval forwards.  ``predict_logits`` and ``predict_features`` run the tape ops,
 whose einsum products make every row's bits independent of the batch; their
@@ -458,9 +459,9 @@ def save(ck: Checkpoint, path) -> None:
 
 
 def load(path) -> Checkpoint:
-    """Read a checkpoint ``save`` wrote: its ``flat`` is the payload, laid out
-    in spec order in one copy; a non-finite parameter is rejected, naming the
-    file and the parameter."""
+    """Read a checkpoint in the layout ``save`` writes, its names in spec
+    order: its ``flat`` is one copy of the payload; any other layout, or a
+    non-finite parameter, is rejected, naming the file."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 5 or raw[:4] != MAGIC:
@@ -486,7 +487,7 @@ def load(path) -> Checkpoint:
     except ConfigError as e:
         raise CheckpointError(f"{path}: {e}") from e
     expected = spec.param_shapes()
-    if sorted(names) != sorted(expected) or set(shapes) != set(expected):
+    if names != list(expected) or set(shapes) != set(expected):
         raise CheckpointError(f"{path}: parameter names disagree with spec")
     for name in names:
         if shapes[name] != list(expected[name]):
@@ -499,8 +500,6 @@ def load(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: payload holds {len(payload) // 8} floats, header declares {total}"
         )
-    # one copy of the payload, laid out in spec order, is the checkpoint's flat
-    parts = _views(np.frombuffer(payload, dtype="<f8"), {k: expected[k] for k in names})
-    ck = Checkpoint(spec, np.concatenate([parts[k] for k in expected], axis=None, dtype=np.float64), meta)
+    ck = Checkpoint(spec, np.frombuffer(payload, "<f8").astype(np.float64), meta)
     _check_finite(path, ck)
     return ck

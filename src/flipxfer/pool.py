@@ -49,6 +49,7 @@ _helpers_lock = threading.Lock()
 # top out at on 64-bit (an mmap threshold of 32 MiB, a trim threshold twice that)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _KEEP_FREED = ((_M_TRIM_THRESHOLD, 64 << 20), (_M_MMAP_THRESHOLD, 32 << 20))
+_PR_SET_PDEATHSIG = 1  # Linux's prctl option
 
 
 def usable_cpus() -> int:
@@ -81,6 +82,18 @@ def _init(shared) -> None:
     keep_freed_memory()
     for sig in (signal.SIGINT, signal.SIGTERM):  # the parent takes both, and ends its workers
         signal.signal(sig, signal.SIG_IGN)
+    # so the worker dies with the thread that forked it, or now if its parent
+    # has already ended: a parent that SIGTERM ends outside cli.main does not
+    # end its workers itself (Linux only: elsewhere there is no prctl)
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):
+        return
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    # a forkserver's workers have the forkserver, not the pool's process, as parent
+    if multiprocessing.get_start_method() != "forkserver" and os.getppid() != multiprocessing.parent_process().pid:
+        os._exit(1)
 
 
 def _call(fn, task):
@@ -95,7 +108,9 @@ def pool_map(fn, shared, tasks: list, workers: int) -> list:
     are cancelled. A worker that ends before returning its task (killed by a
     signal or by the kernel when memory runs out) raises ``ChildProcessError``.
     Workers ignore SIGINT and SIGTERM: a ``KeyboardInterrupt`` here (the CLI
-    raises one on SIGTERM too) kills them all before it is raised."""
+    raises one on SIGTERM too) kills them all before it is raised, and on
+    Linux a worker this process forked is killed when the thread that called
+    this ends, as it does when a signal ends the process."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(shared, task) for task in tasks]

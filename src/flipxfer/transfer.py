@@ -457,8 +457,8 @@ def val_correct(ck: Checkpoint, val_set: Dataset) -> np.ndarray:
     how far any evaluation order's logits are from the exact ones, so a row
     whose top logit leads by more than 4 E has einsum's argmax, untied (the
     proof is in ``models``' docstring); the other rows take the argmax of
-    ``predict_logits``.  The flags are ``correct_flags(predict_logits(...))``
-    bit for bit.
+    ``predict_logits``.  The flags are
+    ``np.argmax(predict_logits(...), axis=1) == labels`` bit for bit.
     A transfer's memo has one writer at a time: ``distill``'s helper while
     SGD runs, then the calling thread once the helper is joined."""
     key = ck.digest()

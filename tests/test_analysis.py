@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,8 @@ def test_random_teacher_flip_rate_matches_chance_analogue():
 
 
 def test_entropy_single_class_is_zero():
-    assert flip_entropy(_stats([7, 0, 0])) == 0.0
+    h = flip_entropy(_stats([7, 0, 0]))
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0  # +0.0, which JSON and CSV write as 0.0, not -0.0
 
 
 def test_entropy_uniform_is_log_c():

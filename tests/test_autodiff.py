@@ -83,11 +83,25 @@ def test_backward_rejects_nonscalar_loss():
 
 
 def test_shape_error_names_op_and_shapes():
-    with pytest.raises(ShapeError) as exc:
-        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
-    assert exc.value.op == "affine"
-    assert exc.value.shapes == ((2, 3), (4, 5))
-    assert "affine" in str(exc.value) and "(2, 3)" in str(exc.value)
+    def t(*shape):
+        return Tensor(np.ones(shape))
+
+    cases = [
+        (lambda: ad.affine(t(2, 3), t(4, 5), t(5)), "affine", ((2, 3), (4, 5))),
+        # a rank check names the dims it expects
+        (lambda: ad.conv2d(t(3, 5, 5), t(4, 3, 3, 3), t(4)), "conv2d(input)", ((3, 5, 5), ("n", "c", "h", "w"))),
+        (lambda: ad.global_avg_pool(t(2, 3)), "global_avg_pool", ((2, 3), ("n", "c", "h", "w"))),
+        (lambda: ad.l2_normalize_rows(t(3)), "l2_normalize_rows", ((3,), ("n", "d"))),
+        (lambda: ad.gram(t(1, 2, 3)), "gram", ((1, 2, 3), ("n", "d"))),
+        # the kernel a (2, 3, 5, 5) input takes, not the input's shape
+        (lambda: ad.conv2d(t(2, 3, 5, 5), t(4, 2, 3, 3), t(4)), "conv2d(kernel)", ((4, 2, 3, 3), (4, 3, 3, 3))),
+    ]
+    for call, op, shapes in cases:
+        with pytest.raises(ShapeError) as exc:
+            call()
+        assert exc.value.op == op
+        assert exc.value.shapes == shapes
+        assert str(exc.value) == f"{op}: incompatible shapes {shapes[0]} vs {shapes[1]}"
 
 
 # ---------------------------------------------------------------------------

@@ -1055,7 +1055,6 @@ def test_transfer_from_the_students_own_checkpoint_reports_the_empty_outcomes(zo
     """Teacher and student are one checkpoint, so there are no flips: no gain,
     the lost share of the student's correct answers as the loss, a null gain
     for every class, and no transfer_rate."""
-    from flipxfer.analysis import correct_flags
     from flipxfer.cli import _build_datasets, _resolve_dataset
     from flipxfer.models import predict_logits
 
@@ -1066,8 +1065,8 @@ def test_transfer_from_the_students_own_checkpoint_reports_the_empty_outcomes(zo
     report = json.loads((out / "report.json").read_text())
     _, val = _build_datasets(_resolve_dataset(_dataset_section()))
     manifest = load_manifest(str(zoo_dir / "manifest.json"))
-    before = correct_flags(predict_logits(manifest.load_checkpoint("narrow"), val.inputs), val.labels)
-    after = correct_flags(predict_logits(models.load(out / "student_after.ckpt"), val.inputs), val.labels)
+    before = np.argmax(predict_logits(manifest.load_checkpoint("narrow"), val.inputs), axis=1) == val.labels
+    after = np.argmax(predict_logits(models.load(out / "student_after.ckpt"), val.inputs), axis=1) == val.labels
     assert report["rho_pos"] == 0.0
     assert report["knowledge_gain"] == 0.0
     assert 0.0 < report["knowledge_loss"] == int((before & ~after).sum()) / int(before.sum())
@@ -1371,6 +1370,53 @@ def test_a_signalled_sweep_exits_with_its_code_and_leaves_no_worker(zoo_dir, tmp
         proc.stderr.close()
     assert not out.exists()
     assert _group_is_gone(proc.pid)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_POOL_CHILD = """
+import os, time
+from flipxfer.pool import pool_map
+
+def task(shared, i):
+    os.write(1, f"{os.getpid()}\\n".encode())  # one write, so the two workers' lines do not interleave
+    time.sleep(60)
+
+pool_map(task, None, [0, 1], 2)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads worker states from /proc")
+def test_a_pool_whose_parent_sigterm_ends_outside_main_leaves_no_worker():
+    """Workers ignore SIGTERM, and only ``cli.main`` kills them on it: a
+    process that runs ``pool_map`` itself and is ended by SIGTERM takes its
+    workers with it, within a second."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", _POOL_CHILD], env=env, stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        workers = [int(proc.stdout.readline()) for _ in range(2)]  # each worker holds a task
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 1.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # whatever is left of the child's group
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stdout.close()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
